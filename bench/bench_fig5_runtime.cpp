@@ -84,50 +84,38 @@ Circuit realistic_dag(int cells) {
   return make_random_dag(spec);
 }
 
-// Incremental dirty-cone retiming vs the full-pass baseline. Second arg:
-// 1 = incremental (the default everywhere else), 0 = one full SSTA pass per
-// query. The committed trajectory and final objective are bit-identical
-// either way (see tests/ssta_incremental_test.cpp); only the wall clock
-// moves. Tentpole acceptance: >= 5x at the 4000-cell proxy.
+// Statistical optimizer end to end on realistic-locality DAGs: dirty-cone
+// retiming on the flat SSTA engine plus batched move pricing.
 void BM_StatisticalOptimizerIncremental(benchmark::State& state) {
   Circuit base = realistic_dag(static_cast<int>(state.range(0)));
   OptConfig cfg;
   cfg.t_max_ps = 1.2 * StaEngine(base, lib()).critical_delay_ps();
-  cfg.incremental_timing = state.range(1) != 0;
   for (auto _ : state) {
     Circuit c = base;
     const OptResult r = StatisticalOptimizer(lib(), var(), cfg).run(c);
     benchmark::DoNotOptimize(r.final_objective);
   }
   state.counters["cells"] = static_cast<double>(base.num_cells());
-  state.counters["incremental"] = static_cast<double>(state.range(1));
 }
 BENCHMARK(BM_StatisticalOptimizerIncremental)
-    ->Args({1000, 0})
-    ->Args({1000, 1})
-    ->Args({4000, 0})
-    ->Args({4000, 1})
+    ->Arg(1000)
+    ->Arg(4000)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 
-// Same comparison on the largest ISCAS-85 proxy (3530 cells, depth 54) —
-// the shape the >= 5x claim is really about.
+// Same run on the largest ISCAS-85 proxy (3530 cells, depth 54).
 void BM_StatisticalOptimizerIncrementalC7552(benchmark::State& state) {
   Circuit base = iscas85_proxy("c7552p");
   OptConfig cfg;
   cfg.t_max_ps = 1.2 * StaEngine(base, lib()).critical_delay_ps();
-  cfg.incremental_timing = state.range(0) != 0;
   for (auto _ : state) {
     Circuit c = base;
     const OptResult r = StatisticalOptimizer(lib(), var(), cfg).run(c);
     benchmark::DoNotOptimize(r.final_objective);
   }
   state.counters["cells"] = static_cast<double>(base.num_cells());
-  state.counters["incremental"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_StatisticalOptimizerIncrementalC7552)
-    ->Arg(0)
-    ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(1);
 

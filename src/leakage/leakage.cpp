@@ -88,10 +88,8 @@ LeakageAnalyzer::LeakageAnalyzer(const Circuit& circuit,
 }
 
 void LeakageAnalyzer::rebuild() {
-  STATLEAK_CHECK(!trial_active_, "rebuild inside a trial");
   const std::size_t n = circuit_.num_gates();
   moments_.assign(n, GateLeakMoments{});
-  touched_.assign(n, 0);
   std::vector<double> mean(n, 0.0), mean_sq(n, 0.0), var(n, 0.0);
   for (GateId id = 0; id < n; ++id) {
     const Gate& g = circuit_.gate(id);
@@ -109,49 +107,14 @@ void LeakageAnalyzer::rebuild() {
   sum_var_.assign(var);
 }
 
-void LeakageAnalyzer::write_moments(GateId id, const GateLeakMoments& m) {
-  if (trial_active_ && touched_[id] == 0) {
-    touched_[id] = 1;
-    touched_list_.push_back(id);
-    undo_.push_back({id, moments_[id]});
-  }
+void LeakageAnalyzer::on_gate_changed(GateId id) {
+  const Gate& g = circuit_.gate(id);
+  if (g.kind == CellKind::kInput) return;
+  const GateLeakMoments m = model_.gate_moments(g.kind, g.vth, g.size);
   moments_[id] = m;
   sum_mean_.set(id, m.mean_na);
   sum_mean_sq_.set(id, m.mean_na * m.mean_na);
   sum_var_.set(id, m.var_na2);
-}
-
-void LeakageAnalyzer::on_gate_changed(GateId id) {
-  const Gate& g = circuit_.gate(id);
-  if (g.kind == CellKind::kInput) return;
-  write_moments(id, model_.gate_moments(g.kind, g.vth, g.size));
-}
-
-void LeakageAnalyzer::begin_trial() {
-  STATLEAK_CHECK(!trial_active_, "trials do not nest");
-  trial_active_ = true;
-}
-
-void LeakageAnalyzer::commit_trial() {
-  STATLEAK_CHECK(trial_active_, "no trial to commit");
-  trial_active_ = false;
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  undo_.clear();
-}
-
-void LeakageAnalyzer::rollback_trial() {
-  STATLEAK_CHECK(trial_active_, "no trial to roll back");
-  trial_active_ = false;
-  for (const MomentUndo& u : undo_) {
-    moments_[u.id] = u.moments;
-    sum_mean_.set(u.id, u.moments.mean_na);
-    sum_mean_sq_.set(u.id, u.moments.mean_na * u.moments.mean_na);
-    sum_var_.set(u.id, u.moments.var_na2);
-  }
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  undo_.clear();
 }
 
 LeakageDistribution LeakageAnalyzer::assemble(double sum_mean,
@@ -187,11 +150,7 @@ LeakDeltaPricer LeakageAnalyzer::delta_pricer(double p) const {
   pricer.sum_mean_sq = sum_mean_sq_.total();
   pricer.sum_var = sum_var_.total();
   pricer.cov_factor = model_.cov_factor();
-  if (p != z_memo_p_) {
-    z_memo_ = normal_inverse_cdf(p);
-    z_memo_p_ = p;
-  }
-  pricer.z = z_memo_;
+  pricer.z = normal_inverse_cdf(p);
   return pricer;
 }
 

@@ -20,9 +20,8 @@
 /// fixed-shape pairwise-summation trees (util/tree_sum.hpp), so a
 /// single-gate change re-prices in O(log n) AND every query stays
 /// bit-identical to a from-scratch rebuild — the property the incremental
-/// differential tests pin. A small trial API mirrors the SSTA engine's:
-/// begin_trial() starts an undo log of touched gate moments and
-/// rollback_trial() restores them in O(touched).
+/// differential tests pin. Undoing a move is just another update: restore
+/// the gate's fields and call on_gate_changed() again.
 
 #pragma once
 
@@ -105,12 +104,13 @@ class LeakageModel {
 
 /// One scan's worth of hypothetical-move pricing state, captured from a
 /// LeakageAnalyzer: the three exact Wilkinson tree totals, the pairwise
-/// covariance factor and the memoized normal quantile. quantile_na() prices
+/// covariance factor and the normal quantile of p. quantile_na() prices
 /// "what if one gate's moments moved old -> now" with the exact expression
 /// sequence LeakageAnalyzer::quantile_if_na() evaluates — the analyzer's
 /// method is itself implemented on this struct, so the batched scorer and
-/// the scalar pricing path cannot drift by a bit. Capture once per scoring
-/// scan (totals are committed state; they change only on commit).
+/// per-gate quantile_if_na() pricing cannot drift by a bit. Capture once
+/// per scoring scan (totals are committed state; they change only on
+/// commit).
 struct LeakDeltaPricer {
   double sum_mean = 0.0;
   double sum_mean_sq = 0.0;
@@ -145,16 +145,6 @@ class LeakageAnalyzer {
   /// Call after gate `id` changed size or Vth. O(log n).
   void on_gate_changed(GateId id);
 
-  // ------------------------------------------------------------- trials --
-  /// Starts logging moment overwrites so rollback_trial() can restore them.
-  /// Trials do not nest.
-  void begin_trial();
-  /// Keeps the current state and drops the undo log.
-  void commit_trial();
-  /// Restores every gate moment the trial touched, in O(touched log n).
-  void rollback_trial();
-  bool trial_active() const { return trial_active_; }
-
   /// Current fitted distribution of total leakage.
   LeakageDistribution distribution() const;
 
@@ -166,15 +156,17 @@ class LeakageAnalyzer {
   double nominal_na() const;
 
   /// What the fitted distribution would report if gate `id` had the given
-  /// (vth, size) — without mutating anything. The optimizer's O(1) move
-  /// pricing: the hypothetical totals are the exact tree totals adjusted by
-  /// a scalar old-vs-new delta. That is deterministic (same state, same
-  /// bits) but deliberately not re-summed through the trees — pricing only
-  /// ranks candidates, and committed state always goes through the trees.
+  /// (vth, size) — without mutating anything. O(1) per-gate move pricing
+  /// (the reference the batched scorer is tested against): the
+  /// hypothetical totals are the exact tree totals adjusted by a scalar
+  /// old-vs-new delta. That is deterministic (same state, same bits) but
+  /// deliberately not re-summed through the trees — pricing only ranks
+  /// candidates, and committed state always goes through the trees.
   double quantile_if_na(GateId id, Vth vth, double size, double p) const;
 
-  /// Captures the current totals + quantile memo for a batched pricing
-  /// scan. Bit-contract: quantile_if_na(id, vth, size, p) ==
+  /// Captures the current totals and Phi^-1(p) for a batched pricing scan.
+  /// Const and free of hidden state, so concurrent calls are safe.
+  /// Bit-contract: quantile_if_na(id, vth, size, p) ==
   /// delta_pricer(p).quantile_na(cached_moments(id),
   ///                             model().gate_moments(kind, vth, size)).
   LeakDeltaPricer delta_pricer(double p) const;
@@ -194,29 +186,12 @@ class LeakageAnalyzer {
   LeakageDistribution assemble(double sum_mean, double sum_mean_sq,
                                double sum_var) const;
 
-  struct MomentUndo {
-    GateId id = kInvalidGate;
-    GateLeakMoments moments;
-  };
-
-  void write_moments(GateId id, const GateLeakMoments& m);
-
   const Circuit& circuit_;
   LeakageModel model_;
   std::vector<GateLeakMoments> moments_;
   TreeSum sum_mean_;     ///< per-gate mean leakage [nA]
   TreeSum sum_mean_sq_;  ///< per-gate squared mean [nA^2]
   TreeSum sum_var_;      ///< per-gate leakage variance [nA^2]
-
-  bool trial_active_ = false;
-  std::vector<MomentUndo> undo_;
-  std::vector<char> touched_;
-  std::vector<GateId> touched_list_;
-
-  /// Memo of Phi^-1(p) for the last-seen pricing percentile (the optimizer
-  /// always asks for one fixed p, so this hits ~always).
-  mutable double z_memo_p_ = -1.0;
-  mutable double z_memo_ = 0.0;
 };
 
 }  // namespace statleak

@@ -153,7 +153,7 @@ void BatchScorer::rebuild_gate_slots(GateId id) {
                          (vth_[id] == Vth::kHigh ? 1 : 0);
   const GateLeakMoments& m = leak_.cached_moments(id);
   // The exact stage-1 delay decomposition of the batched scan (and of the
-  // scalar path's delay_ps()), evaluated at rebuild time: the inputs are
+  // reference scan's delay_ps()), evaluated at rebuild time: the inputs are
   // frozen until the next set_impl/load change, which re-dirties this gate.
   const double d_now = terms_[tn].intrinsic_ps +
                        dn * load / (terms_[tn].idrive_unit_ua * size);
@@ -431,7 +431,7 @@ MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
 /// serial selection is the first candidate attaining the maximum score;
 /// every candidate that could attain it survives the prune, so the
 /// selected move is unchanged for any thread count or block size (pinned
-/// by tests/opt_trajectory_test.cpp) even though the shard-local maxima —
+/// by tests/batch_score_test.cpp) even though the shard-local maxima —
 /// and hence which losers get elided — vary with the sharding. Candidates
 /// outside the guards fall through to the exact quantile.
 void BatchScorer::price_slots_assign(Worker& w, const LeakDeltaPricer& pricer,
@@ -445,7 +445,7 @@ void BatchScorer::price_slots_assign(Worker& w, const LeakDeltaPricer& pricer,
   // The candidate-block knob no longer shapes this scan (the persistent
   // lanes made the staged block loop unnecessary); keep the blocks counter
   // meaning "groups of up to K candidates priced" so its telemetry stays
-  // comparable across engines and configs.
+  // comparable across phases and configs.
   w.blocks += static_cast<std::int64_t>((m + block_ - 1) / block_);
   const std::uint32_t* STATLEAK_RESTRICT sl = w.slot.data();
 
@@ -541,9 +541,9 @@ void BatchScorer::price_slots_assign(Worker& w, const LeakDeltaPricer& pricer,
   }
 
   // Sweep 2: benefit + score in candidate order. The denominator is the
-  // scalar path's expression over the persistent lanes (same subterms, same
-  // bits); the upper-bound test elides the quantile for candidates that
-  // provably cannot beat the threshold (see the function comment).
+  // reference scan's expression over the persistent lanes (same subterms,
+  // same bits); the upper-bound test elides the quantile for candidates
+  // that provably cannot beat the threshold (see the function comment).
   // `thresh` tracks local.score once that overtakes the seed.
   for (std::size_t i = 0; i < m; ++i) {
     const std::uint32_t s = sl[i];

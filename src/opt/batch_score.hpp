@@ -4,10 +4,10 @@
 /// The statistical optimizer's scoring scans price every legal move against
 /// the same committed state (scoring is read-only; commits are serial), so
 /// the scan is embarrassingly parallel per candidate AND restructurable:
-/// instead of the scalar path's one-gate-at-a-time walk through the AoS
-/// Gate graph — a Gate-struct dereference, a binary size-step search and
-/// several virtual-free-but-cold library calls per gate — the batched
-/// scorer works SoA:
+/// instead of a one-gate-at-a-time walk through the AoS Gate graph — a
+/// Gate-struct dereference, a binary size-step search and several
+/// virtual-free-but-cold library calls per gate; tests/batch_score_test.cpp
+/// keeps that walk as the reference scan — the batched scorer works SoA:
 ///
 ///   1. a filter pass over flat mirror arrays (vth/size/step per gate,
 ///      maintained by the optimizer through set_impl()) collects the legal
@@ -38,17 +38,18 @@
 /// the vectorized benefit-bound passes over the compact list, and exact-
 /// score the few survivors — the expression DAG per candidate is untouched,
 /// only the evaluation time of its invariant prefix moves from scan to
-/// rebuild, so every score stays bit-identical to the scalar path.
+/// rebuild, so every score stays bit-identical to the reference scan.
 ///
 /// Bit contract: every stage completes a decomposed expression whose terms
-/// are the exact subexpressions of the scalar path (CellLibrary::
+/// are the exact subexpressions of the reference scan (CellLibrary::
 /// delay_terms(), leak_unit_na(), LeakageModel factors, LeakDeltaPricer) in
-/// the same association order, so the candidate chosen — and therefore the
-/// whole optimization trajectory — is bit-identical to the scalar engine's
-/// (pinned by tests/opt_trajectory_test.cpp across thread counts and block
-/// sizes). With Pelgrom width scaling enabled the leak-moment stage falls
-/// back to per-candidate LeakageModel::gate_moments() calls — the same
-/// function the scalar path prices through.
+/// the same association order, so the candidate chosen — gate, move and
+/// score bits — is the reference scan's (pinned scan by scan by
+/// tests/batch_score_test.cpp, and end to end by the trajectory goldens of
+/// tests/opt_trajectory_test.cpp across thread counts and block sizes).
+/// With Pelgrom width scaling enabled the leak-moment stage falls back to
+/// per-candidate LeakageModel::gate_moments() calls — the same function
+/// the reference scan prices through.
 
 #pragma once
 
@@ -64,8 +65,7 @@
 
 namespace statleak {
 
-/// One scored move candidate; the optimizer's argmax unit (shared by the
-/// scalar and batched scoring paths).
+/// One scored move candidate; the optimizer's argmax unit.
 struct MoveCandidate {
   double score = 0.0;
   GateId gate = kInvalidGate;
@@ -89,7 +89,7 @@ class BatchScorer {
   void set_impl(GateId id, Vth vth, double size);
 
   /// Phase-1 scan: best criticality-weighted upsizing move.
-  /// Candidate filter and score are the scalar path's, bit for bit.
+  /// Candidate filter and score are the reference scan's, bit for bit.
   MoveCandidate best_sizing(std::span<const double> criticality,
                             std::span<const std::uint64_t> locked,
                             double q_now, double pct, double crit_floor,

@@ -41,8 +41,8 @@ std::uint64_t opt_checkpoint_hash(const Circuit& circuit,
   const auto mix_f64 = [&mix](double x) { mix(f64_bits(x)); };
 
   // Constraint/objective configuration: anything that steers the greedy
-  // search. Engine/threads/candidate-block/incremental/deadline/cadence are
-  // trajectory-invariant and deliberately NOT mixed.
+  // search. Threads/candidate-block/deadline/cadence are trajectory-
+  // invariant and deliberately NOT mixed.
   mix(config.seed);
   mix_f64(config.t_max_ps);
   mix_f64(config.yield_target);

@@ -99,11 +99,11 @@ enum class OptMoveKind : std::uint8_t {
 /// leakage percentile, iteration cap, assignment rounds), the circuit
 /// topology (kinds, fanins, outputs — NOT the implementation point, which
 /// the optimizer resets on entry), the cell library's size grid and the
-/// process node's physical constants, and the variation model. The scoring
-/// engine, thread count, candidate block, incremental-timing toggle,
-/// deadline and snapshot cadence are deliberately excluded — the trajectory
-/// is invariant to all of them, so a journal written by a flat 8-thread run
-/// resumes under a scalar single-thread run and vice versa.
+/// process node's physical constants, and the variation model. The thread
+/// count, candidate block, deadline and snapshot cadence are deliberately
+/// excluded — the trajectory is invariant to all of them, so a journal
+/// written by an 8-thread run resumes under a single-thread run with another
+/// block size and vice versa.
 std::uint64_t opt_checkpoint_hash(const Circuit& circuit,
                                   const CellLibrary& lib,
                                   const VariationModel& var,

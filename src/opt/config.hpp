@@ -43,24 +43,11 @@ struct OptConfig : ExecConfig {
   /// round because downsizing can free up timing room elsewhere.
   int assignment_rounds = 3;
 
-  /// Dirty-cone incremental retiming in the statistical optimizer's SSTA
-  /// engine (see ssta.hpp). Results are bit-identical either way — the
-  /// toggle exists as an honest full-pass baseline for benchmarks and the
-  /// equivalence tests; leave it on.
-  bool incremental_timing = true;
-
-  /// Run the statistical optimizer's hot path on the flat-SoA SSTA engine
-  /// with candidate-batched move pricing (ssta/flat_incremental.hpp,
-  /// opt/batch_score.hpp). The optimization trajectory — every commit,
-  /// every rejection — is bit-identical to the scalar engine's; the toggle
-  /// keeps the scalar path alive as the honest baseline for benchmarks and
-  /// the equivalence tests. Leave it on.
-  bool flat_engine = true;
-
-  /// Candidate block size K for batched move pricing on the flat engine.
-  /// <= 0 selects the default (64). Per-candidate pricing is independent,
-  /// so any K yields the same trajectory; it only shapes the SoA working
-  /// set the vectorized stages stream over.
+  /// Candidate block size K for the statistical optimizer's batched move
+  /// pricing (opt/batch_score.hpp). <= 0 selects the default (64).
+  /// Per-candidate pricing is independent, so any K yields the same
+  /// trajectory; it only shapes the SoA working set the vectorized stages
+  /// stream over.
   int candidate_block = 0;
 
   /// Journal file for the statistical optimizer's durable checkpoint/resume

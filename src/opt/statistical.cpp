@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "leakage/leakage.hpp"
@@ -27,7 +25,7 @@ constexpr double kEps = 1e-9;
 constexpr double kCritFloor = 1e-4;
 /// Boost rounds of the sizing-enables-swaps outer loop (see run()).
 constexpr int kMaxBoostRounds = 4;
-/// Default candidate block size for batched move pricing (flat engine).
+/// Default candidate block size for batched move pricing.
 constexpr std::size_t kDefaultCandidateBlock = 64;
 }  // namespace
 
@@ -49,26 +47,8 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
   reset_implementation(circuit, lib_);
   obs::ScopedTimer total_timer(obs, "stat.total");
 
-  // Both engines run the identical schedule (run_impl) and produce the
-  // identical trajectory; the flat engine is the production hot path, the
-  // scalar engine the honest baseline the equivalence tests compare against.
-  if (config_.flat_engine) {
-    FlatSstaEngine ssta(circuit, lib_, var_);
-    ssta.set_incremental(config_.incremental_timing);
-    ssta.attach_observer(obs);
-    return run_impl(circuit, ssta, obs);
-  }
-  SstaEngine ssta(circuit, lib_, var_);
-  ssta.set_incremental(config_.incremental_timing);
+  FlatSstaEngine ssta(circuit, lib_, var_);
   ssta.attach_observer(obs);
-  return run_impl(circuit, ssta, obs);
-}
-
-template <class Engine>
-OptResult StatisticalOptimizer::run_impl(Circuit& circuit, Engine& ssta,
-                                         obs::Registry* obs) const {
-  constexpr bool kFlat = std::is_same_v<Engine, FlatSstaEngine>;
-
   LeakageAnalyzer leak(circuit, lib_, var_);
   const auto steps = lib_.size_steps();
   const double t_max = config_.t_max_ps;
@@ -131,45 +111,29 @@ OptResult StatisticalOptimizer::run_impl(Circuit& circuit, Engine& ssta,
   }
   OptJournal* const journal = journal_store.get();
 
-  // Own mean delay of a gate under a hypothetical (vth, size).
-  const auto own_delay = [&](GateId id, Vth vth, double size) -> double {
-    const Gate& g = circuit.gate(id);
-    return lib_.delay_ps(g.kind, vth, size, ssta.loads().load_ff(id));
-  };
-
   // ------------------------------------------ parallel candidate scoring ----
   // Move pricing in phases 1 and 2 is read-only per candidate (const queries
-  // on the SSTA snapshot, load cache and leakage analyzer), so it is sharded
-  // by gate index over a pool that lives for the whole run. Each shard keeps
-  // the serial rule "first strictly-greater score wins, ids ascending"; the
-  // shards are then reduced in index order, which reproduces the serial
-  // winner exactly — commits stay serial, so the optimization trajectory is
-  // identical for every thread count.
-  //
-  // On the flat engine the scans additionally go through the BatchScorer:
-  // SoA candidate gather + staged block pricing over the same shards, same
-  // argmax rule, same bits (opt/batch_score.hpp).
+  // on the SSTA snapshot, load cache and leakage analyzer), so the
+  // BatchScorer shards it by gate index over a pool that lives for the whole
+  // run: SoA candidate gather + staged block pricing, each shard keeping the
+  // serial rule "first strictly-greater score wins, ids ascending", shards
+  // reduced in index order (opt/batch_score.hpp). Commits stay serial, so
+  // the optimization trajectory is identical for every thread count and
+  // block size.
   ThreadPool pool(config_.num_threads);
   const std::size_t block =
       config_.candidate_block > 0
           ? static_cast<std::size_t>(config_.candidate_block)
           : kDefaultCandidateBlock;
-  std::optional<BatchScorer> scorer;
-  if constexpr (kFlat) {
-    scorer.emplace(lib_, leak, ssta.flat(), ssta.loads(), pool, block);
-  }
+  BatchScorer scorer(lib_, leak, ssta.flat(), ssta.loads(), pool, block);
 
   // Keeps the scorer's implementation mirrors in lockstep with the circuit.
   // Every set_size/set_vth in this function is followed by a sync(id);
   // missing one would desynchronize batched candidate filtering (caught by
-  // the flat-vs-scalar trajectory tests).
+  // tests/batch_score_test.cpp and the trajectory goldens).
   const auto sync = [&](GateId id) {
-    if constexpr (kFlat) {
-      const Gate& g = circuit.gate(id);
-      scorer->set_impl(id, g.vth, g.size);
-    } else {
-      (void)id;
-    }
+    const Gate& g = circuit.gate(id);
+    scorer.set_impl(id, g.vth, g.size);
   };
 
   // Every implementation mutation goes through these two, so the circuit and
@@ -185,29 +149,6 @@ OptResult StatisticalOptimizer::run_impl(Circuit& circuit, Engine& ssta,
     circuit.set_vth(id, vth);
     ssta.on_vth_change(id);
     sync(id);
-  };
-
-  // Legacy per-gate scoring scan (the scalar engine's path). Generic lambda
-  // so each call site's scoring closure is a concrete type the compiler can
-  // inline — the per-gate indirect call through a std::function showed up
-  // in profiles at ~7 ns * n * iterations.
-  const auto best_candidate = [&](const auto& score_gate) {
-    std::vector<MoveCandidate> shard_best(
-        static_cast<std::size_t>(pool.size()));
-    pool.parallel_for(
-        circuit.num_gates(),
-        [&](std::size_t lo, std::size_t hi, int worker) {
-          MoveCandidate local;
-          for (std::size_t i = lo; i < hi; ++i) {
-            score_gate(static_cast<GateId>(i), local);
-          }
-          shard_best[static_cast<std::size_t>(worker)] = local;
-        });
-    MoveCandidate best;
-    for (const MoveCandidate& c : shard_best) {
-      if (c.score > best.score) best = c;
-    }
-    return best;
   };
 
   // ------------------------------------------------ snapshot machinery ----
@@ -274,31 +215,8 @@ OptResult StatisticalOptimizer::run_impl(Circuit& circuit, Engine& ssta,
         best.step = replayed.step;
       } else {
         obs::ScopedTimer score_timer(obs, "stat.score");
-        if constexpr (kFlat) {
-          best = scorer->best_sizing(timing.criticality, locked, q_now, pct,
-                                     kCritFloor, kEps);
-        } else {
-          best = best_candidate([&](GateId id, MoveCandidate& local) {
-            const Gate& g = circuit.gate(id);
-            if (g.kind == CellKind::kInput) return;
-            if (timing.criticality[id] < kCritFloor) return;
-            const std::size_t step = lib_.nearest_step(g.size);
-            if (step + 1 >= steps.size()) return;
-            if ((locked[id] >> (step + 1)) & 1u) return;
-            const double next_size = steps[step + 1];
-
-            const double gain =
-                own_delay(id, g.vth, g.size) - own_delay(id, g.vth, next_size);
-            if (gain <= kEps) return;
-            const double dleak_pct =
-                leak.quantile_if_na(id, g.vth, next_size, pct) - q_now;
-            const double score =
-                timing.criticality[id] * gain / std::max(dleak_pct, 1e-6);
-            if (score > local.score) {
-              local = MoveCandidate{score, id, step + 1, false, 0.0};
-            }
-          });
-        }
+        best = scorer.best_sizing(timing.criticality, locked, q_now, pct,
+                                  kCritFloor, kEps);
       }
       if (best.gate == kInvalidGate) {  // no upsizing can help further
         if (journal != nullptr) {
@@ -364,49 +282,8 @@ OptResult StatisticalOptimizer::run_impl(Circuit& circuit, Engine& ssta,
           best.new_size = replayed.new_size;
         } else {
           obs::ScopedTimer score_timer(obs, "stat.score");
-          if constexpr (kFlat) {
-            best = scorer->best_assign(timing.criticality, locked, q_now,
-                                       pct, kCritFloor, kEps);
-          } else {
-            best = best_candidate([&](GateId id, MoveCandidate& local) {
-              const Gate& g = circuit.gate(id);
-              if (g.kind == CellKind::kInput) return;
-              const bool can_hvt =
-                  g.vth == Vth::kLow && (locked[id] & 1) == 0;
-              const std::size_t step = lib_.nearest_step(g.size);
-              const bool can_down = step > 0 && (locked[id] & 2) == 0;
-              if (!can_hvt && !can_down) return;
-              const double crit =
-                  std::max(timing.criticality[id], kCritFloor);
-              const double d_now = own_delay(id, g.vth, g.size);
-
-              if (can_hvt) {
-                const double dd = own_delay(id, Vth::kHigh, g.size) - d_now;
-                const double benefit =
-                    q_now - leak.quantile_if_na(id, Vth::kHigh, g.size, pct);
-                if (benefit > 0.0) {
-                  const double score =
-                      benefit / (crit * std::max(dd, kEps) + kEps);
-                  if (score > local.score) {
-                    local = MoveCandidate{score, id, 0, true, 0.0};
-                  }
-                }
-              }
-              if (can_down) {
-                const double smaller = steps[step - 1];
-                const double dd = own_delay(id, g.vth, smaller) - d_now;
-                const double benefit =
-                    q_now - leak.quantile_if_na(id, g.vth, smaller, pct);
-                if (benefit > 0.0) {
-                  const double score =
-                      benefit / (crit * std::max(dd, kEps) + kEps);
-                  if (score > local.score) {
-                    local = MoveCandidate{score, id, 0, false, smaller};
-                  }
-                }
-              }
-            });
-          }
+          best = scorer.best_assign(timing.criticality, locked, q_now, pct,
+                                    kCritFloor, kEps);
         }
         if (best.gate == kInvalidGate) {
           if (journal != nullptr) {
@@ -591,7 +468,6 @@ OptResult StatisticalOptimizer::run_impl(Circuit& circuit, Engine& ssta,
     obs->set_gauge("stat.final_objective_na", result.final_objective);
     obs->set_gauge("stat.feasible", result.feasible ? 1.0 : 0.0);
     obs->set_gauge("stat.final_yield", ssta.circuit_delay().cdf(t_max));
-    obs->note_config("opt.engine", kFlat ? "flat" : "scalar");
     if (journal != nullptr) {
       obs->add("opt.journal_records",
                static_cast<double>(journal->records_appended()));
@@ -606,15 +482,11 @@ OptResult StatisticalOptimizer::run_impl(Circuit& circuit, Engine& ssta,
           "opt.checkpoint_every",
           static_cast<std::int64_t>(config_.checkpoint_every));
     }
-    if constexpr (kFlat) {
-      obs->note_config_num("opt.candidate_block",
-                           static_cast<std::int64_t>(block));
-      obs->add("opt.flat_passes", static_cast<double>(scorer->passes()));
-      obs->add("opt.candidate_blocks",
-               static_cast<double>(scorer->blocks()));
-      obs->add("opt.pruned_candidates",
-               static_cast<double>(scorer->pruned()));
-    }
+    obs->note_config_num("opt.candidate_block",
+                         static_cast<std::int64_t>(block));
+    obs->add("opt.flat_passes", static_cast<double>(scorer.passes()));
+    obs->add("opt.candidate_blocks", static_cast<double>(scorer.blocks()));
+    obs->add("opt.pruned_candidates", static_cast<double>(scorer.pruned()));
   }
   return result;
 }

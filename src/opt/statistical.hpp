@@ -12,16 +12,21 @@
 ///   Phase 1 (sizing for yield): from the all-LVT minimum-size point,
 ///     upsize while yield < eta. Candidates are statistically critical
 ///     gates; the score is criticality-weighted mean-delay reduction per
-///     unit of leakage-percentile increase. Every commit is validated with
-///     a full SSTA pass; harmful moves are undone and locked.
+///     unit of leakage-percentile increase. Every move is applied inside an
+///     SSTA trial (a dirty-cone retime, ssta/flat_incremental.hpp) and kept
+///     only if the yield rises; harmful moves are rolled back and locked.
 ///
 ///   Phase 2 (statistical assignment): candidate moves are LVT->HVT swaps
 ///     and one-step downsizes. Each move is priced in O(1):
 ///       benefit = Q_p(now) - Q_p(with move)     [Wilkinson re-fit]
 ///       cost    = criticality(g) * own mean-delay increase + eps
-///     The best-scoring move is applied tentatively and accepted iff the
-///     re-run SSTA still meets eta; otherwise undone and locked. Locks are
-///     cleared between rounds, because accepted downsizes free timing room.
+///     The best-scoring move is applied inside an SSTA trial and accepted
+///     iff the retimed yield still meets eta; otherwise rolled back and
+///     locked. Locks are cleared between rounds, because accepted downsizes
+///     free timing room.
+///
+/// Moves are priced by the candidate-batched BatchScorer
+/// (opt/batch_score.hpp) on the flat SSTA engine's snapshot.
 ///
 ///   Phase 3 (yield recovery): if eta is not reachable (or numerical
 ///     coupling dented it), the most critical gates are reverted to LVT /
@@ -46,7 +51,8 @@ class StatisticalOptimizer {
   /// place, starting from the all-LVT minimum-size point.
   ///
   /// With an observability registry attached the run records phase wall
-  /// times ("stat.sizing" / "stat.assign" / "stat.recover" / "stat.boost"),
+  /// times ("stat.total" / "stat.sizing" / "stat.assign" / "stat.recover",
+  /// and "stat.score" for the candidate scans inside sizing and assign),
   /// commit/rejection counters under "stat.*", and one "stat" trace event
   /// per loop iteration (exactly OptResult::iterations events). The
   /// optimization trajectory — and therefore the result — is bit-identical
@@ -56,16 +62,6 @@ class StatisticalOptimizer {
   const OptConfig& config() const { return config_; }
 
  private:
-  /// The whole optimization schedule, generic over the SSTA engine type
-  /// (scalar SstaEngine vs flat-SoA FlatSstaEngine). The two instantiations
-  /// share every line of control flow; only candidate scoring dispatches —
-  /// the flat engine prices moves through the candidate-batched BatchScorer,
-  /// the scalar engine through the per-gate closure — and both produce the
-  /// same moves bit for bit (pinned by tests/opt_trajectory_test.cpp).
-  template <class Engine>
-  OptResult run_impl(Circuit& circuit, Engine& ssta,
-                     obs::Registry* obs) const;
-
   const CellLibrary& lib_;
   const VariationModel& var_;
   OptConfig config_;

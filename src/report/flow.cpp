@@ -101,9 +101,8 @@ FlowOutcome run_flow(Circuit& circuit, const CellLibrary& lib,
   base.yield_target = config.yield_target;
   base.leakage_percentile = config.leakage_percentile;
   base.num_threads = config.num_threads;
-  // Scoring-engine knobs (statistical phase only; the deterministic sizer
-  // ignores them). Trajectory-invariant — see OptConfig.
-  base.flat_engine = config.opt_flat_engine;
+  // Scoring knob (statistical phase only; the deterministic sizer ignores
+  // it). Trajectory-invariant — see OptConfig.
   base.candidate_block = config.opt_candidate_block;
 
   // --- deterministic baseline -------------------------------------------

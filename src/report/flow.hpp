@@ -48,10 +48,9 @@ struct FlowConfig : ExecConfig {
   /// Kernel block size of the batched MC cross-check (0 = auto; results
   /// are bit-identical either way — see McConfig::batch_size).
   int mc_batch_size = 0;
-  /// Statistical-optimizer scoring engine (OptConfig::flat_engine) and
-  /// candidate block size (OptConfig::candidate_block). Performance knobs
-  /// only: the optimization trajectory is bit-identical either way.
-  bool opt_flat_engine = true;
+  /// Statistical-optimizer candidate block size (OptConfig::candidate_block).
+  /// A performance knob only: the optimization trajectory is bit-identical
+  /// for every block size.
   int opt_candidate_block = 0;
   /// Durable journal for the statistical phase (OptConfig::checkpoint_path):
   /// a flow whose budget expires mid-statistical-optimization resumes it

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
-#include <utility>
 
 #include "sta/loads.hpp"
 #include "util/clark.hpp"
@@ -94,96 +92,6 @@ SpatialSstaEngine::SpatialSstaEngine(const Circuit& circuit,
   for (GateId id = 0; id < n; ++id) {
     loads_ff_[id] = output_load_ff(circuit, lib, id);
   }
-  arrival_.resize(n);
-  queued_.assign(n, 0);
-  touched_.assign(n, 0);
-  buckets_.assign(static_cast<std::size_t>(circuit.depth()) + 1, {});
-}
-
-// ------------------------------------------------------- notifications ----
-
-void SpatialSstaEngine::mark_dirty(GateId id) {
-  if (queued_[id] == 0) {
-    queued_[id] = 1;
-    pending_.push_back(id);
-  }
-}
-
-void SpatialSstaEngine::on_resize(GateId id) {
-  for (GateId driver : circuit_.gate(id).fanins) {
-    if (trial_active_ && (touched_[driver] & 2) == 0) {
-      touched_[driver] = static_cast<char>(touched_[driver] | 2);
-      touched_list_.push_back(driver);
-      load_undo_.push_back({driver, loads_ff_[driver]});
-    }
-    loads_ff_[driver] = output_load_ff(circuit_, lib_, driver);
-    mark_dirty(driver);
-  }
-  mark_dirty(id);
-}
-
-void SpatialSstaEngine::on_vth_change(GateId id) { mark_dirty(id); }
-
-void SpatialSstaEngine::clear_pending() const {
-  for (GateId id : pending_) queued_[id] = 0;
-  pending_.clear();
-}
-
-// --------------------------------------------------------------- trials ----
-
-void SpatialSstaEngine::begin_trial() {
-  STATLEAK_CHECK(!trial_active_, "trials do not nest");
-  trial_active_ = true;
-  trial_lost_baseline_ = false;
-  trial_primed_ = primed_;
-  trial_pending_ = pending_;
-  trial_out_max_ = out_max_;
-}
-
-void SpatialSstaEngine::commit_trial() {
-  STATLEAK_CHECK(trial_active_, "no trial to commit");
-  trial_active_ = false;
-  trial_lost_baseline_ = false;
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  arrival_undo_.clear();
-  load_undo_.clear();
-  trial_pending_.clear();
-}
-
-void SpatialSstaEngine::rollback_trial() {
-  STATLEAK_CHECK(trial_active_, "no trial to roll back");
-  trial_active_ = false;
-  for (const LoadUndo& u : load_undo_) loads_ff_[u.id] = u.load_ff;
-  if (trial_lost_baseline_) {
-    primed_ = false;  // next query recomputes from scratch — still exact
-  } else {
-    primed_ = trial_primed_;
-    for (ArrivalUndo& u : arrival_undo_) {
-      arrival_[u.id] = std::move(u.arrival);
-    }
-    out_max_ = std::move(trial_out_max_);
-  }
-  clear_pending();
-  for (GateId id : trial_pending_) {
-    queued_[id] = 1;
-    pending_.push_back(id);
-  }
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  arrival_undo_.clear();
-  load_undo_.clear();
-  trial_pending_.clear();
-  trial_lost_baseline_ = false;
-}
-
-void SpatialSstaEngine::log_arrival(GateId id) const {
-  if (!trial_active_ || trial_lost_baseline_ || (touched_[id] & 1) != 0) {
-    return;
-  }
-  touched_[id] = static_cast<char>(touched_[id] | 1);
-  touched_list_.push_back(id);
-  arrival_undo_.push_back({id, arrival_[id]});
 }
 
 std::size_t SpatialSstaEngine::num_sources() const {
@@ -218,100 +126,26 @@ VectorCanonical SpatialSstaEngine::gate_delay(GateId id) const {
   return d;
 }
 
-// ------------------------------------------------------------ retiming ----
-
-namespace {
-bool same_vcanonical(const VectorCanonical& a, const VectorCanonical& b) {
-  return a.mean == b.mean && a.loc == b.loc && a.g == b.g;
-}
-}  // namespace
-
-bool SpatialSstaEngine::retime_gate(GateId id) const {
-  const Gate& g = circuit_.gate(id);
-  VectorCanonical fresh;
-  if (g.kind != CellKind::kInput) {
-    VectorCanonical in_max = arrival_[g.fanins[0]];
-    for (std::size_t pin = 1; pin < g.fanins.size(); ++pin) {
-      in_max = VectorCanonical::max(in_max, arrival_[g.fanins[pin]]);
-    }
-    fresh = VectorCanonical::sum(in_max, gate_delay(id));
-  }
-  const bool changed = !same_vcanonical(fresh, arrival_[id]);
-  log_arrival(id);
-  arrival_[id] = std::move(fresh);
-  return changed;
-}
-
-void SpatialSstaEngine::recompute_output_max() const {
-  VectorCanonical out = arrival_[circuit_.outputs()[0]];
-  for (std::size_t i = 1; i < circuit_.outputs().size(); ++i) {
-    out = VectorCanonical::max(out, arrival_[circuit_.outputs()[i]]);
-  }
-  out_max_ = std::move(out);
-}
-
-void SpatialSstaEngine::full_pass() const {
-  if (trial_active_) trial_lost_baseline_ = true;
-  if (obs_ != nullptr) obs_->add("ssta.spatial_full_passes", 1.0);
-  const std::size_t n = circuit_.num_gates();
-  arrival_.assign(n, VectorCanonical{});
-  for (GateId id : circuit_.topo_order()) {
-    const Gate& g = circuit_.gate(id);
-    if (g.kind == CellKind::kInput) continue;
-    VectorCanonical in_max = arrival_[g.fanins[0]];
-    for (std::size_t pin = 1; pin < g.fanins.size(); ++pin) {
-      in_max = VectorCanonical::max(in_max, arrival_[g.fanins[pin]]);
-    }
-    arrival_[id] = VectorCanonical::sum(in_max, gate_delay(id));
-  }
-  recompute_output_max();
-  clear_pending();
-  primed_ = true;
-}
-
-void SpatialSstaEngine::flush() const {
-  if (!primed_ || !incremental_) {
-    full_pass();
-    return;
-  }
-  if (pending_.empty()) return;
-  if (obs_ != nullptr) obs_->add("ssta.spatial_incremental_passes", 1.0);
-
-  for (GateId id : pending_) {
-    buckets_[static_cast<std::size_t>(circuit_.level(id))].push_back(id);
-  }
-  pending_.clear();
-
-  std::int64_t retimed = 0;
-  bool output_changed = false;
-  for (auto& bucket : buckets_) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId id = bucket[i];
-      queued_[id] = 0;
-      ++retimed;
-      if (!retime_gate(id)) continue;  // bit-identical: cone stops here
-      if (circuit_.is_output(id)) output_changed = true;
-      for (GateId fo : circuit_.fanouts(id)) {
-        if (queued_[fo] == 0) {
-          queued_[fo] = 1;
-          buckets_[static_cast<std::size_t>(circuit_.level(fo))].push_back(
-              fo);
-        }
-      }
-    }
-    bucket.clear();
-  }
-
-  if (output_changed) recompute_output_max();
-  if (obs_ != nullptr) {
-    obs_->add("ssta.spatial_cone_gates_retimed",
-              static_cast<double>(retimed));
-  }
-}
-
 VectorCanonical SpatialSstaEngine::circuit_delay() const {
   if (obs_ != nullptr) obs_->add("ssta.spatial_passes", 1.0);
-  flush();
+  if (!primed_) {
+    std::vector<VectorCanonical> arrival(circuit_.num_gates());
+    for (GateId id : circuit_.topo_order()) {
+      const Gate& g = circuit_.gate(id);
+      if (g.kind == CellKind::kInput) continue;
+      VectorCanonical in_max = arrival[g.fanins[0]];
+      for (std::size_t pin = 1; pin < g.fanins.size(); ++pin) {
+        in_max = VectorCanonical::max(in_max, arrival[g.fanins[pin]]);
+      }
+      arrival[id] = VectorCanonical::sum(in_max, gate_delay(id));
+    }
+    const auto outputs = circuit_.outputs();
+    out_max_ = arrival[outputs[0]];
+    for (std::size_t i = 1; i < outputs.size(); ++i) {
+      out_max_ = VectorCanonical::max(out_max_, arrival[outputs[i]]);
+    }
+    primed_ = true;
+  }
   return out_max_;
 }
 

@@ -47,14 +47,10 @@ struct VectorCanonical {
 };
 
 /// SSTA engine under the spatial model. Holds references; all constructor
-/// arguments must outlive the engine.
-///
-/// Carries the same incremental machinery as ssta/SstaEngine: per-gate
-/// arrivals are cached, implementation changes reported via on_resize() /
-/// on_vth_change() re-propagate only the levelized dirty fanout cone with
-/// early stop on bit-identical arrivals, and the trial API gives the
-/// tentative-apply/reject pattern an O(touched) rollback. Queries are
-/// bit-identical to a from-scratch pass either way.
+/// arguments must outlive the engine. A one-shot full-pass analyzer like
+/// ssta/SstaEngine: loads are read at construction and the circuit delay is
+/// computed on the first query and cached, so the engine snapshots the
+/// circuit at that query — later size/Vth changes are never seen.
 class SpatialSstaEngine {
  public:
   SpatialSstaEngine(const Circuit& circuit, const CellLibrary& lib,
@@ -73,78 +69,21 @@ class SpatialSstaEngine {
   /// Region of a gate (from the placement).
   int region_of(GateId id) const;
 
-  /// Call after gate `id` changed size: patches the cached loads and marks
-  /// `id` and its fanin drivers dirty.
-  void on_resize(GateId id);
-  /// Call after gate `id` changed threshold class: marks `id` dirty.
-  void on_vth_change(GateId id);
-
-  // ------------------------------------------------------------- trials --
-  /// Starts logging cache overwrites for rollback_trial(). No nesting.
-  void begin_trial();
-  /// Keeps the current state and drops the undo log.
-  void commit_trial();
-  /// Restores loads, arrivals and the circuit-delay cache to their
-  /// begin_trial() values in O(touched). The caller restores the circuit's
-  /// own size/Vth fields.
-  void rollback_trial();
-  bool trial_active() const { return trial_active_; }
-
-  /// Toggles dirty-cone retiming (default on); off = every query runs a
-  /// full pass. Results are bit-identical either way.
-  void set_incremental(bool enabled) { incremental_ = enabled; }
-  bool incremental() const { return incremental_; }
-
   /// Attaches an observability registry (nullptr detaches); the engine
-  /// counts queries ("ssta.spatial_passes") and the dirty-cone statistics
-  /// ("ssta.spatial_full_passes", "ssta.spatial_incremental_passes",
-  /// "ssta.spatial_cone_gates_retimed"). Read-only observation.
+  /// counts queries ("ssta.spatial_passes"). Read-only observation.
   void attach_observer(obs::Registry* registry) { obs_ = registry; }
 
  private:
-  struct ArrivalUndo {
-    GateId id = kInvalidGate;
-    VectorCanonical arrival;
-  };
-  struct LoadUndo {
-    GateId id = kInvalidGate;
-    double load_ff = 0.0;
-  };
-
-  void mark_dirty(GateId id);
-  void flush() const;
-  void full_pass() const;
-  bool retime_gate(GateId id) const;
-  void recompute_output_max() const;
-  void log_arrival(GateId id) const;
-  void clear_pending() const;
-
   const Circuit& circuit_;
   const CellLibrary& lib_;
   const SpatialVariationModel& model_;
   std::vector<int> regions_;     ///< per gate
   std::vector<double> loads_ff_; ///< per gate output load
   obs::Registry* obs_ = nullptr;
-  bool incremental_ = true;
 
-  // Cached analysis state (logically const; see ssta.hpp).
-  mutable std::vector<VectorCanonical> arrival_;
+  // Cached analysis state (logically const: computed on the first query).
   mutable VectorCanonical out_max_;
   mutable bool primed_ = false;
-
-  mutable std::vector<GateId> pending_;
-  mutable std::vector<char> queued_;
-  mutable std::vector<std::vector<GateId>> buckets_;
-
-  bool trial_active_ = false;
-  mutable bool trial_lost_baseline_ = false;
-  mutable std::vector<ArrivalUndo> arrival_undo_;
-  mutable std::vector<LoadUndo> load_undo_;
-  mutable std::vector<char> touched_;  ///< bit 1: arrival logged; 2: load
-  mutable std::vector<GateId> touched_list_;
-  mutable std::vector<GateId> trial_pending_;
-  mutable VectorCanonical trial_out_max_;
-  mutable bool trial_primed_ = false;
 };
 
 }  // namespace statleak

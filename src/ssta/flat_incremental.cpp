@@ -105,15 +105,6 @@ void FlatSstaEngine::on_vth_change(GateId id) {
   mark_dirty(id);
 }
 
-void FlatSstaEngine::rebuild_loads() {
-  STATLEAK_CHECK(!trial_active_, "rebuild_loads inside a trial");
-  loads_.rebuild();
-  for (GateId id = 0; id < circuit_.num_gates(); ++id) refresh_own_delay(id);
-  clear_pending();
-  primed_ = false;
-  crit_primed_ = false;
-}
-
 void FlatSstaEngine::clear_pending() const {
   for (GateId id : pending_) queued_[id] = 0;
   pending_.clear();
@@ -318,7 +309,7 @@ void FlatSstaEngine::replay_output_chain() const {
 
 void FlatSstaEngine::refresh_sink_weights() const {
   if (!weights_stale_) return;
-  // The scalar chain builds weights by repeated rescaling: after step i,
+  // clark_max_chain builds weights by repeated rescaling: after step i,
   // weights[j < i] have been multiplied by tight_i in increasing-j order
   // and weights[i] = 1.0 - tight_i. Re-running that recurrence from the
   // cached per-step tightness reproduces every bit; rows with tightness
@@ -364,15 +355,15 @@ void FlatSstaEngine::full_pass() const {
 }
 
 void FlatSstaEngine::flush() const {
-  if (!primed_ || !incremental_) {
+  if (!primed_) {
     full_pass();
     return;
   }
   if (pending_.empty()) return;
   if (obs_ != nullptr) obs_->add("ssta.flat_incremental_passes", 1.0);
 
-  // Levelized cone propagation, same visit discipline as the scalar engine:
-  // a gate is recomputed only after all of its recomputed fanins.
+  // Levelized cone propagation: a gate is recomputed only after all of its
+  // recomputed fanins — the same order a full forward pass visits them.
   for (GateId id : pending_) {
     buckets_[static_cast<std::size_t>(level_[id])].push_back(id);
   }

@@ -1,45 +1,54 @@
 /// \file flat_incremental.hpp
-/// \brief Flat-SoA incremental SSTA engine on a FlatCircuit snapshot.
+/// \brief Flat-SoA incremental SSTA engine on a FlatCircuit snapshot — the
+///        statistical optimizer's timing engine.
 ///
-/// Same analysis, same bits, different memory layout: FlatSstaEngine is a
-/// drop-in replacement for SstaEngine in the statistical optimizer's hot
-/// loop. Where the scalar engine chases Gate fanin vectors and keeps one
-/// heap-allocated win-weight vector per gate (an allocation per logged
-/// retime under trials), this engine walks the FlatCircuit CSR adjacency
-/// and stores every per-fanin win weight in one flat array aligned with the
-/// CSR fanin slots — a trial undo entry is a memcpy of a fixed slice, never
-/// an allocation.
+/// Same analysis and same bits as the full-pass reference analyzer
+/// SstaEngine (ssta.hpp), but incremental: the engine caches per-gate
+/// arrivals and fanin win weights, implementation changes are reported
+/// through on_resize() / on_vth_change(), and the next query re-propagates
+/// only the levelized fanout cone of the dirty gates, stopping early where a
+/// recomputed arrival is bit-identical to its cached value. Because each
+/// gate's iterated Clark MAX is a deterministic function of its fanin
+/// arrivals and the gate's own parameters, and cones are re-propagated in
+/// the same topological order a full pass would use, every query returns
+/// values bit-identical to a from-scratch SstaEngine (pinned by
+/// tests/ssta_incremental_test.cpp).
 ///
-/// The second structural win is the own-delay cache: the scalar engine
-/// recomputes the full canonical gate delay (library delay, sensitivities,
-/// Pelgrom area lookup, a sqrt) for *every* gate a dirty cone touches, even
-/// though only the moved gate and its fanin drivers changed delay. This
-/// engine recomputes the canonical own delay eagerly at notification time —
-/// O(moved gates) per move — and cone retiming reuses the cached value.
-/// Because the cached value is produced by the same shared
-/// canonical_gate_delay() helper the scalar engine calls (ssta/
+/// The trial API serves the optimizer's tentative-apply/reject pattern:
+/// begin_trial() starts an undo log; queries and notifications work as
+/// usual; rollback_trial() restores every cached value the trial touched in
+/// O(touched). The caller restores the circuit's own size/Vth fields (the
+/// engine only reads the circuit). commit_trial() keeps the new state and
+/// drops the log.
+///
+/// Layout: the engine walks the FlatCircuit CSR adjacency and stores every
+/// per-fanin win weight in one flat array aligned with the CSR fanin slots,
+/// so a trial undo entry is a memcpy of a fixed slice, never an allocation.
+///
+/// Own-delay cache: only the moved gate and its fanin drivers change delay
+/// on a move, so the engine recomputes the canonical own delay eagerly at
+/// notification time — O(moved gates) per move — and cone retiming reuses
+/// the cached value. The cached value comes from the same shared
+/// canonical_gate_delay() helper the reference analyzer calls (ssta/
 /// delay_model.hpp), and a gate's own delay is a deterministic function of
-/// its (kind, vth, size, load), every arrival is bit-identical to the
-/// scalar engine's — the contract tests/ssta_incremental_test.cpp pins.
+/// its (kind, vth, size, load), so every arrival keeps the reference bits.
 ///
-/// The third structural win is the output-max replay chain: the scalar
-/// engine re-folds the Clark max over *all* primary outputs (and re-runs
-/// the O(outputs^2) win-weight cascade) whenever any output arrival moved.
-/// This engine caches the running chain value and per-step tightness for
-/// every prefix of the output fold, replays only from the first output
-/// whose arrival changed, stops as soon as the recomputed prefix converges
-/// bitwise with the cached one, and defers the weight cascade entirely
-/// until criticality is actually queried. Combined with the saturating
-/// Clark max (ssta/delay_model.hpp), which skips the erfc/exp calls when
-/// one operand statistically dominates, the replayed chain still produces
-/// the scalar engine's bits: the fold order, expression shapes, and
-/// tightness values are identical — only redundant work is elided.
+/// Output-max replay chain: instead of re-folding the Clark max over *all*
+/// primary outputs (and re-running the O(outputs^2) win-weight cascade)
+/// whenever any output arrival moved, the engine caches the running chain
+/// value and per-step tightness for every prefix of the output fold,
+/// replays only from the first output whose arrival changed, stops as soon
+/// as the recomputed prefix converges bitwise with the cached one, and
+/// defers the weight cascade until criticality is actually queried.
+/// Combined with the saturating Clark max (ssta/delay_model.hpp), which
+/// skips the erfc/exp calls when one operand statistically dominates, the
+/// replayed chain still produces the reference bits: the fold order,
+/// expression shapes, and tightness values are identical — only redundant
+/// work is elided.
 ///
-/// Everything else mirrors SstaEngine's semantics exactly: levelized
-/// dirty-cone retiming with bitwise early stop, trial begin/commit/rollback
-/// with O(touched) restore, criticality refreshed by a backward pass over
-/// the *original* circuit topo order (the accumulation order decides
-/// criticality bits, so it must match the scalar engine's traversal).
+/// Criticality is refreshed by a backward pass over the *original* circuit
+/// topo order (the accumulation order decides criticality bits, so it must
+/// match the reference analyzer's traversal).
 
 #pragma once
 
@@ -75,9 +84,6 @@ class FlatSstaEngine {
   /// cache and marks it dirty.
   void on_vth_change(GateId id);
 
-  /// Recomputes all loads and own delays and invalidates every timing
-  /// cache. Not allowed inside a trial.
-  void rebuild_loads();
   const LoadCache& loads() const { return loads_; }
 
   // ------------------------------------------------------------- trials --
@@ -86,15 +92,10 @@ class FlatSstaEngine {
   void rollback_trial();
   bool trial_active() const { return trial_active_; }
 
-  /// Toggles dirty-cone retiming (default on); the full-pass baseline is
-  /// bit-identical, same as the scalar engine's toggle.
-  void set_incremental(bool enabled) { incremental_ = enabled; }
-  bool incremental() const { return incremental_; }
-
   /// Caps the per-trial arrival-undo log. A trial whose dirty cone logs
   /// more arrivals than the cap stops logging and marks its baseline lost:
-  /// a rollback then reprimes with a full pass (bit-identical by the
-  /// incremental/full-pass contract) instead of restoring entry by entry.
+  /// a rollback then reprimes with a full pass (bit-identical to the
+  /// incremental state) instead of restoring entry by entry.
   /// Cones that large cover a constant fraction of the circuit, so the
   /// full pass costs the same order as the logged restore it replaces —
   /// while commit-heavy phases stop paying the log tax on huge cones
@@ -104,7 +105,7 @@ class FlatSstaEngine {
   std::size_t trial_log_cap() const { return trial_log_cap_; }
 
   /// Attaches an observability registry (nullptr detaches). Shares the
-  /// scalar engine's "ssta.analyze_passes" / "ssta.forward_passes" names
+  /// reference analyzer's "ssta.analyze_passes" / "ssta.forward_passes" names
   /// and counts its own layout-specific work under
   /// "ssta.flat_full_passes" / "ssta.flat_incremental_passes" /
   /// "ssta.flat_cone_gates_retimed".
@@ -162,12 +163,11 @@ class FlatSstaEngine {
   FlatCircuit flat_;
   /// Original Circuit::topo_order() — NOT flat_.topo (which re-buckets by
   /// level): the criticality backward pass accumulates in traversal order,
-  /// so bit-identity with the scalar engine requires the same order.
+  /// so bit-identity with the reference analyzer requires the same order.
   std::vector<GateId> topo_;
   std::vector<int> level_;      ///< per-gate logic level
   std::vector<char> is_output_; ///< per-gate primary-output flag
   obs::Registry* obs_ = nullptr;
-  bool incremental_ = true;
 
   mutable SstaResult state_;
   mutable std::vector<double> win_;  ///< CSR win weights (fanin-slot aligned)

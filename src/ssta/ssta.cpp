@@ -1,8 +1,5 @@
 #include "ssta/ssta.hpp"
 
-#include <cmath>
-#include <utility>
-
 #include "ssta/delay_model.hpp"
 #include "util/error.hpp"
 
@@ -12,13 +9,6 @@ SstaEngine::SstaEngine(const Circuit& circuit, const CellLibrary& lib,
                        const VariationModel& var)
     : circuit_(circuit), lib_(lib), var_(var), loads_(circuit, lib) {
   var_.validate();
-  const std::size_t n = circuit_.num_gates();
-  state_.arrival.assign(n, Canonical{});
-  state_.criticality.assign(n, 0.0);
-  win_.assign(n, {});
-  queued_.assign(n, 0);
-  touched_.assign(n, 0);
-  buckets_.assign(static_cast<std::size_t>(circuit_.depth()) + 1, {});
 }
 
 Canonical SstaEngine::gate_delay(GateId id) const {
@@ -27,234 +17,36 @@ Canonical SstaEngine::gate_delay(GateId id) const {
                               loads_.load_ff(id));
 }
 
-namespace {
-
-/// Iterated Clark max over a set of canonicals, recording per-operand win
-/// probabilities (shared chain: ssta/delay_model.hpp).
-Canonical max_with_weights(std::span<const Canonical> operands,
-                           std::vector<double>& weights) {
-  STATLEAK_CHECK(!operands.empty(), "max of nothing");
-  weights.assign(operands.size(), 0.0);
-  return clark_max_chain(operands, weights.data());
-}
-
-bool same_canonical(const Canonical& a, const Canonical& b) {
-  return a.mean == b.mean && a.gl == b.gl && a.gv == b.gv && a.loc == b.loc;
-}
-
-}  // namespace
-
-// ------------------------------------------------------- notifications ----
-
-void SstaEngine::mark_dirty(GateId id) {
-  if (queued_[id] == 0) {
-    queued_[id] = 1;
-    pending_.push_back(id);
-  }
-}
-
-void SstaEngine::on_resize(GateId id) {
-  if (trial_active_) {
-    // The resize is about to overwrite the fanin drivers' loads; save them
-    // on first touch so rollback_trial() can restore.
-    for (GateId driver : circuit_.gate(id).fanins) {
-      if ((touched_[driver] & 2) == 0) {
-        touched_[driver] = static_cast<char>(touched_[driver] | 2);
-        touched_list_.push_back(driver);
-        load_undo_.push_back({driver, loads_.load_ff(driver)});
-      }
-    }
-  }
-  loads_.on_resize(id);
-  mark_dirty(id);
-  for (GateId driver : circuit_.gate(id).fanins) mark_dirty(driver);
-}
-
-void SstaEngine::on_vth_change(GateId id) { mark_dirty(id); }
-
-void SstaEngine::rebuild_loads() {
-  STATLEAK_CHECK(!trial_active_, "rebuild_loads inside a trial");
-  loads_.rebuild();
-  clear_pending();
-  primed_ = false;
-  crit_primed_ = false;
-}
-
-void SstaEngine::clear_pending() const {
-  for (GateId id : pending_) queued_[id] = 0;
-  pending_.clear();
-}
-
-// --------------------------------------------------------------- trials ----
-
-void SstaEngine::begin_trial() {
-  STATLEAK_CHECK(!trial_active_, "trials do not nest");
-  trial_active_ = true;
-  trial_lost_baseline_ = false;
-  trial_primed_ = primed_;
-  trial_pending_ = pending_;
-  trial_out_max_ = state_.circuit_delay;
-  trial_sink_weights_ = sink_weights_;
-  trial_crit_primed_ = crit_primed_;
-  trial_crit_overwritten_ = false;
-}
-
-void SstaEngine::commit_trial() {
-  STATLEAK_CHECK(trial_active_, "no trial to commit");
-  trial_active_ = false;
-  trial_lost_baseline_ = false;
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  arrival_undo_.clear();
-  load_undo_.clear();
-  trial_pending_.clear();
-}
-
-void SstaEngine::rollback_trial() {
-  STATLEAK_CHECK(trial_active_, "no trial to roll back");
-  trial_active_ = false;
-  for (const LoadUndo& u : load_undo_) loads_.restore_load(u.id, u.load_ff);
-  if (trial_lost_baseline_) {
-    // A full pass ran inside the trial; the arrival log does not reach back
-    // to the pre-trial state. Drop the cache — the next query recomputes
-    // from the (caller-restored) circuit, which is exact by construction.
-    primed_ = false;
-    crit_primed_ = false;
-  } else {
-    primed_ = trial_primed_;
-    for (ArrivalUndo& u : arrival_undo_) {
-      state_.arrival[u.id] = u.arrival;
-      win_[u.id] = std::move(u.win);
-    }
-    state_.circuit_delay = trial_out_max_;
-    sink_weights_ = std::move(trial_sink_weights_);
-    // The restore is bitwise, so criticality computed before the trial is
-    // still exact — keep it unless the array itself was overwritten by an
-    // analyze during the trial.
-    crit_primed_ = trial_crit_primed_ && !trial_crit_overwritten_;
-  }
-  clear_pending();
-  for (GateId id : trial_pending_) {
-    queued_[id] = 1;
-    pending_.push_back(id);
-  }
-  for (GateId id : touched_list_) touched_[id] = 0;
-  touched_list_.clear();
-  arrival_undo_.clear();
-  load_undo_.clear();
-  trial_pending_.clear();
-  trial_lost_baseline_ = false;
-  trial_sink_weights_.clear();
-}
-
-void SstaEngine::log_arrival(GateId id) const {
-  if (!trial_active_ || trial_lost_baseline_ || (touched_[id] & 1) != 0) {
-    return;
-  }
-  touched_[id] = static_cast<char>(touched_[id] | 1);
-  touched_list_.push_back(id);
-  arrival_undo_.push_back({id, state_.arrival[id], std::move(win_[id])});
-}
-
-// ------------------------------------------------------------ retiming ----
-
-bool SstaEngine::retime_gate(GateId id, bool& state_changed) const {
-  const Gate& g = circuit_.gate(id);
-  Canonical fresh;
-  weights_.clear();
-  if (g.kind != CellKind::kInput) {
-    operands_.clear();
-    for (GateId f : g.fanins) operands_.push_back(state_.arrival[f]);
-    const Canonical in_max = max_with_weights(operands_, weights_);
-    fresh = Canonical::sum(in_max, gate_delay(id));
-  }
-  const bool changed = !same_canonical(fresh, state_.arrival[id]);
-  if (changed || weights_ != win_[id]) state_changed = true;
-  log_arrival(id);
-  state_.arrival[id] = fresh;
-  win_[id] = weights_;
-  return changed;
-}
-
-void SstaEngine::recompute_output_max() const {
-  operands_.clear();
-  for (GateId out : circuit_.outputs()) {
-    operands_.push_back(state_.arrival[out]);
-  }
-  state_.circuit_delay = max_with_weights(operands_, sink_weights_);
-}
-
-void SstaEngine::full_pass() const {
-  if (trial_active_) trial_lost_baseline_ = true;
+void SstaEngine::forward_pass() const {
+  if (primed_) return;
   if (obs_ != nullptr) obs_->add("ssta.full_passes", 1.0);
   const std::size_t n = circuit_.num_gates();
   state_.arrival.assign(n, Canonical{});
+  win_.assign(n, {});
+  std::vector<Canonical> operands;
   for (GateId id : circuit_.topo_order()) {
     const Gate& g = circuit_.gate(id);
     if (g.kind == CellKind::kInput) continue;  // arrival stays zero
-    operands_.clear();
-    for (GateId f : g.fanins) operands_.push_back(state_.arrival[f]);
-    const Canonical in_max = max_with_weights(operands_, weights_);
-    win_[id] = weights_;
+    STATLEAK_CHECK(!g.fanins.empty(), "max of nothing");
+    operands.clear();
+    for (GateId f : g.fanins) operands.push_back(state_.arrival[f]);
+    win_[id].assign(operands.size(), 0.0);
+    const Canonical in_max = clark_max_chain(operands, win_[id].data());
     state_.arrival[id] = Canonical::sum(in_max, gate_delay(id));
   }
-  recompute_output_max();
-  clear_pending();
+  operands.clear();
+  for (GateId out : circuit_.outputs()) {
+    operands.push_back(state_.arrival[out]);
+  }
+  STATLEAK_CHECK(!operands.empty(), "max of nothing");
+  sink_weights_.assign(operands.size(), 0.0);
+  state_.circuit_delay = clark_max_chain(operands, sink_weights_.data());
   primed_ = true;
-  crit_primed_ = false;
 }
 
-void SstaEngine::flush() const {
-  if (!primed_ || !incremental_) {
-    full_pass();
-    return;
-  }
-  if (pending_.empty()) return;
-  if (obs_ != nullptr) obs_->add("ssta.incremental_passes", 1.0);
-
-  // Levelized cone propagation: consume the dirty set in level order so a
-  // gate is recomputed only after all of its recomputed fanins — the same
-  // order a full forward pass would visit them.
-  for (GateId id : pending_) {
-    buckets_[static_cast<std::size_t>(circuit_.level(id))].push_back(id);
-  }
-  pending_.clear();
-
-  std::int64_t retimed = 0;
-  bool output_changed = false;
-  bool state_changed = false;
-  for (auto& bucket : buckets_) {
-    // Fanouts enqueue into strictly higher levels, so indexed iteration is
-    // safe while later buckets grow.
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId id = bucket[i];
-      queued_[id] = 0;
-      ++retimed;
-      // Bit-identical arrival: the cone stops here.
-      if (!retime_gate(id, state_changed)) continue;
-      if (circuit_.is_output(id)) output_changed = true;
-      for (GateId fo : circuit_.fanouts(id)) {
-        if (queued_[fo] == 0) {
-          queued_[fo] = 1;
-          buckets_[static_cast<std::size_t>(circuit_.level(fo))].push_back(
-              fo);
-        }
-      }
-    }
-    bucket.clear();
-  }
-
-  if (output_changed) recompute_output_max();
-  // Criticality depends only on arrivals, win weights and sink weights; a
-  // flush that moved none of them bitwise leaves it exact.
-  if (state_changed) crit_primed_ = false;
-  if (obs_ != nullptr) obs_->add("ssta.cone_gates_retimed",
-                                 static_cast<double>(retimed));
-}
-
-void SstaEngine::refresh_criticality() const {
+void SstaEngine::criticality_pass() const {
   if (crit_primed_) return;
-  if (trial_active_) trial_crit_overwritten_ = true;
+  forward_pass();
   const std::size_t n = circuit_.num_gates();
   state_.criticality.assign(n, 0.0);
   for (std::size_t i = 0; i < circuit_.outputs().size(); ++i) {
@@ -273,12 +65,9 @@ void SstaEngine::refresh_criticality() const {
   crit_primed_ = true;
 }
 
-// -------------------------------------------------------------- queries ----
-
 const SstaResult& SstaEngine::analyze_ref() const {
   if (obs_ != nullptr) obs_->add("ssta.analyze_passes", 1.0);
-  flush();
-  refresh_criticality();
+  criticality_pass();
   return state_;
 }
 
@@ -286,7 +75,7 @@ SstaResult SstaEngine::analyze() const { return analyze_ref(); }
 
 Canonical SstaEngine::circuit_delay() const {
   if (obs_ != nullptr) obs_->add("ssta.forward_passes", 1.0);
-  flush();
+  forward_pass();
   return state_.circuit_delay;
 }
 

@@ -1,6 +1,6 @@
 /// \file ssta.hpp
-/// \brief Block-based statistical static timing analysis, with incremental
-///        dirty-cone retiming.
+/// \brief Block-based statistical static timing analysis: the full-pass
+///        reference analyzer.
 ///
 /// Forward PERT traversal propagating canonical forms: at each gate, the
 /// fanin arrivals are combined with iterated Clark MAX (recording per-fanin
@@ -10,29 +10,17 @@
 /// probability mass of critical paths through each gate — which the
 /// statistical optimizer uses to price timing cost.
 ///
-/// Incremental engine contract
-/// ---------------------------
-/// The engine caches per-gate arrivals and fanin win weights from the last
-/// query. Implementation changes are reported through on_resize() /
-/// on_vth_change(); the next query re-propagates only the levelized fanout
-/// cone of the dirty gates, stopping early where a recomputed arrival is
-/// bit-identical to its cached value. Because each gate's iterated Clark MAX
-/// is a deterministic function of its fanin arrivals and the gate's own
-/// parameters, and cones are re-propagated in the same topological order a
-/// full pass would use, every query returns values *bit-identical* to a
-/// from-scratch analysis (pinned by tests/ssta_incremental_test.cpp).
-///
-/// The trial API serves the optimizer's tentative-apply/reject pattern:
-/// begin_trial() starts an undo log; queries and notifications work as
-/// usual; rollback_trial() restores every cached value the trial touched in
-/// O(touched) — never a full rebuild. The caller restores the circuit's own
-/// size/Vth fields (the engine only reads the circuit). commit_trial()
-/// keeps the new state and drops the log.
+/// SstaEngine is a one-shot analyzer: metrics, estimators and benches query
+/// it once per implementation point, and it is the bitwise reference the
+/// optimizer's incremental engine (ssta/flat_incremental.hpp) is tested
+/// against. It computes lazily — the first query runs the forward pass (and
+/// the first analyze() the criticality pass) and caches the result — so it
+/// snapshots the circuit at that query: the load cache is built at
+/// construction, and later size/Vth changes are never seen. Construct a new
+/// engine to analyze a changed implementation.
 
 #pragma once
 
-#include <cstdint>
-#include <span>
 #include <vector>
 
 #include "cells/library.hpp"
@@ -58,144 +46,52 @@ struct SstaResult {
   }
 };
 
-/// SSTA engine. Holds references; circuit, library and variation model must
-/// outlive it. The circuit's topology must stay frozen; implementation
-/// attributes (size, Vth) may change between queries as long as every
-/// change is reported via on_resize() / on_vth_change() — unreported
-/// mutations leave the caches stale, exactly like LoadCache.
+/// Full-pass SSTA analyzer. Holds references; circuit, library and variation
+/// model must outlive it, and the circuit must not change while it is in
+/// use (see the file comment).
 class SstaEngine {
  public:
   SstaEngine(const Circuit& circuit, const CellLibrary& lib,
              const VariationModel& var);
 
-  /// Call after gate `id` changed size: patches the load cache and marks
-  /// `id` and its fanin drivers (whose loads changed) dirty.
-  void on_resize(GateId id);
-
-  /// Call after gate `id` changed threshold class: marks `id` dirty (Vth
-  /// affects only the gate's own delay, never any load).
-  void on_vth_change(GateId id);
-
-  /// Recomputes all loads and invalidates every timing cache (after bulk
-  /// mutations that were not reported gate by gate). Not allowed inside a
-  /// trial.
-  void rebuild_loads();
   const LoadCache& loads() const { return loads_; }
 
-  // ------------------------------------------------------------- trials --
-  /// Starts logging cache overwrites so rollback_trial() can restore them.
-  /// Trials do not nest.
-  void begin_trial();
-  /// Keeps the current state and drops the undo log.
-  void commit_trial();
-  /// Restores loads, arrivals, win weights and the circuit-delay cache to
-  /// their begin_trial() values in O(touched). The caller is responsible
-  /// for restoring the circuit's size/Vth fields it changed during the
-  /// trial (the engine never writes the circuit).
-  void rollback_trial();
-  bool trial_active() const { return trial_active_; }
-
-  /// Toggles dirty-cone retiming (default on). When off, every query
-  /// recomputes from scratch — same code path a fresh engine would run, so
-  /// results are bit-identical either way; the toggle exists as the
-  /// full-pass baseline for benchmarks and equivalence tests.
-  void set_incremental(bool enabled) { incremental_ = enabled; }
-  bool incremental() const { return incremental_; }
-
   /// Attaches an observability registry (nullptr detaches). The engine
-  /// counts its passes ("ssta.analyze_passes", "ssta.forward_passes") and
-  /// the dirty-cone statistics ("ssta.full_passes",
-  /// "ssta.incremental_passes", "ssta.cone_gates_retimed");
-  /// observation never changes any computed value.
+  /// counts its queries ("ssta.analyze_passes", "ssta.forward_passes") and
+  /// the forward passes it actually ran ("ssta.full_passes"); observation
+  /// never changes any computed value.
   void attach_observer(obs::Registry* registry) { obs_ = registry; }
 
   /// Canonical delay of one gate under the variation model.
   Canonical gate_delay(GateId id) const;
 
-  /// Full analysis with criticality. Returns a copy of the refreshed
-  /// cached state; bit-identical to a from-scratch two-pass analysis.
+  /// Full analysis with criticality (copy of the cached state).
   SstaResult analyze() const;
 
   /// Like analyze(), without the copy: the reference stays valid until the
-  /// engine is destroyed but its contents change on the next notification
-  /// or query. The optimizer's per-iteration view.
+  /// engine is destroyed.
   const SstaResult& analyze_ref() const;
 
-  /// Forward-only analysis: circuit-delay canonical without refreshing
-  /// per-gate criticality (cheaper; used in the optimizer's accept/reject
-  /// tests).
+  /// Forward-only analysis: circuit-delay canonical without computing
+  /// per-gate criticality.
   Canonical circuit_delay() const;
 
  private:
-  struct ArrivalUndo {
-    GateId id = kInvalidGate;
-    Canonical arrival;
-    std::vector<double> win;
-  };
-  struct LoadUndo {
-    GateId id = kInvalidGate;
-    double load_ff = 0.0;
-  };
-
-  void mark_dirty(GateId id);
-  /// Brings arrivals, win weights and the circuit-delay canonical up to
-  /// date (full pass when unprimed or incremental mode is off; dirty-cone
-  /// retiming otherwise).
-  void flush() const;
-  void full_pass() const;
-  /// Recomputes one gate's arrival/win from its fanins; returns whether
-  /// the arrival changed bitwise. ORs `state_changed` when the arrival or
-  /// the win weights moved (criticality depends on both).
-  bool retime_gate(GateId id, bool& state_changed) const;
-  void recompute_output_max() const;
-  void refresh_criticality() const;
-  void log_arrival(GateId id) const;
-  void clear_pending() const;
+  void forward_pass() const;
+  void criticality_pass() const;
 
   const Circuit& circuit_;
   const CellLibrary& lib_;
   const VariationModel& var_;
   LoadCache loads_;
   obs::Registry* obs_ = nullptr;
-  bool incremental_ = true;
 
-  // Cached analysis state (logically const: queries always return the same
-  // values a from-scratch engine would).
+  // Cached analysis state (logically const: computed on the first query).
   mutable SstaResult state_;
   mutable std::vector<std::vector<double>> win_;  ///< per-gate fanin weights
   mutable std::vector<double> sink_weights_;      ///< per primary output
-  mutable bool primed_ = false;       ///< arrival/win/circuit_delay current
-  mutable bool crit_primed_ = false;  ///< criticality current
-
-  // Dirty bookkeeping. `queued_` doubles as the membership flag for both
-  // the pending list and the per-level buckets during a flush.
-  mutable std::vector<GateId> pending_;
-  mutable std::vector<char> queued_;
-  mutable std::vector<std::vector<GateId>> buckets_;  ///< scratch, by level
-
-  // Scratch for per-gate recomputation (avoids per-gate allocation).
-  mutable std::vector<Canonical> operands_;
-  mutable std::vector<double> weights_;
-
-  // Trial undo state.
-  bool trial_active_ = false;
-  /// Set when a full pass ran during the trial: the undo log no longer
-  /// reaches back to the pre-trial arrivals, so rollback falls back to
-  /// dropping the cache (still exact — the next query recomputes).
-  mutable bool trial_lost_baseline_ = false;
-  mutable std::vector<ArrivalUndo> arrival_undo_;
-  mutable std::vector<LoadUndo> load_undo_;
-  mutable std::vector<char> touched_;  ///< bit 1: arrival logged; 2: load
-  mutable std::vector<GateId> touched_list_;
-  mutable std::vector<GateId> trial_pending_;   ///< pending_ at begin_trial
-  mutable Canonical trial_out_max_;
-  mutable std::vector<double> trial_sink_weights_;
-  mutable bool trial_primed_ = false;
-  /// Rollback restores arrivals/weights bitwise, so criticality computed
-  /// before the trial is still exact afterwards — unless the criticality
-  /// array itself was overwritten by an analyze during the trial.
-  mutable bool trial_crit_primed_ = false;
-  mutable bool trial_crit_overwritten_ = false;
+  mutable bool primed_ = false;       ///< arrival/win/circuit_delay computed
+  mutable bool crit_primed_ = false;  ///< criticality computed
 };
 
 }  // namespace statleak

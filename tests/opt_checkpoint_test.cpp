@@ -2,7 +2,7 @@
 // headline guarantee — an interrupted run (deadline expiry, or any crash
 // point simulated by truncating the journal at a committed-record boundary)
 // resumes to the bit-identical trajectory and final implementation, across
-// both scoring engines and thread counts — plus the structured rejection of
+// candidate block sizes and thread counts — plus the structured rejection of
 // mismatched and corrupt journals, and the no-op verification replay of a
 // completed journal.
 
@@ -136,9 +136,9 @@ TEST_F(OptCheckpointTest, HashCoversTrajectoryInputsAndExcludesEngineKnobs) {
   EXPECT_NE(opt_checkpoint_hash(other, lib_, var_, base_), ref);
 
   // ...while the trajectory-invariant performance/stop knobs are excluded,
-  // so a journal hops freely between engines, thread counts and deadlines.
+  // so a journal hops freely between block sizes, thread counts and
+  // deadlines.
   OptConfig knobs = base_;
-  knobs.flat_engine = !knobs.flat_engine;
   knobs.num_threads = 8;
   knobs.candidate_block = 3;
   knobs.deadline_ms = 1234;
@@ -219,16 +219,16 @@ TEST_F(OptCheckpointTest, TruncatedJournalResumesBitIdentically) {
       contents.records[contents.records.size() / 2].offset,
       contents.records[contents.records.size() - 1].offset,
   };
-  const bool engines[] = {true, false};
+  const int blocks[] = {1, 0};  // 0 = auto
   const int threads[] = {1, 2, 8};
   for (const std::uint64_t cut : cuts) {
-    for (const bool flat : engines) {
+    for (const int block : blocks) {
       for (const int t : threads) {
-        SCOPED_TRACE("cut " + std::to_string(cut) + " flat " +
-                     std::to_string(flat) + " threads " + std::to_string(t));
+        SCOPED_TRACE("cut " + std::to_string(cut) + " block " +
+                     std::to_string(block) + " threads " + std::to_string(t));
         write_bytes(f.path(), cut_at(good, cut));
         OptConfig resume_cfg = cfg;
-        resume_cfg.flat_engine = flat;
+        resume_cfg.candidate_block = block;
         resume_cfg.num_threads = t;
         resume_cfg.checkpoint_every = 13;  // cadence may differ on resume
         Circuit c = fresh_circuit();

@@ -241,10 +241,8 @@ std::vector<CommandSpec> command_specs() {
         {"--eta", true, "y", "timing-yield target (default 0.99)"},
         {"--corner", true, "k",
          "deterministic guard-band in sigmas (default 3)"},
-        {"--opt-engine", true, "flat|scalar",
-         "statistical scoring engine (default flat; same trajectory)"},
         {"--candidate-block", true, "k",
-         "flat-engine candidate block size, 0 = auto (default)"},
+         "statistical move-pricing block size, 0 = auto (default)"},
         node,
         exec_flag("--seed"),
         exec_flag("--threads"),
@@ -281,10 +279,8 @@ std::vector<CommandSpec> command_specs() {
          "Monte-Carlo cross-check dies, 0 = skip (default 0)"},
         {"--batch", true, "b",
          "MC samples per kernel block, 0 = auto (default; results identical)"},
-        {"--opt-engine", true, "flat|scalar",
-         "statistical scoring engine (default flat; same trajectory)"},
         {"--candidate-block", true, "k",
-         "flat-engine candidate block size, 0 = auto (default)"},
+         "statistical move-pricing block size, 0 = auto (default)"},
         exec_flag("--seed"),
         exec_flag("--threads"),
         exec_flag("--deadline"),
@@ -708,39 +704,24 @@ int cmd_analyze(const Args& args, ObsSession& session) {
   return 0;
 }
 
-/// Shared --opt-engine / --candidate-block decoding (optimize and flow).
-/// Both are performance knobs of the statistical optimizer: the flat-SoA
-/// engine and every block size walk the trajectory the scalar engine walks,
-/// bit for bit (pinned by tests/opt_trajectory_test.cpp), so selecting one
-/// never changes results — only wall time.
-void parse_opt_engine(const Args& args, bool& flat_engine,
-                      int& candidate_block) {
-  const std::string engine = args.get("--opt-engine").value_or("flat");
-  if (engine == "flat") {
-    flat_engine = true;
-  } else if (engine == "scalar") {
-    flat_engine = false;
-  } else {
-    throw UsageError("--opt-engine must be 'flat' or 'scalar'");
-  }
+/// Shared --candidate-block decoding (optimize and flow). A performance
+/// knob of the statistical optimizer: every block size walks the same
+/// trajectory, bit for bit (pinned by tests/opt_trajectory_test.cpp), so
+/// selecting one never changes results — only wall time.
+int parse_candidate_block(const Args& args) {
   const long block = args.get_long("--candidate-block", 0);
   if (block < 0) {
     throw UsageError("--candidate-block must be >= 0 (0 = auto)");
   }
-  candidate_block = static_cast<int>(block);
+  return static_cast<int>(block);
 }
 
-/// The one-line engine echo printed by optimize and flow so logs record
-/// which scoring path produced the (identical) result, and how fast.
-std::string opt_engine_echo(bool flat_engine, int candidate_block) {
-  std::string s = "scoring engine ";
-  s += flat_engine ? "flat" : "scalar";
-  if (flat_engine) {
-    s += ", candidate block ";
-    s += candidate_block > 0 ? std::to_string(candidate_block)
-                             : std::string("auto");
-  }
-  return s;
+/// The one-line echo printed by optimize and flow so logs record which
+/// pricing block size produced the (identical) result, and how fast.
+std::string candidate_block_echo(int candidate_block) {
+  return "candidate block " + (candidate_block > 0
+                                   ? std::to_string(candidate_block)
+                                   : std::string("auto"));
 }
 
 /// Shared --checkpoint-every decoding for mc, optimize and flow: the
@@ -778,7 +759,7 @@ int cmd_optimize(const Args& args, ObsSession& session) {
   cfg.opt.deadline_ms = args.get_long("--deadline", 0);
   cfg.opt.checkpoint_path = args.get("--checkpoint").value_or("");
   cfg.opt.checkpoint_every = parse_checkpoint_every(args, 256);
-  parse_opt_engine(args, cfg.opt.flat_engine, cfg.opt.candidate_block);
+  cfg.opt.candidate_block = parse_candidate_block(args);
 
   const api::OptimizeCommandResult r =
       api::run_optimize_command(cfg, session.reg());
@@ -793,8 +774,7 @@ int cmd_optimize(const Args& args, ObsSession& session) {
               << "; rerun the same command to resume\n";
   }
   if (cfg.flow == api::OptimizeFlow::kStat) {
-    std::cout << opt_engine_echo(cfg.opt.flat_engine, cfg.opt.candidate_block)
-              << "\n";
+    std::cout << candidate_block_echo(cfg.opt.candidate_block) << "\n";
   }
   std::cout << "\n";
   print_metrics(r.metrics, r.t_max_ps);
@@ -1019,8 +999,7 @@ int cmd_flow(const Args& args, ObsSession& session) {
   cfg.flow.deadline_ms = args.get_long("--deadline", 0);
   cfg.flow.opt_checkpoint_path = args.get("--checkpoint").value_or("");
   cfg.flow.opt_checkpoint_every = parse_checkpoint_every(args, 256);
-  parse_opt_engine(args, cfg.flow.opt_flat_engine,
-                   cfg.flow.opt_candidate_block);
+  cfg.flow.opt_candidate_block = parse_candidate_block(args);
 
   const api::FlowCommandResult r = api::run_flow_command(cfg, session.reg());
   report_impl(args, r.impl_entries);
@@ -1058,9 +1037,7 @@ int cmd_flow(const Args& args, ObsSession& session) {
             << format_fixed(out.d_min_ps, 1) << " ps, T "
             << format_fixed(out.t_max_ps, 1) << " ps, det corner "
             << format_fixed(out.det_corner_k, 1) << " sigma\n"
-            << opt_engine_echo(cfg.flow.opt_flat_engine,
-                               cfg.flow.opt_candidate_block)
-            << "\n\n";
+            << candidate_block_echo(cfg.flow.opt_candidate_block) << "\n\n";
   t.print(std::cout);
   std::cout << "\np99 leakage saving "
             << format_fixed(100.0 * out.p99_saving(), 1)
