@@ -1,0 +1,140 @@
+/// \file corner_timer.hpp
+/// \brief Cached corner timing for the deterministic sizer.
+///
+/// The deterministic optimizer evaluates every gate at one fixed process
+/// corner (dL, dVth). Its greedy loop needs, per iteration, a full corner
+/// STA plus, for every candidate, the gate's delay one size step up, at HVT
+/// or one size step down, and the upsizing penalty its fanin drivers pay.
+/// Each of those is an alpha-power `CellLibrary::delay_ps` call, and almost
+/// none of their inputs change from one iteration to the next.
+///
+/// CornerTimer owns the implementation mutations of the circuit it times
+/// and keeps, per gate:
+///
+///   - the current corner delay,
+///   - the delay one size step up, at HVT, and one size step down,
+///   - the upsizing penalty: the sum over fanin drivers, in pin order, of
+///     (driver delay at load + pin-cap delta - current driver delay).
+///
+/// Every value is produced by the exact library call the uncached sizer
+/// made, and every entry is recomputed whenever any of its inputs changed,
+/// so reading the cache gives the same bits as recomputing from scratch.
+/// Entries are invalidated by the mutators and rebuilt lazily on read:
+///
+///   - set_vth(g): g's delays, and the penalties of g's fanouts;
+///   - set_size_step(g): g's delays and penalty; the delays of g's fanin
+///     drivers (their loads changed); the penalties of g's fanouts; and the
+///     penalties of every fanout of those drivers (the drivers' loads and
+///     delays feed them).
+///
+/// analyze() is a full pass over the cached delays with the max/min/slack
+/// expressions of StaEngine::analyze_impl, on the FlatCircuit CSR arrays
+/// and reused buffers, so its arrivals, required times and slacks equal
+/// StaEngine::analyze_corner() bit for bit (pinned by corner_timer_test).
+/// critical_delay_ps() is the forward half alone.
+///
+/// A non-finite current delay raises NumericalError when it is computed:
+/// the max/min passes would otherwise drop a NaN and return a plausible
+/// slack.
+
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "cells/library.hpp"
+#include "netlist/circuit.hpp"
+#include "netlist/flat_circuit.hpp"
+#include "sta/loads.hpp"
+#include "sta/sta.hpp"
+
+namespace statleak {
+
+class CornerTimer {
+ public:
+  /// Times `circuit` at the corner (dl_nm, dvth_v) applied to every gate.
+  /// Holds references: circuit and library must outlive the timer, and
+  /// every size/Vth change of the circuit must go through the mutators
+  /// below while the timer is in use.
+  CornerTimer(Circuit& circuit, const CellLibrary& lib, double dl_nm,
+              double dvth_v);
+
+  // ----------------------------------------------------------- mutators --
+  /// Sets gate `id` to library size step `step`.
+  void set_size_step(GateId id, std::size_t step);
+  /// Sets the threshold class of gate `id`.
+  void set_vth(GateId id, Vth vth);
+
+  /// Library size step of gate `id` (nearest grid step of its size).
+  std::size_t step(GateId id) const { return step_[id]; }
+
+  // ------------------------------------------------------------ queries --
+  /// Full corner pass against `t_max_ps`. The reference stays valid until
+  /// the next analyze() or critical_delay_ps() call.
+  const StaResult& analyze(double t_max_ps);
+  /// Forward pass only: the corner critical delay.
+  double critical_delay_ps();
+
+  /// Current corner delay of gate `id` (0 for primary inputs).
+  double delay_ps(GateId id) {
+    return (stale_[id] & kNow) != 0 ? rebuild_now(id) : now_[id];
+  }
+  /// Delay of `id` one size step up, at its current Vth and load. Requires
+  /// step(id) + 1 < number of size steps.
+  double delay_up_ps(GateId id);
+  /// Delay of `id` at HVT, at its current size and load.
+  double delay_hvt_ps(GateId id);
+  /// Delay of `id` one size step down. Requires step(id) > 0.
+  double delay_down_ps(GateId id);
+  /// Summed delay increase of `id`'s fanin drivers if `id` moved one size
+  /// step up. Requires step(id) + 1 < number of size steps.
+  double upsize_penalty_ps(GateId id);
+
+  /// Passes run (full and forward-only) and library delay evaluations made
+  /// since construction.
+  std::uint64_t sta_passes() const { return sta_passes_; }
+  std::uint64_t delay_evals() const { return delay_evals_; }
+
+ private:
+  // The current delays are read by every pass, so they get their own
+  // array; the alternatives are read only by candidate scans.
+  struct Entry {
+    double up = 0.0;
+    double hvt = 0.0;
+    double down = 0.0;
+    double penalty = 0.0;
+  };
+  // Stale bits per entry field.
+  static constexpr unsigned char kNow = 1;
+  static constexpr unsigned char kUp = 2;
+  static constexpr unsigned char kHvt = 4;
+  static constexpr unsigned char kDown = 8;
+  static constexpr unsigned char kPenalty = 16;
+  static constexpr unsigned char kDelays = kNow | kUp | kHvt | kDown;
+
+  void invalidate(GateId id, unsigned char bits) {
+    if (flat_.is_input[id] == 0) stale_[id] |= bits;
+  }
+  double eval(GateId id, Vth vth, double size, double load_ff);
+  double rebuild_now(GateId id);
+  void forward();
+
+  Circuit& circuit_;
+  const CellLibrary& lib_;
+  const double dl_nm_;
+  const double dvth_v_;
+  const FlatCircuit flat_;
+  LoadCache loads_;
+
+  std::vector<std::size_t> step_;
+  std::vector<double> now_;
+  std::vector<Entry> entry_;
+  std::vector<unsigned char> stale_;
+  StaResult result_;
+
+  std::uint64_t sta_passes_ = 0;
+  std::uint64_t delay_evals_ = 0;
+};
+
+}  // namespace statleak

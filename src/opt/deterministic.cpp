@@ -1,11 +1,11 @@
 #include "opt/deterministic.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstdint>
 #include <vector>
 
+#include "opt/corner_timer.hpp"
 #include "opt/metrics.hpp"
-#include "sta/sta.hpp"
 #include "util/error.hpp"
 
 namespace statleak {
@@ -33,22 +33,14 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
   reset_implementation(circuit, lib_);
   obs::ScopedTimer total_timer(obs, "det.total");
 
-  StaEngine sta(circuit, lib_);
   const auto steps = lib_.size_steps();
-  const double dl_corner = config_.corner_k_sigma * var_.sigma_l_total_nm();
-  const double dv_corner = config_.corner_k_sigma * var_.sigma_vth_total_v();
+  STATLEAK_CHECK(steps.size() <= 64, "size grid too fine for lock mask");
   const double t_max = config_.t_max_ps;
-
-  // Corner delay of gate `id` with a hypothetical (vth, size, load).
-  const auto delay_at = [&](GateId id, Vth vth, double size,
-                            double load_ff) -> double {
-    const Gate& g = circuit.gate(id);
-    return lib_.delay_ps(g.kind, vth, size, load_ff, dl_corner, dv_corner);
-  };
-  const auto corner_delay = [&]() {
-    return sta.analyze_corner(t_max, var_, config_.corner_k_sigma)
-        .critical_delay_ps;
-  };
+  // Every size/Vth change below goes through the timer, which invalidates
+  // exactly the cached corner delays the change feeds.
+  CornerTimer sta(circuit, lib_,
+                  config_.corner_k_sigma * var_.sigma_l_total_nm(),
+                  config_.corner_k_sigma * var_.sigma_vth_total_v());
   const auto total_leak = [&]() {
     double sum = 0.0;
     for (GateId id = 0; id < circuit.num_gates(); ++id) {
@@ -94,39 +86,41 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
 
   // ------------------------------------------------ snapshot machinery ----
   struct Snapshot {
-    std::vector<double> sizes;
+    std::vector<std::size_t> steps;
     std::vector<Vth> vths;
     double objective = 0.0;
   };
   const auto take_snapshot = [&]() {
     Snapshot s;
-    s.sizes.reserve(circuit.num_gates());
+    s.steps.reserve(circuit.num_gates());
     s.vths.reserve(circuit.num_gates());
     for (GateId id = 0; id < circuit.num_gates(); ++id) {
-      s.sizes.push_back(circuit.gate(id).size);
+      s.steps.push_back(sta.step(id));
       s.vths.push_back(circuit.gate(id).vth);
     }
     s.objective = total_leak();
     return s;
   };
   const auto restore_snapshot = [&](const Snapshot& s) {
+    // Per-gate diff through the timer's mutators, so only the gates that
+    // differ are dirtied.
     for (GateId id = 0; id < circuit.num_gates(); ++id) {
-      circuit.gate(id).size = s.sizes[id];
-      circuit.gate(id).vth = s.vths[id];
+      if (sta.step(id) != s.steps[id]) sta.set_size_step(id, s.steps[id]);
+      if (circuit.gate(id).vth != s.vths[id]) sta.set_vth(id, s.vths[id]);
     }
-    sta.rebuild_loads();
   };
 
   // -------------------------- phase 1: TILOS-style upsizing to a target ----
   const auto phase_sizing = [&](double target_ps) -> bool {
     obs::ScopedTimer timer(obs, "det.sizing");
-    std::set<std::pair<GateId, std::size_t>> locked;
+    // Per-gate bitmask of size steps whose upsizing was tried and undone.
+    std::vector<std::uint64_t> locked(circuit.num_gates(), 0);
     while (result.iterations < max_iterations && !out_of_time()) {
       ++result.iterations;
-      const StaResult timing =
-          sta.analyze_corner(target_ps, var_, config_.corner_k_sigma);
-      record("sizing", timing.critical_delay_ps);
-      if (timing.critical_delay_ps <= target_ps) return true;
+      const StaResult& timing = sta.analyze(target_ps);
+      const double before = timing.critical_delay_ps;
+      record("sizing", before);
+      if (before <= target_ps) return true;
 
       GateId best = kInvalidGate;
       std::size_t best_step = 0;
@@ -135,54 +129,38 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
         const Gate& g = circuit.gate(id);
         if (g.kind == CellKind::kInput) continue;
         if (timing.slack_ps[id] >= 0.0) continue;
-        const std::size_t step = lib_.nearest_step(g.size);
-        if (step + 1 >= steps.size()) continue;
-        if (locked.count({id, step + 1}) != 0) continue;
-        const double next_size = steps[step + 1];
+        const std::size_t next = sta.step(id) + 1;
+        if (next >= steps.size()) continue;
+        if ((locked[id] >> next & 1U) != 0) continue;
 
-        const double load = sta.loads().load_ff(id);
-        const double own_gain = delay_at(id, g.vth, g.size, load) -
-                                delay_at(id, g.vth, next_size, load);
-
-        // Upsizing raises every fanin driver's load by the pin-cap delta.
-        const double dcap = lib_.pin_cap_ff(g.kind, next_size) -
-                            lib_.pin_cap_ff(g.kind, g.size);
-        double penalty = 0.0;
-        for (GateId f : g.fanins) {
-          const Gate& drv = circuit.gate(f);
-          if (drv.kind == CellKind::kInput) continue;
-          const double fl = sta.loads().load_ff(f);
-          penalty += delay_at(f, drv.vth, drv.size, fl + dcap) -
-                     delay_at(f, drv.vth, drv.size, fl);
-        }
-        const double net_gain = own_gain - penalty;
+        // Own delay gain minus the load penalty upsizing puts on the fanin
+        // drivers.
+        const double net_gain = sta.delay_ps(id) - sta.delay_up_ps(id) -
+                                sta.upsize_penalty_ps(id);
         if (net_gain <= kEpsPs) continue;
 
-        const double dleak = lib_.leakage_na(g.kind, g.vth, next_size) -
+        const double dleak = lib_.leakage_na(g.kind, g.vth, steps[next]) -
                              lib_.leakage_na(g.kind, g.vth, g.size);
         const double score = net_gain / std::max(dleak, 1e-9);
         if (score > best_score) {
           best_score = score;
           best = id;
-          best_step = step + 1;
+          best_step = next;
         }
       }
       if (best == kInvalidGate) return false;  // cannot improve further
 
-      const double before = timing.critical_delay_ps;
-      circuit.set_size(best, steps[best_step]);
-      sta.on_resize(best);
-      if (corner_delay() >= before - kEpsPs) {
+      sta.set_size_step(best, best_step);
+      if (sta.critical_delay_ps() >= before - kEpsPs) {
         // Second-order load coupling made the move useless; undo + lock.
-        circuit.set_size(best, steps[best_step - 1]);
-        sta.on_resize(best);
-        locked.insert({best, best_step});
+        sta.set_size_step(best, best_step - 1);
+        locked[best] |= std::uint64_t{1} << best_step;
         ++result.rejected_moves;
       } else {
         ++result.sizing_commits;
       }
     }
-    return corner_delay() <= target_ps + kEpsPs;
+    return sta.critical_delay_ps() <= target_ps + kEpsPs;
   };
 
   // --------------- phase 2: greedy Vth swaps + downsizing inside slack ----
@@ -193,24 +171,21 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
     obs::ScopedTimer timer(obs, "det.assign");
     while (result.iterations < max_iterations && !out_of_time()) {
       ++result.iterations;
-      const StaResult timing =
-          sta.analyze_corner(t_max, var_, config_.corner_k_sigma);
+      const StaResult& timing = sta.analyze(t_max);
       record("assign", timing.critical_delay_ps);
 
       GateId best = kInvalidGate;
       bool best_is_vth = false;
-      double best_new_size = 0.0;
       double best_score = 0.0;
       for (GateId id = 0; id < circuit.num_gates(); ++id) {
         const Gate& g = circuit.gate(id);
         if (g.kind == CellKind::kInput) continue;
         const double slack = timing.slack_ps[id] - config_.slack_margin_ps;
         if (slack <= 0.0) continue;
-        const double load = sta.loads().load_ff(id);
-        const double d_now = delay_at(id, g.vth, g.size, load);
+        const double d_now = sta.delay_ps(id);
 
         if (g.vth == Vth::kLow) {
-          const double dd = delay_at(id, Vth::kHigh, g.size, load) - d_now;
+          const double dd = sta.delay_hvt_ps(id) - d_now;
           if (dd <= slack) {
             const double dleak = lib_.leakage_na(g.kind, Vth::kLow, g.size) -
                                  lib_.leakage_na(g.kind, Vth::kHigh, g.size);
@@ -222,10 +197,9 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
             }
           }
         }
-        const std::size_t step = lib_.nearest_step(g.size);
-        if (step > 0) {
-          const double smaller = steps[step - 1];
-          const double dd = delay_at(id, g.vth, smaller, load) - d_now;
+        if (sta.step(id) > 0) {
+          const double smaller = steps[sta.step(id) - 1];
+          const double dd = sta.delay_down_ps(id) - d_now;
           if (dd <= slack) {
             const double dleak = lib_.leakage_na(g.kind, g.vth, g.size) -
                                  lib_.leakage_na(g.kind, g.vth, smaller);
@@ -234,7 +208,6 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
               best_score = score;
               best = id;
               best_is_vth = false;
-              best_new_size = smaller;
             }
           }
         }
@@ -242,11 +215,10 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
       if (best == kInvalidGate) break;
 
       if (best_is_vth) {
-        circuit.set_vth(best, Vth::kHigh);
+        sta.set_vth(best, Vth::kHigh);
         ++result.hvt_commits;
       } else {
-        circuit.set_size(best, best_new_size);
-        sta.on_resize(best);
+        sta.set_size_step(best, sta.step(best) - 1);
         ++result.downsize_commits;
       }
     }
@@ -289,7 +261,9 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
     obs->add("det.rejected_moves", result.rejected_moves);
     obs->set_gauge("det.final_objective_na", result.final_objective);
     obs->set_gauge("det.feasible", result.feasible ? 1.0 : 0.0);
-    obs->set_gauge("det.final_corner_delay_ps", corner_delay());
+    obs->add("det.sta_passes", static_cast<double>(sta.sta_passes()));
+    obs->add("det.delay_evals", static_cast<double>(sta.delay_evals()));
+    obs->set_gauge("det.final_corner_delay_ps", sta.critical_delay_ps());
   }
   return result;
 }

@@ -21,10 +21,6 @@ double output_load_ff(const Circuit& circuit, const CellLibrary& lib,
 LoadCache::LoadCache(const Circuit& circuit, const CellLibrary& lib)
     : circuit_(circuit), lib_(lib) {
   STATLEAK_CHECK(circuit.finalized(), "LoadCache requires finalized circuit");
-  rebuild();
-}
-
-void LoadCache::rebuild() {
   loads_.resize(circuit_.num_gates());
   for (GateId id = 0; id < circuit_.num_gates(); ++id) {
     loads_[id] = output_load_ff(circuit_, lib_, id);

@@ -30,9 +30,6 @@ class LoadCache {
  public:
   LoadCache(const Circuit& circuit, const CellLibrary& lib);
 
-  /// Recomputes everything (after bulk mutations).
-  void rebuild();
-
   /// Call after `resized` changed size: updates the loads of its fanin
   /// drivers (the only loads that depend on a gate's own size).
   void on_resize(GateId resized);

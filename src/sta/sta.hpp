@@ -37,15 +37,17 @@ struct StaResult {
 };
 
 /// Deterministic STA over a circuit with cached loads. The engine holds
-/// references: circuit and library must outlive it. After the optimizer
-/// mutates a gate's size, call on_resize(); Vth changes need no load update.
+/// references: circuit and library must outlive it. After a gate's size
+/// changes, call on_resize(); Vth changes need no load update. Every pass
+/// re-evaluates every gate delay; the deterministic sizer times on the
+/// cached CornerTimer (opt/corner_timer.hpp), which this engine's
+/// analyze_corner() is the bitwise reference of.
 class StaEngine {
  public:
   StaEngine(const Circuit& circuit, const CellLibrary& lib);
 
   const LoadCache& loads() const { return loads_; }
   void on_resize(GateId id) { loads_.on_resize(id); }
-  void rebuild_loads() { loads_.rebuild(); }
 
   /// Nominal delay of one gate (pseudo-inputs have zero delay).
   double gate_delay_ps(GateId id) const;

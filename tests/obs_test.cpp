@@ -432,6 +432,29 @@ TEST(Instrumentation, DeterministicTraceCountEqualsIterations) {
   EXPECT_DOUBLE_EQ(reg.counter_value("det.iterations"), result.iterations);
 }
 
+TEST(Instrumentation, DeterministicDelayEvalsStayBelowOnePerCellPerIteration) {
+  // The sizer re-evaluates a library delay only when its inputs changed, so
+  // over a whole run it averages far fewer evaluations per iteration than
+  // one full timing pass would need.
+  const CellLibrary lib(generic_100nm());
+  const VariationModel var = VariationModel::typical_100nm();
+  Circuit c = iscas85_proxy("c880p");
+  OptConfig cfg;
+  cfg.t_max_ps = 1.15 * min_achievable_delay_ps(c, lib);
+  cfg.corner_k_sigma = 1.5;
+  obs::Registry reg;
+  const OptResult result = DeterministicOptimizer(lib, var, cfg).run(c, &reg);
+
+  ASSERT_GT(result.iterations, 0);
+  EXPECT_EQ(reg.trace_events("det").size(),
+            static_cast<std::size_t>(result.iterations));
+  const double evals = reg.counter_value("det.delay_evals");
+  EXPECT_GT(evals, 0.0);
+  EXPECT_LT(evals / result.iterations, static_cast<double>(c.num_cells()));
+  // At least one full pass per iteration, plus the post-move checks.
+  EXPECT_GE(reg.counter_value("det.sta_passes"), result.iterations);
+}
+
 TEST(Instrumentation, StatisticalResultsAreBitIdenticalWithObserver) {
   OptFixture plain;
   OptFixture observed;
