@@ -2,17 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
 
-#include "leakage/batch_leakage.hpp"
-#include "leakage/leakage.hpp"
-#include "mc/batch.hpp"
-#include "netlist/flat_circuit.hpp"
-#include "sta/batch_delay.hpp"
-#include "sta/sta.hpp"
+#include "mc/arena.hpp"
 #include "util/error.hpp"
 #include "util/health.hpp"
 #include "util/parallel.hpp"
@@ -64,18 +58,12 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
   var.validate();
   STATLEAK_CHECK(mc.num_samples > 0, "need at least one sample");
   STATLEAK_CHECK(t_max_ps > 0.0, "delay target must be positive");
+  require_plain_mc_config(mc, "the ABB experiment");
   obs::ScopedTimer timer(obs, "abb.sweep");
 
-  StaEngine sta(circuit, lib);
-  LeakageAnalyzer leakage(circuit, lib, var);
   const std::vector<double> ladder = abb.ladder();
-
   const std::size_t n = circuit.num_gates();
-  std::vector<double> widths(n, -1.0);
-  for (std::size_t id = 0; id < n; ++id) {
-    const Gate& g = circuit.gate(static_cast<GateId>(id));
-    if (g.kind != CellKind::kInput) widths[id] = lib.area_um(g.kind, g.size);
-  }
+  const std::vector<double> widths = mc_device_widths(circuit, lib);
 
   const auto num_samples = static_cast<std::size_t>(mc.num_samples);
   AbbResult result;
@@ -87,6 +75,11 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
   result.bias_v.assign(num_samples, 0.0);
 
   const int workers = resolve_num_threads(mc.num_threads);
+  McArena arena;
+  arena.prepare(circuit, lib, workers, obs);
+  const BatchDelayKernel& delay_kernel = *arena.delay;
+  const BatchLeakageKernel& leak_kernel = *arena.leak;
+  const std::size_t block = resolve_batch_size(mc.batch_size, n);
 
   // Fault-tolerance plumbing (deadline at block boundaries, per-die health
   // checks, serial compaction of partial populations) mirrors
@@ -97,13 +90,6 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
   using SlotRun = std::pair<std::size_t, std::size_t>;
   std::vector<std::vector<SlotRun>> computed_runs(
       static_cast<std::size_t>(workers));
-  const auto log_run = [&](int worker, std::size_t run_begin,
-                           std::size_t run_end) {
-    if (run_end > run_begin) {
-      computed_runs[static_cast<std::size_t>(worker)].emplace_back(run_begin,
-                                                                   run_end);
-    }
-  };
   // A die is healthy only when all four of its paired values are finite.
   const auto die_health = [&result](std::size_t s) -> std::uint8_t {
     return static_cast<std::uint8_t>(
@@ -115,209 +101,107 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
 
   // Die i reuses the Monte-Carlo engine's counter-derived stream i, so the
   // baseline population is bit-identical to run_monte_carlo with the same
-  // config (the experiment is paired) — for any thread count of either.
-  if (mc.use_batched) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const FlatCircuit flat = FlatCircuit::build(circuit);
-    const BatchDelayKernel delay_kernel(flat, lib, sta.loads());
-    const BatchLeakageKernel leak_kernel(flat, lib);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (obs != nullptr) {
-      obs->add("flat.build_ns",
-               static_cast<double>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       t1 - t0)
-                       .count()));
-    }
-
-    const std::size_t block = resolve_batch_size(mc.batch_size, n);
-    std::vector<BatchScratch> scratch_pool(
-        static_cast<std::size_t>(workers));
-
-    parallel_for(
-        mc.num_threads, num_samples,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          obs::LocalCounter evals(obs, "abb.sta_evals");
-          obs::LocalCounter batches(obs, "abb.batches");
-          BatchScratch& sc = scratch_pool[static_cast<std::size_t>(worker)];
-          sc.resize(n, block);
-          // Per-lane ladder-selection state, reused across blocks. The
-          // comparison sequence per lane is identical to the scalar sweep.
-          std::vector<double> best_bias(block), best_leak(block),
-              best_delay(block), fastest_delay(block), fastest_bias(block),
-              fastest_leak(block);
-          std::vector<char> any_feasible(block);
-          std::size_t covered = begin;
-          for (std::size_t s0 = begin; s0 < end; s0 += block) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            const std::size_t lanes = std::min(block, end - s0);
-            evals.add(static_cast<double>(lanes) *
-                      (1.0 + static_cast<double>(ladder.size())));
-            batches.add();
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-              Rng rng = Rng::stream(mc.seed, s0 + lane);
-              const GlobalSample die = sample_global(var, rng);
-              for (std::size_t id = 0; id < n; ++id) {
-                const ParamSample ps = sample_gate(var, die, rng, widths[id]);
-                sc.dl[id * block + lane] = ps.dl_nm;
-                sc.dv[id * block + lane] = ps.dvth_v;
-              }
-            }
-            delay_kernel.critical_delay_block(
-                sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,
-                nullptr, sc.arrival.data(), sc.delay_out.data());
-            leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
-                                    nullptr, sc.leak_out.data());
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-              result.baseline.delay_ps[s0 + lane] = sc.delay_out[lane];
-              result.baseline.leakage_na[s0 + lane] = sc.leak_out[lane];
-              best_bias[lane] = ladder.front();
-              best_leak[lane] = std::numeric_limits<double>::infinity();
-              best_delay[lane] = std::numeric_limits<double>::infinity();
-              any_feasible[lane] = 0;
-              fastest_delay[lane] = std::numeric_limits<double>::infinity();
-              fastest_bias[lane] = 0.0;
-              fastest_leak[lane] = 0.0;
-            }
-            // Sweep the ladder: min leakage subject to delay <= T; if
-            // nothing meets T, the fastest (most forward) setting. The
-            // whole block shares each ladder step, applied as a uniform
-            // dVth shift inside the kernels — bitwise the same as the
-            // scalar path's `biased[id].dvth_v += dvth` precompute.
-            for (double vbb : ladder) {
-              const double dvth = -abb.k_body_v_per_v * vbb;
-              delay_kernel.critical_delay_block(
-                  sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,
-                  &dvth, sc.arrival.data(), sc.delay_out.data());
-              leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block,
-                                      lanes, &dvth, sc.leak_out.data());
-              for (std::size_t lane = 0; lane < lanes; ++lane) {
-                const double delay = sc.delay_out[lane];
-                const double leak = sc.leak_out[lane];
-                if (delay < fastest_delay[lane]) {
-                  fastest_delay[lane] = delay;
-                  fastest_bias[lane] = vbb;
-                  fastest_leak[lane] = leak;
-                }
-                if (delay <= t_max_ps && leak < best_leak[lane]) {
-                  any_feasible[lane] = 1;
-                  best_leak[lane] = leak;
-                  best_bias[lane] = vbb;
-                  best_delay[lane] = delay;
-                }
-              }
-            }
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-              if (!any_feasible[lane]) {
-                best_bias[lane] = fastest_bias[lane];
-                best_delay[lane] = fastest_delay[lane];
-                best_leak[lane] = fastest_leak[lane];
-              }
-              result.compensated.delay_ps[s0 + lane] = best_delay[lane];
-              result.compensated.leakage_na[s0 + lane] = best_leak[lane];
-              result.bias_v[s0 + lane] = best_bias[lane];
-              if (fail_fast) {
-                const std::uint8_t cause = die_health(s0 + lane);
-                if (cause != 0) {
-                  stop.store(true, std::memory_order_relaxed);
-                  throw_sample_health(s0 + lane, cause);
-                }
-              }
-            }
-            covered = s0 + lanes;
+  // config (the experiment is paired) — for any thread count or batch size
+  // of either.
+  parallel_for(
+      mc.num_threads, num_samples,
+      [&](std::size_t begin, std::size_t end, int worker) {
+        obs::LocalCounter evals(obs, "abb.sta_evals");
+        obs::LocalCounter batches(obs, "abb.batches");
+        BatchScratch& sc = arena.scratch[static_cast<std::size_t>(worker)];
+        sc.resize(n, block);
+        // Per-lane ladder-selection state, reused across blocks.
+        std::vector<double> best_bias(block), best_leak(block),
+            best_delay(block), fastest_delay(block), fastest_bias(block),
+            fastest_leak(block);
+        std::vector<char> any_feasible(block);
+        std::size_t covered = begin;
+        for (std::size_t s0 = begin; s0 < end; s0 += block) {
+          if (stop.load(std::memory_order_relaxed)) break;
+          if (deadline.expired()) {
+            stop.store(true, std::memory_order_relaxed);
+            break;
           }
-          log_run(worker, begin, covered);
-        });
-  } else {
-    std::vector<std::vector<ParamSample>> sample_pool(
-        static_cast<std::size_t>(workers));
-    std::vector<std::vector<ParamSample>> biased_pool(
-        static_cast<std::size_t>(workers));
-    std::vector<std::vector<double>> scratch_pool(
-        static_cast<std::size_t>(workers));
-    parallel_for(
-        mc.num_threads, num_samples,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          obs::LocalCounter evals(obs, "abb.sta_evals");
-          std::vector<ParamSample>& samples =
-              sample_pool[static_cast<std::size_t>(worker)];
-          samples.resize(n);
-          std::vector<ParamSample>& biased =
-              biased_pool[static_cast<std::size_t>(worker)];
-          biased.resize(n);
-          std::vector<double>& scratch =
-              scratch_pool[static_cast<std::size_t>(worker)];
-          std::size_t covered = begin;
-          for (std::size_t s = begin; s < end; ++s) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            evals.add(1.0 + static_cast<double>(ladder.size()));
-            Rng rng = Rng::stream(mc.seed, s);
+          const std::size_t lanes = std::min(block, end - s0);
+          evals.add(static_cast<double>(lanes) *
+                    (1.0 + static_cast<double>(ladder.size())));
+          batches.add();
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            Rng rng = Rng::stream(mc.seed, s0 + lane);
             const GlobalSample die = sample_global(var, rng);
             for (std::size_t id = 0; id < n; ++id) {
-              samples[id] = sample_gate(var, die, rng, widths[id]);
+              const ParamSample ps = sample_gate(var, die, rng, widths[id]);
+              sc.dl[id * block + lane] = ps.dl_nm;
+              sc.dv[id * block + lane] = ps.dvth_v;
             }
-            result.baseline.delay_ps[s] = sta.critical_delay_sample_ps(
-                samples, mc.exact_delay, scratch);
-            result.baseline.leakage_na[s] = leakage.total_sample_na(samples);
-
-            // Sweep the ladder: min leakage subject to delay <= T; if
-            // nothing meets T, the fastest (most forward) setting.
-            double best_bias = ladder.front();
-            double best_leak = std::numeric_limits<double>::infinity();
-            double best_delay = std::numeric_limits<double>::infinity();
-            bool any_feasible = false;
-            double fastest_delay = std::numeric_limits<double>::infinity();
-            double fastest_bias = 0.0;
-            double fastest_leak = 0.0;
-            for (double vbb : ladder) {
-              const double dvth = -abb.k_body_v_per_v * vbb;
-              for (std::size_t id = 0; id < n; ++id) {
-                biased[id] = samples[id];
-                biased[id].dvth_v += dvth;
+          }
+          delay_kernel.critical_delay_block(
+              sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,
+              nullptr, sc.arrival.data(), sc.delay_out.data());
+          leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
+                                  nullptr, sc.leak_out.data());
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            result.baseline.delay_ps[s0 + lane] = sc.delay_out[lane];
+            result.baseline.leakage_na[s0 + lane] = sc.leak_out[lane];
+            best_bias[lane] = ladder.front();
+            best_leak[lane] = std::numeric_limits<double>::infinity();
+            best_delay[lane] = std::numeric_limits<double>::infinity();
+            any_feasible[lane] = 0;
+            fastest_delay[lane] = std::numeric_limits<double>::infinity();
+            fastest_bias[lane] = 0.0;
+            fastest_leak[lane] = 0.0;
+          }
+          // Sweep the ladder: min leakage subject to delay <= T; if nothing
+          // meets T, the fastest (most forward) setting. The whole block
+          // shares each ladder step, applied as a uniform dVth shift inside
+          // the kernels.
+          for (double vbb : ladder) {
+            const double dvth = -abb.k_body_v_per_v * vbb;
+            delay_kernel.critical_delay_block(
+                sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,
+                &dvth, sc.arrival.data(), sc.delay_out.data());
+            leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
+                                    &dvth, sc.leak_out.data());
+            for (std::size_t lane = 0; lane < lanes; ++lane) {
+              const double delay = sc.delay_out[lane];
+              const double leak = sc.leak_out[lane];
+              if (delay < fastest_delay[lane]) {
+                fastest_delay[lane] = delay;
+                fastest_bias[lane] = vbb;
+                fastest_leak[lane] = leak;
               }
-              const double delay = sta.critical_delay_sample_ps(
-                  biased, mc.exact_delay, scratch);
-              const double leak = leakage.total_sample_na(biased);
-              if (delay < fastest_delay) {
-                fastest_delay = delay;
-                fastest_bias = vbb;
-                fastest_leak = leak;
-              }
-              if (delay <= t_max_ps && leak < best_leak) {
-                any_feasible = true;
-                best_leak = leak;
-                best_bias = vbb;
-                best_delay = delay;
+              if (delay <= t_max_ps && leak < best_leak[lane]) {
+                any_feasible[lane] = 1;
+                best_leak[lane] = leak;
+                best_bias[lane] = vbb;
+                best_delay[lane] = delay;
               }
             }
-            if (!any_feasible) {
-              best_bias = fastest_bias;
-              best_delay = fastest_delay;
-              best_leak = fastest_leak;
+          }
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            if (!any_feasible[lane]) {
+              best_bias[lane] = fastest_bias[lane];
+              best_delay[lane] = fastest_delay[lane];
+              best_leak[lane] = fastest_leak[lane];
             }
-            result.compensated.delay_ps[s] = best_delay;
-            result.compensated.leakage_na[s] = best_leak;
-            result.bias_v[s] = best_bias;
+            result.compensated.delay_ps[s0 + lane] = best_delay[lane];
+            result.compensated.leakage_na[s0 + lane] = best_leak[lane];
+            result.bias_v[s0 + lane] = best_bias[lane];
             if (fail_fast) {
-              const std::uint8_t cause = die_health(s);
+              const std::uint8_t cause = die_health(s0 + lane);
               if (cause != 0) {
                 stop.store(true, std::memory_order_relaxed);
-                throw_sample_health(s, cause);
+                throw_sample_health(s0 + lane, cause);
               }
             }
-            covered = s + 1;
           }
-          log_run(worker, begin, covered);
-        });
-  }
+          covered = s0 + lanes;
+        }
+        if (covered > begin) {
+          computed_runs[static_cast<std::size_t>(worker)].emplace_back(
+              begin, covered);
+        }
+      });
 
   // Serial finalize: paired compaction — a die survives into baseline,
   // compensated and bias arrays together or not at all.

@@ -112,7 +112,6 @@ obs::Json setup_message(const WorkerSetup& setup) {
   mc.set("samples", setup.mc.num_samples);
   mc.set("exact_delay", setup.mc.exact_delay);
   mc.set("batch", setup.mc.batch_size);
-  mc.set("use_batched", setup.mc.use_batched);
   mc.set("health",
          setup.mc.health_policy == HealthPolicy::kQuarantine ? "quarantine"
                                                              : "fail");
@@ -163,7 +162,6 @@ WorkerSetup parse_setup(const obs::Json& msg) {
   setup.mc.num_samples = static_cast<int>(mc.at("samples").as_number());
   setup.mc.exact_delay = mc.at("exact_delay").as_bool();
   setup.mc.batch_size = static_cast<int>(mc.at("batch").as_number());
-  setup.mc.use_batched = mc.at("use_batched").as_bool();
   const std::string& health = mc.at("health").as_string();
   if (health == "fail") {
     setup.mc.health_policy = HealthPolicy::kFail;

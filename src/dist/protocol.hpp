@@ -54,8 +54,10 @@ class DistError : public Error {
 
 /// v2 added the environment corner (node_name/temp/vdd/sigma_scale) to the
 /// setup message, so mixed-version fleets reject the handshake rather than
-/// silently sampling at different corners.
-inline constexpr int kProtocolVersion = 2;
+/// silently sampling at different corners. v3 dropped the setup message's
+/// scalar-vs-batched engine switch when the scalar Monte-Carlo engine was
+/// retired.
+inline constexpr int kProtocolVersion = 3;
 
 // --- framing ----------------------------------------------------------------
 

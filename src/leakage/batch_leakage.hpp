@@ -6,9 +6,9 @@
 /// the total is a plain sum over cells — so the kernel precomputes each
 /// cell's nominal leakage and exponent coefficients and accumulates a block
 /// of lanes gate-major. Per lane, the additions run over non-input gates in
-/// ascending GateId order, exactly the order LeakageAnalyzer::
-/// total_sample_na uses, so each lane's floating-point sum is bit-identical
-/// to the scalar path.
+/// ascending GateId order, each term the exact CellLibrary::leakage_na(..,
+/// dl, dv) expression, so each lane's floating-point sum is bit-identical
+/// to the per-sample sum of the scalar oracle in tests/mc_scalar_oracle.hpp.
 
 #pragma once
 

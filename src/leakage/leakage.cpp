@@ -167,19 +167,4 @@ double LeakageAnalyzer::quantile_if_na(GateId id, Vth vth, double size,
                                      model_.gate_moments(g.kind, vth, size));
 }
 
-double LeakageAnalyzer::total_sample_na(
-    std::span<const ParamSample> samples) const {
-  STATLEAK_CHECK(samples.size() == circuit_.num_gates(),
-                 "one parameter sample per gate");
-  const CellLibrary& lib = model_.library();
-  double total = 0.0;
-  for (GateId id = 0; id < circuit_.num_gates(); ++id) {
-    const Gate& g = circuit_.gate(id);
-    if (g.kind == CellKind::kInput) continue;
-    total += lib.leakage_na(g.kind, g.vth, g.size, samples[id].dl_nm,
-                            samples[id].dvth_v);
-  }
-  return total;
-}
-
 }  // namespace statleak

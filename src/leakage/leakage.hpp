@@ -26,7 +26,6 @@
 #pragma once
 
 #include <algorithm>
-#include <span>
 #include <vector>
 
 #include "cells/library.hpp"
@@ -175,10 +174,6 @@ class LeakageAnalyzer {
   const GateLeakMoments& cached_moments(GateId id) const {
     return moments_[id];
   }
-
-  /// Exact total leakage [nA] for one Monte-Carlo parameter sample
-  /// (samples[id] = that gate's total deviations).
-  double total_sample_na(std::span<const ParamSample> samples) const;
 
   const LeakageModel& model() const { return model_; }
 

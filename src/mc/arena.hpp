@@ -1,15 +1,17 @@
 /// \file arena.hpp
-/// \brief Reusable batched-engine state for back-to-back Monte-Carlo runs.
+/// \brief Batched-engine state shared by the Monte-Carlo entry points.
 ///
-/// A cold run_monte_carlo call pays three fixed costs before the first
-/// sample: flattening the circuit into SoA form (FlatCircuit::build),
-/// deriving the per-gate kernel constant tables, and allocating the
-/// per-worker BatchScratch blocks. A corner sweep evaluates the same frozen
-/// circuit dozens of times under different CellLibrary instances, so those
-/// costs are pure overhead after the first cell. An McArena carries them
-/// across calls: the FlatCircuit is rebuilt only when the circuit changes,
-/// the kernels are rebind()-ed (constants recomputed, allocations kept),
-/// and the scratch blocks keep their capacity.
+/// run_monte_carlo, run_monte_carlo_spatial and run_abb_experiment all
+/// evaluate samples through the same gate-major kernels, and all three ready
+/// them through McArena::prepare(). A cold call pays three fixed costs
+/// before the first sample: flattening the circuit into SoA form
+/// (FlatCircuit::build), deriving the per-gate kernel constant tables, and
+/// allocating the per-worker BatchScratch blocks. A corner sweep evaluates
+/// the same frozen circuit dozens of times under different CellLibrary
+/// instances, so those costs are pure overhead after the first cell. An
+/// McArena carries them across calls: the FlatCircuit is rebuilt only when
+/// the circuit changes, the kernels are rebind()-ed (constants recomputed,
+/// allocations kept), and the scratch blocks keep their capacity.
 ///
 /// Reuse never changes a sampled bit: rebind() recomputes every derived
 /// constant from the current library, and scratch contents are dead between
@@ -24,9 +26,11 @@
 #include <optional>
 #include <vector>
 
+#include "cells/library.hpp"
 #include "leakage/batch_leakage.hpp"
 #include "mc/batch.hpp"
 #include "netlist/flat_circuit.hpp"
+#include "obs/registry.hpp"
 #include "sta/batch_delay.hpp"
 
 namespace statleak {
@@ -39,6 +43,15 @@ struct McArena {
   std::optional<BatchDelayKernel> delay;
   std::optional<BatchLeakageKernel> leak;
   std::vector<BatchScratch> scratch;
+
+  /// Readies the arena to evaluate `circuit` under `lib`: builds the
+  /// FlatCircuit snapshot when the circuit changed (timed into the
+  /// "flat.build_ns" counter), binds both kernels to the library's constants
+  /// and the circuit's output loads, and grows the scratch pool to at least
+  /// `workers` entries. Afterwards `delay`, `leak` and `scratch` are ready
+  /// for one run.
+  void prepare(const Circuit& circuit, const CellLibrary& lib, int workers,
+               obs::Registry* obs);
 };
 
 }  // namespace statleak

@@ -6,7 +6,7 @@
 /// which samples ran before it. A checkpoint therefore only has to record
 /// *which slots finished and their values* — resuming skips those slots and
 /// recomputes the rest, and the merged result is bit-identical to an
-/// uninterrupted run for any thread count, batch size, or engine.
+/// uninterrupted run for any thread count or batch size.
 ///
 /// The container is the generic two-phase-commit journal of
 /// util/journal.hpp ("SLCK" magic, format version 2; version 1 was the
@@ -58,10 +58,10 @@ inline constexpr JournalFormat mc_checkpoint_format() {
 /// widths (which fold in the cell library's area tables via the Pelgrom
 /// path), and the process node's physical constants (so a checkpoint from
 /// one environment corner — temperature, Vdd, node flavor — is rejected at
-/// any other). Thread count, batch size, engine choice and the
-/// control-variate flag are deliberately excluded — results are invariant
-/// to them, so a checkpoint written by a batched 8-thread run resumes under
-/// a scalar single-thread run and vice versa.
+/// any other). Thread count, batch size and the control-variate flag are
+/// deliberately excluded — results are invariant to them, so a checkpoint
+/// written by an 8-thread run with 64-sample blocks resumes under a
+/// single-thread run with 1-sample blocks and vice versa.
 std::uint64_t mc_checkpoint_hash(const Circuit& circuit,
                                  const VariationModel& var,
                                  const McConfig& config,

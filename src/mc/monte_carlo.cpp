@@ -2,20 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <optional>
 #include <utility>
 
 #include "leakage/batch_leakage.hpp"
-#include "leakage/leakage.hpp"
 #include "mc/arena.hpp"
 #include "mc/batch.hpp"
 #include "mc/checkpoint.hpp"
-#include "netlist/flat_circuit.hpp"
 #include "sta/batch_delay.hpp"
-#include "sta/sta.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"
@@ -148,19 +144,6 @@ namespace {
 /// Contiguous range of slots one worker computed, in shard order.
 using SlotRun = std::pair<std::size_t, std::size_t>;  // [begin, end)
 
-/// Device widths feeding the (optional) Pelgrom scaling of intra-die Vth
-/// sigma; fixed for a whole run and part of the checkpoint fingerprint.
-std::vector<double> device_widths(const Circuit& circuit,
-                                  const CellLibrary& lib) {
-  const std::size_t n = circuit.num_gates();
-  std::vector<double> widths(n, -1.0);
-  for (std::size_t id = 0; id < n; ++id) {
-    const Gate& g = circuit.gate(static_cast<GateId>(id));
-    if (g.kind != CellKind::kInput) widths[id] = lib.area_um(g.kind, g.size);
-  }
-  return widths;
-}
-
 /// Entry validation shared by the full-run, shard and finalize paths.
 void validate_mc_config(const VariationModel& var, const McConfig& config) {
   STATLEAK_CHECK(config.num_samples > 0, "need at least one sample");
@@ -190,8 +173,8 @@ void validate_mc_config(const VariationModel& var, const McConfig& config) {
 /// begin, end)` reports computed *global*-slot runs at
 /// McConfig::checkpoint_every cadence and at shard boundaries; the range
 /// is itself sharded over config.num_threads. Slot values depend only on
-/// (seed, slot), never on the range cut, thread count, batch size or
-/// engine — the property every distributed-merge guarantee rests on.
+/// (seed, slot), never on the range cut, thread count or batch size — the
+/// property every distributed-merge guarantee rests on.
 void run_sample_range(
     const Circuit& circuit, const CellLibrary& lib, const VariationModel& var,
     const McConfig& config, std::size_t first, std::size_t last,
@@ -222,14 +205,8 @@ void run_sample_range(
             var.sigma_vth_inter_v * (zv + shift.v_sigma)};
   };
 
-  // Shared, read-only during the sample loop: the engines' per-sample entry
-  // points are const and take caller-owned scratch, so one instance serves
-  // every worker.
-  StaEngine sta(circuit, lib);
-  LeakageAnalyzer leakage(circuit, lib, var);
-
   const std::size_t n = circuit.num_gates();
-  const std::vector<double> widths = device_widths(circuit, lib);
+  const std::vector<double> widths = mc_device_widths(circuit, lib);
   const std::size_t range = last - first;
   const std::size_t flush_every = static_cast<std::size_t>(
       std::max(1, config.checkpoint_every));
@@ -247,199 +224,127 @@ void run_sample_range(
     flush(worker, first + run_begin, first + run_end);
   };
 
+  // Freeze the implementation point into SoA form and hoist every per-gate
+  // model constant out of the sample loop. With a caller-owned arena the
+  // snapshot survives across calls: the FlatCircuit is rebuilt only when
+  // the circuit changes, and the kernels are rebind()-ed — constants
+  // recomputed from the current library, table allocations kept. A
+  // rebind()-ed kernel computes the exact bits of a fresh one, so arena
+  // reuse is invisible in the output.
+  McArena local_arena;
+  McArena& ar = arena != nullptr ? *arena : local_arena;
+  ar.prepare(circuit, lib, workers, obs);
+  const BatchDelayKernel& delay_kernel = *ar.delay;
+  const BatchLeakageKernel& leak_kernel = *ar.leak;
+  const std::size_t block = resolve_batch_size(config.batch_size, n);
+
   // Sample i draws exclusively from its counter-derived stream and writes
   // slot i of the output arrays, so shard boundaries (and hence the
-  // thread count) cannot change a single bit of the output. In the batched
-  // engine, lanes of one block are just consecutive samples evaluated
-  // together — they never interact — so the batch size cannot either.
-  if (config.use_batched) {
-    // Freeze the implementation point into SoA form and hoist every
-    // per-gate model constant out of the sample loop. With a caller-owned
-    // arena the snapshot survives across calls: the FlatCircuit is rebuilt
-    // only when the circuit changes, and the kernels are rebind()-ed —
-    // constants recomputed from the current library, table allocations
-    // kept. A rebind()-ed kernel computes the exact bits of a fresh one,
-    // so arena reuse is invisible in the output.
-    McArena local_arena;
-    McArena& ar = arena != nullptr ? *arena : local_arena;
-    if (ar.circuit != &circuit || !ar.flat.has_value()) {
-      const auto t0 = std::chrono::steady_clock::now();
-      ar.circuit = &circuit;
-      ar.flat.emplace(FlatCircuit::build(circuit));
-      const auto t1 = std::chrono::steady_clock::now();
-      if (obs != nullptr) {
-        obs->add("flat.build_ns",
-                 static_cast<double>(
-                     std::chrono::duration_cast<std::chrono::nanoseconds>(
-                         t1 - t0)
-                         .count()));
-      }
-    }
-    const FlatCircuit& flat = *ar.flat;
-    if (ar.delay.has_value()) {
-      ar.delay->rebind(flat, lib, sta.loads());
-    } else {
-      ar.delay.emplace(flat, lib, sta.loads());
-    }
-    if (ar.leak.has_value()) {
-      ar.leak->rebind(flat, lib);
-    } else {
-      ar.leak.emplace(flat, lib);
-    }
-    const BatchDelayKernel& delay_kernel = *ar.delay;
-    const BatchLeakageKernel& leak_kernel = *ar.leak;
-
-    const std::size_t block = resolve_batch_size(config.batch_size, n);
-    if (ar.scratch.size() < static_cast<std::size_t>(workers)) {
-      ar.scratch.resize(static_cast<std::size_t>(workers));
-    }
-    std::vector<BatchScratch>& scratch_pool = ar.scratch;
-
-    parallel_for(
-        config.num_threads, range,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          obs::LocalCounter evals(obs, "mc.sta_evals");
-          obs::LocalCounter batches(obs, "mc.batches");
-          BatchScratch& sc = scratch_pool[static_cast<std::size_t>(worker)];
-          sc.resize(n, block);
-          std::size_t run_begin = begin;  // first unflushed computed slot
-          std::size_t covered = begin;    // end of processed region
-          for (std::size_t s0 = begin; s0 < end; s0 += block) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            const std::size_t lanes = std::min(block, end - s0);
-            // A fully restored block is skipped outright. Partially
-            // restored blocks (possible when a checkpoint record ends
-            // mid-block) are recomputed whole — the recomputed values are
-            // bitwise identical, so correctness never depends on the cut.
-            bool all_restored = restored != nullptr;
-            for (std::size_t lane = 0; lane < lanes && all_restored; ++lane) {
-              all_restored = restored[s0 + lane] != 0;
-            }
-            if (all_restored) {
-              flush_run(worker, run_begin, s0);
-              run_begin = s0 + lanes;
-              covered = s0 + lanes;
-              continue;
-            }
-            STATLEAK_FAULT_STALL(fault::Point::kShardStall, first + s0);
-            // Draws stay sample-major (lane by lane, the exact call
-            // sequence of the scalar path) and are transposed into the
-            // gate-major blocks as they land.
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-              const std::size_t slot = first + s0 + lane;
-              Rng rng = Rng::stream(config.seed, slot);
-              GlobalSample die = draw_global(slot, rng);
-              if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, slot)) {
-                die.dvth_v = std::numeric_limits<double>::quiet_NaN();
-              }
-              for (std::size_t id = 0; id < n; ++id) {
-                const ParamSample ps = sample_gate(var, die, rng, widths[id]);
-                sc.dl[id * block + lane] = ps.dl_nm;
-                sc.dv[id * block + lane] = ps.dvth_v;
-              }
-            }
-            delay_kernel.critical_delay_block(
-                sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
-                nullptr, sc.arrival.data(), sc.delay_out.data());
-            leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
-                                    nullptr, sc.leak_out.data());
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-              delay_out[s0 + lane] = sc.delay_out[lane];
-              leak_out[s0 + lane] = sc.leak_out[lane];
-              if (fail_fast) {
-                const std::uint8_t cause = classify_health(
-                    sc.delay_out[lane], sc.leak_out[lane]);
-                if (cause != 0) {
-                  stop.store(true, std::memory_order_relaxed);
-                  throw_sample_health(first + s0 + lane, cause);
-                }
-              }
-            }
-            evals.add(static_cast<double>(lanes));
-            batches.add();
-            covered = s0 + lanes;
-            if (covered - run_begin >= flush_every) {
-              flush_run(worker, run_begin, covered);
-              run_begin = covered;
-            }
+  // thread count) cannot change a single bit of the output. Lanes of one
+  // block are just consecutive samples evaluated together — they never
+  // interact — so the batch size cannot either.
+  parallel_for(
+      config.num_threads, range,
+      [&](std::size_t begin, std::size_t end, int worker) {
+        // Per-thread accumulation: one registry merge per shard, so the
+        // workers never contend on the registry mutex inside the loop.
+        obs::LocalCounter evals(obs, "mc.sta_evals");
+        obs::LocalCounter batches(obs, "mc.batches");
+        BatchScratch& sc = ar.scratch[static_cast<std::size_t>(worker)];
+        sc.resize(n, block);
+        std::size_t run_begin = begin;  // first unflushed computed slot
+        std::size_t covered = begin;    // end of processed region
+        for (std::size_t s0 = begin; s0 < end; s0 += block) {
+          if (stop.load(std::memory_order_relaxed)) break;
+          if (deadline.expired()) {
+            stop.store(true, std::memory_order_relaxed);
+            break;
           }
-          flush_run(worker, run_begin, covered);
-        });
-  } else {
-    // Reference scalar path: one full AoS evaluation per sample. Buffers
-    // are per-worker and reused across the whole shard.
-    std::vector<std::vector<ParamSample>> sample_pool(
-        static_cast<std::size_t>(workers));
-    std::vector<std::vector<double>> scratch_pool(
-        static_cast<std::size_t>(workers));
-
-    parallel_for(
-        config.num_threads, range,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          // Per-thread accumulation: one registry merge per shard, so the
-          // workers never contend on the registry mutex inside the loop.
-          obs::LocalCounter evals(obs, "mc.sta_evals");
-          std::vector<ParamSample>& samples =
-              sample_pool[static_cast<std::size_t>(worker)];
-          samples.resize(n);
-          std::vector<double>& scratch =
-              scratch_pool[static_cast<std::size_t>(worker)];
-          std::size_t run_begin = begin;
-          std::size_t covered = begin;
-          for (std::size_t s = begin; s < end; ++s) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            if (restored != nullptr && restored[s] != 0) {
-              flush_run(worker, run_begin, s);
-              run_begin = s + 1;
-              covered = s + 1;
-              continue;
-            }
-            const std::size_t slot = first + s;
-            STATLEAK_FAULT_STALL(fault::Point::kShardStall, slot);
+          const std::size_t lanes = std::min(block, end - s0);
+          // A fully restored block is skipped outright. Partially restored
+          // blocks (possible when a checkpoint record ends mid-block) are
+          // recomputed whole — the recomputed values are bitwise identical,
+          // so correctness never depends on the cut. With batch_size = 1
+          // every restored slot is skipped on its own.
+          bool all_restored = restored != nullptr;
+          for (std::size_t lane = 0; lane < lanes && all_restored; ++lane) {
+            all_restored = restored[s0 + lane] != 0;
+          }
+          if (all_restored) {
+            flush_run(worker, run_begin, s0);
+            run_begin = s0 + lanes;
+            covered = s0 + lanes;
+            continue;
+          }
+          STATLEAK_FAULT_STALL(fault::Point::kShardStall, first + s0);
+          // Draws stay sample-major (lane by lane, the per-die call
+          // sequence tests/mc_scalar_oracle.hpp replays) and are transposed
+          // into the gate-major blocks as they land.
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            const std::size_t slot = first + s0 + lane;
             Rng rng = Rng::stream(config.seed, slot);
             GlobalSample die = draw_global(slot, rng);
             if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, slot)) {
               die.dvth_v = std::numeric_limits<double>::quiet_NaN();
             }
             for (std::size_t id = 0; id < n; ++id) {
-              samples[id] = sample_gate(var, die, rng, widths[id]);
-            }
-            delay_out[s] = sta.critical_delay_sample_ps(
-                samples, config.exact_delay, scratch);
-            leak_out[s] = leakage.total_sample_na(samples);
-            if (fail_fast) {
-              const std::uint8_t cause =
-                  classify_health(delay_out[s], leak_out[s]);
-              if (cause != 0) {
-                stop.store(true, std::memory_order_relaxed);
-                throw_sample_health(slot, cause);
-              }
-            }
-            evals.add();
-            covered = s + 1;
-            if (covered - run_begin >= flush_every) {
-              flush_run(worker, run_begin, covered);
-              run_begin = covered;
+              const ParamSample ps = sample_gate(var, die, rng, widths[id]);
+              sc.dl[id * block + lane] = ps.dl_nm;
+              sc.dv[id * block + lane] = ps.dvth_v;
             }
           }
-          flush_run(worker, run_begin, covered);
-        });
-  }
+          delay_kernel.critical_delay_block(
+              sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
+              nullptr, sc.arrival.data(), sc.delay_out.data());
+          leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
+                                  nullptr, sc.leak_out.data());
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            delay_out[s0 + lane] = sc.delay_out[lane];
+            leak_out[s0 + lane] = sc.leak_out[lane];
+            if (fail_fast) {
+              const std::uint8_t cause =
+                  classify_health(sc.delay_out[lane], sc.leak_out[lane]);
+              if (cause != 0) {
+                stop.store(true, std::memory_order_relaxed);
+                throw_sample_health(first + s0 + lane, cause);
+              }
+            }
+          }
+          evals.add(static_cast<double>(lanes));
+          batches.add();
+          covered = s0 + lanes;
+          if (covered - run_begin >= flush_every) {
+            flush_run(worker, run_begin, covered);
+            run_begin = covered;
+          }
+        }
+        flush_run(worker, run_begin, covered);
+      });
 }
 
 }  // namespace
 
 std::vector<double> mc_device_widths(const Circuit& circuit,
                                      const CellLibrary& lib) {
-  return device_widths(circuit, lib);
+  const std::size_t n = circuit.num_gates();
+  std::vector<double> widths(n, -1.0);
+  for (std::size_t id = 0; id < n; ++id) {
+    const Gate& g = circuit.gate(static_cast<GateId>(id));
+    if (g.kind != CellKind::kInput) widths[id] = lib.area_um(g.kind, g.size);
+  }
+  return widths;
+}
+
+void require_plain_mc_config(const McConfig& config, const char* engine) {
+  const std::string who(engine);
+  STATLEAK_CHECK(config.sampler == McSampler::kPseudo,
+                 who + " supports only the pseudo-random sampler");
+  STATLEAK_CHECK(!config.is_shift.active(),
+                 who + " does not support importance sampling");
+  STATLEAK_CHECK(!config.control_variate,
+                 who + " does not support the control variate");
+  STATLEAK_CHECK(config.checkpoint_path.empty(),
+                 who + " does not support checkpointing");
 }
 
 McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
@@ -462,7 +367,7 @@ McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
   std::vector<std::uint8_t> restored(num_samples, 0);
   std::unique_ptr<CheckpointWriter> writer;
   if (!config.checkpoint_path.empty()) {
-    const std::vector<double> widths = device_widths(circuit, lib);
+    const std::vector<double> widths = mc_device_widths(circuit, lib);
     const std::uint64_t hash =
         mc_checkpoint_hash(circuit, var, config, widths, lib.node());
     if (checkpoint_exists(config.checkpoint_path)) {
@@ -718,7 +623,7 @@ McResult finalize_mc_population(const Circuit& circuit, const CellLibrary& lib,
     }
     // Progress milestones, reconstructed serially from the (already
     // deterministic) surviving samples with running sums: identical for
-    // any thread count, batch size, or engine.
+    // any thread count or batch size.
     const std::size_t survivors = result.delay_ps.size();
     if (survivors > 0) {
       const std::size_t stride = std::max<std::size_t>(1, survivors / 16);

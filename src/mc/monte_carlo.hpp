@@ -60,14 +60,12 @@ struct McConfig : ExecConfig {
   int num_samples = 10000;
   /// Exact alpha-power delay per gate instead of the first-order multiplier.
   bool exact_delay = false;
-  /// Samples evaluated per kernel block in the batched engine. 0 picks an
-  /// automatic size from the circuit size (see mc/batch.hpp). Results are
-  /// bit-identical for every batch size; this is a performance knob only.
+  /// Samples evaluated per gate-major kernel block. 0 picks an automatic
+  /// size from the circuit size (see mc/batch.hpp). Results are
+  /// bit-identical for every batch size — tests/mc_batched_test.cpp pins
+  /// them against a scalar per-sample oracle — so this is a performance
+  /// knob only.
   int batch_size = 0;
-  /// Gate-major batched evaluation (default). The scalar per-sample path is
-  /// kept for differential testing (tests/mc_batched_test.cpp pins bitwise
-  /// equality) and as a reference implementation.
-  bool use_batched = true;
 
   /// What to do when a sample evaluates to a non-finite delay or leakage:
   /// kFail (default) throws NumericalError naming the slot; kQuarantine
@@ -198,9 +196,18 @@ McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
 
 /// Per-gate device widths (kInput slots hold -1), the Pelgrom scaling
 /// input that is part of mc_checkpoint_hash's fingerprint. Exposed so the
-/// distributed coordinator computes the same hash as the engine.
+/// distributed coordinator computes the same hash as the engine, and so
+/// the ABB sweep draws its dies with the engine's exact widths.
 std::vector<double> mc_device_widths(const Circuit& circuit,
                                      const CellLibrary& lib);
+
+/// Throws statleak::Error when `config` asks for something only
+/// run_monte_carlo implements: the Sobol sampler, an importance shift, the
+/// control variate or a checkpoint file. The spatial and ABB engines call
+/// it at entry, so such a request fails loudly instead of silently
+/// returning plain pseudo-random dies. `engine` names the caller in the
+/// message.
+void require_plain_mc_config(const McConfig& config, const char* engine);
 
 /// A slot-indexed population under assembly. run_monte_carlo builds one
 /// locally; the distributed coordinator (src/dist/) assembles one from
@@ -255,7 +262,7 @@ struct McShardResult {
 /// deadline and health policy, and reports completed blocks through `sink`
 /// (when set) exactly as they would be checkpointed. Values are
 /// bit-identical to the same slots of a full run for any range cut, thread
-/// count, batch size, or engine.
+/// count, or batch size.
 McShardResult run_monte_carlo_shard(const Circuit& circuit,
                                     const CellLibrary& lib,
                                     const VariationModel& var,

@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
-#include "leakage/batch_leakage.hpp"
-#include "mc/batch.hpp"
-#include "netlist/flat_circuit.hpp"
-#include "sta/batch_delay.hpp"
-#include "sta/sta.hpp"
+#include "mc/arena.hpp"
 #include "util/error.hpp"
 #include "util/health.hpp"
 #include "util/parallel.hpp"
@@ -81,10 +76,8 @@ McResult run_monte_carlo_spatial(const Circuit& circuit,
   STATLEAK_CHECK(config.num_samples > 0, "need at least one sample");
   STATLEAK_CHECK(placement.size() == circuit.num_gates(),
                  "one placement point per gate");
+  require_plain_mc_config(config, "spatial Monte-Carlo");
   obs::ScopedTimer timer(obs, "mc.spatial_samples");
-
-  StaEngine sta(circuit, lib);
-  LeakageAnalyzer leakage(circuit, lib, model.base);
 
   const std::size_t n = circuit.num_gates();
   std::vector<int> regions(n);
@@ -99,6 +92,11 @@ McResult run_monte_carlo_spatial(const Circuit& circuit,
   result.leakage_na.assign(num_samples, 0.0);
 
   const int workers = resolve_num_threads(config.num_threads);
+  McArena arena;
+  arena.prepare(circuit, lib, workers, obs);
+  const BatchDelayKernel& delay_kernel = *arena.delay;
+  const BatchLeakageKernel& leak_kernel = *arena.leak;
+  const std::size_t block = resolve_batch_size(config.batch_size, n);
 
   // Fault-tolerance plumbing mirrors the flat run_monte_carlo: deadline
   // checks at block boundaries, health classification per sample, and a
@@ -110,125 +108,61 @@ McResult run_monte_carlo_spatial(const Circuit& circuit,
   using SlotRun = std::pair<std::size_t, std::size_t>;
   std::vector<std::vector<SlotRun>> computed_runs(
       static_cast<std::size_t>(workers));
-  const auto log_run = [&](int worker, std::size_t run_begin,
-                           std::size_t run_end) {
-    if (run_end > run_begin) {
-      computed_runs[static_cast<std::size_t>(worker)].emplace_back(run_begin,
-                                                                   run_end);
-    }
-  };
 
   // Same counter-based sharding as the flat run_monte_carlo: sample i owns
   // stream i and slot i, so output is bit-identical for any thread count
-  // (and, in the batched engine, for any batch size — lanes are just
-  // consecutive samples that never interact).
-  if (config.use_batched) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const FlatCircuit flat = FlatCircuit::build(circuit);
-    const BatchDelayKernel delay_kernel(flat, lib, sta.loads());
-    const BatchLeakageKernel leak_kernel(flat, lib);
-    const auto t1 = std::chrono::steady_clock::now();
-    if (obs != nullptr) {
-      obs->add("flat.build_ns",
-               static_cast<double>(
-                   std::chrono::duration_cast<std::chrono::nanoseconds>(
-                       t1 - t0)
-                       .count()));
-    }
-
-    const std::size_t block = resolve_batch_size(config.batch_size, n);
-    std::vector<BatchScratch> scratch_pool(
-        static_cast<std::size_t>(workers));
-
-    parallel_for(
-        config.num_threads, num_samples,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          obs::LocalCounter batches(obs, "mc.spatial_batches");
-          BatchScratch& sc = scratch_pool[static_cast<std::size_t>(worker)];
-          sc.resize(n, block);
-          SpatialDieSample die;  // region buffers reused across lanes
-          std::size_t covered = begin;
-          for (std::size_t s0 = begin; s0 < end; s0 += block) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            const std::size_t lanes = std::min(block, end - s0);
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-              Rng rng = Rng::stream(config.seed, s0 + lane);
-              sample_spatial_die(model, rng, die);
-              for (std::size_t id = 0; id < n; ++id) {
-                const ParamSample ps =
-                    sample_spatial_gate(model, die, regions[id], rng);
-                sc.dl[id * block + lane] = ps.dl_nm;
-                sc.dv[id * block + lane] = ps.dvth_v;
-              }
-            }
-            delay_kernel.critical_delay_block(
-                sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
-                nullptr, sc.arrival.data(), sc.delay_out.data());
-            leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
-                                    nullptr, sc.leak_out.data());
-            for (std::size_t lane = 0; lane < lanes; ++lane) {
-              result.delay_ps[s0 + lane] = sc.delay_out[lane];
-              result.leakage_na[s0 + lane] = sc.leak_out[lane];
-              if (fail_fast) {
-                const std::uint8_t cause = classify_health(
-                    sc.delay_out[lane], sc.leak_out[lane]);
-                if (cause != 0) {
-                  stop.store(true, std::memory_order_relaxed);
-                  throw_sample_health(s0 + lane, cause);
-                }
-              }
-            }
-            batches.add();
-            covered = s0 + lanes;
+  // and any batch size — lanes are just consecutive samples that never
+  // interact.
+  parallel_for(
+      config.num_threads, num_samples,
+      [&](std::size_t begin, std::size_t end, int worker) {
+        obs::LocalCounter batches(obs, "mc.spatial_batches");
+        BatchScratch& sc = arena.scratch[static_cast<std::size_t>(worker)];
+        sc.resize(n, block);
+        SpatialDieSample die;  // region buffers reused across lanes
+        std::size_t covered = begin;
+        for (std::size_t s0 = begin; s0 < end; s0 += block) {
+          if (stop.load(std::memory_order_relaxed)) break;
+          if (deadline.expired()) {
+            stop.store(true, std::memory_order_relaxed);
+            break;
           }
-          log_run(worker, begin, covered);
-        });
-  } else {
-    std::vector<std::vector<ParamSample>> sample_pool(
-        static_cast<std::size_t>(workers));
-    std::vector<std::vector<double>> scratch_pool(
-        static_cast<std::size_t>(workers));
-    parallel_for(
-        config.num_threads, num_samples,
-        [&](std::size_t begin, std::size_t end, int worker) {
-          std::vector<ParamSample>& samples =
-              sample_pool[static_cast<std::size_t>(worker)];
-          samples.resize(n);
-          std::vector<double>& scratch =
-              scratch_pool[static_cast<std::size_t>(worker)];
-          SpatialDieSample die;  // region buffers reused across samples
-          std::size_t covered = begin;
-          for (std::size_t s = begin; s < end; ++s) {
-            if (stop.load(std::memory_order_relaxed)) break;
-            if (deadline.expired()) {
-              stop.store(true, std::memory_order_relaxed);
-              break;
-            }
-            Rng rng = Rng::stream(config.seed, s);
+          const std::size_t lanes = std::min(block, end - s0);
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            Rng rng = Rng::stream(config.seed, s0 + lane);
             sample_spatial_die(model, rng, die);
             for (std::size_t id = 0; id < n; ++id) {
-              samples[id] = sample_spatial_gate(model, die, regions[id], rng);
+              const ParamSample ps =
+                  sample_spatial_gate(model, die, regions[id], rng);
+              sc.dl[id * block + lane] = ps.dl_nm;
+              sc.dv[id * block + lane] = ps.dvth_v;
             }
-            result.delay_ps[s] = sta.critical_delay_sample_ps(
-                samples, config.exact_delay, scratch);
-            result.leakage_na[s] = leakage.total_sample_na(samples);
+          }
+          delay_kernel.critical_delay_block(
+              sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
+              nullptr, sc.arrival.data(), sc.delay_out.data());
+          leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
+                                  nullptr, sc.leak_out.data());
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            result.delay_ps[s0 + lane] = sc.delay_out[lane];
+            result.leakage_na[s0 + lane] = sc.leak_out[lane];
             if (fail_fast) {
-              const std::uint8_t cause = classify_health(
-                  result.delay_ps[s], result.leakage_na[s]);
+              const std::uint8_t cause =
+                  classify_health(sc.delay_out[lane], sc.leak_out[lane]);
               if (cause != 0) {
                 stop.store(true, std::memory_order_relaxed);
-                throw_sample_health(s, cause);
+                throw_sample_health(s0 + lane, cause);
               }
             }
-            covered = s + 1;
           }
-          log_run(worker, begin, covered);
-        });
-  }
+          batches.add();
+          covered = s0 + lanes;
+        }
+        if (covered > begin) {
+          computed_runs[static_cast<std::size_t>(worker)].emplace_back(
+              begin, covered);
+        }
+      });
 
   // Serial finalize: done mask, health scan (quarantine policy), and
   // compaction of partial populations — same semantics as run_monte_carlo.

@@ -34,12 +34,15 @@ LeakageDistribution spatial_leakage_distribution(
     const SpatialVariationModel& model, const std::vector<Point>& placement);
 
 /// Monte-Carlo reference under the spatial model (same result shape as
-/// run_monte_carlo; sampling draws per-region shared components). Honours
-/// McConfig::use_batched/batch_size like the flat engine — batched output
-/// is bit-identical to the scalar path. With a registry attached, records
-/// the "mc.spatial_samples" phase time and the "mc.spatial_samples",
-/// "mc.spatial_batches" and "flat.build_ns" counters; sample values are
-/// unaffected.
+/// run_monte_carlo; sampling draws per-region shared components). Runs on
+/// the flat engine's gate-major kernels, so batch_size is a performance
+/// knob only: every sample is bit-identical to the scalar per-sample oracle
+/// in tests/mc_scalar_oracle.hpp. Honours seed, num_threads, deadline_ms,
+/// exact_delay and health_policy; a Sobol sampler, importance shift,
+/// control variate or checkpoint path throws statleak::Error. With a
+/// registry attached, records the "mc.spatial_samples" phase time and the
+/// "mc.spatial_samples", "mc.spatial_batches" and "flat.build_ns"
+/// counters; sample values are unaffected.
 McResult run_monte_carlo_spatial(const Circuit& circuit,
                                  const CellLibrary& lib,
                                  const SpatialVariationModel& model,

@@ -44,7 +44,7 @@ void BatchDelayKernel::block_impl(const double* dl, const double* dv,
   for (const GateId g : flat_->topo) {
     double* STATLEAK_RESTRICT arr_g = arrival + g * stride;
     if (flat_->is_input[g]) {
-      // Scalar path: no fanins, zero delay => arrival 0.0 exactly.
+      // Primary input: no fanins, zero delay => arrival 0.0 exactly.
       for (std::size_t s = 0; s < lanes; ++s) arr_g[s] = 0.0;
       continue;
     }
@@ -73,7 +73,7 @@ void BatchDelayKernel::block_impl(const double* dl, const double* dv,
         arr_g[s] += lib_->delay_ps(kind, vth, size, load, dl_g[s], dvv);
       }
     } else {
-      // Identical expression shape to the scalar engine:
+      // Identical expression shape to the scalar oracle:
       //   mult = 1.0 + sL*dL + sV*dVth;  d = nominal * max(0.05, mult).
       const double nom = nominal_ps_[g];
       const double sl = sl_[g];

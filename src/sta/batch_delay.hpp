@@ -9,13 +9,14 @@
 /// loop at construction time.
 ///
 /// Bit-identity contract: for every lane, the kernel performs the exact same
-/// IEEE-754 operation sequence as StaEngine::critical_delay_sample_ps — the
-/// arrival max runs over fanins in pin order, the first-order multiplier
-/// uses the identical expression shape, exact mode calls the same
-/// CellLibrary::delay_ps overload, and the output max runs over primary
-/// outputs in declaration order. Lanes never interact, so results are
-/// independent of the block size; tests/mc_batched_test.cpp pins this
-/// against the scalar engine bit-for-bit.
+/// IEEE-754 operation sequence as a one-sample PERT pass over the Circuit
+/// (the scalar oracle in tests/mc_scalar_oracle.hpp) — the arrival max runs
+/// over fanins in pin order, the first-order multiplier uses the identical
+/// expression shape, exact mode calls the same CellLibrary::delay_ps
+/// overload, and the output max runs over primary outputs in declaration
+/// order. Lanes never interact, so results are independent of the block
+/// size; tests/mc_batched_test.cpp pins this against the oracle
+/// bit-for-bit.
 ///
 /// The kernel snapshots one implementation point: it points at the
 /// FlatCircuit and copies the per-gate constants, so it must be rebuilt —
@@ -55,7 +56,7 @@ class BatchDelayKernel {
   /// stride doubles; `out[s]` receives lane s's critical delay [ps].
   /// `dvth_shift` (nullable) is a uniform dVth added to every gate's dv
   /// before evaluation — the ABB body-bias shift; pass nullptr for plain
-  /// Monte-Carlo so unshifted lanes reproduce the scalar path bit-for-bit
+  /// Monte-Carlo so unshifted lanes reproduce the oracle bit-for-bit
   /// without an `x + 0.0` rewrite.
   void critical_delay_block(const double* dl, const double* dv,
                             std::size_t stride, std::size_t lanes,

@@ -111,35 +111,6 @@ double StaEngine::critical_delay_ps() const {
   return worst;
 }
 
-double StaEngine::critical_delay_sample_ps(std::span<const ParamSample> samples,
-                                           bool exact_delay,
-                                           std::vector<double>& scratch) const {
-  const std::size_t n = circuit_.num_gates();
-  STATLEAK_CHECK(samples.size() == n, "one parameter sample per gate");
-  scratch.assign(n, 0.0);
-  for (GateId id : circuit_.topo_order()) {
-    const Gate& g = circuit_.gate(id);
-    double in_arr = 0.0;
-    for (GateId f : g.fanins) in_arr = std::max(in_arr, scratch[f]);
-    double d = 0.0;
-    if (g.kind != CellKind::kInput) {
-      if (exact_delay) {
-        d = lib_.delay_ps(g.kind, g.vth, g.size, loads_.load_ff(id),
-                          samples[id].dl_nm, samples[id].dvth_v);
-      } else {
-        const auto& s = lib_.sensitivities(g.vth);
-        const double mult = 1.0 + s.delay_sl_per_nm * samples[id].dl_nm +
-                            s.delay_sv_per_v * samples[id].dvth_v;
-        d = gate_delay_ps(id) * std::max(0.05, mult);
-      }
-    }
-    scratch[id] = in_arr + d;
-  }
-  double worst = 0.0;
-  for (GateId out : circuit_.outputs()) worst = std::max(worst, scratch[out]);
-  return worst;
-}
-
 std::vector<GateId> StaEngine::critical_path() const {
   const StaResult r = analyze(0.0);
   GateId cursor = kInvalidGate;

@@ -2,20 +2,19 @@
 /// \brief Deterministic static timing analysis.
 ///
 /// Classic PERT traversal over the gate DAG: arrival times forward, required
-/// times backward, slack per gate, critical-path extraction. Supports three
+/// times backward, slack per gate, critical-path extraction. Supports two
 /// evaluation modes:
 ///
 ///   * nominal       — library delays at zero variation,
 ///   * corner        — every gate shifted by the same k-sigma worst-case
 ///                     (dL, dVth) excursion (the guard-band baseline the
-///                     deterministic optimizer uses),
-///   * per-sample    — each gate gets its own (dL, dVth) draw; used by the
-///                     Monte-Carlo engine, in either first-order (linear
-///                     multiplier) or exact (alpha-power) delay mode.
+///                     deterministic optimizer uses).
+///
+/// Per-sample timing (each gate with its own (dL, dVth) draw) is the
+/// Monte-Carlo engine's job: see BatchDelayKernel (sta/batch_delay.hpp).
 
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "cells/library.hpp"
@@ -66,15 +65,6 @@ class StaEngine {
 
   /// Nominal critical delay only (no required/slack computation).
   double critical_delay_ps() const;
-
-  /// Critical delay under per-gate parameter samples. `samples[id]` is the
-  /// total (dL, dVth) of gate id. With `exact_delay` the alpha-power model
-  /// is re-evaluated per gate; otherwise the first-order multiplier
-  /// (1 + sL*dL + sV*dVth) is applied to the nominal delay. `scratch` is
-  /// caller-provided to avoid per-sample allocation in Monte-Carlo loops.
-  double critical_delay_sample_ps(std::span<const ParamSample> samples,
-                                  bool exact_delay,
-                                  std::vector<double>& scratch) const;
 
   /// Gates of the nominal critical path, input to output.
   std::vector<GateId> critical_path() const;

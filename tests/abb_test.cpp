@@ -137,6 +137,30 @@ TEST_F(AbbTest, PairedSamplesShareDraws) {
   }
 }
 
+TEST_F(AbbTest, RejectsConfigItIgnores) {
+  // The baseline is only paired with run_monte_carlo for pseudo-random
+  // draws, and the sweep writes no checkpoint: a Sobol, importance-shifted,
+  // control-variate or checkpointing request must fail, not be ignored.
+  const Circuit c = make_ripple_carry_adder(4);
+  const BodyBiasConfig abb;
+  McConfig plain;
+  plain.num_samples = 8;
+  EXPECT_NO_THROW((void)run_abb_experiment(c, lib_, var_, abb, plain, 1e9));
+
+  McConfig sobol = plain;
+  sobol.sampler = McSampler::kSobol;
+  McConfig shifted = plain;
+  shifted.is_shift = {0.0, -1.0};
+  McConfig cv = plain;
+  cv.control_variate = true;
+  McConfig ckpt = plain;
+  ckpt.checkpoint_path = "abb.ckpt";
+  for (const McConfig& cfg : {sobol, shifted, cv, ckpt}) {
+    EXPECT_THROW((void)run_abb_experiment(c, lib_, var_, abb, cfg, 1e9),
+                 Error);
+  }
+}
+
 // -------------------------------------------------------------- impl IO ----
 
 TEST(ImplIo, RoundTrip) {

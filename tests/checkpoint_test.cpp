@@ -339,9 +339,11 @@ TEST_F(CheckpointTest, ConfigHashCoversSamplerAndImportanceShift) {
 TEST_F(CheckpointTest, KillResumeBitIdenticalAcrossEnginesAndThreads) {
   // The tentpole guarantee. Reference: one uninterrupted run. Then, for
   // three cut points, rebuild a partial checkpoint holding only the slots
-  // "finished before the kill" and resume it under every engine x thread
-  // combination. Counter-based sample streams make the merged population
-  // bitwise equal to the reference, whatever the cut.
+  // "finished before the kill" and resume it under every block size x
+  // thread combination — one-sample blocks honour restored slots one at a
+  // time, auto-sized blocks recompute partially restored ones whole.
+  // Counter-based sample streams make the merged population bitwise equal
+  // to the reference, whatever the cut.
   TempFile scratch("ckpt_hash_probe.bin");
   const std::uint64_t hash = reference_hash(scratch.path());
 
@@ -353,7 +355,7 @@ TEST_F(CheckpointTest, KillResumeBitIdenticalAcrossEnginesAndThreads) {
   TempFile partial("ckpt_partial.bin");
   for (const std::size_t cut : {std::size_t{1}, std::size_t{150},
                                 std::size_t{399}}) {
-    for (const bool batched : {true, false}) {
+    for (const int batch : {0, 1}) {
       for (const int threads : {1, 2, 8}) {
         {
           // The "killed" producer: committed [0, cut) plus a detached run
@@ -372,7 +374,7 @@ TEST_F(CheckpointTest, KillResumeBitIdenticalAcrossEnginesAndThreads) {
         }
         McConfig resume_cfg = cfg;
         resume_cfg.checkpoint_path = partial.path();
-        resume_cfg.use_batched = batched;
+        resume_cfg.batch_size = batch;
         resume_cfg.num_threads = threads;
         resume_cfg.checkpoint_every = 64;
         const McResult res =
@@ -383,10 +385,10 @@ TEST_F(CheckpointTest, KillResumeBitIdenticalAcrossEnginesAndThreads) {
         ASSERT_EQ(res.delay_ps.size(), n);
         for (std::size_t i = 0; i < n; ++i) {
           ASSERT_EQ(ref.delay_ps[i], res.delay_ps[i])
-              << "cut " << cut << " batched " << batched << " threads "
+              << "cut " << cut << " batch " << batch << " threads "
               << threads << " sample " << i;
           ASSERT_EQ(ref.leakage_na[i], res.leakage_na[i])
-              << "cut " << cut << " batched " << batched << " threads "
+              << "cut " << cut << " batch " << batch << " threads "
               << threads << " sample " << i;
         }
 
@@ -394,7 +396,7 @@ TEST_F(CheckpointTest, KillResumeBitIdenticalAcrossEnginesAndThreads) {
         const CheckpointData final_state =
             load_checkpoint(partial.path(), hash, n);
         EXPECT_EQ(final_state.done_count, n)
-            << "cut " << cut << " batched " << batched << " threads "
+            << "cut " << cut << " batch " << batch << " threads "
             << threads;
       }
     }
@@ -449,14 +451,14 @@ TEST_F(CheckpointTest, PoisonedCheckpointQuarantinesOrFails) {
     w->append(0, delay, leak);
   };
 
-  // Scalar engine: restored slots are honoured individually, so the
-  // poisoned value survives to the finalize health scan. (The batched
-  // engine recomputes partially restored blocks whole, which would *heal*
-  // this artificial NaN — a genuinely non-finite sample reproduces either
-  // way, since recomputation is bit-identical.)
+  // One-sample blocks: restored slots are honoured individually, so the
+  // poisoned value survives to the finalize health scan. (Larger blocks
+  // recompute partially restored blocks whole, which would *heal* this
+  // artificial NaN — a genuinely non-finite sample reproduces either way,
+  // since recomputation is bit-identical.)
   write_poisoned();
   McConfig quarantine_cfg = cfg;
-  quarantine_cfg.use_batched = false;
+  quarantine_cfg.batch_size = 1;
   quarantine_cfg.checkpoint_path = f.path();
   quarantine_cfg.health_policy = HealthPolicy::kQuarantine;
   const McResult res = run_monte_carlo(circuit_, lib_, var_, quarantine_cfg);
@@ -473,7 +475,7 @@ TEST_F(CheckpointTest, PoisonedCheckpointQuarantinesOrFails) {
 
   write_poisoned();
   McConfig fail_cfg = cfg;
-  fail_cfg.use_batched = false;
+  fail_cfg.batch_size = 1;
   fail_cfg.checkpoint_path = f.path();
   EXPECT_THROW((void)run_monte_carlo(circuit_, lib_, var_, fail_cfg),
                NumericalError);

@@ -215,6 +215,25 @@ TEST(ProtocolTest, SetupRoundTripPreservesTheStudy) {
   EXPECT_TRUE(out.mc.checkpoint_path.empty());
 }
 
+TEST(ProtocolTest, SetupFromAnotherProtocolVersionIsRejected) {
+  // A v2 coordinator still sends use_batched; a v3 worker must refuse the
+  // whole study instead of guessing at fields.
+  dist::WorkerSetup setup;
+  setup.mc.num_samples = 16;
+  obs::Json msg = dist::setup_message(setup);
+  EXPECT_NO_THROW((void)dist::parse_setup(msg));
+  msg.set("protocol", 2);
+  EXPECT_THROW((void)dist::parse_setup(msg), dist::DistError);
+}
+
+TEST(ProtocolTest, SetupCarriesNoEngineSwitch) {
+  // v3 retired the scalar Monte-Carlo engine and its use_batched switch.
+  EXPECT_EQ(dist::kProtocolVersion, 3);
+  const obs::Json msg = dist::setup_message(dist::WorkerSetup{});
+  EXPECT_FALSE(msg.at("mc").contains("use_batched"));
+  EXPECT_TRUE(msg.at("mc").contains("batch"));
+}
+
 TEST(ProtocolTest, ControlMessageTypes) {
   EXPECT_EQ(dist::message_type(dist::hello_message()), "hello");
   EXPECT_EQ(dist::message_type(dist::stop_message()), "stop");

@@ -21,6 +21,7 @@
 #include "mc/checkpoint.hpp"
 #include "mc/estimator.hpp"
 #include "mc/monte_carlo.hpp"
+#include "mc_scalar_oracle.hpp"
 #include "tech/process.hpp"
 #include "util/error.hpp"
 #include "util/normal.hpp"
@@ -192,9 +193,9 @@ TEST_F(EstimatorTest, ShiftOnZeroSigmaSourceIsRejected) {
 }
 
 // --- determinism contract ---------------------------------------------------
-// Mirrors mc_batched_test's matrix for the new modes: the scalar reference
-// must be reproduced bit-for-bit by the batched engine for every batch
-// size x thread count, including the recomputed weights.
+// Mirrors mc_batched_test's matrix for the new modes: the scalar oracle
+// (mc_scalar_oracle.hpp) must be reproduced bit-for-bit by the engine for
+// every batch size x thread count, including the recomputed weights.
 
 constexpr int kBatches[] = {1, 7, 64, 0};  // 0 = auto
 constexpr int kThreads[] = {1, 2, 8};
@@ -212,11 +213,8 @@ TEST_P(EstimatorInvarianceTest, SobolBitIdenticalAcrossBatchAndThreads) {
   cfg.num_samples = 64;
   cfg.seed = 17;
   cfg.sampler = McSampler::kSobol;
-  cfg.num_threads = 1;
-  cfg.use_batched = false;
-  const McResult ref = run_monte_carlo(c, lib_, var_, cfg);
+  const McResult ref = oracle::run_monte_carlo(c, lib_, var_, cfg);
 
-  cfg.use_batched = true;
   for (const int batch : kBatches) {
     for (const int threads : kThreads) {
       cfg.batch_size = batch;
@@ -237,12 +235,9 @@ TEST_P(EstimatorInvarianceTest,
   cfg.num_samples = 64;
   cfg.seed = 17;
   cfg.is_shift = {1.5, -0.5};
-  cfg.num_threads = 1;
-  cfg.use_batched = false;
-  const McResult ref = run_monte_carlo(c, lib_, var_, cfg);
+  const McResult ref = oracle::run_monte_carlo(c, lib_, var_, cfg);
   ASSERT_EQ(ref.weights.size(), ref.delay_ps.size());
 
-  cfg.use_batched = true;
   for (const int batch : kBatches) {
     for (const int threads : kThreads) {
       cfg.batch_size = batch;

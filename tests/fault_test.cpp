@@ -107,14 +107,15 @@ TEST_F(FaultTest, NanDeviateQuarantinedAndExcised) {
 
 TEST_F(FaultTest, QuarantineIdenticalAcrossEngines) {
   // The same injected fault quarantines the same slot and leaves the same
-  // survivors whichever engine evaluates the population.
+  // survivors whether the population is evaluated in auto-sized blocks or
+  // one sample at a time.
   McConfig cfg = base_config();
   cfg.health_policy = HealthPolicy::kQuarantine;
 
   fault::arm(fault::Point::kNanDeviate, 42, /*count=*/-1);
-  cfg.use_batched = true;
+  cfg.batch_size = 0;
   const McResult batched = run_monte_carlo(circuit_, lib_, var_, cfg);
-  cfg.use_batched = false;
+  cfg.batch_size = 1;
   const McResult scalar = run_monte_carlo(circuit_, lib_, var_, cfg);
 
   ASSERT_EQ(batched.quarantined.size(), 1u);

@@ -1,10 +1,10 @@
 // Differential harness for the batched SoA Monte-Carlo engine (in the
-// style of ssta_incremental_test.cpp): the gate-major batched path must
-// reproduce the scalar per-sample path BIT-FOR-BIT — delay and leakage,
-// for every tested (batch_size, num_threads) combination, on the plain,
-// spatial and ABB engines, in first-order and exact delay modes. The
-// comparison uses the raw IEEE-754 bit patterns, so even a sign-of-zero or
-// ulp-level divergence fails.
+// style of ssta_incremental_test.cpp): the gate-major engine must
+// reproduce the scalar per-sample oracle (mc_scalar_oracle.hpp)
+// BIT-FOR-BIT — delay and leakage, for every tested (batch_size,
+// num_threads) combination, on the plain, spatial and ABB entry points, in
+// first-order and exact delay modes. The comparison uses the raw IEEE-754
+// bit patterns, so even a sign-of-zero or ulp-level divergence fails.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +15,7 @@
 #include "abb/abb.hpp"
 #include "gen/proxy.hpp"
 #include "mc/monte_carlo.hpp"
+#include "mc_scalar_oracle.hpp"
 #include "spatial/spatial_analysis.hpp"
 #include "spatial/placement.hpp"
 #include "tech/process.hpp"
@@ -51,10 +52,8 @@ TEST_P(McBatchedTest, BitIdenticalToScalarAcrossBatchAndThreads) {
   cfg.num_samples = 64;
   cfg.seed = 17;
   cfg.num_threads = 1;
-  cfg.use_batched = false;
-  const McResult ref = run_monte_carlo(c, lib_, var_, cfg);
+  const McResult ref = oracle::run_monte_carlo(c, lib_, var_, cfg);
 
-  cfg.use_batched = true;
   for (const int batch : kBatches) {
     for (const int threads : kThreads) {
       cfg.batch_size = batch;
@@ -87,10 +86,8 @@ TEST_F(McBatchedModesTest, ExactDelayModeBitIdentical) {
   cfg.seed = 23;
   cfg.exact_delay = true;
   cfg.num_threads = 1;
-  cfg.use_batched = false;
-  const McResult ref = run_monte_carlo(c, lib_, var_, cfg);
+  const McResult ref = oracle::run_monte_carlo(c, lib_, var_, cfg);
 
-  cfg.use_batched = true;
   for (const int batch : {1, 7, 0}) {
     for (const int threads : {1, 2}) {
       cfg.batch_size = batch;
@@ -114,10 +111,8 @@ TEST_F(McBatchedModesTest, PelgromScalingBitIdentical) {
   cfg.num_samples = 32;
   cfg.seed = 29;
   cfg.num_threads = 1;
-  cfg.use_batched = false;
-  const McResult ref = run_monte_carlo(c, lib_, var, cfg);
+  const McResult ref = oracle::run_monte_carlo(c, lib_, var, cfg);
 
-  cfg.use_batched = true;
   for (const int batch : {1, 7, 0}) {
     cfg.batch_size = batch;
     const McResult got = run_monte_carlo(c, lib_, var, cfg);
@@ -137,11 +132,9 @@ TEST_F(McBatchedModesTest, SpatialEngineBitIdentical) {
   cfg.num_samples = 48;
   cfg.seed = 31;
   cfg.num_threads = 1;
-  cfg.use_batched = false;
   const McResult ref =
-      run_monte_carlo_spatial(c, lib_, model, placement, cfg);
+      oracle::run_monte_carlo_spatial(c, lib_, model, placement, cfg);
 
-  cfg.use_batched = true;
   for (const int batch : kBatches) {
     for (const int threads : kThreads) {
       cfg.batch_size = batch;
@@ -166,10 +159,9 @@ TEST_F(McBatchedModesTest, AbbExperimentBitIdentical) {
   cfg.num_samples = 24;
   cfg.seed = 37;
   cfg.num_threads = 1;
-  cfg.use_batched = false;
-  const AbbResult ref = run_abb_experiment(c, lib_, var_, abb, cfg, t_max);
+  const AbbResult ref =
+      oracle::run_abb_experiment(c, lib_, var_, abb, cfg, t_max);
 
-  cfg.use_batched = true;
   for (const int batch : {1, 7, 0}) {
     for (const int threads : {1, 2}) {
       cfg.batch_size = batch;
@@ -198,10 +190,8 @@ TEST_F(McBatchedModesTest, LargeProxyBitIdentical) {
   cfg.num_samples = 16;
   cfg.seed = 41;
   cfg.num_threads = 1;
-  cfg.use_batched = false;
-  const McResult ref = run_monte_carlo(c, lib_, var_, cfg);
+  const McResult ref = oracle::run_monte_carlo(c, lib_, var_, cfg);
 
-  cfg.use_batched = true;
   cfg.batch_size = 0;  // auto
   const McResult got = run_monte_carlo(c, lib_, var_, cfg);
   expect_bitwise_equal(ref.delay_ps, got.delay_ps, "c7552p delay", 0, 1);

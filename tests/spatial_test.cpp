@@ -259,6 +259,31 @@ TEST_F(SpatialEngineTest, LeakageTracksSpatialMonteCarlo) {
               0.10 * quantile(res.leakage_na, 0.99));
 }
 
+TEST_F(SpatialEngineTest, MonteCarloRejectsConfigItIgnores) {
+  // The spatial sampler draws plain pseudo-random dies and writes no
+  // checkpoint; asking for anything else must fail rather than be ignored.
+  const Circuit c = make_ripple_carry_adder(4);
+  const auto placement = make_topological_placement(c, 2);
+  McConfig plain;
+  plain.num_samples = 8;
+  EXPECT_NO_THROW(
+      (void)run_monte_carlo_spatial(c, lib_, model_, placement, plain));
+
+  McConfig sobol = plain;
+  sobol.sampler = McSampler::kSobol;
+  McConfig shifted = plain;
+  shifted.is_shift = {1.0, 0.0};
+  McConfig cv = plain;
+  cv.control_variate = true;
+  McConfig ckpt = plain;
+  ckpt.checkpoint_path = "spatial.ckpt";
+  for (const McConfig& cfg : {sobol, shifted, cv, ckpt}) {
+    EXPECT_THROW(
+        (void)run_monte_carlo_spatial(c, lib_, model_, placement, cfg),
+        Error);
+  }
+}
+
 TEST_F(SpatialEngineTest, FlatLeakageModelUnderestimatesSpatialVariance) {
   // The ablation claim: feeding spatially correlated silicon to the flat
   // analyzer underestimates the total-leakage spread.

@@ -8,6 +8,7 @@
 
 #include "gen/arithmetic.hpp"
 #include "gen/random_dag.hpp"
+#include "mc_scalar_oracle.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 #include "util/error.hpp"
@@ -128,33 +129,42 @@ TEST_F(StaTest, ZeroCornerEqualsNominal) {
               sta.critical_delay_ps(), 1e-9);
 }
 
+// The per-sample modes live in the Monte-Carlo test oracle
+// (mc_scalar_oracle.hpp), the scalar reference of the batched MC kernels.
+
 TEST_F(StaTest, SampleModeZeroEqualsNominal) {
   const Circuit c = make_chain(5);
   const StaEngine sta(c, lib_);
   std::vector<ParamSample> samples(c.num_gates());
   std::vector<double> scratch;
-  EXPECT_NEAR(sta.critical_delay_sample_ps(samples, false, scratch),
+  EXPECT_NEAR(oracle::critical_delay_sample_ps(c, lib_, sta.loads(), samples,
+                                               false, scratch),
               sta.critical_delay_ps(), 1e-9);
-  EXPECT_NEAR(sta.critical_delay_sample_ps(samples, true, scratch),
+  EXPECT_NEAR(oracle::critical_delay_sample_ps(c, lib_, sta.loads(), samples,
+                                               true, scratch),
               sta.critical_delay_ps(), 1e-9);
 }
 
 TEST_F(StaTest, LinearAndExactSampleModesAgreeForSmallSigma) {
   const Circuit c = make_chain(8);
-  const StaEngine sta(c, lib_);
+  const LoadCache loads(c, lib_);
   std::vector<ParamSample> samples(c.num_gates(), ParamSample{0.8, 0.004});
   std::vector<double> scratch;
-  const double lin = sta.critical_delay_sample_ps(samples, false, scratch);
-  const double exact = sta.critical_delay_sample_ps(samples, true, scratch);
+  const double lin =
+      oracle::critical_delay_sample_ps(c, lib_, loads, samples, false, scratch);
+  const double exact =
+      oracle::critical_delay_sample_ps(c, lib_, loads, samples, true, scratch);
   EXPECT_NEAR(lin, exact, 0.02 * exact);
 }
 
 TEST_F(StaTest, SampleSizeMismatchThrows) {
   const Circuit c = make_chain(3);
-  const StaEngine sta(c, lib_);
+  const LoadCache loads(c, lib_);
   std::vector<ParamSample> samples(2);
   std::vector<double> scratch;
-  EXPECT_THROW(sta.critical_delay_sample_ps(samples, false, scratch), Error);
+  EXPECT_THROW(oracle::critical_delay_sample_ps(c, lib_, loads, samples, false,
+                                                scratch),
+               Error);
 }
 
 TEST_F(StaTest, IncrementalLoadsMatchRebuild) {

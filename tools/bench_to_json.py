@@ -7,8 +7,9 @@ Default mode reads the Google Benchmark JSON emitted by
         --benchmark_format=json
 
 from a file (or stdin) and distills the Monte-Carlo throughput series into
-samples/sec per (circuit, engine), plus the batched/scalar speedup per
-circuit.  When the run used --benchmark_repetitions, the median aggregate is
+samples/sec per (circuit, engine).  Current runs only measure the batched
+engine; raw files that also carry the retired scalar engine additionally
+get the batched/scalar speedup per circuit.  When the run used --benchmark_repetitions, the median aggregate is
 preferred; otherwise the median over the plain iteration entries is taken.
 
 With --estimators the input is instead the JSON document printed by
@@ -49,8 +50,10 @@ import sys
 
 
 def _engine_of(entry: dict) -> str:
-    # The benchmark exports a "batched" counter: 1 = batched SoA engine,
-    # 0 = scalar per-sample reference.
+    # The benchmark exports a "batched" counter, always 1 now that the
+    # batched SoA engine is the only MC engine. Raw files recorded while
+    # the scalar per-sample engine still existed carry 0 for its entries;
+    # they are filed under "scalar" so such inputs still distill.
     return "batched" if entry.get("batched", 0.0) > 0.5 else "scalar"
 
 
