@@ -27,15 +27,35 @@
 ///     penalties of every fanout of those drivers (the drivers' loads and
 ///     delays feed them).
 ///
-/// analyze() is a full pass over the cached delays with the max/min/slack
-/// expressions of StaEngine::analyze_impl, on the FlatCircuit CSR arrays
-/// and reused buffers, so its arrivals, required times and slacks equal
-/// StaEngine::analyze_corner() bit for bit (pinned by corner_timer_test).
-/// critical_delay_ps() is the forward half alone.
+/// analyze() and critical_delay_ps() are incremental, like FlatSstaEngine:
+///
+///   - every gate whose current delay a mutator invalidates is recorded as
+///     pending;
+///   - the forward walk rebuilds the pending delays, then recomputes
+///     arrivals level bucket by level bucket from those gates, following
+///     fanouts only where a recomputed arrival differs bitwise from the
+///     cached one;
+///   - the backward walk (analyze() only) re-mins the required times of the
+///     fanin drivers of every gate whose delay was invalidated since the
+///     last analyze(), walking fanin cones down the levels with the same
+///     bitwise cutoff;
+///   - slack is refreshed only for gates whose arrival or required time
+///     moved since the last analyze(), forward-only walks included.
+///
+/// Construction seeds every cell into the forward walk, and an analyze()
+/// whose target differs from the previous one seeds every gate into the
+/// backward walk, so a full pass is the same walk with every gate dirty.
+/// Each recomputed value uses the max/min/slack expression of
+/// StaEngine::analyze_impl on the FlatCircuit CSR arrays; max and min of
+/// finite values are exact, so the visiting order does not matter and the
+/// arrivals, required times and slacks equal StaEngine::analyze_corner()
+/// bit for bit (pinned by corner_timer_test).
 ///
 /// A non-finite current delay raises NumericalError when it is computed:
 /// the max/min passes would otherwise drop a NaN and return a plausible
-/// slack.
+/// slack. The gate stays pending, so the next query throws again. A NaN or
+/// -inf target raises NumericalError too and leaves the backward walk
+/// unprimed.
 
 #pragma once
 
@@ -70,10 +90,11 @@ class CornerTimer {
   std::size_t step(GateId id) const { return step_[id]; }
 
   // ------------------------------------------------------------ queries --
-  /// Full corner pass against `t_max_ps`. The reference stays valid until
-  /// the next analyze() or critical_delay_ps() call.
+  /// Corner timing against `t_max_ps`: arrivals, required times and
+  /// slacks. The reference stays valid until the next analyze() or
+  /// critical_delay_ps() call.
   const StaResult& analyze(double t_max_ps);
-  /// Forward pass only: the corner critical delay.
+  /// Forward walk only: the corner critical delay.
   double critical_delay_ps();
 
   /// Current corner delay of gate `id` (0 for primary inputs).
@@ -91,10 +112,13 @@ class CornerTimer {
   /// step up. Requires step(id) + 1 < number of size steps.
   double upsize_penalty_ps(GateId id);
 
-  /// Passes run (full and forward-only) and library delay evaluations made
-  /// since construction.
+  /// Since construction: queries answered (analyze() and
+  /// critical_delay_ps() calls), library delay evaluations made, and gates
+  /// whose arrival or required time a walk recomputed.
   std::uint64_t sta_passes() const { return sta_passes_; }
   std::uint64_t delay_evals() const { return delay_evals_; }
+  std::uint64_t arrival_updates() const { return arrival_updates_; }
+  std::uint64_t required_updates() const { return required_updates_; }
 
  private:
   // The current delays are read by every pass, so they get their own
@@ -113,12 +137,20 @@ class CornerTimer {
   static constexpr unsigned char kPenalty = 16;
   static constexpr unsigned char kDelays = kNow | kUp | kHvt | kDown;
 
-  void invalidate(GateId id, unsigned char bits) {
-    if (flat_.is_input[id] == 0) stale_[id] |= bits;
-  }
+  // Walk bits per gate: in pending_, in delay_moved_, in slack_dirty_, and
+  // queued in a walk bucket.
+  static constexpr unsigned char kPending = 1;
+  static constexpr unsigned char kDelayMoved = 2;
+  static constexpr unsigned char kSlackDirty = 4;
+  static constexpr unsigned char kQueued = 8;
+
+  void invalidate(GateId id, unsigned char bits);
+  void push_once(std::vector<GateId>& list, GateId id, unsigned char bit);
+  void enqueue(GateId id);
   double eval(GateId id, Vth vth, double size, double load_ff);
   double rebuild_now(GateId id);
   void forward();
+  void backward(double t_max_ps);
 
   Circuit& circuit_;
   const CellLibrary& lib_;
@@ -133,8 +165,27 @@ class CornerTimer {
   std::vector<unsigned char> stale_;
   StaResult result_;
 
+  std::vector<std::uint32_t> level_;
+  std::vector<char> is_output_;
+  /// Required times before StaEngine's +inf -> t_max clamp: what the
+  /// backward walk propagates. result_.required_ps holds the clamped ones.
+  std::vector<double> req_raw_;
+  std::vector<unsigned char> mark_;
+  /// Delay invalidated since the last forward walk.
+  std::vector<GateId> pending_;
+  /// Delay invalidated since the last backward walk: the fanins of these
+  /// gates seed it.
+  std::vector<GateId> delay_moved_;
+  /// Arrival or required time moved since the last slack refresh.
+  std::vector<GateId> slack_dirty_;
+  std::vector<std::vector<GateId>> buckets_;  ///< walk scratch, by level
+  bool backward_primed_ = false;
+  double backward_target_ps_ = 0.0;
+
   std::uint64_t sta_passes_ = 0;
   std::uint64_t delay_evals_ = 0;
+  std::uint64_t arrival_updates_ = 0;
+  std::uint64_t required_updates_ = 0;
 };
 
 }  // namespace statleak

@@ -263,6 +263,10 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
     obs->set_gauge("det.feasible", result.feasible ? 1.0 : 0.0);
     obs->add("det.sta_passes", static_cast<double>(sta.sta_passes()));
     obs->add("det.delay_evals", static_cast<double>(sta.delay_evals()));
+    obs->add("det.arrival_updates",
+             static_cast<double>(sta.arrival_updates()));
+    obs->add("det.required_updates",
+             static_cast<double>(sta.required_updates()));
     obs->set_gauge("det.final_corner_delay_ps", sta.critical_delay_ps());
   }
   return result;

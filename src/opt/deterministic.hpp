@@ -13,9 +13,10 @@
 ///     leakage-saving-per-slack-consumed move is committed until none fits.
 ///
 /// Both phases time on a CornerTimer (opt/corner_timer.hpp), which caches
-/// every gate's corner delays and re-evaluates a library delay only when
-/// one of its inputs changed; the trajectory is the same as re-timing the
-/// whole circuit every iteration, bit for bit.
+/// every gate's corner delays, re-evaluates a library delay only when one
+/// of its inputs changed, and re-times only the cones of the delays that
+/// changed; the trajectory is the same as re-timing the whole circuit every
+/// iteration, bit for bit.
 ///
 /// Everything here is evaluated at the chosen corner. What happens to this
 /// solution *under the real process distribution* — the yield loss and
@@ -42,8 +43,9 @@ class DeterministicOptimizer {
   ///
   /// With an observability registry attached the run records phase wall
   /// times ("det.sizing" / "det.assign"), commit/rejection counters under
-  /// "det.*", the timer's work ("det.sta_passes", "det.delay_evals"; added
-  /// once per run), and one "det" trace event per loop iteration (exactly
+  /// "det.*", the timer's work ("det.sta_passes", "det.delay_evals",
+  /// "det.arrival_updates", "det.required_updates"; added once per run),
+  /// and one "det" trace event per loop iteration (exactly
   /// OptResult::iterations events; the yield field stays 0 — a corner flow
   /// has no yield model). Results are bit-identical with and without a
   /// registry attached.

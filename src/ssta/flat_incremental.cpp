@@ -50,7 +50,7 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
   out_prefix_.assign(m, Canonical{});
   out_tight_.assign(m, 1.0);
   sink_weights_.assign(m, 0.0);
-  trial_log_cap_ = n / 8 + 1024;
+  trial_log_cap_ = std::max<std::size_t>(n / 8 + 1024, 16384);
 }
 
 Canonical FlatSstaEngine::gate_delay(GateId id) const {

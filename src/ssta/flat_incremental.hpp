@@ -96,11 +96,12 @@ class FlatSstaEngine {
   /// more arrivals than the cap stops logging and marks its baseline lost:
   /// a rollback then reprimes with a full pass (bit-identical to the
   /// incremental state) instead of restoring entry by entry.
-  /// Cones that large cover a constant fraction of the circuit, so the
-  /// full pass costs the same order as the logged restore it replaces —
-  /// while commit-heavy phases stop paying the log tax on huge cones
-  /// entirely. Default max(n/8 + 1024); the setter exists for tests, which
-  /// shrink it to force the lost-baseline path on small circuits.
+  /// The full pass is far dearer than the restore it replaces (a Clark MAX
+  /// with erfc/exp per gate against a copy per logged entry), so the cap
+  /// only bounds the log tax commit-heavy phases pay on huge cones. Default
+  /// max(n/8 + 1024, 16384): about 1 MiB of undo, so circuits up to that
+  /// many gates always restore from the log. The setter exists for tests,
+  /// which shrink it to force the lost-baseline path on small circuits.
   void set_trial_log_cap(std::size_t cap) { trial_log_cap_ = cap; }
   std::size_t trial_log_cap() const { return trial_log_cap_; }
 

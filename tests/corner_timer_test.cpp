@@ -6,9 +6,12 @@
 // resize/Vth move, and runs its STA over the cache. The reference here is
 // recomputation from scratch: a fresh StaEngine::analyze_corner() for
 // arrivals, required times and slacks, and direct CellLibrary::delay_ps()
-// calls on fresh loads for every cached value. After every move of a random
+// calls on fresh loads for every cached value. After every step of a random
 // walk, every gate's cached values must match the reference bit for bit, so
-// a missing invalidation shows up as a stale entry on the next check.
+// a missing invalidation shows up as a stale entry on the next check. The
+// timer's STA is a dirty-cone walk, so the steps mix the query patterns of
+// the sizer: forward-only queries between analyze() calls, alternating
+// targets, try-query-undo rejects and a snapshot-restore burst.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
@@ -120,15 +124,22 @@ TEST_P(CornerTimerWalk, CachedTimingMatchesFreshAnalysisAfterEveryMove) {
   const double t_max =
       0.98 * StaEngine(c, lib_).analyze_corner(0.0, var_, kCornerK)
                  .critical_delay_ps;
+  // The sizer alternates targets: boosted phase-1 rounds time against a
+  // shrunken one, phase 2 against t_max. A repeated target takes the
+  // incremental backward walk, a changed one reseeds it.
+  const double targets[] = {t_max, 0.97 * t_max};
   ASSERT_NO_FATAL_FAILURE(check(timer, c, t_max));
 
   const auto steps = lib_.size_steps();
   Rng rng(0xC0FFEE);
-  for (int move = 0; move < 150; ++move) {
+  const auto random_cell = [&]() {
     GateId id = 0;
     do {
       id = static_cast<GateId>(rng.uniform_index(c.num_gates()));
     } while (c.gate(id).kind == CellKind::kInput);
+    return id;
+  };
+  const auto random_move = [&](GateId id) {
     const std::size_t step = timer.step(id);
     switch (rng.uniform_index(4)) {
       case 0:  // one step up (or down at the top of the grid)
@@ -145,9 +156,61 @@ TEST_P(CornerTimerWalk, CachedTimingMatchesFreshAnalysisAfterEveryMove) {
                       c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
         break;
     }
+  };
+  // Forward-only query, as the sizer makes after every tentative upsize.
+  const auto check_forward = [&]() {
+    const double want = StaEngine(c, lib_)
+                            .analyze_corner(t_max, var_, kCornerK)
+                            .critical_delay_ps;
+    ASSERT_TRUE(same_bits(timer.critical_delay_ps(), want));
+  };
+
+  for (int move = 0; move < 150; ++move) {
+    const GateId id = random_cell();
     SCOPED_TRACE("move " + std::to_string(move) + " on gate " +
                  std::to_string(id));
-    ASSERT_NO_FATAL_FAILURE(check(timer, c, t_max));
+    switch (rng.uniform_index(3)) {
+      case 0:  // committed move
+        random_move(id);
+        break;
+      case 1:  // move, forward-only query, then a second move
+        random_move(id);
+        ASSERT_NO_FATAL_FAILURE(check_forward());
+        random_move(random_cell());
+        break;
+      default: {  // the sizer's reject path: try, query, undo
+        const std::size_t step = timer.step(id);
+        const Vth vth = c.gate(id).vth;
+        random_move(id);
+        ASSERT_NO_FATAL_FAILURE(check_forward());
+        timer.set_size_step(id, step);
+        timer.set_vth(id, vth);
+        break;
+      }
+    }
+    if (move % 50 == 49) {
+      // Snapshot-restore burst: explore with forward-only queries, then
+      // diff back gate by gate, as the sizer's boost loop does.
+      std::vector<std::size_t> saved_steps;
+      std::vector<Vth> saved_vths;
+      for (GateId g = 0; g < c.num_gates(); ++g) {
+        saved_steps.push_back(timer.step(g));
+        saved_vths.push_back(c.gate(g).vth);
+      }
+      for (int k = 0; k < 12; ++k) {
+        random_move(random_cell());
+        ASSERT_NO_FATAL_FAILURE(check_forward());
+      }
+      ASSERT_NO_FATAL_FAILURE(check(timer, c, targets[1]));
+      for (GateId g = 0; g < c.num_gates(); ++g) {
+        if (timer.step(g) != saved_steps[g]) {
+          timer.set_size_step(g, saved_steps[g]);
+        }
+        if (c.gate(g).vth != saved_vths[g]) timer.set_vth(g, saved_vths[g]);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        check(timer, c, targets[rng.uniform_index(2)]));
   }
 }
 

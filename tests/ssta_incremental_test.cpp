@@ -17,8 +17,10 @@
 #include <string>
 #include <vector>
 
+#include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
 #include "leakage/leakage.hpp"
+#include "obs/registry.hpp"
 #include "ssta/flat_incremental.hpp"
 #include "ssta/ssta.hpp"
 #include "tech/process.hpp"
@@ -269,6 +271,48 @@ TEST_F(SstaIncrementalTest, PendingDirtFromBeforeTheTrialSurvivesRollback) {
   c.set_vth(cells[2], saved.vth);
 
   ASSERT_TRUE(states_match(c, lib_, var_, inc, leak));
+}
+
+/// On a circuit of a few thousand gates every rejected trial restores from
+/// the undo log at the default cap: the one full pass is the priming one.
+/// Upsizing a gate near the inputs to the top of the grid retimes most of
+/// its fanout cone, so several of these trials log more arrivals than an
+/// n/8 + 1024 cap would allow.
+TEST_F(SstaIncrementalTest, RejectHeavyWalkAtDefaultCapNeverReprimes) {
+  Circuit c = iscas85_proxy("c3540p");
+  FlatSstaEngine inc(c, lib_, var_);
+  LeakageAnalyzer leak(c, lib_, var_);
+  obs::Registry reg;
+  inc.attach_observer(&reg);
+  (void)inc.analyze_ref();
+
+  std::vector<GateId> shallow;
+  for (GateId id : cells_of(c)) {
+    if (c.level(id) <= 2) shallow.push_back(id);
+  }
+  ASSERT_FALSE(shallow.empty());
+  const double top = lib_.size_steps().back();
+  Rng rng(15);
+  for (int trial = 0; trial < 60; ++trial) {
+    const GateId id = shallow[rng.uniform_index(shallow.size())];
+    const Gate saved = c.gate(id);
+    inc.begin_trial();
+    c.set_size(id, top);
+    inc.on_resize(id);
+    if (trial % 3 == 0) {
+      c.set_vth(id, saved.vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+      inc.on_vth_change(id);
+    }
+    if (trial % 2 == 0) {
+      (void)inc.circuit_delay();
+    } else {
+      (void)inc.analyze_ref();
+    }
+    inc.rollback_trial();
+    restore(c, leak, {id, saved.size, saved.vth});
+  }
+  ASSERT_TRUE(states_match(c, lib_, var_, inc, leak));
+  EXPECT_EQ(reg.counter_value("ssta.flat_full_passes"), 1.0);
 }
 
 }  // namespace
