@@ -1,6 +1,7 @@
 #include "ssta/flat_incremental.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "ssta/delay_model.hpp"
 #include "util/error.hpp"
@@ -14,6 +15,10 @@ bool same_canonical(const Canonical& a, const Canonical& b) {
   return a.mean == b.mean && a.gl == b.gl && a.gv == b.gv && a.loc == b.loc;
 }
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
 }  // namespace
 
 FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
@@ -24,23 +29,38 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
   const std::size_t n = circuit_.num_gates();
   const auto topo = circuit_.topo_order();
   topo_.assign(topo.begin(), topo.end());
-  level_.resize(n);
+  pos_.resize(n);
+  for (std::uint32_t p = 0; p < n; ++p) pos_[flat_.topo[p]] = p;
   is_output_.assign(n, 0);
   std::uint32_t max_degree = 1;
   for (GateId id = 0; id < n; ++id) {
-    level_[id] = circuit_.level(id);
     max_degree = std::max(
         max_degree, flat_.fanin_offset[id + 1] - flat_.fanin_offset[id]);
   }
   for (GateId out : flat_.outputs) is_output_[out] = 1;
+  // Consumer edges in the scatter's order: consumers by decreasing topo_
+  // position, each consumer's pins ascending.
+  cons_offset_.assign(n + 1, 0);
+  for (GateId f : flat_.fanin) ++cons_offset_[f + 1];
+  for (std::size_t g = 0; g < n; ++g) cons_offset_[g + 1] += cons_offset_[g];
+  cons_.resize(flat_.fanin.size());
+  {
+    std::vector<std::uint32_t> cursor(cons_offset_.begin(),
+                                      cons_offset_.end() - 1);
+    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
+      for (std::uint32_t slot = flat_.fanin_offset[*it];
+           slot < flat_.fanin_offset[*it + 1]; ++slot) {
+        cons_[cursor[flat_.fanin[slot]]++] = {*it, slot};
+      }
+    }
+  }
   state_.arrival.assign(n, Canonical{});
   state_.criticality.assign(n, 0.0);
   win_.assign(flat_.fanin.size(), 0.0);
   own_delay_.assign(n, Canonical{});
   for (GateId id = 0; id < n; ++id) refresh_own_delay(id);
-  queued_.assign(n, 0);
+  dirty_.assign((n + 63) / 64, 0);
   touched_.assign(n, 0);
-  buckets_.assign(static_cast<std::size_t>(flat_.depth) + 1, {});
   weights_scratch_.resize(max_degree);
   const std::size_t m = flat_.outputs.size();
   out_pos_.assign(n, 0);
@@ -50,6 +70,7 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
   out_prefix_.assign(m, Canonical{});
   out_tight_.assign(m, 1.0);
   sink_weights_.assign(m, 0.0);
+  dense_seeds_ = n / 8;
   trial_log_cap_ = std::max<std::size_t>(n / 8 + 1024, 16384);
 }
 
@@ -73,8 +94,8 @@ void FlatSstaEngine::log_own_delay(GateId id) const {
 // ------------------------------------------------------- notifications ----
 
 void FlatSstaEngine::mark_dirty(GateId id) {
-  if (queued_[id] == 0) {
-    queued_[id] = 1;
+  if (!is_dirty(id)) {
+    set_dirty(id);
     pending_.push_back(id);
   }
 }
@@ -106,7 +127,9 @@ void FlatSstaEngine::on_vth_change(GateId id) {
 }
 
 void FlatSstaEngine::clear_pending() const {
-  for (GateId id : pending_) queued_[id] = 0;
+  for (GateId id : pending_) {
+    dirty_[pos_[id] >> 6] &= ~(std::uint64_t{1} << (pos_[id] & 63));
+  }
   pending_.clear();
 }
 
@@ -122,6 +145,7 @@ void FlatSstaEngine::begin_trial() {
   trial_sink_weights_ = sink_weights_;
   trial_crit_primed_ = crit_primed_;
   trial_crit_overwritten_ = false;
+  trial_crit_seeds_ = crit_seeds_.size();
   trial_chain_saved_ = false;
   trial_out_dirty_min_ = out_dirty_min_;
   trial_out_dirty_max_ = out_dirty_max_;
@@ -178,16 +202,16 @@ void FlatSstaEngine::rollback_trial() {
     out_dirty_min_ = trial_out_dirty_min_;
     out_dirty_max_ = trial_out_dirty_max_;
     weights_stale_ = trial_weights_stale_;
-    // The restore is bitwise, so criticality computed before the trial is
-    // still exact — keep it unless the array itself was overwritten by an
-    // analyze during the trial.
+    // The win restore is bitwise, so criticality built before the trial,
+    // together with the seeds recorded before it, is still exact — keep it
+    // unless an analyze during the trial rebuilt the array.
     crit_primed_ = trial_crit_primed_ && !trial_crit_overwritten_;
+    if (crit_seeds_.size() > trial_crit_seeds_) {
+      crit_seeds_.resize(trial_crit_seeds_);
+    }
   }
   clear_pending();
-  for (GateId id : trial_pending_) {
-    queued_[id] = 1;
-    pending_.push_back(id);
-  }
+  for (GateId id : trial_pending_) mark_dirty(id);
   for (GateId id : touched_list_) touched_[id] = 0;
   touched_list_.clear();
   arrival_undo_.clear();
@@ -224,7 +248,7 @@ void FlatSstaEngine::log_arrival(GateId id) const {
 
 // ------------------------------------------------------------ retiming ----
 
-bool FlatSstaEngine::retime_gate(GateId id, bool& state_changed) const {
+bool FlatSstaEngine::retime_gate(GateId id) const {
   // An input's arrival is the all-zero canonical forever: retiming one can
   // never change state, so the cone stops immediately (bit-equivalent to
   // folding nothing and storing the same zero back).
@@ -267,7 +291,7 @@ bool FlatSstaEngine::retime_gate(GateId id, bool& state_changed) const {
   }
   // Nothing moved: skip the undo log and the (bit-identical) writeback.
   if (!changed && !weights_changed) return false;
-  state_changed = true;
+  if (weights_changed) crit_seeds_.push_back(id);
   log_arrival(id);
   state_.arrival[id] = fresh;
   for (std::uint32_t k = 0; k < deg; ++k) win_[off + k] = w[k];
@@ -352,58 +376,85 @@ void FlatSstaEngine::full_pass() const {
   clear_pending();
   primed_ = true;
   crit_primed_ = false;
+  crit_seeds_.clear();
 }
 
 void FlatSstaEngine::flush() const {
+  if (primed_ && pending_.empty()) return;
+  obs::ScopedTimer timer(obs_, "ssta.retime");
   if (!primed_) {
     full_pass();
     return;
   }
-  if (pending_.empty()) return;
   if (obs_ != nullptr) obs_->add("ssta.flat_incremental_passes", 1.0);
 
   // Levelized cone propagation: a gate is recomputed only after all of its
   // recomputed fanins — the same order a full forward pass visits them.
+  // Dirty bits are walked upward by topo position; a fanout always sets a
+  // higher bit, so it is visited after the gate that marked it.
+  std::size_t lo = dirty_.size();
+  std::size_t hi = 0;
   for (GateId id : pending_) {
-    buckets_[static_cast<std::size_t>(level_[id])].push_back(id);
+    lo = std::min<std::size_t>(lo, pos_[id] >> 6);
+    hi = std::max<std::size_t>(hi, pos_[id] >> 6);
   }
   pending_.clear();
 
   std::int64_t retimed = 0;
-  bool state_changed = false;
-  for (auto& bucket : buckets_) {
-    // Fanouts enqueue into strictly higher levels, so indexed iteration is
-    // safe while later buckets grow.
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId id = bucket[i];
-      queued_[id] = 0;
+  for (std::size_t w = lo; w <= hi; ++w) {
+    while (dirty_[w] != 0) {
+      const int bit = std::countr_zero(dirty_[w]);
+      dirty_[w] &= dirty_[w] - 1;
+      const GateId id = flat_.topo[(w << 6) + static_cast<std::size_t>(bit)];
       ++retimed;
       // Bit-identical arrival: the cone stops here.
-      if (!retime_gate(id, state_changed)) continue;
+      if (!retime_gate(id)) continue;
       if (is_output_[id] != 0) {
         out_dirty_min_ = std::min(out_dirty_min_, out_pos_[id]);
         out_dirty_max_ = std::max(out_dirty_max_, out_pos_[id]);
       }
       for (GateId fo : flat_.fanouts_of(id)) {
-        if (queued_[fo] == 0) {
-          queued_[fo] = 1;
-          buckets_[static_cast<std::size_t>(level_[fo])].push_back(fo);
-        }
+        hi = std::max(hi, set_dirty(fo));
       }
     }
-    bucket.clear();
   }
 
   replay_output_chain();
-  if (state_changed) crit_primed_ = false;
+  // Many forward-only queries between refreshes: past the dense threshold
+  // the next refresh scatters anyway, so stop recording seeds. Inside a
+  // trial only its own seeds go: a rollback restores the win weights
+  // bitwise, and the seeds from before the trial still describe the
+  // criticality array.
+  if (crit_seeds_.size() > dense_seeds_) {
+    crit_primed_ = false;
+    crit_seeds_.resize(trial_active_ ? trial_crit_seeds_ : 0);
+  }
   if (obs_ != nullptr) obs_->add("ssta.flat_cone_gates_retimed",
                                  static_cast<double>(retimed));
 }
 
 void FlatSstaEngine::refresh_criticality() const {
-  if (crit_primed_) return;
+  obs::ScopedTimer timer(obs_, "ssta.criticality");
   refresh_sink_weights();
+  if (!crit_primed_) {
+    scatter_criticality();
+    return;
+  }
+  std::size_t seeds = crit_seeds_.size();
+  for (std::size_t i = 0; i < sink_weights_.size(); ++i) {
+    if (!same_bits(sink_weights_[i], crit_sink_[i])) ++seeds;
+  }
+  if (seeds == 0) return;  // nothing criticality depends on moved
+  if (seeds > dense_seeds_) {
+    scatter_criticality();
+  } else {
+    walk_criticality();
+  }
+}
+
+void FlatSstaEngine::scatter_criticality() const {
   if (trial_active_) trial_crit_overwritten_ = true;
+  if (obs_ != nullptr) obs_->add("ssta.crit_full_passes", 1.0);
   const std::size_t n = circuit_.num_gates();
   state_.criticality.assign(n, 0.0);
   for (std::size_t i = 0; i < flat_.outputs.size(); ++i) {
@@ -421,7 +472,58 @@ void FlatSstaEngine::refresh_criticality() const {
       state_.criticality[f[pin]] += crit * w[pin];
     }
   }
+  crit_sink_ = sink_weights_;
+  crit_seeds_.clear();
   crit_primed_ = true;
+}
+
+void FlatSstaEngine::walk_criticality() const {
+  if (trial_active_) trial_crit_overwritten_ = true;
+  std::size_t lo = dirty_.size();
+  std::size_t hi = 0;
+  const auto mark = [&](GateId id) {
+    const std::size_t w = set_dirty(id);
+    lo = std::min(lo, w);
+    hi = std::max(hi, w);
+  };
+  for (GateId id : crit_seeds_) {
+    for (GateId f : flat_.fanins_of(id)) mark(f);
+  }
+  crit_seeds_.clear();
+  for (std::size_t i = 0; i < sink_weights_.size(); ++i) {
+    if (same_bits(sink_weights_[i], crit_sink_[i])) continue;
+    crit_sink_[i] = sink_weights_[i];
+    mark(flat_.outputs[i]);
+  }
+
+  // Deepest level first: every consumer of a gate sits at a higher topo
+  // position, so its criticality is final when the gate is recomputed.
+  double* STATLEAK_RESTRICT crit = state_.criticality.data();
+  const double* STATLEAK_RESTRICT win = win_.data();
+  std::int64_t updates = 0;
+  for (std::size_t w = hi + 1; w-- > lo;) {
+    while (dirty_[w] != 0) {
+      const int bit = 63 - std::countl_zero(dirty_[w]);
+      dirty_[w] &= ~(std::uint64_t{1} << bit);
+      const GateId id = flat_.topo[(w << 6) + static_cast<std::size_t>(bit)];
+      ++updates;
+      // The scatter's addition sequence for this gate, in gather form.
+      double sum = 0.0;
+      if (is_output_[id] != 0) sum += sink_weights_[out_pos_[id]];
+      for (std::uint32_t e = cons_offset_[id]; e < cons_offset_[id + 1];
+           ++e) {
+        const double c = crit[cons_[e].gate];
+        if (c != 0.0) sum += c * win[cons_[e].slot];
+      }
+      if (same_bits(sum, crit[id])) continue;  // the walk stops here
+      crit[id] = sum;
+      for (GateId f : flat_.fanins_of(id)) mark(f);
+    }
+  }
+  if (obs_ != nullptr) {
+    obs_->add("ssta.crit_walks", 1.0);
+    obs_->add("ssta.crit_updates", static_cast<double>(updates));
+  }
 }
 
 // -------------------------------------------------------------- queries ----

@@ -46,9 +46,26 @@
 /// expression shapes, and tightness values are identical — only redundant
 /// work is elided.
 ///
-/// Criticality is refreshed by a backward pass over the *original* circuit
-/// topo order (the accumulation order decides criticality bits, so it must
-/// match the reference analyzer's traversal).
+/// Dirty sets: both walks keep their dirty gates in one bitset over
+/// positions in flat_.topo, which is level-major. The cone retime walks it
+/// upward (a fanout always sits at a higher position); the criticality walk
+/// walks it downward (a fanin always sits at a lower one).
+///
+/// Incremental criticality: the reference builds criticality with a
+/// scatter over the *original* circuit topo order, and that order decides
+/// the bits. For any one gate the scatter's sum is a fixed sequence: 0.0,
+/// then its sink weight if it is an output, then crit[c] * win[slot] for
+/// each consumer edge, consumers in decreasing topo position, pins
+/// ascending, consumers of criticality 0 skipped. The engine stores those
+/// consumer edges per gate in that order, so a gather over them reproduces
+/// the scatter's bits. Criticality depends only on the win weights and the
+/// sink weights, so after a retime the values that can move are the fanins
+/// of gates whose win weights changed (recorded by the retime) and the
+/// outputs whose sink weight changed bitwise. The refresh seeds those into
+/// the dirty set and walks it from the deepest level down, stopping where a
+/// recomputed value equals the cached one bitwise. Priming, lost trial
+/// baselines and dense updates (more than n/8 seeds) keep the full scatter,
+/// which is cheaper per gate than the gather.
 
 #pragma once
 
@@ -109,7 +126,10 @@ class FlatSstaEngine {
   /// reference analyzer's "ssta.analyze_passes" / "ssta.forward_passes" names
   /// and counts its own layout-specific work under
   /// "ssta.flat_full_passes" / "ssta.flat_incremental_passes" /
-  /// "ssta.flat_cone_gates_retimed".
+  /// "ssta.flat_cone_gates_retimed" and "ssta.crit_walks" /
+  /// "ssta.crit_full_passes" / "ssta.crit_updates". Phase timers
+  /// "ssta.retime" and "ssta.criticality" time each retime and criticality
+  /// refresh call.
   void attach_observer(obs::Registry* registry) { obs_ = registry; }
 
   /// Canonical delay of one gate, recomputed from the live circuit (same
@@ -141,6 +161,10 @@ class FlatSstaEngine {
     GateId id = kInvalidGate;
     Canonical delay;
   };
+  struct ConsumerEdge {
+    GateId gate = kInvalidGate;  ///< consumer
+    std::uint32_t slot = 0;      ///< its fanin slot (index into win_)
+  };
 
   /// Sentinel for out_dirty_min_ when no output arrival is pending replay.
   static constexpr std::uint32_t kNoDirty = 0xFFFFFFFFu;
@@ -150,12 +174,23 @@ class FlatSstaEngine {
   void log_own_delay(GateId id) const;
   void flush() const;
   void full_pass() const;
-  bool retime_gate(GateId id, bool& state_changed) const;
+  bool retime_gate(GateId id) const;
   void replay_output_chain() const;
   void refresh_sink_weights() const;
   void refresh_criticality() const;
+  void scatter_criticality() const;
+  void walk_criticality() const;
   void log_arrival(GateId id) const;
   void clear_pending() const;
+  bool is_dirty(GateId id) const {
+    return (dirty_[pos_[id] >> 6] >> (pos_[id] & 63) & 1) != 0;
+  }
+  /// Sets `id`'s dirty bit; returns its word index.
+  std::size_t set_dirty(GateId id) const {
+    const std::uint32_t p = pos_[id];
+    dirty_[p >> 6] |= std::uint64_t{1} << (p & 63);
+    return p >> 6;
+  }
 
   const Circuit& circuit_;
   const CellLibrary& lib_;
@@ -163,11 +198,15 @@ class FlatSstaEngine {
   LoadCache loads_;
   FlatCircuit flat_;
   /// Original Circuit::topo_order() — NOT flat_.topo (which re-buckets by
-  /// level): the criticality backward pass accumulates in traversal order,
-  /// so bit-identity with the reference analyzer requires the same order.
+  /// level): the criticality scatter accumulates in traversal order, so
+  /// bit-identity with the reference analyzer requires the same order.
   std::vector<GateId> topo_;
-  std::vector<int> level_;      ///< per-gate logic level
-  std::vector<char> is_output_; ///< per-gate primary-output flag
+  std::vector<std::uint32_t> pos_;  ///< gate -> position in flat_.topo
+  std::vector<char> is_output_;     ///< per-gate primary-output flag
+  /// Consumer edges of gate g: cons_[cons_offset_[g] .. cons_offset_[g + 1])
+  /// in the scatter's addition order (see the file comment).
+  std::vector<std::uint32_t> cons_offset_;
+  std::vector<ConsumerEdge> cons_;
   obs::Registry* obs_ = nullptr;
 
   mutable SstaResult state_;
@@ -191,9 +230,18 @@ class FlatSstaEngine {
   mutable std::uint32_t out_dirty_max_ = 0;
   mutable bool weights_stale_ = true;
 
+  /// Dirty bits by flat_.topo position. Between walks they are set exactly
+  /// for the gates in pending_; each walk leaves them all clear.
+  mutable std::vector<std::uint64_t> dirty_;
   mutable std::vector<GateId> pending_;
-  mutable std::vector<char> queued_;
-  mutable std::vector<std::vector<GateId>> buckets_;  ///< scratch, by level
+
+  // Incremental criticality. The criticality array is exact for the win
+  // weights and crit_sink_ it was last built from; crit_seeds_ lists every
+  // gate whose win weights changed since (with repeats). crit_primed_ false
+  // means the next refresh scatters.
+  mutable std::vector<GateId> crit_seeds_;
+  mutable std::vector<double> crit_sink_;
+  std::size_t dense_seeds_ = 0;  ///< n/8: more seeds than this scatter
 
   mutable std::vector<Canonical> operands_;       ///< retime scratch
   mutable std::vector<double> weights_scratch_;   ///< max fanin degree
@@ -212,7 +260,10 @@ class FlatSstaEngine {
   mutable std::vector<double> trial_sink_weights_;
   mutable bool trial_primed_ = false;
   mutable bool trial_crit_primed_ = false;
+  /// The criticality array was rebuilt during the trial: a rollback cannot
+  /// reuse it.
   mutable bool trial_crit_overwritten_ = false;
+  mutable std::size_t trial_crit_seeds_ = 0;  ///< crit_seeds_ length at begin
   /// Copy-on-replay save of the output chain: the prefix/tightness arrays
   /// are snapshotted at most once per trial, the first time a replay would
   /// overwrite them, so trials that never touch an output arrival pay

@@ -463,6 +463,39 @@ TEST(Instrumentation, DeterministicDelayEvalsStayBelowOnePerCellPerIteration) {
   EXPECT_LT(updates / passes, 0.25 * static_cast<double>(c.num_cells()));
 }
 
+TEST(Instrumentation, CriticalityWalksStayWellBelowTheCellCount) {
+  // A sparse refresh recomputes only the backward cone whose criticality
+  // moved, not every gate, and most refreshes are sparse or no-ops. On a
+  // circuit this small a move still moves a large share of the values (the
+  // walk averages ~0.34 x cells here), so the bound is half the cells.
+  const CellLibrary lib(generic_100nm());
+  const VariationModel var = VariationModel::typical_100nm();
+  Circuit c = iscas85_proxy("c880p");
+  OptConfig cfg;
+  cfg.t_max_ps = 1.15 * min_achievable_delay_ps(c, lib);
+  obs::Registry reg;
+  const OptResult result = StatisticalOptimizer(lib, var, cfg).run(c, &reg);
+
+  ASSERT_GT(result.iterations, 0);
+  const double walks = reg.counter_value("ssta.crit_walks");
+  ASSERT_GT(walks, 0.0);
+  const double per_walk = reg.counter_value("ssta.crit_updates") / walks;
+  EXPECT_GT(per_walk, 0.0);
+  EXPECT_LT(per_walk, 0.5 * static_cast<double>(c.num_cells()));
+  EXPECT_LT(reg.counter_value("ssta.crit_full_passes"), result.iterations);
+  // Both SSTA layers are timed once per call, never per gate.
+  bool retime = false;
+  bool criticality = false;
+  for (const obs::PhaseTime& p : reg.phases()) {
+    if (p.name == "ssta.retime") retime = p.calls > 0;
+    if (p.name == "ssta.criticality") {
+      criticality = p.calls == reg.counter_value("ssta.analyze_passes");
+    }
+  }
+  EXPECT_TRUE(retime);
+  EXPECT_TRUE(criticality);
+}
+
 TEST(Instrumentation, StatisticalResultsAreBitIdenticalWithObserver) {
   OptFixture plain;
   OptFixture observed;

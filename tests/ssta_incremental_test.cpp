@@ -193,6 +193,90 @@ TEST_F(SstaIncrementalTest, FlatEngineRandomWalkMatchesScalarEverySeed) {
   }
 }
 
+/// Incremental criticality on a circuit large enough for sparse refreshes
+/// to take the backward walk rather than the dense scatter (c3540p: n/8 is
+/// 255 seeds). Committed moves, rolled-back and committed trials mix with
+/// forward-only circuit_delay() queries, so several retimes feed one
+/// refresh; states_match's analyze_ref() compares every criticality bit
+/// with a fresh SstaEngine after every step. A trial rolled back right after
+/// a refresh must leave no criticality work behind, and an analyze inside a
+/// trial costs one scatter after its rollback.
+TEST_F(SstaIncrementalTest, CriticalityWalkMatchesScalarAcrossTrials) {
+  Circuit c = iscas85_proxy("c3540p");
+  const auto cells = cells_of(c);
+  const auto steps = lib_.size_steps();
+  FlatSstaEngine inc(c, lib_, var_);
+  LeakageAnalyzer leak(c, lib_, var_);
+  obs::Registry reg;
+  inc.attach_observer(&reg);
+  Rng rng(17);
+  const auto crit_work = [&] {
+    return reg.counter_value("ssta.crit_walks") +
+           reg.counter_value("ssta.crit_full_passes");
+  };
+  const auto random_move = [&](GateId id) {
+    if (rng.uniform() < 0.5) {
+      c.set_size(id, steps[rng.uniform_index(steps.size())]);
+      inc.on_resize(id);
+    } else {
+      c.set_vth(id, c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+      inc.on_vth_change(id);
+    }
+    leak.on_gate_changed(id);
+  };
+  ASSERT_TRUE(states_match(c, lib_, var_, inc, leak));
+
+  bool analyzed_inside = false;
+  for (int step = 0; step < 300; ++step) {
+    const double roll = rng.uniform();
+    if (roll < 0.5) {
+      // Committed moves, each usually followed by a forward-only query.
+      const int moves = 1 + static_cast<int>(rng.uniform_index(3));
+      for (int m = 0; m < moves; ++m) {
+        random_move(cells[rng.uniform_index(cells.size())]);
+        if (rng.uniform() < 0.7) (void)inc.circuit_delay();
+      }
+    } else {
+      const bool rollback = roll < 0.8;
+      // Once, halfway through: an analyze inside a trial, then rollback.
+      const bool analyze_inside = !analyzed_inside && step >= 150;
+      analyzed_inside = analyzed_inside || analyze_inside;
+      const double work_before = crit_work();
+      std::vector<Saved> saved;
+      inc.begin_trial();
+      const int moves = 1 + static_cast<int>(rng.uniform_index(3));
+      for (int m = 0; m < moves; ++m) {
+        const GateId id = cells[rng.uniform_index(cells.size())];
+        saved.push_back({id, c.gate(id).size, c.gate(id).vth});
+        random_move(id);
+        (void)inc.circuit_delay();
+      }
+      if (analyze_inside) (void)inc.analyze_ref();
+      if (rollback || analyze_inside) {
+        inc.rollback_trial();
+        for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+          restore(c, leak, *it);
+        }
+        // The previous step ended on a refresh, so only an analyze inside
+        // the trial leaves criticality work: one scatter.
+        const double before_refresh = crit_work();
+        (void)inc.analyze_ref();
+        EXPECT_EQ(crit_work() - before_refresh, analyze_inside ? 1.0 : 0.0)
+            << "step " << step;
+        if (analyze_inside) {
+          EXPECT_EQ(crit_work() - work_before, 2.0) << "step " << step;
+        }
+      } else {
+        inc.commit_trial();
+      }
+    }
+    ASSERT_TRUE(states_match(c, lib_, var_, inc, leak)) << "step " << step;
+  }
+  EXPECT_TRUE(analyzed_inside);
+  EXPECT_GT(reg.counter_value("ssta.crit_walks"), 0.0);
+  EXPECT_GT(reg.counter_value("ssta.crit_updates"), 0.0);
+}
+
 // ------------------------------------------------------ trial edge cases ----
 
 /// Rollback-after-trial must restore the engine state *bitwise* — the flat
