@@ -1,6 +1,7 @@
 #include "opt/batch_score.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -8,6 +9,20 @@
 #include "util/simd.hpp"
 
 namespace statleak {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Relative inflation of the assign bound: swallows the libm error of its
+// sups and the ~1e-15 rounding of the bound and key arithmetic.
+constexpr double kInflate = 1.0 + 1e-6;
+// All slots are re-keyed once the bound constants outgrow the keys' by
+// more than this factor (keys past it still bound, but prune less).
+constexpr double kMaxDrift = 1.0 + 1e-3;
+constexpr std::size_t kKeyBlock = 64;  ///< slots per block maximum
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+}  // namespace
 
 BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
                          const FlatCircuit& flat, const LoadCache& loads,
@@ -61,50 +76,108 @@ BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
   dirty_flag_.assign(n, 1);
   dirty_.resize(n);
   for (GateId g = 0; g < n; ++g) dirty_[g] = g;
+  key_.resize(slots);
+  bmax_.resize((slots + kKeyBlock - 1) / kKeyBlock);
+  crit_seen_.resize(n);
+  lock_seen_.resize(n);
 
   workers_.resize(static_cast<std::size_t>(pool_.size()));
   shard_best_.resize(workers_.size());
-  shard_pruned_.resize(workers_.size());
 }
 
-BatchScorer::AssignPrune BatchScorer::make_assign_prune(
-    const LeakDeltaPricer& pricer, double q_now) {
-  AssignPrune p;
+/// The assign-phase benefit bound. The exact score of an assign candidate
+/// is benefit / denom with benefit = q_now - q(m1, v1), where (m1, v1) are
+/// the totals after swapping the gate's committed moments (om, ov) for the
+/// hypothetical ones (nm, nv), and q is the Wilkinson lognormal quantile —
+/// one log1p, one log, one sqrt and one exp per candidate, the dominant
+/// cost of a scan. Most candidates lose to the best by orders of
+/// magnitude, so a cheap proven upper bound on benefit discharges them
+/// without the transcendentals:
+///
+///   benefit <= A * dm + B * dv_ub = (A + B * cf2m) * dm + B * dv
+///
+/// with dm = om - nm, dv = ov - nv, dv_ub = dv + cf * 2 * m0 * dm, and A, B
+/// sups of dq/dm and dq/dv over a moment rectangle that contains every
+/// move a live eligible slot (dm >= 0, dv >= 0) can reach: [m0 - dm_hi,
+/// m0] x [v0 - dvub_hi, v0 + vex_hi], with dvub_hi = dv_hi + cf2m * dm_hi
+/// and vex_hi = cf * vexb_hi from the maxima the scorer keeps (over-
+/// estimates are fine: A and B only grow with the rectangle). A single
+/// move perturbs the totals by ~1/n, so the rectangle is tiny and the sups
+/// sit within ~1e-3 of the true derivatives at (m0, v0) — the bound
+/// separates candidates whose scores differ by even a few percent, which is
+/// what makes the prune bite. Soundness:
+///  - split benefit = [q(m0,v0) - q(m1,v0)] + [q(m1,v0) - q(m1,v1)]; the
+///    bound is only used when q_now <= q(m0, v0) through the pricing path
+///    (no anchor term), else the scan runs unbounded;
+///  - the first term is <= A * dm by the mean value theorem with
+///    A >= sup dq/dm = sup exp(h(w)) * (1 - 2 w h'(w)): h(w) =
+///    z sqrt(L) - L/2 is increasing while L = ln(1+w) < z^2 (guarded with
+///    margin via the log1p(5 w0) < 0.99 z^2 check, since the rectangle's w
+///    never exceeds 5 w0 given the aggregate guards dm_hi <= m0/2,
+///    dvub_hi <= v0/2, vex_hi <= v0/4), h'(w) = (z/(2 sqrt(L)) - 1/2)/(1+w)
+///    is positive and decreasing there, so sup exp(h) = exp(h(w_hi)) and
+///    inf 2 w h' = 2 w_lo h'(w_hi); the product bound sup(f g) <= sup f *
+///    sup g applies with f = exp(h) > 0 and sup g = 1 - 2 w_lo h'(w_hi)
+///    when that is >= 0, and when it is negative dq/dm < 0 throughout so 0
+///    bounds the term;
+///  - v0 - v1 <= dv_ub always (the pairwise term cf * (sm^2 - smsq) can
+///    shrink by at most cf * 2 * m0 * dm), so when v1 <= v0 the second
+///    term is <= B * dv_ub with B >= sup dq/dv = exp(h(w_hi)) *
+///    h'(w_lo) / (m0 - dm_hi); when v1 > v0 the second term is negative
+///    (q increasing in v inside the guarded region) and B * dv_ub >= 0
+///    still bounds it — v1 exceeds v0 by at most cf * vexb - dv <= vex_hi,
+///    which the rectangle's v_hi covers.
+/// Every sup is inflated by 1e-6 relative, which swallows the libm error
+/// of the sups and the ~1e-15 rounding of the bound arithmetic.
+BatchScorer::AssignBound BatchScorer::assign_bound(
+    const LeakDeltaPricer& pricer, double q_now) const {
+  AssignBound bound;
   const double m0 = pricer.sum_mean;
   const double pair0 =
       pricer.cov_factor * std::max(0.0, m0 * m0 - pricer.sum_mean_sq);
   const double v0 = pricer.sum_var + pair0;
   const double z = pricer.z;
   if (!(m0 > 0.0) || !(v0 > 0.0) || !(z > 0.0) || pricer.cov_factor < 0.0) {
-    return p;
+    return bound;
   }
-  const double w0 = v0 / (m0 * m0);
   // Monotonicity guard: q(m, v) is increasing in v exactly while
-  // L = ln(1 + v/m^2) < z^2. Every w the guarded rectangle and the
-  // variance-excess extension can reach stays below 5 * w0; require the
-  // corresponding L to clear z^2 with margin, else pruning is off (exact
-  // scoring is always sound).
+  // L = ln(1 + v/m^2) < z^2; require the L of 5 * w0 to clear z^2.
+  const double w0 = v0 / (m0 * m0);
   const double l5 = std::log1p(5.0 * w0);
-  if (!(l5 < 0.99 * z * z)) return p;
-  // q(m0, v0) through the exact pricing expression (a zero-delta move), so
-  // the anchor absorbs any difference between the committed q_now the
-  // optimizer passes in and the pricing path's own value.
-  const double q0 = pricer.quantile_na(GateLeakMoments{}, GateLeakMoments{});
-  // The inflation swallows libm evaluation error in the sups and every
-  // rounding step of the per-candidate bound arithmetic (relative error
-  // ~1e-15 per operation; 1e-6 leaves nine orders of margin).
-  constexpr double kInflate = 1.0 + 1e-6;
-  p.anchor = std::max(0.0, (q_now - q0) * kInflate);
-  p.half_m = 0.5 * m0;
-  p.half_v = 0.5 * v0;
-  p.quarter_v = 0.25 * v0;
-  p.cf = pricer.cov_factor;
-  p.cf2m = pricer.cov_factor * 2.0 * m0;
-  p.m0 = m0;
-  p.v0 = v0;
-  p.z = z;
-  p.usable = true;
-  return p;
+  if (!(l5 < 0.99 * z * z)) return bound;
+  // q(m0, v0) through the exact pricing expression (a zero-delta move): a
+  // committed q_now above it would need an anchor term the keys lack.
+  if (!(q_now <= pricer.quantile_na(GateLeakMoments{}, GateLeakMoments{}))) {
+    return bound;
+  }
+  const double cf = pricer.cov_factor;
+  const double cf2m = cf * 2.0 * m0;
+  const double dvub_hi = dv_hi_ + cf2m * dm_hi_;
+  const double vex_hi = cf * vexb_hi_;
+  if (!(dm_hi_ <= 0.5 * m0 && dvub_hi <= 0.5 * v0 && vex_hi <= 0.25 * v0)) {
+    return bound;
+  }
+  const double m_lo = m0 - dm_hi_;
+  const double w_lo = (v0 - dvub_hi) / (m0 * m0);
+  const double w_hi = (v0 + std::max(0.0, vex_hi)) / (m_lo * m_lo);
+  const double l_lo = std::log1p(w_lo);
+  const double l_hi = std::log1p(w_hi);
+  const double eh_hi = std::exp(z * std::sqrt(l_hi) - 0.5 * l_hi);
+  const double hp_hi = (z / (2.0 * std::sqrt(l_lo)) - 0.5) / (1.0 + w_lo);
+  const double hp_lo = (z / (2.0 * std::sqrt(l_hi)) - 0.5) / (1.0 + w_hi);
+  const double a = eh_hi * std::max(0.0, 1.0 - 2.0 * w_lo * hp_lo) * kInflate;
+  const double b = eh_hi * hp_hi / m_lo * kInflate;
+  bound.p = a + b * cf2m;
+  bound.q = b;
+  bound.ok = true;
+  return bound;
+}
+
+double BatchScorer::key_drift(const AssignBound& bound) const {
+  // p0_ or q0_ can be 0 (a = 0 and cf = 0): then only a 0 stays covered.
+  const double rp = bound.p == 0.0 ? 0.0 : bound.p / p0_;
+  const double rq = bound.q == 0.0 ? 0.0 : bound.q / q0_;
+  return std::max(rp, rq);
 }
 
 void BatchScorer::set_impl(GateId id, Vth vth, double size) {
@@ -133,10 +206,7 @@ void BatchScorer::mark_dirty(GateId id) {
 }
 
 void BatchScorer::rebuild_dirty_slots() {
-  for (GateId id : dirty_) {
-    rebuild_gate_slots(id);
-    dirty_flag_[id] = 0;
-  }
+  for (GateId id : dirty_) rebuild_gate_slots(id);
   dirty_.clear();
 }
 
@@ -183,6 +253,11 @@ void BatchScorer::rebuild_gate_slots(GateId id) {
     sl_dv_[slot] = dv;
     sl_vexb_[slot] = dm * dm + (m.mean_na + nmean) * dm;
     sl_tgt_[slot] = tgt;
+    if (dm >= 0.0 && dv >= 0.0) {
+      dm_hi_ = std::max(dm_hi_, dm);
+      dv_hi_ = std::max(dv_hi_, dv);
+      vexb_hi_ = std::max(vexb_hi_, sl_vexb_[slot]);
+    }
   };
   if (vth_[id] == Vth::kLow) {
     const std::size_t th = static_cast<std::size_t>(flat_.kind[id]) * 2 + 1;
@@ -333,6 +408,153 @@ void BatchScorer::price_blocks_sizing(Worker& w, const LeakDeltaPricer& pricer,
   }
 }
 
+double BatchScorer::slot_key(std::size_t s, double crit,
+                             unsigned char lock) const {
+  // Branch-free: a dead slot's lanes hold stale but finite-or-inf values.
+  const double dm = sl_dm_[s];
+  const double dv = sl_dv_[s];
+  // The scan's denominator expression (same subterms, same bits).
+  const double denom =
+      std::max(crit, floor_seen_) * std::max(sl_dd_[s], eps_seen_) + eps_seen_;
+  const double key = (p0_ * dm + q0_ * dv) / denom;
+  const bool live = sl_alive_[s] != 0 && ((lock >> (s & 1u)) & 1u) == 0;
+  const bool bounded = dm >= 0.0 && dv >= 0.0 && !std::isnan(key);
+  return live ? (bounded ? key : kInf) : -kInf;
+}
+
+void BatchScorer::rekey_gate(GateId id, double crit, unsigned char lock) {
+  const std::size_t s0 = 2 * static_cast<std::size_t>(id);
+  for (std::size_t s = s0; s < s0 + 2; ++s) {
+    const double key = slot_key(s, crit, lock);
+    live_slots_ += static_cast<std::int64_t>(key != -kInf) -
+                   static_cast<std::int64_t>(key_[s] != -kInf);
+    key_[s] = key;
+  }
+  stats_.rekeys += 2;
+}
+
+void BatchScorer::refresh_block(std::size_t b) {
+  const std::size_t lo = b * kKeyBlock;
+  const std::size_t hi = std::min(lo + kKeyBlock, key_.size());
+  double m = -kInf;
+  for (std::size_t s = lo; s < hi; ++s) m = std::max(m, key_[s]);
+  bmax_[b] = m;
+}
+
+bool BatchScorer::patch_keys(std::span<const double> criticality,
+                             std::span<const unsigned char> locked) {
+  const std::size_t n = flat_.num_gates;
+  constexpr std::size_t kGates = kKeyBlock / 2;  // gates per key block
+  std::size_t count = 0;
+  for (std::size_t lo = 0; lo < n; lo += kGates) {
+    const std::size_t hi = std::min(lo + kGates, n);
+    // Branch-free test of the whole block first: most blocks are clean.
+    std::uint64_t diff = 0;
+    for (std::size_t g = lo; g < hi; ++g) {
+      diff |= bits(criticality[g]) ^ bits(crit_seen_[g]);
+      diff |= static_cast<std::uint64_t>((locked[g] ^ lock_seen_[g]) |
+                                         dirty_flag_[g]);
+    }
+    if (diff == 0) continue;
+    for (std::size_t g = lo; g < hi; ++g) {
+      if (bits(criticality[g]) == bits(crit_seen_[g]) &&
+          locked[g] == lock_seen_[g] && dirty_flag_[g] == 0) {
+        continue;
+      }
+      crit_seen_[g] = criticality[g];
+      lock_seen_[g] = locked[g];
+      dirty_flag_[g] = 0;
+      rekey_gate(static_cast<GateId>(g), criticality[g], locked[g]);
+      ++count;
+    }
+    refresh_block(lo / kGates);
+    // Dense: stop patching; a straight pass re-keys everything (the keys
+    // patched so far are recomputed with the rest).
+    if (count > n / 8) return false;
+  }
+  return true;
+}
+void BatchScorer::recompute_maxima() {
+  dm_hi_ = dv_hi_ = vexb_hi_ = 0.0;
+  for (std::size_t s = 0; s < key_.size(); ++s) {
+    if (sl_alive_[s] != 0 && sl_dm_[s] >= 0.0 && sl_dv_[s] >= 0.0) {
+      dm_hi_ = std::max(dm_hi_, sl_dm_[s]);
+      dv_hi_ = std::max(dv_hi_, sl_dv_[s]);
+      vexb_hi_ = std::max(vexb_hi_, sl_vexb_[s]);
+    }
+  }
+}
+
+void BatchScorer::rekey_all(const AssignBound& bound,
+                            std::span<const double> criticality,
+                            std::span<const unsigned char> locked,
+                            double crit_floor, double eps) {
+  const std::size_t n = flat_.num_gates;
+  p0_ = bound.p;
+  q0_ = bound.q;
+  floor_seen_ = crit_floor;
+  eps_seen_ = eps;
+  std::copy(criticality.begin(), criticality.end(), crit_seen_.begin());
+  std::copy(locked.begin(), locked.end(), lock_seen_.begin());
+  std::fill(dirty_flag_.begin(), dirty_flag_.end(), std::uint8_t{0});
+  // The maxima are recomputed in the same pass: the keys carry the bound of
+  // the old (over-estimated) rectangle, which covers the new one, and the
+  // next scan's constants come from the tighter one.
+  double dm_hi = 0.0, dv_hi = 0.0, vexb_hi = 0.0;
+  std::int64_t live = 0;
+  for (std::size_t b = 0; b < bmax_.size(); ++b) {
+    const std::size_t lo = b * kKeyBlock;
+    const std::size_t hi = std::min(lo + kKeyBlock, key_.size());
+    double m = -kInf;
+    for (std::size_t s = lo; s < hi; ++s) {
+      const double key = slot_key(s, criticality[s >> 1], locked[s >> 1]);
+      key_[s] = key;
+      m = std::max(m, key);
+      live += static_cast<std::int64_t>(key != -kInf);
+      const bool eligible =
+          sl_alive_[s] != 0 && sl_dm_[s] >= 0.0 && sl_dv_[s] >= 0.0;
+      dm_hi = std::max(dm_hi, eligible ? sl_dm_[s] : 0.0);
+      dv_hi = std::max(dv_hi, eligible ? sl_dv_[s] : 0.0);
+      vexb_hi = std::max(vexb_hi, eligible ? sl_vexb_[s] : 0.0);
+    }
+    bmax_[b] = m;
+  }
+  dm_hi_ = dm_hi;
+  dv_hi_ = dv_hi;
+  vexb_hi_ = vexb_hi;
+  live_slots_ = live;
+  keyed_ = true;
+  stats_.rekeys += static_cast<std::int64_t>(2 * n);
+  ++stats_.full_rekeys;
+}
+
+/// Lazy evaluation (CELF, Leskovec et al. 2007) of the greedy assign scan.
+/// Each live slot carries key = (p0 * dm + q0 * dv) / denom, with denom the
+/// scan's exact denominator and p0, q0 the bound constants of the scan that
+/// last re-keyed everything (assign_bound()). For this scan's constants
+/// p, q and dm, dv >= 0, benefit <= p * dm + q * dv <= r * (p0 * dm + q0 *
+/// dv) with r = max(p / p0, q / q0), so score <= r * key. A key stays valid
+/// as long as dm, dv, the criticality, the lock byte, floor and eps it was
+/// built from do; each scan therefore re-keys the slots whose lanes were
+/// rebuilt or whose criticality or lock byte changed (an O(n) diff against
+/// the copies kept in crit_seen_/lock_seen_), and re-keys everything —
+/// recomputing the rectangle maxima and resetting p0, q0 — on the first
+/// scan, on a floor/eps change, when r leaves [., kMaxDrift], when the
+/// aggregate guard fails on stale maxima, or when more than n/8 gates
+/// changed (one straight pass then beats diff-and-patch).
+///
+/// The query seeds a threshold with the exact score of the max-key slot
+/// (a real candidate's score, with a 1e-9 haircut so ties against it stay
+/// unpruned), then walks 64-slot blocks and slots in slot order, skipping
+/// a block or slot only when r * key * (1 + 1e-6) <= thresh — the
+/// inflation swallows the rounding of the key arithmetic. thresh tracks
+/// the running best. Every slot that could attain the maximum score is
+/// visited, in slot order, under the serial rule "first strictly-greater
+/// score wins", so the chosen gate, move and score bits are the reference
+/// scan's (pinned by tests/batch_score_test.cpp). Dead or locked slots key
+/// -inf; live slots outside the bound key +inf and are always exact-scored.
+/// When the bound is unusable on a scan, the same loop exact-scores every
+/// live slot and the keys are rebuilt on the next bounded scan.
 MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
                                        std::span<const unsigned char> locked,
                                        double q_now, double pct,
@@ -340,232 +562,93 @@ MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
   ++passes_;
   rebuild_dirty_slots();
   const LeakDeltaPricer pricer = leak_.delta_pricer(pct);
-  const AssignPrune prune = make_assign_prune(pricer, q_now);
-  for (Worker& w : workers_) w.blocks = 0;
-  std::fill(shard_best_.begin(), shard_best_.end(), MoveCandidate{});
-  std::fill(shard_pruned_.begin(), shard_pruned_.end(), std::int64_t{0});
-
-  pool_.parallel_for(
-      flat_.num_gates, [&](std::size_t lo, std::size_t hi, int worker) {
-        Worker& w = workers_[static_cast<std::size_t>(worker)];
-        // Compact the shard's live unlocked slots in serial candidate
-        // order: slot 2g (HVT swap) before 2g + 1 (downsize), gates
-        // ascending — the order the argmax tie rule depends on. All heavy
-        // per-candidate inputs live in the persistent slot lanes.
-        w.slot.clear();
-        for (std::size_t i = lo; i < hi; ++i) {
-          const std::size_t s = 2 * i;
-          const unsigned char lk = locked[i];
-          if (sl_alive_[s] != 0 && (lk & 1) == 0) {
-            w.slot.push_back(static_cast<std::uint32_t>(s));
-          }
-          if (sl_alive_[s + 1] != 0 && (lk & 2) == 0) {
-            w.slot.push_back(static_cast<std::uint32_t>(s + 1));
-          }
-        }
-        MoveCandidate local;
-        std::int64_t pruned = 0;
-        price_slots_assign(w, pricer, prune, criticality, q_now, crit_floor,
-                           eps, local, pruned);
-        shard_best_[static_cast<std::size_t>(worker)] = local;
-        shard_pruned_[static_cast<std::size_t>(worker)] = pruned;
-      });
+  AssignBound bound = assign_bound(pricer, q_now);
+  const bool drifted = keyed_ && bound.ok && key_drift(bound) > kMaxDrift;
+  stats_.drift_rekeys += drifted ? 1 : 0;
+  if (!keyed_ || !bound.ok || drifted || crit_floor != floor_seen_ ||
+      eps != eps_seen_ || !patch_keys(criticality, locked)) {
+    if (!bound.ok) {
+      // Stale maxima may be all that fails the guard.
+      recompute_maxima();
+      bound = assign_bound(pricer, q_now);
+    }
+    if (bound.ok) {
+      rekey_all(bound, criticality, locked, crit_floor, eps);
+    } else {
+      keyed_ = false;
+      std::fill(dirty_flag_.begin(), dirty_flag_.end(), std::uint8_t{0});
+    }
+  }
+  key_ratio_ = bound.ok ? key_drift(bound) : 0.0;
+  const double scale = key_ratio_ * kInflate;
+  stats_.unbounded += bound.ok ? 0 : 1;
 
   MoveCandidate best;
-  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    blocks_ += workers_[wi].blocks;
-    pruned_ += shard_pruned_[wi];
-    if (shard_best_[wi].score > best.score) best = shard_best_[wi];
-  }
-  return best;
-}
-
-/// Stage-3 quantile elision. The exact score of an assign candidate is
-/// benefit / denom with benefit = q_now - q(m1, v1), where (m1, v1) are the
-/// totals after swapping the gate's committed moments (om, ov) for the
-/// hypothetical ones (nm, nv), and q is the Wilkinson lognormal quantile —
-/// one log1p, one log, one sqrt and one exp per candidate, the dominant
-/// cost of a scan. Most candidates lose to the running shard best by
-/// orders of magnitude, so a cheap proven upper bound on benefit discharges
-/// them without the transcendentals:
-///
-///   benefit <= anchor + A * dm + B * dv_ub
-///
-/// with dm = om - nm, dv_ub = (ov - nv) + cf * 2 * m0 * dm, and A, B sups
-/// of dq/dm and dq/dv over the moment rectangle a move in THIS shard can
-/// actually reach: [m0 - dm_max, m0] x [v0 - dvub_max, v0 + vex_max],
-/// where the maxima are taken over the shard's guarded candidates in the
-/// guard pass. A single move perturbs the totals by ~1/n, so the rectangle
-/// is tiny and the sups sit within ~1e-3 of the true derivatives at
-/// (m0, v0) — the bound separates candidates whose scores differ by even
-/// a few percent, which is what makes the prune bite (a fixed [m0/2, m0]
-/// rectangle gives ~3x-loose sups, useless against the clustered scores of
-/// same-library gates). Soundness:
-///  - split benefit = [q(m0,v0) - q(m1,v0)] + [q(m1,v0) - q(m1,v1)] plus
-///    the anchor absorbing q_now vs the pricing-path q(m0, v0);
-///  - the first term is <= A * dm by the mean value theorem with
-///    A >= sup dq/dm = sup exp(h(w)) * (1 - 2 w h'(w)): h(w) =
-///    z sqrt(L) - L/2 is increasing while L = ln(1+w) < z^2 (guarded with
-///    margin via the per-pass log1p(5 w0) < 0.99 z^2 check, since the
-///    rectangle's w never exceeds 5 w0 given the per-candidate guards
-///    dm <= m0/2, dv_ub <= v0/2, vex <= v0/4), h'(w) =
-///    (z/(2 sqrt(L)) - 1/2)/(1+w) is positive and decreasing there, so
-///    sup exp(h) = exp(h(w_hi)) and inf 2 w h' = 2 w_lo h'(w_hi); the
-///    product bound sup(f g) <= sup f * sup g applies with f = exp(h) > 0
-///    and sup g = 1 - 2 w_lo h'(w_hi) when that is >= 0, and when it is
-///    negative dq/dm < 0 throughout so 0 bounds the term;
-///  - v0 - v1 <= dv_ub always (the pairwise term cf * (sm^2 - smsq) can
-///    shrink by at most cf * 2 * m0 * dm), so when v1 <= v0 the second
-///    term is <= B * dv_ub with B >= sup dq/dv = exp(h(w_hi)) *
-///    h'(w_lo) / (m0 - dm_max); when v1 > v0 the second term is negative
-///    (q increasing in v inside the guarded region) and B * dv_ub >= 0
-///    still bounds it — v1 exceeds v0 by at most vex = cf * (dm^2 +
-///    (om + nm) * dm) - (ov - nv), which the rectangle's v_hi covers.
-/// Every sup is inflated by 1e-6 relative, which swallows the ~1e-15
-/// rounding of both the bound arithmetic and the exact path it stands in
-/// for. A discharged candidate therefore satisfies score <= thresh
-/// bit-certainly, where thresh is a proven lower bound on the shard's best
-/// score: it is seeded by exact-scoring the candidate with the largest
-/// upper bound (an actual candidate's score, with a 1e-9 haircut so ties
-/// against the seed stay unpruned) and then tracks the running best. The
-/// serial selection is the first candidate attaining the maximum score;
-/// every candidate that could attain it survives the prune, so the
-/// selected move is unchanged for any thread count or block size (pinned
-/// by tests/batch_score_test.cpp) even though the shard-local maxima —
-/// and hence which losers get elided — vary with the sharding. Candidates
-/// outside the guards fall through to the exact quantile.
-void BatchScorer::price_slots_assign(Worker& w, const LeakDeltaPricer& pricer,
-                                     const AssignPrune& prune,
-                                     std::span<const double> criticality,
-                                     double q_now, double crit_floor,
-                                     double eps, MoveCandidate& local,
-                                     std::int64_t& pruned) const {
-  const std::size_t m = w.slot.size();
-  if (m == 0) return;
-  // The candidate-block knob no longer shapes this scan (the persistent
-  // lanes made the staged block loop unnecessary); keep the blocks counter
-  // meaning "groups of up to K candidates priced" so its telemetry stays
-  // comparable across phases and configs.
-  w.blocks += static_cast<std::int64_t>((m + block_ - 1) / block_);
-  const std::uint32_t* STATLEAK_RESTRICT sl = w.slot.data();
-
-  // Guard pass: per-candidate moment deltas from the persistent lanes
-  // (pure arithmetic; +inf in the dvub scratch marks "outside the guards,
-  // score exactly"), plus the shard maxima that size the sup rectangle.
-  double dm_max = 0.0, dvub_max = 0.0, vex_max = 0.0;
-  if (prune.usable) {
-    w.dm.resize(m);
-    w.dvub.resize(m);
-    w.bound.resize(m);
-    const double* STATLEAK_RESTRICT pdm = sl_dm_.data();
-    const double* STATLEAK_RESTRICT pdv = sl_dv_.data();
-    const double* STATLEAK_RESTRICT pvx = sl_vexb_.data();
-    double* STATLEAK_RESTRICT dml = w.dm.data();
-    double* STATLEAK_RESTRICT dvl = w.dvub.data();
-    STATLEAK_VEC_LOOP
-    for (std::size_t i = 0; i < m; ++i) {
-      const std::uint32_t s = sl[i];
-      const double dm = pdm[s];
-      const double dv = pdv[s];
-      const double dv_ub = dv + prune.cf2m * dm;
-      const double vex = prune.cf * pvx[s] - dv;
-      const bool ok = dm >= 0.0 && dv >= 0.0 && dm <= prune.half_m &&
-                      dv_ub <= prune.half_v && vex <= prune.quarter_v;
-      dml[i] = ok ? dm : 0.0;
-      dvl[i] = ok ? dv_ub : std::numeric_limits<double>::infinity();
-      if (ok) {
-        dm_max = std::max(dm_max, dm);
-        dvub_max = std::max(dvub_max, dv_ub);
-        vex_max = std::max(vex_max, vex);
-      }
-    }
-  }
-
-  // Per-shard sup constants over the rectangle the guarded candidates
-  // actually reach (see the function comment for the derivation), then the
-  // vectorized bound lane. vex_max can be negative-free by construction
-  // (clamped through max with 0).
-  if (prune.usable) {
-    constexpr double kInflate = 1.0 + 1e-6;
-    const double z = prune.z;
-    const double m_lo = prune.m0 - dm_max;
-    const double w_lo = (prune.v0 - dvub_max) / (prune.m0 * prune.m0);
-    const double w_hi = (prune.v0 + std::max(0.0, vex_max)) / (m_lo * m_lo);
-    const double l_lo = std::log1p(w_lo);
-    const double l_hi = std::log1p(w_hi);
-    const double eh_hi = std::exp(z * std::sqrt(l_hi) - 0.5 * l_hi);
-    const double hp_hi = (z / (2.0 * std::sqrt(l_lo)) - 0.5) / (1.0 + w_lo);
-    const double hp_lo = (z / (2.0 * std::sqrt(l_hi)) - 0.5) / (1.0 + w_hi);
-    const double a =
-        eh_hi * std::max(0.0, 1.0 - 2.0 * w_lo * hp_lo) * kInflate;
-    const double b = eh_hi * hp_hi / m_lo * kInflate;
-    const double anchor = prune.anchor;
-    const double* STATLEAK_RESTRICT dml = w.dm.data();
-    const double* STATLEAK_RESTRICT dvl = w.dvub.data();
-    double* STATLEAK_RESTRICT bnd = w.bound.data();
-    STATLEAK_VEC_LOOP
-    for (std::size_t i = 0; i < m; ++i) {
-      bnd[i] = anchor + a * dml[i] + b * dvl[i];
-    }
-  }
-
-  // Sweep 1 (seed): exact-score the candidate with the largest upper bound.
-  // Its true score is a lower bound on this shard's best score, so the
-  // in-order sweep can start from a strong prune threshold instead of zero.
-  // The 1e-9 haircut keeps every candidate whose score ties the seed's
-  // unpruned, preserving the serial first-attainer tie rule; the seed
-  // evaluation itself is pure (no state), so scoring it twice is harmless.
-  double thresh = local.score;
-  if (prune.usable) {
-    std::size_t seed = m;
-    double seed_ub = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double b = w.bound[i];
-      if (b > seed_ub && std::isfinite(b)) {
-        seed_ub = b;
-        seed = i;
-      }
-    }
-    if (seed < m) {
-      const std::uint32_t s = sl[seed];
-      const GateLeakMoments old_m{sl_om_[s], sl_ov_[s]};
-      const GateLeakMoments now_m{sl_nmean_[s], sl_nvar_[s]};
-      const double benefit = q_now - pricer.quantile_na(old_m, now_m);
-      if (benefit > 0.0) {
-        const double crit =
-            std::max(criticality[s >> 1], crit_floor);
-        const double denom = crit * std::max(sl_dd_[s], eps) + eps;
-        thresh = std::max(thresh, (benefit / denom) * (1.0 - 1e-9));
-      }
-    }
-  }
-
-  // Sweep 2: benefit + score in candidate order. The denominator is the
-  // reference scan's expression over the persistent lanes (same subterms,
-  // same bits); the upper-bound test elides the quantile for candidates
-  // that provably cannot beat the threshold (see the function comment).
-  // `thresh` tracks local.score once that overtakes the seed.
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::uint32_t s = sl[i];
-    const double crit = std::max(criticality[s >> 1], crit_floor);
-    const double denom = crit * std::max(sl_dd_[s], eps) + eps;
-    if (prune.usable && w.bound[i] <= thresh * denom) {
-      ++pruned;
-      continue;
-    }
+  double thresh = 0.0;
+  std::int64_t live = 0;
+  std::int64_t exact = 0;
+  const auto exact_benefit = [&](std::size_t s) {
+    ++exact;
     const GateLeakMoments old_m{sl_om_[s], sl_ov_[s]};
     const GateLeakMoments now_m{sl_nmean_[s], sl_nvar_[s]};
-    const double benefit = q_now - pricer.quantile_na(old_m, now_m);
-    if (benefit > 0.0) {
-      const double score = benefit / denom;
-      if (score > local.score) {
-        const bool hvt = (s & 1u) == 0;
-        local = MoveCandidate{score, static_cast<GateId>(s >> 1), 0, hvt,
-                              hvt ? 0.0 : sl_tgt_[s]};
-        thresh = std::max(thresh, score);
+    return q_now - pricer.quantile_na(old_m, now_m);
+  };
+  const auto denom_of = [&](std::size_t s) {
+    const double crit = std::max(criticality[s >> 1], crit_floor);
+    return crit * std::max(sl_dd_[s], eps) + eps;
+  };
+
+  // Seed: the max-key slot's exact score bounds the best from below.
+  std::size_t seed = key_.size();
+  double seed_benefit = 0.0;
+  if (bound.ok) {
+    live = live_slots_;
+    const auto top = std::max_element(bmax_.begin(), bmax_.end());
+    if (top != bmax_.end() && *top != -kInf) {
+      const std::size_t lo =
+          static_cast<std::size_t>(top - bmax_.begin()) * kKeyBlock;
+      seed = static_cast<std::size_t>(
+          std::find(key_.begin() + static_cast<std::ptrdiff_t>(lo),
+                    key_.end(), *top) -
+          key_.begin());
+      seed_benefit = exact_benefit(seed);
+      if (seed_benefit > 0.0) {
+        thresh = (seed_benefit / denom_of(seed)) * (1.0 - 1e-9);
       }
     }
   }
+
+  for (std::size_t b = 0; b < bmax_.size(); ++b) {
+    if (bound.ok && scale * bmax_[b] <= thresh) continue;
+    const std::size_t lo = b * kKeyBlock;
+    const std::size_t hi = std::min(lo + kKeyBlock, key_.size());
+    for (std::size_t s = lo; s < hi; ++s) {
+      if (bound.ok) {
+        if (scale * key_[s] <= thresh) continue;
+      } else {
+        if (sl_alive_[s] == 0 || ((locked[s >> 1] >> (s & 1u)) & 1u) != 0) {
+          continue;
+        }
+        ++live;
+      }
+      const double benefit = s == seed ? seed_benefit : exact_benefit(s);
+      if (benefit > 0.0) {
+        const double score = benefit / denom_of(s);
+        if (score > best.score) {
+          const bool hvt = (s & 1u) == 0;
+          best = MoveCandidate{score, static_cast<GateId>(s >> 1), 0, hvt,
+                               hvt ? 0.0 : sl_tgt_[s]};
+          thresh = std::max(thresh, score);
+        }
+      }
+    }
+  }
+  stats_.exact += exact;
+  pruned_ += live - exact;
+  // Keeps "groups of up to K candidates" comparable with the sizing scan.
+  blocks_ += (live + static_cast<std::int64_t>(block_) - 1) /
+             static_cast<std::int64_t>(block_);
+  return best;
 }
 
 }  // namespace statleak

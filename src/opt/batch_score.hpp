@@ -2,12 +2,12 @@
 /// \brief Candidate-batched move pricing on the FlatCircuit snapshot.
 ///
 /// The statistical optimizer's scoring scans price every legal move against
-/// the same committed state (scoring is read-only; commits are serial), so
-/// the scan is embarrassingly parallel per candidate AND restructurable:
-/// instead of a one-gate-at-a-time walk through the AoS Gate graph — a
+/// the same committed state (scoring is read-only; commits are serial).
+/// Instead of a one-gate-at-a-time walk through the AoS Gate graph — a
 /// Gate-struct dereference, a binary size-step search and several
 /// virtual-free-but-cold library calls per gate; tests/batch_score_test.cpp
-/// keeps that walk as the reference scan — the batched scorer works SoA:
+/// keeps that walk as the reference scan — the scorer works SoA. The
+/// phase-1 (sizing) scan is parallel per candidate:
 ///
 ///   1. a filter pass over flat mirror arrays (vth/size/step per gate,
 ///      maintained by the optimizer through set_impl()) collects the legal
@@ -25,20 +25,27 @@
 ///      order"; shard winners are reduced in shard order, reproducing the
 ///      serial winner exactly for every thread count and block size.
 ///
-/// The phase-2 (assignment) scan goes one step further: a gate's two
-/// possible moves (HVT swap, one-step downsize) depend only on its own
+/// The phase-2 (assignment) scan is lazy instead (CELF-style, Leskovec et
+/// al. 2007). A gate's two possible
+/// moves (HVT swap, one-step downsize) depend only on its own
 /// implementation, its output load and its committed leak moments, all of
-/// which change for O(1) gates per commit. The scorer therefore keeps the
-/// full stage-1/stage-2 output — move delay delta, hypothetical moments,
-/// moment deltas — in PERSISTENT dense slot lanes (slot 2g = HVT swap of
-/// gate g, slot 2g+1 = downsize), rebuilt lazily for the gates set_impl()
-/// dirtied (a resize also dirties the resized gate's fanin drivers, whose
-/// loads changed). A scan then reduces to: compact the live unlocked slots
-/// of the shard (one u32 per candidate instead of a 13-lane gather), run
-/// the vectorized benefit-bound passes over the compact list, and exact-
-/// score the few survivors — the expression DAG per candidate is untouched,
-/// only the evaluation time of its invariant prefix moves from scan to
-/// rebuild, so every score stays bit-identical to the reference scan.
+/// which change for O(1) gates per commit. The scorer keeps each move's
+/// invariant prefix — move delay delta, hypothetical moments, moment
+/// deltas — in PERSISTENT dense slot lanes (slot 2g = HVT swap of gate g,
+/// slot 2g+1 = downsize), rebuilt for the gates set_impl() dirtied (a
+/// resize also dirties the resized gate's fanin drivers, whose loads
+/// changed). On top of the lanes it keeps a per-slot KEY, a proven upper
+/// bound on the slot's score up to one per-scan factor r (see best_assign),
+/// and the maximum key of every 64-slot block. A scan re-keys only the
+/// slots whose inputs moved (rebuilt lanes, changed criticality or lock
+/// bytes, found by an O(n) diff against copies the scorer keeps), seeds a
+/// threshold with the exact score of the max-key slot, and walks blocks and
+/// slots in slot order, exact-scoring only those whose r * key can reach
+/// the threshold. Every slot that could attain the maximum score is
+/// visited, so the expression DAG per candidate and the serial
+/// first-attainer rule are untouched and every score stays bit-identical
+/// to the reference scan; the scan is serial, so thread count cannot
+/// change it.
 ///
 /// Bit contract: every stage completes a decomposed expression whose terms
 /// are the exact subexpressions of the reference scan (CellLibrary::
@@ -105,15 +112,31 @@ class BatchScorer {
   /// blocks of up to K candidates actually priced).
   std::int64_t passes() const { return passes_; }
   std::int64_t blocks() const { return blocks_; }
-  /// Assign-phase candidates discharged by the quantile-free upper bound
-  /// (see price_slots_assign) without evaluating the exact Wilkinson
-  /// quantile. Skips never change the argmax — the bound is a proven
-  /// over-estimate of the exact score.
+  /// Live assign-phase candidates discharged by the key bound without
+  /// evaluating the exact Wilkinson quantile. Skips never change the
+  /// argmax — the bound is a proven over-estimate of the exact score.
   std::int64_t pruned() const { return pruned_; }
 
+  /// Assign-scan bookkeeping since construction.
+  struct AssignStats {
+    std::int64_t rekeys = 0;        ///< slot keys recomputed
+    std::int64_t full_rekeys = 0;   ///< scans that re-keyed every slot
+    std::int64_t drift_rekeys = 0;  ///< ... because r passed 1 + 1e-3
+    std::int64_t exact = 0;         ///< exact quantiles evaluated
+    std::int64_t unbounded = 0;     ///< scans run with the bound off
+  };
+  const AssignStats& assign_stats() const { return stats_; }
+
+  /// Test access to the key bound of the last assign scan: every live slot
+  /// with a finite key scores at most key_ratio() * key * (1 + 1e-6).
+  /// key_ratio() is 0 after a scan that ran with the bound off.
+  double key_ratio() const { return key_ratio_; }
+  std::span<const double> slot_keys() const { return key_; }
+
  private:
+  /// Phase-1 scan state of one worker.
   struct Worker {
-    // SoA candidate lanes (phase-1 filter-pass output, gathered contiguous).
+    // SoA candidate lanes (filter-pass output, gathered contiguous).
     std::vector<GateId> gate;
     std::vector<std::size_t> tgt_step;
     std::vector<double> load;
@@ -123,54 +146,56 @@ class BatchScorer {
     std::vector<double> leak_unit_tgt;
     std::vector<double> old_mean, old_var;  ///< committed leak moments
     std::vector<double> crit;
-    // Phase-1 stage arrays, sized to one block and reused per block.
+    // Stage arrays, sized to one block and reused per block.
     std::vector<double> delta;
     std::vector<double> new_mean, new_var;
-    // Phase-2 compact scan state: live unlocked slot ids of the shard in
-    // serial candidate order, plus per-candidate scratch for the benefit
-    // upper bound (sized to the compact count each scan).
-    std::vector<std::uint32_t> slot;
-    std::vector<double> dm, dvub;  ///< guarded mean delta / variance-drop ub
-    std::vector<double> bound;     ///< benefit upper bound
     std::int64_t blocks = 0;
     void clear();
   };
 
-  /// Per-scan constants for the assign-phase benefit upper bound: Lipschitz
-  /// constants of the Wilkinson lognormal quantile q(m, v) = m * exp(z *
-  /// sqrt(L) - L / 2), L = ln(1 + v / m^2), over the moment rectangle any
-  /// guarded candidate move can reach. Derivation in price_blocks_assign.
-  struct AssignPrune {
-    bool usable = false;
-    double anchor = 0.0;  ///< max(0, q_now - q(m0, v0)), inflated
-    double half_m = 0.0;  ///< 0.5 * m0: candidate mean-delta guard
-    double half_v = 0.0;  ///< 0.5 * v0: candidate variance-delta guard
-    double quarter_v = 0.0;  ///< 0.25 * v0: variance-excess guard
-    double cf = 0.0;         ///< pairwise covariance factor
-    double cf2m = 0.0;       ///< cf * 2 * m0
-    double m0 = 0.0;         ///< committed total leak mean
-    double v0 = 0.0;         ///< committed total leak variance (incl. pairwise)
-    double z = 0.0;          ///< normal deviate of the scored percentile
+  /// Per-scan constants of the assign-phase benefit bound
+  /// benefit <= p * dm + q * dv (see assign_bound()).
+  struct AssignBound {
+    bool ok = false;  ///< bound usable on this scan
+    double p = 0.0;
+    double q = 0.0;
   };
-  static AssignPrune make_assign_prune(const LeakDeltaPricer& pricer,
-                                       double q_now);
+  AssignBound assign_bound(const LeakDeltaPricer& pricer, double q_now) const;
+  /// Smallest r with p <= r * p0_ and q <= r * q0_.
+  double key_drift(const AssignBound& bound) const;
 
   void price_blocks_sizing(Worker& w, const LeakDeltaPricer& pricer,
                            double q_now, double crit_floor, double gain_eps,
                            MoveCandidate& local) const;
-  void price_slots_assign(Worker& w, const LeakDeltaPricer& pricer,
-                          const AssignPrune& prune,
-                          std::span<const double> criticality, double q_now,
-                          double crit_floor, double eps, MoveCandidate& local,
-                          std::int64_t& pruned) const;
 
   /// Recomputes the persistent per-slot lanes of one gate's two assign
-  /// moves from the current mirrors, loads and committed leak moments.
+  /// moves from the current mirrors, loads and committed leak moments, and
+  /// grows the key rectangle's maxima to cover them.
   void rebuild_gate_slots(GateId id);
   /// Drains the dirty-gate queue through rebuild_gate_slots (serial; called
-  /// at the top of every assign scan).
+  /// at the top of every assign scan). The gates stay flagged until their
+  /// slots are re-keyed.
   void rebuild_dirty_slots();
   void mark_dirty(GateId id);
+
+  /// Key of one slot under the stored p0_/q0_: -inf for a dead or locked
+  /// slot, +inf for a live one outside the bound (dm < 0 or dv < 0).
+  double slot_key(std::size_t s, double crit, unsigned char lock) const;
+  /// Re-keys one gate's two slots and keeps live_slots_ current.
+  void rekey_gate(GateId id, double crit, unsigned char lock);
+  void refresh_block(std::size_t b);
+  /// Re-keys the gates whose lanes, criticality or lock byte changed since
+  /// the keys were built; stops with false once more than n/8 did (the
+  /// caller then re-keys everything).
+  bool patch_keys(std::span<const double> criticality,
+                  std::span<const unsigned char> locked);
+  /// Recomputes the rectangle maxima over every legal slot with dm, dv >= 0.
+  void recompute_maxima();
+  /// Re-keys every slot under `bound`, which becomes p0_/q0_.
+  void rekey_all(const AssignBound& bound,
+                 std::span<const double> criticality,
+                 std::span<const unsigned char> locked, double crit_floor,
+                 double eps);
 
   const CellLibrary& lib_;
   const LeakageAnalyzer& leak_;
@@ -202,15 +227,29 @@ class BatchScorer {
   std::vector<double> sl_dm_, sl_dv_;       ///< om - nmean, ov - nvar
   std::vector<double> sl_vexb_;  ///< dm^2 + (om + nmean) * dm (cf-free)
   std::vector<double> sl_tgt_;   ///< downsize target size
-  std::vector<GateId> dirty_;
-  std::vector<std::uint8_t> dirty_flag_;
+  std::vector<GateId> dirty_;             ///< gates queued for rebuild
+  std::vector<std::uint8_t> dirty_flag_;  ///< rebuilt or queued, not re-keyed
+
+  // Lazy assign-scan keys (see best_assign).
+  std::vector<double> key_;   ///< per slot
+  std::vector<double> bmax_;  ///< max key per 64-slot block
+  std::vector<double> crit_seen_;         ///< criticality keyed from
+  std::vector<unsigned char> lock_seen_;  ///< lock bytes keyed from
+  double floor_seen_ = 0.0, eps_seen_ = 0.0;
+  double p0_ = 0.0, q0_ = 0.0;  ///< bound constants the keys carry
+  /// Over-estimated maxima of dm, dv and vexb over legal slots with dm,
+  /// dv >= 0: they grow on rebuild and are recomputed at a full re-key.
+  double dm_hi_ = 0.0, dv_hi_ = 0.0, vexb_hi_ = 0.0;
+  std::int64_t live_slots_ = 0;  ///< slots with key > -inf
+  bool keyed_ = false;
+  double key_ratio_ = 0.0;
 
   std::vector<Worker> workers_;
   std::vector<MoveCandidate> shard_best_;
-  std::vector<std::int64_t> shard_pruned_;
   std::int64_t passes_ = 0;
   std::int64_t blocks_ = 0;
   std::int64_t pruned_ = 0;
+  AssignStats stats_;
 };
 
 }  // namespace statleak

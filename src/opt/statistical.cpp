@@ -487,6 +487,10 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
     obs->add("opt.flat_passes", static_cast<double>(scorer.passes()));
     obs->add("opt.candidate_blocks", static_cast<double>(scorer.blocks()));
     obs->add("opt.pruned_candidates", static_cast<double>(scorer.pruned()));
+    const BatchScorer::AssignStats& assign = scorer.assign_stats();
+    obs->add("opt.assign_rekeys", static_cast<double>(assign.rekeys));
+    obs->add("opt.exact_candidates", static_cast<double>(assign.exact));
+    obs->add("opt.unbounded_scans", static_cast<double>(assign.unbounded));
   }
   return result;
 }

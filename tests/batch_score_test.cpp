@@ -11,12 +11,17 @@
 // size/Vth moves — plus tentative moves inside an SSTA trial that are
 // rejected and reverted, as the optimizer's are — under fresh random lock
 // masks, both scans must return the same gate and move with the same score
-// bits, for every thread count.
+// bits, for every thread count. After every assign scan the scorer's key
+// bound itself is checked slot by slot, and further walks reach every path
+// of the lazy scan: sparse key patches, drift re-keys and the unbounded
+// scan.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,7 +84,8 @@ struct ScanInputs {
 
 /// Phase-1 reference: best criticality-weighted upsizing move.
 MoveCandidate reference_sizing(const ScanInputs& in, ThreadPool& pool,
-                               std::span<const std::uint64_t> locked) {
+                               std::span<const std::uint64_t> locked,
+                               double pct = kPct) {
   const auto steps = in.lib.size_steps();
   return reference_scan(
       pool, in.circuit.num_gates(), [&](GateId id, MoveCandidate& local) {
@@ -95,7 +101,7 @@ MoveCandidate reference_sizing(const ScanInputs& in, ThreadPool& pool,
                             in.own_delay(id, g.vth, next_size);
         if (gain <= kEps) return;
         const double dleak_pct =
-            in.leak.quantile_if_na(id, g.vth, next_size, kPct) - in.q_now;
+            in.leak.quantile_if_na(id, g.vth, next_size, pct) - in.q_now;
         const double score =
             in.timing.criticality[id] * gain / std::max(dleak_pct, 1e-6);
         if (score > local.score) {
@@ -106,7 +112,8 @@ MoveCandidate reference_sizing(const ScanInputs& in, ThreadPool& pool,
 
 /// Phase-2 reference: best HVT swap or one-step downsize.
 MoveCandidate reference_assign(const ScanInputs& in, ThreadPool& pool,
-                               std::span<const unsigned char> locked) {
+                               std::span<const unsigned char> locked,
+                               double pct = kPct) {
   const auto steps = in.lib.size_steps();
   return reference_scan(
       pool, in.circuit.num_gates(), [&](GateId id, MoveCandidate& local) {
@@ -122,7 +129,7 @@ MoveCandidate reference_assign(const ScanInputs& in, ThreadPool& pool,
         if (can_hvt) {
           const double dd = in.own_delay(id, Vth::kHigh, g.size) - d_now;
           const double benefit =
-              in.q_now - in.leak.quantile_if_na(id, Vth::kHigh, g.size, kPct);
+              in.q_now - in.leak.quantile_if_na(id, Vth::kHigh, g.size, pct);
           if (benefit > 0.0) {
             const double score = benefit / (crit * std::max(dd, kEps) + kEps);
             if (score > local.score) {
@@ -134,7 +141,7 @@ MoveCandidate reference_assign(const ScanInputs& in, ThreadPool& pool,
           const double smaller = steps[step - 1];
           const double dd = in.own_delay(id, g.vth, smaller) - d_now;
           const double benefit =
-              in.q_now - in.leak.quantile_if_na(id, g.vth, smaller, kPct);
+              in.q_now - in.leak.quantile_if_na(id, g.vth, smaller, pct);
           if (benefit > 0.0) {
             const double score = benefit / (crit * std::max(dd, kEps) + kEps);
             if (score > local.score) {
@@ -161,6 +168,57 @@ testing::AssertionResult same_move(const MoveCandidate& got,
          << testing::PrintToString(want.score) << ")";
 }
 
+/// The inequality the lazy assign scan rests on, slot by slot, after a
+/// scan: a legal unlocked move has a live key (> -inf), any other slot a
+/// dead one, and every live key with a finite value bounds the move's
+/// exact score: score <= key_ratio * key * (1 + 1e-6).
+void expect_keys_bound_scores(const ScanInputs& in, const BatchScorer& scorer,
+                              std::span<const unsigned char> locked,
+                              double pct, int step) {
+  const auto steps = in.lib.size_steps();
+  const double ratio = scorer.key_ratio();
+  if (ratio == 0.0) return;  // unbounded scan: no keys were used
+  const std::span<const double> keys = scorer.slot_keys();
+  for (GateId id = 0; id < in.circuit.num_gates(); ++id) {
+    const Gate& g = in.circuit.gate(id);
+    const std::size_t step_now = in.lib.nearest_step(g.size);
+    const bool input = g.kind == CellKind::kInput;
+    for (int down = 0; down < 2; ++down) {
+      const double key = keys[2 * static_cast<std::size_t>(id) + down];
+      const bool legal = !input && (down == 0 ? g.vth == Vth::kLow
+                                              : step_now > 0);
+      const bool live = legal && ((locked[id] >> down) & 1) == 0;
+      ASSERT_EQ(live, key != -std::numeric_limits<double>::infinity())
+          << "gate " << id << (down ? " downsize" : " hvt") << ", step "
+          << step;
+      if (!live || !std::isfinite(key)) continue;
+      const Vth vth = down ? g.vth : Vth::kHigh;
+      const double size = down ? steps[step_now - 1] : g.size;
+      const double crit = std::max(in.timing.criticality[id], kCritFloor);
+      const double dd =
+          in.own_delay(id, vth, size) - in.own_delay(id, g.vth, g.size);
+      const double benefit =
+          in.q_now - in.leak.quantile_if_na(id, vth, size, pct);
+      const double score = benefit / (crit * std::max(dd, kEps) + kEps);
+      ASSERT_LE(score, ratio * key * (1.0 + 1e-6))
+          << "gate " << id << (down ? " downsize" : " hvt") << ", step "
+          << step;
+    }
+  }
+}
+
+/// How a walk changes the circuit and the locks between scans.
+enum class WalkMode {
+  /// Fresh random lock masks every step; committed moves, rejected trials
+  /// and accepted trials. Sizing and assign scans.
+  kMixed,
+  /// A few lock bytes change per step (all clear every 64 steps, as a new
+  /// optimizer round does); every move commits, half of them the scan's
+  /// own choice. Assign scans only — the sparse updates the key patches
+  /// are for.
+  kCommitted,
+};
+
 /// One walk: a circuit ("rdag<seed>" = 300-gate random DAG, otherwise an
 /// ISCAS85 proxy) scanned on `threads` workers with candidate block `block`.
 struct WalkConfig {
@@ -169,62 +227,76 @@ struct WalkConfig {
   std::size_t block;
 };
 
-class BatchScoreTest : public ::testing::TestWithParam<WalkConfig> {
- protected:
-  Circuit make_circuit() const {
-    const std::string name = GetParam().circuit;
-    if (name.rfind("rdag", 0) != 0) return iscas85_proxy(name);
-    RandomDagSpec spec;
-    spec.num_inputs = 24;
-    spec.num_gates = 300;
-    spec.num_outputs = 12;
-    spec.seed = std::stoull(name.substr(4));
-    return make_random_dag(spec);
+struct WalkResult {
+  int scans = 0;
+  std::int64_t pruned = 0;
+  BatchScorer::AssignStats assign;
+  std::size_t num_gates = 0;
+};
+
+Circuit make_circuit(const std::string& name) {
+  if (name.rfind("rdag", 0) != 0) return iscas85_proxy(name);
+  RandomDagSpec spec;
+  spec.num_inputs = 24;
+  spec.num_gates = 300;
+  spec.num_outputs = 12;
+  spec.seed = std::stoull(name.substr(4));
+  return make_random_dag(spec);
+}
+
+/// Runs `steps` steps of a walk at percentile `pct`, comparing every scan
+/// with the reference and checking the key bound after every assign scan.
+WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
+                    WalkMode mode) {
+  const CellLibrary lib{generic_100nm()};
+  const VariationModel var = VariationModel::typical_100nm();
+  WalkResult result;
+  Circuit c = make_circuit(wc.circuit);
+  std::vector<GateId> cells;
+  for (GateId id = 0; id < c.num_gates(); ++id) {
+    if (c.gate(id).kind != CellKind::kInput) cells.push_back(id);
   }
+  const auto size_steps = lib.size_steps();
+  FlatSstaEngine ssta(c, lib, var);
+  LeakageAnalyzer leak(c, lib, var);
+  ThreadPool pool(wc.threads);
+  BatchScorer scorer(lib, leak, ssta.flat(), ssta.loads(), pool, wc.block);
+  Rng rng(0xB5C0u + static_cast<std::uint64_t>(wc.threads));
 
-  /// Runs the walk; returns the number of scans compared.
-  int run_walk() {
-    const WalkConfig& wc = GetParam();
-    Circuit c = make_circuit();
-    std::vector<GateId> cells;
-    for (GateId id = 0; id < c.num_gates(); ++id) {
-      if (c.gate(id).kind != CellKind::kInput) cells.push_back(id);
+  std::vector<std::uint64_t> size_locks(c.num_gates(), 0);
+  std::vector<unsigned char> assign_locks(c.num_gates(), 0);
+
+  // Every implementation change goes to the engine and the scorer's
+  // mirrors, exactly as the optimizer routes it.
+  const auto apply = [&](GateId id, double size, Vth vth) {
+    if (c.gate(id).size != size) {
+      c.set_size(id, size);
+      ssta.on_resize(id);
     }
-    const auto steps = lib_.size_steps();
-    FlatSstaEngine ssta(c, lib_, var_);
-    LeakageAnalyzer leak(c, lib_, var_);
-    ThreadPool pool(wc.threads);
-    BatchScorer scorer(lib_, leak, ssta.flat(), ssta.loads(), pool, wc.block);
-    Rng rng(0xB5C0u + static_cast<std::uint64_t>(wc.threads));
+    if (c.gate(id).vth != vth) {
+      c.set_vth(id, vth);
+      ssta.on_vth_change(id);
+    }
+    scorer.set_impl(id, c.gate(id).vth, c.gate(id).size);
+  };
+  const auto random_target = [&](GateId id, double& size, Vth& vth) {
+    size = c.gate(id).size;
+    vth = c.gate(id).vth;
+    if (rng.uniform() < 0.5) {
+      size = size_steps[rng.uniform_index(size_steps.size())];
+    } else {
+      vth = vth == Vth::kLow ? Vth::kHigh : Vth::kLow;
+    }
+  };
+  const auto finish = [&] {
+    result.pruned = scorer.pruned();
+    result.assign = scorer.assign_stats();
+    result.num_gates = c.num_gates();
+    return result;
+  };
 
-    std::vector<std::uint64_t> size_locks(c.num_gates(), 0);
-    std::vector<unsigned char> assign_locks(c.num_gates(), 0);
-
-    // Every implementation change goes to the engine and the scorer's
-    // mirrors, exactly as the optimizer routes it.
-    const auto apply = [&](GateId id, double size, Vth vth) {
-      if (c.gate(id).size != size) {
-        c.set_size(id, size);
-        ssta.on_resize(id);
-      }
-      if (c.gate(id).vth != vth) {
-        c.set_vth(id, vth);
-        ssta.on_vth_change(id);
-      }
-      scorer.set_impl(id, c.gate(id).vth, c.gate(id).size);
-    };
-    const auto random_target = [&](GateId id, double& size, Vth& vth) {
-      size = c.gate(id).size;
-      vth = c.gate(id).vth;
-      if (rng.uniform() < 0.5) {
-        size = steps[rng.uniform_index(steps.size())];
-      } else {
-        vth = vth == Vth::kLow ? Vth::kHigh : Vth::kLow;
-      }
-    };
-
-    int scans = 0;
-    for (int step = 0; step < kSteps; ++step) {
+  for (int step = 0; step < steps; ++step) {
+    if (mode == WalkMode::kMixed) {
       for (GateId id = 0; id < c.num_gates(); ++id) {
         size_locks[id] = rng.uniform() < 0.25 ? rng() : 0;
         assign_locks[id] = rng.uniform() < 0.25
@@ -232,68 +304,94 @@ class BatchScoreTest : public ::testing::TestWithParam<WalkConfig> {
                                      1 + rng.uniform_index(3))
                                : 0;
       }
-      const SstaResult& timing = ssta.analyze_ref();
-      const ScanInputs in{c, lib_, leak, ssta, timing, leak.quantile_na(kPct)};
-
-      const MoveCandidate want_size = reference_sizing(in, pool, size_locks);
-      const MoveCandidate got_size = scorer.best_sizing(
-          timing.criticality, size_locks, in.q_now, kPct, kCritFloor, kEps);
-      EXPECT_TRUE(same_move(got_size, want_size)) << "sizing, step " << step;
-      const MoveCandidate want_assign =
-          reference_assign(in, pool, assign_locks);
-      const MoveCandidate got_assign = scorer.best_assign(
-          timing.criticality, assign_locks, in.q_now, kPct, kCritFloor, kEps);
-      EXPECT_TRUE(same_move(got_assign, want_assign))
-          << "assign, step " << step;
-      if (::testing::Test::HasFailure()) return scans;
-      scans += 2;
-
-      const GateId id = cells[rng.uniform_index(cells.size())];
-      const Gate saved = c.gate(id);
-      double size = 0.0;
-      Vth vth = Vth::kLow;
-      random_target(id, size, vth);
-      const double roll = rng.uniform();
-      if (roll < 0.6) {
-        // Committed move.
-        apply(id, size, vth);
-        leak.on_gate_changed(id);
-      } else if (roll < 0.85) {
-        // Tentative move, rejected: the engine rolls back its caches, the
-        // gate fields are restored and re-reported to the scorer.
-        ssta.begin_trial();
-        apply(id, size, vth);
-        (void)ssta.circuit_delay();
-        ssta.rollback_trial();
-        c.set_size(id, saved.size);
-        c.set_vth(id, saved.vth);
-        scorer.set_impl(id, saved.vth, saved.size);
-      } else {
-        // Tentative move, accepted.
-        ssta.begin_trial();
-        apply(id, size, vth);
-        (void)ssta.circuit_delay();
-        ssta.commit_trial();
-        leak.on_gate_changed(id);
+    } else if (step % 64 == 63) {
+      std::fill(assign_locks.begin(), assign_locks.end(), 0);
+    } else {
+      for (int k = 0; k < 3; ++k) {
+        assign_locks[rng.uniform_index(c.num_gates())] =
+            static_cast<unsigned char>(rng.uniform_index(4));
       }
     }
-    // The walk must exercise the quantile-elision prune, not just the
-    // exact path.
-    EXPECT_GT(scorer.pruned(), 0);
-    return scans;
+    const SstaResult& timing = ssta.analyze_ref();
+    const ScanInputs in{c, lib, leak, ssta, timing, leak.quantile_na(pct)};
+
+    if (mode == WalkMode::kMixed) {
+      const MoveCandidate want_size =
+          reference_sizing(in, pool, size_locks, pct);
+      const MoveCandidate got_size = scorer.best_sizing(
+          timing.criticality, size_locks, in.q_now, pct, kCritFloor, kEps);
+      EXPECT_TRUE(same_move(got_size, want_size)) << "sizing, step " << step;
+      ++result.scans;
+    }
+    const MoveCandidate want_assign =
+        reference_assign(in, pool, assign_locks, pct);
+    const MoveCandidate got_assign = scorer.best_assign(
+        timing.criticality, assign_locks, in.q_now, pct, kCritFloor, kEps);
+    EXPECT_TRUE(same_move(got_assign, want_assign)) << "assign, step " << step;
+    expect_keys_bound_scores(in, scorer, assign_locks, pct, step);
+    if (::testing::Test::HasFailure()) return finish();
+    ++result.scans;
+
+    if (mode == WalkMode::kCommitted) {
+      GateId id = got_assign.gate;
+      double size = 0.0;
+      Vth vth = Vth::kLow;
+      if (id != kInvalidGate && rng.uniform() < 0.5) {
+        size = got_assign.to_hvt ? c.gate(id).size : got_assign.new_size;
+        vth = got_assign.to_hvt ? Vth::kHigh : c.gate(id).vth;
+      } else {
+        id = cells[rng.uniform_index(cells.size())];
+        random_target(id, size, vth);
+      }
+      apply(id, size, vth);
+      leak.on_gate_changed(id);
+      continue;
+    }
+
+    const GateId id = cells[rng.uniform_index(cells.size())];
+    const Gate saved = c.gate(id);
+    double size = 0.0;
+    Vth vth = Vth::kLow;
+    random_target(id, size, vth);
+    const double roll = rng.uniform();
+    if (roll < 0.6) {
+      // Committed move.
+      apply(id, size, vth);
+      leak.on_gate_changed(id);
+    } else if (roll < 0.85) {
+      // Tentative move, rejected: the engine rolls back its caches, the
+      // gate fields are restored and re-reported to the scorer.
+      ssta.begin_trial();
+      apply(id, size, vth);
+      (void)ssta.circuit_delay();
+      ssta.rollback_trial();
+      c.set_size(id, saved.size);
+      c.set_vth(id, saved.vth);
+      scorer.set_impl(id, saved.vth, saved.size);
+    } else {
+      // Tentative move, accepted.
+      ssta.begin_trial();
+      apply(id, size, vth);
+      (void)ssta.circuit_delay();
+      ssta.commit_trial();
+      leak.on_gate_changed(id);
+    }
   }
+  return finish();
+}
 
-  static constexpr int kSteps = 120;
-
-  CellLibrary lib_{generic_100nm()};
-  VariationModel var_ = VariationModel::typical_100nm();
-};
+class BatchScoreTest : public ::testing::TestWithParam<WalkConfig> {};
 
 TEST_P(BatchScoreTest, MatchesReferenceScanAlongRandomWalk) {
-  const int scans = run_walk();
-  if (!HasFailure()) {
-    EXPECT_GE(scans, 200);
-  }
+  const WalkResult r = run_walk(GetParam(), 120, kPct, WalkMode::kMixed);
+  if (HasFailure()) return;
+  EXPECT_GE(r.scans, 200);
+  // The walk must exercise the lazy scan's key bound, not just exact
+  // scoring: fewer exact quantiles than live candidates, and never a scan
+  // with the bound off.
+  EXPECT_GT(r.pruned, 0);
+  EXPECT_LT(r.assign.exact, r.assign.exact + r.pruned);
+  EXPECT_EQ(r.assign.unbounded, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -306,6 +404,40 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.circuit) + "_threads" +
              std::to_string(info.param.threads);
     });
+
+// At the median z = 0, where the quantile is not increasing in the
+// variance, the bound is off: every scan exact-scores every live slot in
+// the same loop and must still match the reference.
+TEST(BatchScoreLazyTest, MedianScansRunUnboundedAndMatchReference) {
+  for (const char* circuit : {"rdag5", "c880p"}) {
+    const WalkResult r =
+        run_walk(WalkConfig{circuit, 2, 3}, 60, 0.5, WalkMode::kMixed);
+    if (HasFailure()) return;
+    EXPECT_EQ(r.scans, 120) << circuit;
+    EXPECT_GT(r.assign.unbounded, 0) << circuit;
+    EXPECT_EQ(r.pruned, 0) << circuit;
+  }
+}
+
+// A long walk of committed moves under sparse lock changes: most scans
+// patch a few keys (rebuilt lanes, changed criticality, changed locks)
+// instead of re-keying everything, and the committed moments drift far
+// enough to cross the re-key threshold more than once.
+TEST(BatchScoreLazyTest, CommittedWalkPatchesKeysAndCrossesTheDriftBound) {
+  const WalkResult r =
+      run_walk(WalkConfig{"c880p", 1, 64}, 320, kPct, WalkMode::kCommitted);
+  if (HasFailure()) return;
+  EXPECT_EQ(r.scans, 320);
+  EXPECT_EQ(r.assign.unbounded, 0);
+  EXPECT_GE(r.assign.drift_rekeys, 2);
+  EXPECT_GE(r.assign.full_rekeys, 2);
+  // Partial re-keys happened: more keys recomputed than the full passes
+  // account for.
+  const auto full_keys =
+      r.assign.full_rekeys * 2 * static_cast<std::int64_t>(r.num_gates);
+  EXPECT_GT(r.assign.rekeys, full_keys);
+  EXPECT_LT(r.assign.exact, r.assign.exact + r.pruned);
+}
 
 }  // namespace
 }  // namespace statleak
