@@ -1,12 +1,16 @@
 #include "report/flow.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <exception>
 
 #include "mc/monte_carlo.hpp"
+#include "obs/snapshot.hpp"
 #include "opt/deterministic.hpp"
 #include "opt/statistical.hpp"
 #include "sta/sta.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace statleak {
 
@@ -100,61 +104,96 @@ FlowOutcome run_flow(Circuit& circuit, const CellLibrary& lib,
   base.t_max_ps = out.t_max_ps;
   base.yield_target = config.yield_target;
   base.leakage_percentile = config.leakage_percentile;
-  base.num_threads = config.num_threads;
   // Scoring knob (statistical phase only; the deterministic sizer ignores
   // it). Trajectory-invariant — see OptConfig.
   base.candidate_block = config.opt_candidate_block;
 
-  // --- deterministic baseline -------------------------------------------
-  {
-    obs::ScopedTimer timer(obs, "flow.det");
+  // The two branches share only the input circuit and T, so they run side
+  // by side: the serial deterministic sizer takes one thread and the
+  // statistical optimizer the rest of the budget (its trajectory is
+  // thread-invariant). The statistical branch mutates `circuit` in place,
+  // so the deterministic branch copies only from `pristine`, and the
+  // branches write disjoint FlowOutcome fields and their own registries.
+  const int threads = resolve_num_threads(config.num_threads);
+  const Circuit pristine = circuit;
+  Circuit det = pristine;
+  obs::Registry det_obs;
+  obs::Registry stat_obs;
+
+  const auto run_det = [&] {
+    obs::Registry* reg = obs != nullptr ? &det_obs : nullptr;
+    obs::ScopedTimer timer(reg, "flow.det");
     const auto start = std::chrono::steady_clock::now();
-    Circuit det = circuit;
+    OptConfig cfg = base;
+    cfg.num_threads = 1;
     if (config.det_auto_corner) {
       for (double k : {0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0}) {
-        OptConfig cfg = base;
         cfg.corner_k_sigma = k;
         cfg.deadline_ms = remaining_ms();
-        det = circuit;
-        out.det_result = DeterministicOptimizer(lib, var, cfg).run(det, obs);
+        det = pristine;
+        out.det_result = DeterministicOptimizer(lib, var, cfg).run(det, reg);
         out.det_corner_k = k;
         out.det_metrics = measure_metrics(det, lib, var, out.t_max_ps);
         if (out.det_metrics.timing_yield >= config.yield_target) break;
       }
     } else {
-      OptConfig cfg = base;
       cfg.corner_k_sigma = config.det_corner_k;
       cfg.deadline_ms = remaining_ms();
-      out.det_result = DeterministicOptimizer(lib, var, cfg).run(det, obs);
+      out.det_result = DeterministicOptimizer(lib, var, cfg).run(det, reg);
       out.det_corner_k = config.det_corner_k;
       out.det_metrics = measure_metrics(det, lib, var, out.t_max_ps);
     }
     out.det_runtime_s = seconds_since(start);
-    timer.stop();
-    if (config.mc_samples > 0) {
-      out.has_mc = true;
-      out.det_mc = run_mc_check(det, lib, var, out.t_max_ps, config,
-                                config.seed, remaining_ms(), obs);
-    }
-  }
+  };
 
-  // --- statistical optimizer ---------------------------------------------
-  {
-    obs::ScopedTimer timer(obs, "flow.stat");
+  const auto run_stat = [&] {
+    obs::Registry* reg = obs != nullptr ? &stat_obs : nullptr;
+    obs::ScopedTimer timer(reg, "flow.stat");
     const auto start = std::chrono::steady_clock::now();
-    OptConfig stat_cfg = base;
-    stat_cfg.deadline_ms = remaining_ms();
-    stat_cfg.checkpoint_path = config.opt_checkpoint_path;
-    stat_cfg.checkpoint_every = config.opt_checkpoint_every;
-    out.stat_result = StatisticalOptimizer(lib, var, stat_cfg).run(circuit, obs);
+    OptConfig cfg = base;
+    cfg.num_threads = std::max(1, threads - 1);
+    cfg.deadline_ms = remaining_ms();
+    cfg.checkpoint_path = config.opt_checkpoint_path;
+    cfg.checkpoint_every = config.opt_checkpoint_every;
+    out.stat_result = StatisticalOptimizer(lib, var, cfg).run(circuit, reg);
     out.stat_runtime_s = seconds_since(start);
     out.stat_metrics = measure_metrics(circuit, lib, var, out.t_max_ps);
-    timer.stop();
-    if (config.mc_samples > 0) {
-      out.has_mc = true;
-      out.stat_mc = run_mc_check(circuit, lib, var, out.t_max_ps, config,
-                                 config.seed + 1, remaining_ms(), obs);
-    }
+  };
+
+  // Shard 0 is the deterministic branch, shard 1 the statistical one; a
+  // one-thread pool runs them inline in that order. Each branch keeps its
+  // own exception, so which one is rethrown never depends on timing.
+  std::exception_ptr errors[2];
+  ThreadPool(std::min(threads, 2))
+      .parallel_for(2, [&](std::size_t begin, std::size_t end, int) {
+        for (std::size_t branch = begin; branch < end; ++branch) {
+          try {
+            if (branch == 0) {
+              run_det();
+            } else {
+              run_stat();
+            }
+          } catch (...) {
+            errors[branch] = std::current_exception();
+          }
+        }
+      });
+  // Deterministic first, then statistical: the merged report's phase
+  // order, trace streams and first incomplete_reason match a serial run.
+  if (obs != nullptr) {
+    obs::merge_registry_snapshot(*obs, obs::registry_snapshot(det_obs));
+    obs::merge_registry_snapshot(*obs, obs::registry_snapshot(stat_obs));
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
+  if (config.mc_samples > 0) {
+    out.has_mc = true;
+    out.det_mc = run_mc_check(det, lib, var, out.t_max_ps, config,
+                              config.seed, remaining_ms(), obs);
+    out.stat_mc = run_mc_check(circuit, lib, var, out.t_max_ps, config,
+                               config.seed + 1, remaining_ms(), obs);
   }
 
   out.completed = out.det_result.completed && out.stat_result.completed &&

@@ -11,7 +11,8 @@
 ///      the corner is auto-selected as the smallest guard-band whose
 ///      solution actually meets the timing-yield target (the honest
 ///      iso-yield baseline).
-///   3. Statistical optimizer at the same T and yield target.
+///   3. Statistical optimizer at the same T and yield target. Steps 2 and
+///      3 share only the input circuit and T, so they run side by side.
 ///   4. Metrics for both implementations (SSTA yield, Wilkinson leakage
 ///      percentiles), optionally cross-checked by Monte Carlo.
 
@@ -31,8 +32,11 @@
 namespace statleak {
 
 /// Execution knobs come from ExecConfig: `seed` drives the Monte-Carlo
-/// cross-check draws (default 7, the historical flow seed) and
-/// `num_threads` is plumbed into both optimizers and the MC loops.
+/// cross-check draws (default 7, the historical flow seed). `num_threads`
+/// (T, resolved by resolve_num_threads) is the flow's whole thread budget:
+/// the serial deterministic sizer takes one thread, the statistical
+/// optimizer runs beside it with max(1, T - 1) scan workers, and the MC
+/// cross-checks, which start after both, use all T. No result depends on T.
 struct FlowConfig : ExecConfig {
   FlowConfig() { seed = 7; }
 
@@ -41,8 +45,9 @@ struct FlowConfig : ExecConfig {
   double leakage_percentile = 0.99; ///< optimizer objective percentile
   /// Fixed deterministic guard-band corner; ignored when auto_corner is on.
   double det_corner_k = 0.0;
-  /// Search k in {0, 1, 2, 3} for the smallest corner whose deterministic
-  /// solution meets eta (measured by SSTA).
+  /// Search k in {0, 0.5, 1.0, ..., 3.0} for the smallest corner whose
+  /// deterministic solution meets eta (measured by SSTA); 3.0 is kept when
+  /// none does.
   bool det_auto_corner = false;
   int mc_samples = 0;  ///< 0 = skip Monte-Carlo cross-check
   /// Kernel block size of the batched MC cross-check (0 = auto; results
@@ -73,7 +78,8 @@ struct FlowOutcome {
   std::string circuit_name;
   /// False when ExecConfig::deadline_ms expired somewhere in the flow: the
   /// budget is shared across phases (each phase receives the remaining
-  /// time), every phase stops cleanly, and whatever was measured is kept.
+  /// time; the two optimizer branches start together), every phase stops
+  /// cleanly, and whatever was measured is kept.
   bool completed = true;
   double d_min_ps = 0.0;
   double t_max_ps = 0.0;
@@ -83,6 +89,8 @@ struct FlowOutcome {
   OptResult stat_result;
   CircuitMetrics det_metrics;
   CircuitMetrics stat_metrics;
+  /// Wall time of each optimizer branch (the deterministic one includes
+  /// its metrics); the two overlap.
   double det_runtime_s = 0.0;
   double stat_runtime_s = 0.0;
 
@@ -104,11 +112,20 @@ double min_achievable_delay_ps(const Circuit& circuit, const CellLibrary& lib);
 /// implementation attributes are scratch space; on return it holds the
 /// statistical solution.
 ///
+/// The deterministic and statistical branches run concurrently when the
+/// thread budget allows (see FlowConfig); the outcome, the journal and the
+/// report are the same for every thread count. If a branch throws, the
+/// other still runs to its end; the deterministic branch's exception is
+/// rethrown first, then the statistical one's.
+///
 /// With an observability registry attached, the flow records its own phase
 /// wall times ("flow.d_min" / "flow.det" / "flow.stat" / "flow.mc_check"),
-/// headline gauges ("flow.*"), and passes the registry down into both
-/// optimizers and the MC cross-checks (their "det.*" / "stat.*" / "mc.*"
-/// entries accumulate into the same report). Results are bit-identical
+/// headline gauges ("flow.*"), and the "det.*" / "stat.*" / "mc.*" entries
+/// of both optimizers and the MC cross-checks. Each branch records into a
+/// registry of its own, merged into `obs` after the join (deterministic
+/// first, also when a branch threw), so the report's phase order, trace
+/// streams and first incomplete reason do not depend on timing. The
+/// "flow.det" / "flow.stat" wall times overlap. Results are bit-identical
 /// with and without a registry.
 FlowOutcome run_flow(Circuit& circuit, const CellLibrary& lib,
                      const VariationModel& var, const FlowConfig& config,

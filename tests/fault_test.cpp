@@ -12,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "flow_outcome_eq.hpp"
 #include "gen/arithmetic.hpp"
+#include "gen/proxy.hpp"
 #include "mc/checkpoint.hpp"
 #include "mc/monte_carlo.hpp"
 #include "opt/statistical.hpp"
@@ -283,6 +285,49 @@ TEST_F(OptFaultTest, JournalShortWriteDropsTailAndResumes) {
   const OptResult res = run(cfg, c);
   EXPECT_EQ(res.replayed_moves, 9);  // exactly the committed prefix
   expect_matches_reference(ref, ref_impl, res, c);
+}
+
+TEST_F(FaultTest, FlowStatBranchKillThenResumeBitIdentical) {
+  // The same crash inside run_flow, whose deterministic and statistical
+  // branches run side by side: the crash escapes only after the join (the
+  // deterministic branch's report is merged in full), and a rerun over the
+  // journal reproduces the uninterrupted outcome bit for bit.
+  FlowConfig cfg;
+  cfg.t_max_factor = 1.2;
+  cfg.det_auto_corner = true;
+  cfg.num_threads = 2;
+  cfg.opt_checkpoint_every = 16;
+  obs::Registry ref_reg;
+  Circuit ref_c = iscas85_proxy("c432p");
+  const FlowOutcome ref = run_flow(ref_c, lib_, var_, cfg, &ref_reg);
+  ASSERT_GT(ref.stat_result.hvt_commits + ref.stat_result.downsize_commits,
+            4);
+
+  TempFile f("fault_flow_kill.bin");
+  cfg.opt_checkpoint_path = f.path();
+  fault::arm(fault::Point::kOptAssignKill, 4);
+  {
+    obs::Registry reg;
+    Circuit c = iscas85_proxy("c432p");
+    EXPECT_THROW((void)run_flow(c, lib_, var_, cfg, &reg),
+                 fault::InjectedCrash);
+    EXPECT_EQ(reg.counter_value("det.iterations"),
+              ref_reg.counter_value("det.iterations"));
+    EXPECT_EQ(reg.trace_events("det").size(),
+              ref_reg.trace_events("det").size());
+    // The statistical branch's partial trace is merged too.
+    EXPECT_GT(reg.trace_events("stat").size(), 0u);
+    EXPECT_LT(reg.trace_events("stat").size(),
+              ref_reg.trace_events("stat").size());
+  }
+  EXPECT_EQ(fault::fired_count(fault::Point::kOptAssignKill), 1);
+
+  fault::reset();
+  Circuit c = iscas85_proxy("c432p");
+  const FlowOutcome res = run_flow(c, lib_, var_, cfg);
+  EXPECT_GT(res.stat_result.replayed_moves, 0);
+  expect_same_flow_outcome(ref, res);
+  expect_same_implementation(ref_c, c);
 }
 
 TEST_F(FaultTest, ShardStallTripsTheDeadline) {

@@ -4,6 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "flow_outcome_eq.hpp"
 #include "gen/arithmetic.hpp"
 #include "gen/proxy.hpp"
 #include "report/flow.hpp"
@@ -98,6 +108,124 @@ TEST_F(FlowTest, RejectsBadFactor) {
   FlowConfig cfg;
   cfg.t_max_factor = 0.9;
   EXPECT_THROW(run_flow(c, lib_, var_, cfg), Error);
+}
+
+class TempJournal {
+ public:
+  explicit TempJournal(std::string path) : path_(std::move(path)) {
+    std::remove(path_.c_str());
+  }
+  ~TempJournal() { std::remove(path_.c_str()); }
+  const std::string& path() const { return path_; }
+  std::string bytes() const {
+    std::ifstream in(path_, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
+ private:
+  std::string path_;
+};
+
+TEST_F(FlowTest, OutcomeAndJournalAreThreadCountInvariant) {
+  // The deterministic and statistical branches run side by side when the
+  // budget allows; the thread count must not move a bit of the outcome,
+  // the statistical solution left on the circuit, or the journal.
+  FlowConfig cfg;
+  cfg.t_max_factor = 1.2;
+  cfg.det_auto_corner = true;
+  cfg.opt_checkpoint_every = 16;
+
+  cfg.num_threads = 1;
+  TempJournal ref_journal("flow_threads_1.journal");
+  cfg.opt_checkpoint_path = ref_journal.path();
+  Circuit ref_c = iscas85_proxy("c432p");
+  const FlowOutcome ref = run_flow(ref_c, lib_, var_, cfg);
+  const std::string ref_bytes = ref_journal.bytes();
+  ASSERT_FALSE(ref_bytes.empty());
+  ASSERT_TRUE(ref.completed);
+
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    cfg.num_threads = threads;
+    TempJournal journal("flow_threads_" + std::to_string(threads) +
+                        ".journal");
+    cfg.opt_checkpoint_path = journal.path();
+    Circuit c = iscas85_proxy("c432p");
+    const FlowOutcome out = run_flow(c, lib_, var_, cfg);
+    expect_same_flow_outcome(ref, out);
+    EXPECT_EQ(out.det_result.note, ref.det_result.note);
+    EXPECT_EQ(out.stat_result.note, ref.stat_result.note);
+    EXPECT_EQ(out.stat_result.replayed_moves, ref.stat_result.replayed_moves);
+    expect_same_implementation(ref_c, c);
+    EXPECT_TRUE(journal.bytes() == ref_bytes);
+  }
+}
+
+TEST_F(FlowTest, ConcurrentBranchesReportDeterministically) {
+  // Each branch writes its own registry and the flow merges them after the
+  // join, deterministic first: two runs agree on everything but the time.
+  FlowConfig cfg;
+  cfg.t_max_factor = 1.2;
+  cfg.det_auto_corner = true;
+  cfg.num_threads = 2;
+  obs::Registry regs[2];
+  for (obs::Registry& reg : regs) {
+    Circuit c = iscas85_proxy("c432p");
+    (void)run_flow(c, lib_, var_, cfg, &reg);
+  }
+  const auto phase_calls = [](const obs::Registry& reg) {
+    std::vector<std::pair<std::string, std::int64_t>> out;
+    for (const obs::PhaseTime& p : reg.phases()) {
+      out.emplace_back(p.name, p.calls);
+    }
+    return out;
+  };
+  const auto timeless_gauges = [](const obs::Registry& reg) {
+    auto gauges = reg.gauges();
+    std::erase_if(gauges, [](const auto& g) {
+      return g.first == "flow.det_runtime_s" ||
+             g.first == "flow.stat_runtime_s";
+    });
+    return gauges;
+  };
+  const auto names = phase_calls(regs[0]);
+  ASSERT_FALSE(names.empty());
+  EXPECT_EQ(names, phase_calls(regs[1]));
+  // The deterministic branch's phases come before the statistical one's.
+  const auto index_of = [&](const std::string& name) {
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      if (names[i].first == name) return i;
+    }
+    ADD_FAILURE() << "missing phase " << name;
+    return names.size();
+  };
+  EXPECT_LT(index_of("flow.d_min"), index_of("flow.det"));
+  EXPECT_LT(index_of("flow.det"), index_of("flow.stat"));
+  EXPECT_EQ(regs[0].counters(), regs[1].counters());
+  EXPECT_GT(regs[0].counter_value("det.iterations"), 0.0);
+  EXPECT_GT(regs[0].counter_value("stat.iterations"), 0.0);
+  EXPECT_EQ(timeless_gauges(regs[0]), timeless_gauges(regs[1]));
+  const auto streams = regs[0].trace_streams();
+  ASSERT_FALSE(streams.empty());
+  EXPECT_EQ(streams, regs[1].trace_streams());
+  for (const std::string& stream : streams) {
+    SCOPED_TRACE(stream);
+    const auto a = regs[0].trace_events(stream);
+    const auto b = regs[1].trace_events(stream);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].step, b[i].step);
+      EXPECT_EQ(a[i].phase, b[i].phase);
+      EXPECT_EQ(bits_of(a[i].objective), bits_of(b[i].objective));
+      EXPECT_EQ(bits_of(a[i].yield), bits_of(b[i].yield));
+      EXPECT_EQ(bits_of(a[i].delay_ps), bits_of(b[i].delay_ps));
+      EXPECT_EQ(a[i].commits, b[i].commits);
+      EXPECT_EQ(a[i].rejected, b[i].rejected);
+    }
+  }
+  EXPECT_EQ(regs[0].config(), regs[1].config());
+  EXPECT_EQ(regs[0].completed(), regs[1].completed());
 }
 
 TEST_F(FlowTest, SavingsHelpers) {

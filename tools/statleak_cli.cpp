@@ -1025,7 +1025,8 @@ int cmd_flow(const Args& args, ObsSession& session) {
       format_fixed(100.0 * sm.hvt_fraction, 1) + " %");
   row("area", format_fixed(dm.area_um, 1) + " um",
       format_fixed(sm.area_um, 1) + " um");
-  row("runtime", format_fixed(out.det_runtime_s, 2) + " s",
+  // The two optimizers run side by side, so these wall times overlap.
+  row("runtime (overlapping)", format_fixed(out.det_runtime_s, 2) + " s",
       format_fixed(out.stat_runtime_s, 2) + " s");
   if (out.has_mc) {
     row("MC timing yield", format_fixed(out.det_mc.timing_yield, 4),
