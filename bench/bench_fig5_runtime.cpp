@@ -9,11 +9,12 @@
 /// one Monte-Carlo sample on c880p. The BM_MonteCarloBatched series
 /// measures single-thread MC throughput of the batched SoA engine on
 /// c880p/c7552p (docs/PERFORMANCE.md); pipe its --benchmark_format=json
-/// output through tools/bench_to_json.py to regenerate the batched numbers
-/// of BENCH_mc.json (its scalar column is a historical record of the
-/// retired scalar engine).
+/// output through tools/bench_to_json.py to regenerate BENCH_mc.json.
 
 #include <benchmark/benchmark.h>
+
+#include <fstream>
+#include <string>
 
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
@@ -25,6 +26,7 @@
 #include "ssta/ssta.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
+#include "util/simd.hpp"
 
 namespace {
 
@@ -207,9 +209,7 @@ BENCHMARK(BM_MonteCarloSample)->Unit(benchmark::kMillisecond);
 
 // Single-thread Monte-Carlo throughput of the batched SoA engine (auto
 // block size) on the two proxies BENCH_mc.json tracks. Arg: 0 = c880p,
-// 1 = c7552p. items_per_second is samples/s. The "batched" counter stays
-// at 1 so tools/bench_to_json.py files the numbers under the same engine
-// key as BENCH_mc.json's historical record.
+// 1 = c7552p. items_per_second is samples/s.
 void BM_MonteCarloBatched(benchmark::State& state) {
   const char* name = state.range(0) == 0 ? "c880p" : "c7552p";
   const Circuit c = iscas85_proxy(name);
@@ -223,7 +223,6 @@ void BM_MonteCarloBatched(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * cfg.num_samples);
   state.SetLabel(name);
   state.counters["cells"] = static_cast<double>(c.num_cells());
-  state.counters["batched"] = 1.0;
 }
 BENCHMARK(BM_MonteCarloBatched)
     ->Arg(0)
@@ -333,18 +332,34 @@ BENCHMARK(BM_StatisticalOptimizerThreads)
     ->Iterations(1)
     ->UseRealTime();
 
+/// The CPU model string of /proc/cpuinfo, or "unknown" off Linux.
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) return line.substr(colon + 2);
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 // Google Benchmark's own "library_build_type" context key describes the
 // HARNESS library (the distro package is built without NDEBUG), not the
 // timed statleak code. Stamp the statleak build type explicitly so
-// tools/bench_to_json.py can tell Release timing artifacts from debug ones.
+// tools/bench_to_json.py can tell Release timing artifacts from debug ones,
+// and stamp the host's CPU model and MC kernel variant so BENCH_mc.json
+// records what ran.
 int main(int argc, char** argv) {
 #ifdef NDEBUG
   benchmark::AddCustomContext("statleak_build_type", "release");
 #else
   benchmark::AddCustomContext("statleak_build_type", "debug");
 #endif
+  benchmark::AddCustomContext("cpu_model", cpu_model());
+  benchmark::AddCustomContext("mc_kernel_isa", to_string(host_simd_isa()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "mc/arena.hpp"
+#include "mc/lane_draw.hpp"
 #include "util/error.hpp"
 #include "util/health.hpp"
 #include "util/parallel.hpp"
@@ -63,7 +64,7 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
 
   const std::vector<double> ladder = abb.ladder();
   const std::size_t n = circuit.num_gates();
-  const std::vector<double> widths = mc_device_widths(circuit, lib);
+  const IntraDieSigmas sigmas(var, mc_device_widths(circuit, lib));
 
   const auto num_samples = static_cast<std::size_t>(mc.num_samples);
   AbbResult result;
@@ -80,6 +81,7 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
   const BatchDelayKernel& delay_kernel = *arena.delay;
   const BatchLeakageKernel& leak_kernel = *arena.leak;
   const std::size_t block = resolve_batch_size(mc.batch_size, n);
+  if (obs != nullptr) obs->note_config("mc.kernel_isa", to_string(arena.isa));
 
   // Fault-tolerance plumbing (deadline at block boundaries, per-die health
   // checks, serial compaction of partial populations) mirrors
@@ -108,6 +110,9 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
       [&](std::size_t begin, std::size_t end, int worker) {
         obs::LocalCounter evals(obs, "abb.sta_evals");
         obs::LocalCounter batches(obs, "abb.batches");
+        obs::LocalPhase draw_time(obs, "mc.draw");
+        obs::LocalPhase delay_time(obs, "mc.delay_kernel");
+        obs::LocalPhase leak_time(obs, "mc.leak_kernel");
         BatchScratch& sc = arena.scratch[static_cast<std::size_t>(worker)];
         sc.resize(n, block);
         // Per-lane ladder-selection state, reused across blocks.
@@ -126,20 +131,21 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
           evals.add(static_cast<double>(lanes) *
                     (1.0 + static_cast<double>(ladder.size())));
           batches.add();
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            Rng rng = Rng::stream(mc.seed, s0 + lane);
-            const GlobalSample die = sample_global(var, rng);
-            for (std::size_t id = 0; id < n; ++id) {
-              const ParamSample ps = sample_gate(var, die, rng, widths[id]);
-              sc.dl[id * block + lane] = ps.dl_nm;
-              sc.dv[id * block + lane] = ps.dvth_v;
-            }
-          }
+          draw_time.start();
+          draw_block(
+              arena.isa, mc.seed, s0, lanes,
+              [&var](std::size_t, Rng& rng) { return sample_global(var, rng); },
+              sigmas, sc.dl.data(), sc.dv.data(), block);
+          draw_time.stop();
+          delay_time.start();
           delay_kernel.critical_delay_block(
               sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,
               nullptr, sc.arrival.data(), sc.delay_out.data());
+          delay_time.stop();
+          leak_time.start();
           leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
                                   nullptr, sc.leak_out.data());
+          leak_time.stop();
           for (std::size_t lane = 0; lane < lanes; ++lane) {
             result.baseline.delay_ps[s0 + lane] = sc.delay_out[lane];
             result.baseline.leakage_na[s0 + lane] = sc.leak_out[lane];
@@ -157,11 +163,15 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
           // the kernels.
           for (double vbb : ladder) {
             const double dvth = -abb.k_body_v_per_v * vbb;
+            delay_time.start();
             delay_kernel.critical_delay_block(
                 sc.dl.data(), sc.dv.data(), block, lanes, mc.exact_delay,
                 &dvth, sc.arrival.data(), sc.delay_out.data());
+            delay_time.stop();
+            leak_time.start();
             leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
                                     &dvth, sc.leak_out.data());
+            leak_time.stop();
             for (std::size_t lane = 0; lane < lanes; ++lane) {
               const double delay = sc.delay_out[lane];
               const double leak = sc.leak_out[lane];
@@ -201,6 +211,9 @@ AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
           computed_runs[static_cast<std::size_t>(worker)].emplace_back(
               begin, covered);
         }
+        draw_time.flush();
+        delay_time.flush();
+        leak_time.flush();
       });
 
   // Serial finalize: paired compaction — a die survives into baseline,

@@ -27,7 +27,7 @@ void McArena::prepare(const Circuit& circuit, const CellLibrary& lib,
   if (delay.has_value()) {
     delay->rebind(*flat, lib, loads);
   } else {
-    delay.emplace(*flat, lib, loads);
+    delay.emplace(*flat, lib, loads, isa);
   }
   if (leak.has_value()) {
     leak->rebind(*flat, lib);

@@ -32,6 +32,7 @@
 #include "netlist/flat_circuit.hpp"
 #include "obs/registry.hpp"
 #include "sta/batch_delay.hpp"
+#include "util/simd.hpp"
 
 namespace statleak {
 
@@ -43,6 +44,8 @@ struct McArena {
   std::optional<BatchDelayKernel> delay;
   std::optional<BatchLeakageKernel> leak;
   std::vector<BatchScratch> scratch;
+  /// Variant of the lane draws and the first-order delay loop, from CPUID.
+  SimdIsa isa = host_simd_isa();
 
   /// Readies the arena to evaluate `circuit` under `lib`: builds the
   /// FlatCircuit snapshot when the circuit changed (timed into the

@@ -11,6 +11,7 @@
 #include "mc/arena.hpp"
 #include "mc/batch.hpp"
 #include "mc/checkpoint.hpp"
+#include "mc/lane_draw.hpp"
 #include "sta/batch_delay.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -193,20 +194,29 @@ void run_sample_range(
   // the general path draws standardized deviates (Sobol point or the same
   // two stream normals), applies the standardized importance shift, and
   // scales. With pseudo + shift the stream consumes the same two normals
-  // as before, so the per-gate draws that follow are unchanged.
+  // as before, so the per-gate draws that follow are unchanged. The
+  // kNanDeviate fault point poisons the die's dVth.
   const IsShift shift = config.is_shift;
   const bool legacy_draw = qmc == nullptr && !shift.active();
   const auto draw_global = [&var, &shift, qmc, legacy_draw](
                                std::size_t s, Rng& rng) -> GlobalSample {
-    if (legacy_draw) return sample_global(var, rng);
-    const double zl = qmc != nullptr ? qmc->normal(s, 0) : rng.normal();
-    const double zv = qmc != nullptr ? qmc->normal(s, 1) : rng.normal();
-    return {var.sigma_l_inter_nm * (zl + shift.l_sigma),
-            var.sigma_vth_inter_v * (zv + shift.v_sigma)};
+    GlobalSample die;
+    if (legacy_draw) {
+      die = sample_global(var, rng);
+    } else {
+      const double zl = qmc != nullptr ? qmc->normal(s, 0) : rng.normal();
+      const double zv = qmc != nullptr ? qmc->normal(s, 1) : rng.normal();
+      die = {var.sigma_l_inter_nm * (zl + shift.l_sigma),
+             var.sigma_vth_inter_v * (zv + shift.v_sigma)};
+    }
+    if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, s)) {
+      die.dvth_v = std::numeric_limits<double>::quiet_NaN();
+    }
+    return die;
   };
 
   const std::size_t n = circuit.num_gates();
-  const std::vector<double> widths = mc_device_widths(circuit, lib);
+  const IntraDieSigmas sigmas(var, mc_device_widths(circuit, lib));
   const std::size_t range = last - first;
   const std::size_t flush_every = static_cast<std::size_t>(
       std::max(1, config.checkpoint_every));
@@ -237,6 +247,7 @@ void run_sample_range(
   const BatchDelayKernel& delay_kernel = *ar.delay;
   const BatchLeakageKernel& leak_kernel = *ar.leak;
   const std::size_t block = resolve_batch_size(config.batch_size, n);
+  if (obs != nullptr) obs->note_config("mc.kernel_isa", to_string(ar.isa));
 
   // Sample i draws exclusively from its counter-derived stream and writes
   // slot i of the output arrays, so shard boundaries (and hence the
@@ -250,6 +261,9 @@ void run_sample_range(
         // workers never contend on the registry mutex inside the loop.
         obs::LocalCounter evals(obs, "mc.sta_evals");
         obs::LocalCounter batches(obs, "mc.batches");
+        obs::LocalPhase draw_time(obs, "mc.draw");
+        obs::LocalPhase delay_time(obs, "mc.delay_kernel");
+        obs::LocalPhase leak_time(obs, "mc.leak_kernel");
         BatchScratch& sc = ar.scratch[static_cast<std::size_t>(worker)];
         sc.resize(n, block);
         std::size_t run_begin = begin;  // first unflushed computed slot
@@ -277,27 +291,19 @@ void run_sample_range(
             continue;
           }
           STATLEAK_FAULT_STALL(fault::Point::kShardStall, first + s0);
-          // Draws stay sample-major (lane by lane, the per-die call
-          // sequence tests/mc_scalar_oracle.hpp replays) and are transposed
-          // into the gate-major blocks as they land.
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            const std::size_t slot = first + s0 + lane;
-            Rng rng = Rng::stream(config.seed, slot);
-            GlobalSample die = draw_global(slot, rng);
-            if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, slot)) {
-              die.dvth_v = std::numeric_limits<double>::quiet_NaN();
-            }
-            for (std::size_t id = 0; id < n; ++id) {
-              const ParamSample ps = sample_gate(var, die, rng, widths[id]);
-              sc.dl[id * block + lane] = ps.dl_nm;
-              sc.dv[id * block + lane] = ps.dvth_v;
-            }
-          }
+          draw_time.start();
+          draw_block(ar.isa, config.seed, first + s0, lanes, draw_global,
+                     sigmas, sc.dl.data(), sc.dv.data(), block);
+          draw_time.stop();
+          delay_time.start();
           delay_kernel.critical_delay_block(
               sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
               nullptr, sc.arrival.data(), sc.delay_out.data());
+          delay_time.stop();
+          leak_time.start();
           leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
                                   nullptr, sc.leak_out.data());
+          leak_time.stop();
           for (std::size_t lane = 0; lane < lanes; ++lane) {
             delay_out[s0 + lane] = sc.delay_out[lane];
             leak_out[s0 + lane] = sc.leak_out[lane];
@@ -319,6 +325,10 @@ void run_sample_range(
           }
         }
         flush_run(worker, run_begin, covered);
+        // Merged in pipeline order, so the report lists them that way.
+        draw_time.flush();
+        delay_time.flush();
+        leak_time.flush();
       });
 }
 

@@ -155,6 +155,46 @@ class LocalCounter {
   double pending_ = 0.0;
 };
 
+/// Accumulates many short timed scopes of one phase on one worker and
+/// merges them into the registry once, on scope exit — the phase-time
+/// counterpart of LocalCounter. Each start()/stop() pair is one call. With a
+/// null registry start() and stop() do nothing, not even a clock read.
+class LocalPhase {
+ public:
+  LocalPhase(Registry* registry, const char* phase)
+      : registry_(registry), phase_(phase) {}
+  ~LocalPhase() { flush(); }
+  LocalPhase(const LocalPhase&) = delete;
+  LocalPhase& operator=(const LocalPhase&) = delete;
+
+  void start() {
+    if (registry_ != nullptr) start_ = std::chrono::steady_clock::now();
+  }
+  void stop() {
+    if (registry_ == nullptr) return;
+    seconds_ += std::chrono::duration<double>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count();
+    ++calls_;
+  }
+
+  /// Merges the pending total now (idempotent: resets the local sums).
+  void flush() {
+    if (registry_ != nullptr && calls_ != 0) {
+      registry_->add_phase_s(phase_, seconds_, calls_);
+      seconds_ = 0.0;
+      calls_ = 0;
+    }
+  }
+
+ private:
+  Registry* registry_;
+  const char* phase_;
+  std::chrono::steady_clock::time_point start_;
+  double seconds_ = 0.0;
+  std::int64_t calls_ = 0;
+};
+
 /// Times one phase scope. With a null registry the constructor and
 /// destructor do nothing at all — not even a clock read.
 class ScopedTimer {

@@ -9,7 +9,8 @@ namespace statleak {
 
 BatchDelayKernel::BatchDelayKernel(const FlatCircuit& flat,
                                    const CellLibrary& lib,
-                                   const LoadCache& loads) {
+                                   const LoadCache& loads, SimdIsa isa)
+    : isa_(isa == SimdIsa::kAvx512 ? host_simd_isa() : SimdIsa::kBaseline) {
   rebind(flat, lib, loads);
 }
 
@@ -97,6 +98,33 @@ void BatchDelayKernel::block_impl(const double* dl, const double* dv,
   }
 }
 
+void BatchDelayKernel::first_order_baseline(const double* dl,
+                                            const double* dv,
+                                            std::size_t stride,
+                                            std::size_t lanes,
+                                            const double* dvth_shift,
+                                            double* arrival,
+                                            double* out) const {
+  if (dvth_shift != nullptr) {
+    block_impl<false, true>(dl, dv, stride, lanes, *dvth_shift, arrival, out);
+  } else {
+    block_impl<false, false>(dl, dv, stride, lanes, 0.0, arrival, out);
+  }
+}
+
+#if STATLEAK_AVX512_VARIANT
+STATLEAK_TARGET_AVX512 void BatchDelayKernel::first_order_avx512(
+    const double* dl, const double* dv, std::size_t stride,
+    std::size_t lanes, const double* dvth_shift, double* arrival,
+    double* out) const {
+  if (dvth_shift != nullptr) {
+    block_impl<false, true>(dl, dv, stride, lanes, *dvth_shift, arrival, out);
+  } else {
+    block_impl<false, false>(dl, dv, stride, lanes, 0.0, arrival, out);
+  }
+}
+#endif
+
 void BatchDelayKernel::critical_delay_block(const double* dl, const double* dv,
                                             std::size_t stride,
                                             std::size_t lanes,
@@ -106,20 +134,22 @@ void BatchDelayKernel::critical_delay_block(const double* dl, const double* dv,
                                             double* out) const {
   STATLEAK_CHECK(lanes > 0 && lanes <= stride,
                  "batch lanes must be in [1, stride]");
-  const double shift = dvth_shift != nullptr ? *dvth_shift : 0.0;
   if (exact_delay) {
     if (dvth_shift != nullptr) {
-      block_impl<true, true>(dl, dv, stride, lanes, shift, arrival, out);
+      block_impl<true, true>(dl, dv, stride, lanes, *dvth_shift, arrival,
+                             out);
     } else {
-      block_impl<true, false>(dl, dv, stride, lanes, shift, arrival, out);
+      block_impl<true, false>(dl, dv, stride, lanes, 0.0, arrival, out);
     }
-  } else {
-    if (dvth_shift != nullptr) {
-      block_impl<false, true>(dl, dv, stride, lanes, shift, arrival, out);
-    } else {
-      block_impl<false, false>(dl, dv, stride, lanes, shift, arrival, out);
-    }
+    return;
   }
+#if STATLEAK_AVX512_VARIANT
+  if (isa_ == SimdIsa::kAvx512) {
+    first_order_avx512(dl, dv, stride, lanes, dvth_shift, arrival, out);
+    return;
+  }
+#endif
+  first_order_baseline(dl, dv, stride, lanes, dvth_shift, arrival, out);
 }
 
 }  // namespace statleak

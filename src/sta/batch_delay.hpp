@@ -24,6 +24,11 @@
 /// set_size/set_vth/load change (cheap, O(n)). rebind() is what lets a
 /// corner sweep re-derive the constants per environment corner without
 /// reallocating; see mc/arena.hpp.
+///
+/// The first-order block loop — the Monte-Carlo default — is compiled once
+/// per ISA from one source body (util/simd.hpp); the constructor picks the
+/// AVX-512 variant when the CPU has it. The loops are lane-parallel max,
+/// multiply and add, so the variants give the same bits.
 
 #pragma once
 
@@ -33,15 +38,21 @@
 #include "cells/library.hpp"
 #include "netlist/flat_circuit.hpp"
 #include "sta/loads.hpp"
+#include "util/simd.hpp"
 
 namespace statleak {
 
 class BatchDelayKernel {
  public:
   /// `flat` must outlive the kernel and describe the same implementation
-  /// point as `loads` (i.e. snapshot after the last resize).
+  /// point as `loads` (i.e. snapshot after the last resize). `isa` picks
+  /// the first-order loop's variant; kAvx512 falls back to kBaseline on a
+  /// host without AVX-512. The default is the host's best.
   BatchDelayKernel(const FlatCircuit& flat, const CellLibrary& lib,
-                   const LoadCache& loads);
+                   const LoadCache& loads, SimdIsa isa = host_simd_isa());
+
+  /// The variant the first-order loop runs.
+  SimdIsa isa() const { return isa_; }
 
   /// Re-snapshots the kernel against a (possibly different) flat circuit,
   /// library, or load cache, reusing the constant-table allocations. The
@@ -65,9 +76,23 @@ class BatchDelayKernel {
 
  private:
   template <bool kExact, bool kShift>
-  void block_impl(const double* dl, const double* dv, std::size_t stride,
-                  std::size_t lanes, double shift, double* arrival,
-                  double* out) const;
+  STATLEAK_ALWAYS_INLINE void block_impl(const double* dl, const double* dv,
+                                         std::size_t stride,
+                                         std::size_t lanes, double shift,
+                                         double* arrival, double* out) const;
+  /// The first-order block loop, one thin wrapper per ISA.
+  void first_order_baseline(const double* dl, const double* dv,
+                            std::size_t stride, std::size_t lanes,
+                            const double* dvth_shift, double* arrival,
+                            double* out) const;
+#if STATLEAK_AVX512_VARIANT
+  STATLEAK_TARGET_AVX512 void first_order_avx512(
+      const double* dl, const double* dv, std::size_t stride,
+      std::size_t lanes, const double* dvth_shift, double* arrival,
+      double* out) const;
+#endif
+
+  SimdIsa isa_ = SimdIsa::kBaseline;
 
   const FlatCircuit* flat_ = nullptr;
   const CellLibrary* lib_ = nullptr;

@@ -83,15 +83,21 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return static_cast<std::uint64_t>(product >> 64);
 }
 
-double Rng::normal_slow_(std::uint64_t u) {
-  const detail::ZigguratTables& z = detail::kZiggurat;
+namespace detail {
+
+double normal_slow(RngState& s, std::uint64_t u) {
+  const ZigguratTables& z = kZiggurat;
+  // Uniform double in [0, 1), as Rng::uniform().
+  const auto uniform = [&s] {
+    return static_cast<double>(xoshiro_next(s) >> 11) * 0x1.0p-53;
+  };
   for (;;) {
     const std::size_t i = u & 255u;
     const double x = static_cast<double>(u >> 11) * z.layer[i].scale;
     if (x < z.edge[i + 1]) {
       // The integer fast-accept threshold is floored, so the exact boundary
       // mantissa lands here; it is still inside the sub-rectangle.
-      return apply_sign_(x, u);
+      return apply_sign(x, u);
     }
     if (i == 0) {
       // Base strip beyond r: Marsaglia's exact tail sampler. Guard the
@@ -103,23 +109,25 @@ double Rng::normal_slow_(std::uint64_t u) {
         while (u2 <= 0.0) u2 = uniform();
         const double ex = -std::log(u1) / kTailStart;
         const double ey = -std::log(u2);
-        if (ey + ey > ex * ex) return apply_sign_(kTailStart + ex, u);
+        if (ey + ey > ex * ex) return apply_sign(kTailStart + ex, u);
       }
     }
     // Wedge: exact accept test against the density, with a fresh uniform
     // for the ordinate (Doornik's correction — never reuse mantissa bits).
     const double y = z.fval[i] + uniform() * (z.fval[i + 1] - z.fval[i]);
-    if (y < std::exp(-0.5 * x * x)) return apply_sign_(x, u);
-    u = (*this)();  // rejected: redraw layer, sign and mantissa together
+    if (y < std::exp(-0.5 * x * x)) return apply_sign(x, u);
+    u = xoshiro_next(s);  // rejected: redraw layer, sign and mantissa together
   }
 }
+
+}  // namespace detail
 
 Rng Rng::split() {
   // Derive a child seed from two fresh outputs; xor with an odd constant so
   // the child stream differs even if outputs collide with the parent seed.
   const std::uint64_t a = (*this)();
   const std::uint64_t b = (*this)();
-  return Rng(a ^ rotl_(b, 31) ^ 0xA5A5A5A5A5A5A5A5ull);
+  return Rng(a ^ detail::rotl(b, 31) ^ 0xA5A5A5A5A5A5A5A5ull);
 }
 
 }  // namespace statleak

@@ -32,6 +32,8 @@
 #include <cstdint>
 #include <span>
 
+#include "util/simd.hpp"
+
 namespace statleak {
 
 /// Stateless splitmix64 finalizer: a high-quality 64-bit bijective mixer.
@@ -68,6 +70,39 @@ struct ZigguratTables {
 /// cross-TU dynamic-initialization ordering caveat applies.
 extern const ZigguratTables kZiggurat;
 
+/// The four-word xoshiro256++ state of one stream.
+using RngState = std::array<std::uint64_t, 4>;
+
+inline std::uint64_t rotl(std::uint64_t x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
+
+/// One xoshiro256++ step: advances `s` and returns its next output.
+inline std::uint64_t xoshiro_next(RngState& s) {
+  const std::uint64_t result = rotl(s[0] + s[3], 23) + s[0];
+  const std::uint64_t t = s[1] << 17;
+  s[2] ^= s[0];
+  s[3] ^= s[1];
+  s[1] ^= s[2];
+  s[0] ^= s[3];
+  s[2] ^= t;
+  s[3] = rotl(s[3], 45);
+  return result;
+}
+
+/// Applies the sign encoded in bit 8 of `u` by flipping the IEEE sign bit
+/// of `x` (branch-free; may produce -0.0, which compares equal to 0).
+inline double apply_sign(double x, std::uint64_t u) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
+                               ((u & 256u) << 55));
+}
+
+/// Out-of-line ziggurat slow path of the stream with state `s`: boundary
+/// re-check, wedge accept test, and the base-strip tail sampler. `u` is the
+/// draw that fell out of the fast path; further draws advance `s`. The one
+/// slow path behind both Rng::normal and RngLanes::normal.
+double normal_slow(RngState& s, std::uint64_t u);
+
 }  // namespace detail
 
 /// xoshiro256++ PRNG. Satisfies UniformRandomBitGenerator. The draw methods
@@ -85,18 +120,7 @@ class Rng {
   static constexpr result_type max() { return ~result_type{0}; }
 
   /// Next raw 64-bit output.
-  result_type operator()() {
-    const std::uint64_t result =
-        rotl_(state_[0] + state_[3], 23) + state_[0];
-    const std::uint64_t t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl_(state_[3], 45);
-    return result;
-  }
+  result_type operator()() { return detail::xoshiro_next(state_); }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform() {
@@ -121,20 +145,14 @@ class Rng {
       // The rectangle is entirely under the density: accept unconditionally.
       // Sign comes from bit 8, applied by flipping the IEEE sign bit.
       const double x = static_cast<double>(mantissa) * layer.scale;
-      return apply_sign_(x, u);
+      return detail::apply_sign(x, u);
     }
-    return normal_slow_(u);
+    return detail::normal_slow(state_, u);
   }
 
   /// Normal deviate with the given mean and standard deviation.
   double normal(double mean, double stddev) {
     return mean + stddev * normal();
-  }
-
-  /// Block draw: fills `out` with consecutive standard normal deviates, as
-  /// if by repeated normal() calls. Convenience for batched consumers.
-  void fill_normal(std::span<double> out) {
-    for (double& x : out) x = normal();
   }
 
   /// Splits off an independently seeded child generator. Used to give each
@@ -149,22 +167,107 @@ class Rng {
   }
 
  private:
-  static std::uint64_t rotl_(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-  }
-  /// Applies the sign encoded in bit 8 of `u` by flipping the IEEE sign
-  /// bit of `x` (branch-free; may produce -0.0, which compares equal to 0).
-  static double apply_sign_(double x, std::uint64_t u) {
-    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
-                                 ((u & 256u) << 55));
+  friend class RngLanes;
+
+  detail::RngState state_{};
+};
+
+/// Eight Rng streams drawn side by side: xoshiro256++ steps and the
+/// ziggurat fast path run across all lanes at once, in GCC/Clang vector
+/// types that compile to whatever vector width the calling function
+/// targets. The batched Monte-Carlo draws (mc/lane_draw.hpp) use it.
+///
+/// Contract: lane k of one normal() call equals, bit for bit, the next
+/// Rng::normal() of the stream lane k was seeded from. The fast path is the
+/// scalar one per lane: the layer index comes from bits 0..7, the 53-bit
+/// mantissa is compared with `accept` and converted to double exactly (it
+/// is below 2^53, so signed and unsigned conversion agree), multiplied by
+/// `scale`, and signed from bit 8. The ~1.5 % of lane draws that miss it
+/// finish in detail::normal_slow on that lane's own state — the function
+/// Rng::normal falls back to. Lanes past the seeded count are idle: they
+/// step a zero state and never take the slow path.
+///
+/// The constructor and normal() are always inlined, so a caller compiled
+/// for a wider target (STATLEAK_TARGET_AVX512, util/simd.hpp) runs the
+/// generator at its width. Vectors cross function boundaries only by
+/// reference: passing one by value would change the ABI between variants.
+class RngLanes {
+ public:
+  static constexpr std::size_t kWidth = 8;
+  typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
+  typedef std::int64_t I64x8 __attribute__((vector_size(64)));
+  typedef double F64x8 __attribute__((vector_size(64)));
+  typedef std::uint64_t U64x4 __attribute__((vector_size(32)));
+  typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
+
+  /// Lane k continues `streams[k]`; at most kWidth streams.
+  STATLEAK_ALWAYS_INLINE explicit RngLanes(std::span<const Rng> streams) {
+    for (std::size_t k = 0; k < kWidth; ++k) {
+      const bool seeded = k < streams.size();
+      for (std::size_t w = 0; w < 4; ++w) {
+        s_[w][k] = seeded ? streams[k].state_[w] : 0;
+      }
+      active_[k] = seeded ? -1 : 0;
+    }
   }
 
-  /// Out-of-line ziggurat slow path: boundary re-check, wedge accept test,
-  /// and the base-strip tail sampler. `u` is the draw that fell out of the
-  /// fast path.
-  double normal_slow_(std::uint64_t u);
+  /// Sets z[k] to the next standard normal deviate of lane k.
+  STATLEAK_ALWAYS_INLINE void normal(F64x8& z) {
+    U64x8 u = s_[0] + s_[3];
+    rotl_(u, 23);
+    u += s_[0];
+    const U64x8 t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    rotl_(s_[3], 45);
 
-  std::array<std::uint64_t, 4> state_{};
+    U64x8 accept = {};
+    F64x8 scale = {};
+    for (std::size_t k = 0; k < kWidth; ++k) {
+      const detail::ZigguratTables::Layer& layer =
+          detail::kZiggurat.layer[u[k] & 255u];
+      accept[k] = layer.accept;
+      scale[k] = layer.scale;
+    }
+    // Casts between equal-size vector types reinterpret the bits.
+    const I64x8 mantissa = (I64x8)(u >> 11);
+    const I64x8 hit = mantissa < (I64x8)accept;
+    const F64x8 x = __builtin_convertvector(mantissa, F64x8) * scale;
+    z = (F64x8)((U64x8)x ^ ((u & 256u) << 55));
+    // Bit k of `miss` marks a seeded lane that left the fast path.
+    const U64x8 lane_bit = {1, 2, 4, 8, 16, 32, 64, 128};
+    const U64x8 bits = (U64x8)(~hit & active_) & lane_bit;
+    const U64x4 half = __builtin_shufflevector(bits, bits, 0, 1, 2, 3) |
+                       __builtin_shufflevector(bits, bits, 4, 5, 6, 7);
+    const U64x2 quarter = __builtin_shufflevector(half, half, 0, 1) |
+                          __builtin_shufflevector(half, half, 2, 3);
+    const auto miss = static_cast<unsigned>(quarter[0] | quarter[1]);
+    if (miss != 0) [[unlikely]] slow_(u, miss, z);
+  }
+
+ private:
+  STATLEAK_ALWAYS_INLINE static void rotl_(U64x8& x, int k) {
+    x = (x << k) | (x >> (64 - k));
+  }
+
+  /// Finishes the draws `u` of the lanes whose bit is set in `miss` in the
+  /// scalar slow path, each on its own lane's state. Out of line: it runs
+  /// for ~11 % of the calls.
+  [[gnu::noinline]] void slow_(const U64x8& u, unsigned miss, F64x8& z) {
+    do {
+      const int k = std::countr_zero(miss);
+      miss &= miss - 1;
+      detail::RngState st{s_[0][k], s_[1][k], s_[2][k], s_[3][k]};
+      z[k] = detail::normal_slow(st, u[k]);
+      for (std::size_t w = 0; w < 4; ++w) s_[w][k] = st[w];
+    } while (miss != 0);
+  }
+
+  U64x8 s_[4];
+  I64x8 active_;  ///< all ones in the seeded lanes, zero in idle ones
 };
 
 }  // namespace statleak

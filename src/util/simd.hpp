@@ -15,6 +15,19 @@
 /// source expression shapes (and thus the IEEE-754 operation order per
 /// lane) are unchanged; the pragmas only permit lane-parallel execution of
 /// independent lanes.
+///
+/// The same option gates the AVX-512 variants of the Monte-Carlo hot loops
+/// (the lane-parallel draws and the first-order delay kernel). Each such
+/// loop is one source body, compiled twice through thin wrappers: a
+/// baseline one, and one marked STATLEAK_TARGET_AVX512. host_simd_isa()
+/// picks the variant from CPUID at run time — there is no option, flag or
+/// environment variable for it. The attribute is applied per function, never
+/// per translation unit: a .cpp compiled with -mavx512* could leave its
+/// AVX-512 copies of shared inline functions in the link, and those crash
+/// CPUs without AVX-512. Both variants give the same bits, because the
+/// build turns floating-point contraction off (-ffp-contract=off): an
+/// AVX-512 body could otherwise fuse a multiply and an add into an FMA
+/// that the baseline body rounds twice.
 
 #pragma once
 
@@ -35,3 +48,46 @@
 #define STATLEAK_VEC_LOOP
 #define STATLEAK_RESTRICT
 #endif
+
+#if defined(STATLEAK_SIMD) && defined(__x86_64__) && \
+    (defined(__GNUC__) || defined(__clang__))
+#define STATLEAK_AVX512_VARIANT 1
+#define STATLEAK_TARGET_AVX512 [[gnu::target("avx512f,avx512dq,avx512vl")]]
+#else
+#define STATLEAK_AVX512_VARIANT 0
+#define STATLEAK_TARGET_AVX512
+#endif
+
+#if defined(__GNUC__) || defined(__clang__)
+/// Marks the one source body an ISA wrapper instantiates: it must be
+/// inlined so that it is compiled for the wrapper's target.
+#define STATLEAK_ALWAYS_INLINE [[gnu::always_inline]] inline
+#else
+#define STATLEAK_ALWAYS_INLINE inline
+#endif
+
+namespace statleak {
+
+/// Instruction-set variant of the Monte-Carlo hot loops.
+enum class SimdIsa { kBaseline, kAvx512 };
+
+inline const char* to_string(SimdIsa isa) {
+  return isa == SimdIsa::kAvx512 ? "avx512" : "baseline";
+}
+
+/// The variant this host runs: kAvx512 when the CPU has AVX-512 F, DQ and
+/// VL and the build compiled that variant in; kBaseline otherwise.
+inline SimdIsa host_simd_isa() {
+#if STATLEAK_AVX512_VARIANT
+  static const SimdIsa isa = __builtin_cpu_supports("avx512f") &&
+                                     __builtin_cpu_supports("avx512dq") &&
+                                     __builtin_cpu_supports("avx512vl")
+                                 ? SimdIsa::kAvx512
+                                 : SimdIsa::kBaseline;
+  return isa;
+#else
+  return SimdIsa::kBaseline;
+#endif
+}
+
+}  // namespace statleak

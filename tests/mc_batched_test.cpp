@@ -14,12 +14,16 @@
 
 #include "abb/abb.hpp"
 #include "gen/proxy.hpp"
+#include "mc/lane_draw.hpp"
 #include "mc/monte_carlo.hpp"
 #include "mc_scalar_oracle.hpp"
 #include "spatial/spatial_analysis.hpp"
 #include "spatial/placement.hpp"
+#include "sta/batch_delay.hpp"
+#include "sta/loads.hpp"
 #include "tech/process.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace statleak {
 namespace {
@@ -36,7 +40,8 @@ void expect_bitwise_equal(const std::vector<double>& ref,
   }
 }
 
-constexpr int kBatches[] = {1, 7, 64, 0};  // 0 = auto
+// 13 mixes a full group of eight draw lanes with a partial one.
+constexpr int kBatches[] = {1, 7, 13, 64, 0};  // 0 = auto
 constexpr int kThreads[] = {1, 2, 8};
 
 class McBatchedTest : public ::testing::TestWithParam<const char*> {
@@ -205,6 +210,59 @@ TEST_F(McBatchedModesTest, BatchSizeValidated) {
   cfg.num_samples = 4;
   cfg.batch_size = -1;
   EXPECT_THROW(run_monte_carlo(c, lib_, var_, cfg), Error);
+}
+
+TEST_F(McBatchedModesTest, IsaVariantsBitIdentical) {
+  // The engines run the AVX-512 variants of the lane draws and of the
+  // first-order delay loop wherever the CPU has them, so the tests above
+  // never reach the baseline variants on such a host. Run both on the same
+  // c7552p blocks — a full block and one ending in a partial lane group —
+  // and compare every lane bitwise, with and without the ABB dVth shift.
+  if (host_simd_isa() != SimdIsa::kAvx512) {
+    GTEST_SKIP() << "host runs only the baseline variant";
+  }
+  const Circuit c = iscas85_proxy("c7552p");
+  const FlatCircuit flat = FlatCircuit::build(c);
+  const LoadCache loads(c, lib_);
+  const BatchDelayKernel kernels[2] = {
+      BatchDelayKernel(flat, lib_, loads, SimdIsa::kBaseline),
+      BatchDelayKernel(flat, lib_, loads, SimdIsa::kAvx512)};
+  ASSERT_EQ(kernels[1].isa(), SimdIsa::kAvx512);
+  const SimdIsa isas[2] = {SimdIsa::kBaseline, SimdIsa::kAvx512};
+  const IntraDieSigmas sigmas(var_, mc_device_widths(c, lib_));
+  const std::size_t n = c.num_gates();
+  constexpr std::size_t kStride = 32;
+  const double shift = -0.02;
+
+  for (const std::size_t lanes : {kStride, std::size_t{13}}) {
+    std::vector<double> dl[2];
+    std::vector<double> dv[2];
+    for (int v = 0; v < 2; ++v) {
+      dl[v].assign(n * kStride, 0.0);
+      dv[v].assign(n * kStride, 0.0);
+      draw_block(
+          isas[v], 43, 0, lanes,
+          [this](std::size_t, Rng& rng) { return sample_global(var_, rng); },
+          sigmas, dl[v].data(), dv[v].data(), kStride);
+    }
+    expect_bitwise_equal(dl[0], dl[1], "dl draws", static_cast<int>(lanes),
+                         1);
+    expect_bitwise_equal(dv[0], dv[1], "dv draws", static_cast<int>(lanes),
+                         1);
+
+    for (const double* dvth : {static_cast<const double*>(nullptr), &shift}) {
+      std::vector<double> arrival(n * kStride);
+      std::vector<double> out[2];
+      for (int v = 0; v < 2; ++v) {
+        out[v].assign(lanes, 0.0);
+        kernels[v].critical_delay_block(dl[0].data(), dv[0].data(), kStride,
+                                        lanes, false, dvth, arrival.data(),
+                                        out[v].data());
+      }
+      expect_bitwise_equal(out[0], out[1], "first-order delay",
+                           static_cast<int>(lanes), 1);
+    }
+  }
 }
 
 }  // namespace

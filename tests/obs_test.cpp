@@ -600,6 +600,56 @@ TEST(Instrumentation, MonteCarloBatchCountersAndBuildTime) {
   EXPECT_GT(reg.counter_value("flat.build_ns"), 0.0);
 }
 
+TEST(Instrumentation, MonteCarloLayerTimersCountOneCallPerBlock) {
+  // Every worker times each block's draws and kernels and merges once per
+  // shard: with 3 threads each layer phase still has one call per block,
+  // in pipeline order, and the kernel variant is echoed.
+  OptFixture f;
+  McConfig mc;
+  mc.num_samples = 100;
+  mc.batch_size = 16;
+  mc.num_threads = 3;
+  obs::Registry reg;
+  (void)run_monte_carlo(f.circuit, f.lib, f.var, mc, &reg);
+
+  const std::vector<obs::PhaseTime> phases = reg.phases();
+  const char* layers[] = {"mc.draw", "mc.delay_kernel", "mc.leak_kernel"};
+  ASSERT_GE(phases.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(phases[i].name, layers[i]);
+    EXPECT_DOUBLE_EQ(static_cast<double>(phases[i].calls),
+                     reg.counter_value("mc.batches"));
+    EXPECT_GE(phases[i].seconds, 0.0);
+  }
+  const auto config = reg.config();
+  const auto isa =
+      std::find_if(config.begin(), config.end(),
+                   [](const auto& e) { return e.first == "mc.kernel_isa"; });
+  ASSERT_NE(isa, config.end());
+  EXPECT_EQ(isa->second.first, to_string(host_simd_isa()));
+}
+
+TEST(Registry, LocalPhaseMergesOncePerScope) {
+  obs::Registry reg;
+  {
+    obs::LocalPhase phase(&reg, "p");
+    for (int i = 0; i < 5; ++i) {
+      phase.start();
+      phase.stop();
+    }
+    EXPECT_TRUE(reg.phases().empty());  // nothing merged inside the scope
+  }
+  const auto phases = reg.phases();
+  ASSERT_EQ(phases.size(), 1u);
+  EXPECT_EQ(phases[0].calls, 5);
+
+  obs::LocalPhase null_phase(nullptr, "p");  // must not crash or record
+  null_phase.start();
+  null_phase.stop();
+  null_phase.flush();
+  EXPECT_EQ(reg.phases()[0].calls, 5);
+}
+
 TEST(Instrumentation, MonteCarloMilestonesAreBatchAndEngineInvariant) {
   // Milestones are reconstructed serially from the per-sample results, so
   // they cannot depend on the batch size: one-sample blocks give the same

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cmath>
 #include <sstream>
 #include <string>
@@ -140,14 +143,51 @@ TEST(Rng, NormalKurtosisMatchesGaussian) {
   EXPECT_NEAR(m4 / (m2 * m2), 3.0, 0.03);
 }
 
-TEST(Rng, FillNormalMatchesRepeatedCalls) {
-  Rng a(99);
-  Rng b(99);
-  std::vector<double> block(257);
-  a.fill_normal(block);
-  for (double x : block) {
-    EXPECT_EQ(x, b.normal());  // bit-identical to the draw-by-draw sequence
+/// Draws `draws` lane-parallel normals from `streams` and compares each
+/// lane with the next Rng::normal() of its own stream, bit for bit. Returns
+/// the largest |z| seen, so callers can check the tail path was exercised.
+double expect_lanes_match_streams(const std::vector<Rng>& streams,
+                                  int draws) {
+  RngLanes lanes(streams);
+  std::vector<Rng> ref = streams;
+  RngLanes::F64x8 z = {};
+  double max_abs = 0.0;
+  for (int i = 0; i < draws; ++i) {
+    lanes.normal(z);
+    for (std::size_t k = 0; k < ref.size(); ++k) {
+      const double want = ref[k].normal();
+      if (std::bit_cast<std::uint64_t>(z[k]) !=
+          std::bit_cast<std::uint64_t>(want)) {
+        ADD_FAILURE() << "lane " << k << " draw " << i << ": " << z[k]
+                      << " vs " << want;
+        return max_abs;
+      }
+      max_abs = std::max(max_abs, std::abs(want));
+    }
   }
+  return max_abs;
+}
+
+TEST(Rng, LanesMatchPerLaneStreams) {
+  // Lane k of RngLanes is the next Rng::normal() of lane k's stream, bit
+  // for bit — including the ~1.5 % of draws that leave the fast path for
+  // the wedge or the tail. The streams start unevenly advanced, as the
+  // engines hand them over after each lane's die draw.
+  std::vector<Rng> streams;
+  for (std::uint64_t k = 0; k < RngLanes::kWidth; ++k) {
+    streams.push_back(Rng::stream(2024, k));
+    for (std::uint64_t j = 0; j < k % 3; ++j) streams.back().normal();
+  }
+  const double max_abs = expect_lanes_match_streams(streams, 1 << 22);
+  // Only the tail sampler returns values beyond the base strip's edge r.
+  EXPECT_GT(max_abs, 3.6541528853610088);
+}
+
+TEST(Rng, LanesPartialGroupMatchesStreams) {
+  // Fewer streams than lanes: the idle lanes never touch the seeded ones.
+  std::vector<Rng> streams;
+  for (std::uint64_t k = 0; k < 3; ++k) streams.push_back(Rng::stream(7, k));
+  expect_lanes_match_streams(streams, 1 << 16);
 }
 
 TEST(Rng, NormalShiftScale) {

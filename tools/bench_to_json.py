@@ -6,11 +6,11 @@ Default mode reads the Google Benchmark JSON emitted by
     bench_fig5_runtime --benchmark_filter='BM_MonteCarloBatched' \
         --benchmark_format=json
 
-from a file (or stdin) and distills the Monte-Carlo throughput series into
-samples/sec per (circuit, engine).  Current runs only measure the batched
-engine; raw files that also carry the retired scalar engine additionally
-get the batched/scalar speedup per circuit.  When the run used --benchmark_repetitions, the median aggregate is
-preferred; otherwise the median over the plain iteration entries is taken.
+from a file (or stdin) and distills the Monte-Carlo throughput series of
+the batched engine into samples/sec per circuit, with the host (CPU model,
+kernel variant, build type) the bench stamped into its context.  When the
+run used --benchmark_repetitions, the median aggregate is preferred;
+otherwise the median over the plain iteration entries is taken.
 
 With --estimators the input is instead the JSON document printed by
 bench_estimator_variance (across-replication variance per circuit, metric,
@@ -49,20 +49,12 @@ import statistics
 import sys
 
 
-def _engine_of(entry: dict) -> str:
-    # The benchmark exports a "batched" counter, always 1 now that the
-    # batched SoA engine is the only MC engine. Raw files recorded while
-    # the scalar per-sample engine still existed carry 0 for its entries;
-    # they are filed under "scalar" so such inputs still distill.
-    return "batched" if entry.get("batched", 0.0) > 0.5 else "scalar"
-
-
 def distill(raw: dict) -> dict:
-    """Reduce benchmark entries to {circuit: {engine: samples_per_second}}."""
-    # (circuit, engine) -> list of items_per_second; medians are stored
-    # separately and win over per-iteration samples when present.
-    samples: dict[tuple[str, str], list[float]] = {}
-    medians: dict[tuple[str, str], float] = {}
+    """Reduce benchmark entries to {circuit: {"batched": samples/s}}."""
+    # circuit -> list of items_per_second; medians are stored separately
+    # and win over per-iteration samples when present.
+    samples: dict[str, list[float]] = {}
+    medians: dict[str, float] = {}
     for entry in raw.get("benchmarks", []):
         if not entry.get("name", "").startswith("BM_MonteCarloBatched"):
             continue
@@ -71,28 +63,18 @@ def distill(raw: dict) -> dict:
         circuit = entry.get("label", "")
         if not circuit:
             continue
-        key = (circuit, _engine_of(entry))
         if entry.get("run_type") == "aggregate":
             if entry.get("aggregate_name") == "median":
-                medians[key] = entry["items_per_second"]
+                medians[circuit] = entry["items_per_second"]
             continue
-        samples.setdefault(key, []).append(entry["items_per_second"])
+        samples.setdefault(circuit, []).append(entry["items_per_second"])
 
     circuits: dict[str, dict] = {}
-    for key in sorted(set(samples) | set(medians)):
-        circuit, engine = key
-        sps = medians.get(key)
+    for circuit in sorted(set(samples) | set(medians)):
+        sps = medians.get(circuit)
         if sps is None:
-            sps = statistics.median(samples[key])
-        circuits.setdefault(circuit, {})[engine] = {
-            "samples_per_second": round(sps, 1)
-        }
-    for circuit, engines in circuits.items():
-        if "scalar" in engines and "batched" in engines:
-            scalar = engines["scalar"]["samples_per_second"]
-            batched = engines["batched"]["samples_per_second"]
-            if scalar > 0:
-                engines["speedup_batched_vs_scalar"] = round(batched / scalar, 2)
+            sps = statistics.median(samples[circuit])
+        circuits[circuit] = {"batched": {"samples_per_second": round(sps, 1)}}
 
     context = raw.get("context", {})
     return {
@@ -101,25 +83,16 @@ def distill(raw: dict) -> dict:
         "benchmark": "bench_fig5_runtime:BM_MonteCarloBatched",
         "unit": "monte-carlo samples per second, single thread",
         "host": {
+            "cpu_model": context.get("cpu_model"),
             "num_cpus": context.get("num_cpus"),
             "mhz_per_cpu": context.get("mhz_per_cpu"),
-            # The build type of the timed statleak code (stamped by the
-            # bench via AddCustomContext); the harness library's own build
-            # type is kept for completeness but is not the provenance
-            # marker — see build_type_of().
+            # The variant of the MC draws and delay loop the host ran.
+            "mc_kernel_isa": context.get("mc_kernel_isa"),
+            # The build type of the timed statleak code, stamped by the
+            # bench via AddCustomContext (see build_type_of()).
             "build_type": context.get("statleak_build_type"),
-            "library_build_type": context.get("library_build_type"),
         },
         "circuits": circuits,
-        # Historical anchor for the perf trajectory: the scalar engine's
-        # single-thread throughput on c7552p before the batched-SoA PR
-        # (Box-Muller normals, per-sample scratch allocation). See
-        # EXPERIMENTS.md F5 and docs/PERFORMANCE.md.
-        "baseline": {
-            "pre_batched_pr_scalar": {
-                "c7552p": {"samples_per_second": 3593.0}
-            }
-        },
     }
 
 
