@@ -5,6 +5,7 @@
 
 #include "cells/topology.hpp"
 #include "util/error.hpp"
+#include "util/exp.hpp"
 
 namespace statleak {
 
@@ -157,7 +158,7 @@ double CellLibrary::leakage_na(CellKind kind, Vth vth, double size,
   const double exponent = -s.leak_cl_per_nm * dl_nm -
                           s.leak_cv_per_v * dvth_v +
                           s.leak_q_per_nm2 * dl_nm * dl_nm;
-  return leakage_na(kind, vth, size) * std::exp(exponent);
+  return leakage_na(kind, vth, size) * exp_f64(exponent);
 }
 
 double CellLibrary::leakage_power_nw(CellKind kind, Vth vth,

@@ -65,7 +65,8 @@ class CellLibrary {
   double leakage_na(CellKind kind, Vth vth, double size) const;
 
   /// Leakage [nA] under parameter deviations:
-  /// nominal * exp(-cL*dL - cV*dVth + q*dL^2).
+  /// nominal * exp(-cL*dL - cV*dVth + q*dL^2), with the in-repo exp_f64
+  /// (util/exp.hpp) — the Monte-Carlo leakage kernel's exp, bit for bit.
   double leakage_na(CellKind kind, Vth vth, double size, double dl_nm,
                     double dvth_v) const;
 

@@ -56,8 +56,9 @@ class DistError : public Error {
 /// setup message, so mixed-version fleets reject the handshake rather than
 /// silently sampling at different corners. v3 dropped the setup message's
 /// scalar-vs-batched engine switch when the scalar Monte-Carlo engine was
-/// retired.
-inline constexpr int kProtocolVersion = 3;
+/// retired. v4 marks the in-repo exp of the leakage kernel (util/exp.hpp):
+/// a v3 worker's leakage bits differ, so it must not join a v4 campaign.
+inline constexpr int kProtocolVersion = 4;
 
 // --- framing ----------------------------------------------------------------
 

@@ -9,6 +9,12 @@
 /// ascending GateId order, each term the exact CellLibrary::leakage_na(..,
 /// dl, dv) expression, so each lane's floating-point sum is bit-identical
 /// to the per-sample sum of the scalar oracle in tests/mc_scalar_oracle.hpp.
+///
+/// The exp is the in-repo one (util/exp.hpp): the lane loop runs eight lanes
+/// at a time through exp_f64x8 and the leftover lanes through exp_f64, which
+/// CellLibrary::leakage_na(.., dl, dv) calls too. The block loop is compiled
+/// once per ISA from one source body (util/simd.hpp), like
+/// BatchDelayKernel's first-order loop, and the variants give the same bits.
 
 #pragma once
 
@@ -17,13 +23,20 @@
 
 #include "cells/library.hpp"
 #include "netlist/flat_circuit.hpp"
+#include "util/simd.hpp"
 
 namespace statleak {
 
 class BatchLeakageKernel {
  public:
   /// Snapshots the implementation point (rebuild after size/Vth changes).
-  BatchLeakageKernel(const FlatCircuit& flat, const CellLibrary& lib);
+  /// `isa` picks the block loop's variant; kAvx512 falls back to kBaseline
+  /// on a host without AVX-512. The default is the host's best.
+  BatchLeakageKernel(const FlatCircuit& flat, const CellLibrary& lib,
+                     SimdIsa isa = host_simd_isa());
+
+  /// The variant the block loop runs.
+  SimdIsa isa() const { return isa_; }
 
   /// Re-snapshots against a (possibly different) flat circuit or library,
   /// reusing the table allocations. All derived constants are recomputed,
@@ -39,8 +52,23 @@ class BatchLeakageKernel {
 
  private:
   template <bool kShift>
-  void block_impl(const double* dl, const double* dv, std::size_t stride,
-                  std::size_t lanes, double shift, double* out) const;
+  STATLEAK_ALWAYS_INLINE void block_impl(const double* dl, const double* dv,
+                                         std::size_t stride,
+                                         std::size_t lanes, double shift,
+                                         double* out) const;
+  /// The block loop, one thin wrapper per ISA.
+  void total_baseline(const double* dl, const double* dv, std::size_t stride,
+                      std::size_t lanes, const double* dvth_shift,
+                      double* out) const;
+#if STATLEAK_AVX512_VARIANT
+  STATLEAK_TARGET_AVX512 void total_avx512(const double* dl, const double* dv,
+                                           std::size_t stride,
+                                           std::size_t lanes,
+                                           const double* dvth_shift,
+                                           double* out) const;
+#endif
+
+  SimdIsa isa_ = SimdIsa::kBaseline;
 
   // One entry per non-input gate, ascending GateId.
   std::vector<GateId> active_;

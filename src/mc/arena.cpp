@@ -32,7 +32,7 @@ void McArena::prepare(const Circuit& circuit, const CellLibrary& lib,
   if (leak.has_value()) {
     leak->rebind(*flat, lib);
   } else {
-    leak.emplace(*flat, lib);
+    leak.emplace(*flat, lib, isa);
   }
   if (scratch.size() < static_cast<std::size_t>(workers)) {
     scratch.resize(static_cast<std::size_t>(workers));

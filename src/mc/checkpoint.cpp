@@ -45,6 +45,7 @@ std::uint64_t mc_checkpoint_hash(const Circuit& circuit,
     mix(bits);
   };
 
+  mix(kMcArithmeticRevision);
   mix(config.seed);
   mix(static_cast<std::uint64_t>(config.num_samples));
   mix(config.exact_delay ? 1 : 0);

@@ -45,6 +45,14 @@ inline constexpr std::size_t kCheckpointHeaderBytes = kJournalHeaderBytes;
 /// The MC checkpoint's one record kind (journal `kind` tag).
 inline constexpr std::uint32_t kMcSampleBlock = 0;
 
+/// Revision of the Monte-Carlo sample arithmetic, mixed into
+/// mc_checkpoint_hash. It changes whenever a code change moves sample bits
+/// for the same inputs, so a checkpoint written before the change is
+/// rejected instead of resumed into a population that mixes both
+/// arithmetics. Revision 1: leakage terms use the in-repo exp
+/// (util/exp.hpp) instead of libm's; earlier builds mixed no revision.
+inline constexpr std::uint64_t kMcArithmeticRevision = 1;
+
 /// The journal format tag of MC checkpoint files.
 inline constexpr JournalFormat mc_checkpoint_format() {
   return JournalFormat{kCheckpointMagic, kCheckpointVersion};
@@ -58,7 +66,8 @@ inline constexpr JournalFormat mc_checkpoint_format() {
 /// widths (which fold in the cell library's area tables via the Pelgrom
 /// path), and the process node's physical constants (so a checkpoint from
 /// one environment corner — temperature, Vdd, node flavor — is rejected at
-/// any other). Thread count, batch size and the control-variate flag are
+/// any other), plus kMcArithmeticRevision. Thread count, batch size, the
+/// ISA variant and the control-variate flag are
 /// deliberately excluded — results are invariant to them, so a checkpoint
 /// written by an 8-thread run with 64-sample blocks resumes under a
 /// single-thread run with 1-sample blocks and vice versa.

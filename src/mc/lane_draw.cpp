@@ -14,8 +14,6 @@ IntraDieSigmas::IntraDieSigmas(const VariationModel& var,
 
 namespace {
 
-using F64x8 = RngLanes::F64x8;
-
 /// The one draw body; the wrappers below compile it per ISA. A full group
 /// stores each gate's eight lanes with one unaligned vector store.
 STATLEAK_ALWAYS_INLINE void draw_body(const LaneGroup& group,

@@ -154,14 +154,15 @@ inline Canonical canonical_max_saturating(const Canonical& a,
     const double alpha = (a.mean - b.mean) / theta;
     if (alpha >= kClarkSaturationAlpha && b.mean >= -a.mean) {
       // Saturated, a wins: Phi rounds to exactly 1.0, the b-side terms are
-      // absorbed. fl(1.0*a.gl + 0.0*b.gl) == a.gl, so the blend is skipped.
+      // absorbed. The blend fl(1.0*a.gl + 0.0*b.gl) is a.gl + 0.0*b.gl,
+      // which equals a.gl except for a signed zero (-0.0 + 0.0 is +0.0).
       if (tightness_out != nullptr) *tightness_out = 1.0;
       Canonical out;
       out.mean = a.mean;
       const double second_moment = var_a + a.mean * a.mean;
       const double sat_var = std::max(0.0, second_moment - out.mean * out.mean);
-      out.gl = a.gl;
-      out.gv = a.gv;
+      out.gl = a.gl + 0.0 * b.gl;
+      out.gv = a.gv + 0.0 * b.gv;
       const double global_var = out.gl * out.gl + out.gv * out.gv;
       out.loc = std::sqrt(std::max(0.0, sat_var - global_var));
       return out;

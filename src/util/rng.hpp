@@ -194,9 +194,6 @@ class Rng {
 class RngLanes {
  public:
   static constexpr std::size_t kWidth = 8;
-  typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
-  typedef std::int64_t I64x8 __attribute__((vector_size(64)));
-  typedef double F64x8 __attribute__((vector_size(64)));
   typedef std::uint64_t U64x4 __attribute__((vector_size(32)));
   typedef std::uint64_t U64x2 __attribute__((vector_size(16)));
 

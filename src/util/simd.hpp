@@ -17,7 +17,8 @@
 /// independent lanes.
 ///
 /// The same option gates the AVX-512 variants of the Monte-Carlo hot loops
-/// (the lane-parallel draws and the first-order delay kernel). Each such
+/// (the lane-parallel draws, the first-order delay kernel and the leakage
+/// kernel). Each such
 /// loop is one source body, compiled twice through thin wrappers: a
 /// baseline one, and one marked STATLEAK_TARGET_AVX512. host_simd_isa()
 /// picks the variant from CPUID at run time — there is no option, flag or
@@ -30,6 +31,8 @@
 /// that the baseline body rounds twice.
 
 #pragma once
+
+#include <cstdint>
 
 #if defined(STATLEAK_SIMD)
 #if defined(__clang__)
@@ -67,6 +70,16 @@
 #endif
 
 namespace statleak {
+
+/// Eight doubles / 64-bit integers in one GCC/Clang vector type. It compiles
+/// to whatever vector width the calling function targets: four SSE2
+/// registers in a baseline body, one zmm register in an AVX-512 one. Casts
+/// between these types reinterpret the bits. Vectors cross function
+/// boundaries only by reference: passing or returning one by value would
+/// change the ABI between variants (GCC warns with -Wpsabi).
+typedef double F64x8 __attribute__((vector_size(64)));
+typedef std::int64_t I64x8 __attribute__((vector_size(64)));
+typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
 
 /// Instruction-set variant of the Monte-Carlo hot loops.
 enum class SimdIsa { kBaseline, kAvx512 };

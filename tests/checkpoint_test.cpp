@@ -80,6 +80,18 @@ class CheckpointTest : public ::testing::Test {
     return cfg;
   }
 
+  /// Per-gate device widths as run_monte_carlo derives them (-1 = input).
+  std::vector<double> device_widths() const {
+    std::vector<double> widths(circuit_.num_gates(), -1.0);
+    for (GateId id = 0; id < circuit_.num_gates(); ++id) {
+      const Gate& g = circuit_.gate(id);
+      if (g.kind != CellKind::kInput) {
+        widths[id] = lib_.area_um(g.kind, g.size);
+      }
+    }
+    return widths;
+  }
+
   /// The config hash run_monte_carlo would compute for base_config(),
   /// recovered from a checkpoint file it wrote (header offset 8).
   std::uint64_t reference_hash(const std::string& scratch_path) {
@@ -292,13 +304,7 @@ TEST_F(CheckpointTest, ConfigHashCoversSamplerAndImportanceShift) {
   // they must be part of the config fingerprint: a Sobol or shifted run
   // must not resume a pseudo checkpoint. The control-variate flag leaves
   // samples untouched and is deliberately NOT fingerprinted.
-  std::vector<double> widths(circuit_.num_gates(), -1.0);
-  for (GateId id = 0; id < circuit_.num_gates(); ++id) {
-    const Gate& g = circuit_.gate(id);
-    if (g.kind != CellKind::kInput) {
-      widths[id] = lib_.area_um(g.kind, g.size);
-    }
-  }
+  const std::vector<double> widths = device_widths();
   const McConfig cfg = base_config();
   const std::uint64_t base = mc_checkpoint_hash(circuit_, var_, cfg, widths, lib_.node());
 
@@ -334,6 +340,20 @@ TEST_F(CheckpointTest, ConfigHashCoversSamplerAndImportanceShift) {
   EXPECT_NE(hot, base);
   EXPECT_NE(derated, base);
   EXPECT_NE(hot, derated);
+}
+
+TEST_F(CheckpointTest, ConfigHashPinnedWithArithmeticRevision) {
+  // The fingerprint of one fixed small config. It mixes
+  // kMcArithmeticRevision, so it differs from the hash the same config had
+  // before the leakage kernel moved to the in-repo exp: a checkpoint written
+  // by such a build is rejected, never resumed into a mixed population.
+  // A change here orphans every checkpoint on disk; bump the revision only
+  // when sample bits move on purpose.
+  EXPECT_EQ(kMcArithmeticRevision, 1u);
+  const std::uint64_t hash = mc_checkpoint_hash(
+      circuit_, var_, base_config(), device_widths(), lib_.node());
+  EXPECT_EQ(hash, 0x186783ea985c5187ull);
+  EXPECT_NE(hash, 0x6ff14bd00012c886ull);  // the same config, libm exp
 }
 
 TEST_F(CheckpointTest, KillResumeBitIdenticalAcrossEnginesAndThreads) {

@@ -224,11 +224,15 @@ TEST(ProtocolTest, SetupFromAnotherProtocolVersionIsRejected) {
   EXPECT_NO_THROW((void)dist::parse_setup(msg));
   msg.set("protocol", 2);
   EXPECT_THROW((void)dist::parse_setup(msg), dist::DistError);
+  // A v3 peer computes leakage with libm's exp: its bits differ.
+  msg.set("protocol", 3);
+  EXPECT_THROW((void)dist::parse_setup(msg), dist::DistError);
 }
 
 TEST(ProtocolTest, SetupCarriesNoEngineSwitch) {
-  // v3 retired the scalar Monte-Carlo engine and its use_batched switch.
-  EXPECT_EQ(dist::kProtocolVersion, 3);
+  // v3 retired the scalar Monte-Carlo engine and its use_batched switch;
+  // v4 moved the leakage kernel to the in-repo exp.
+  EXPECT_EQ(dist::kProtocolVersion, 4);
   const obs::Json msg = dist::setup_message(dist::WorkerSetup{});
   EXPECT_FALSE(msg.at("mc").contains("use_batched"));
   EXPECT_TRUE(msg.at("mc").contains("batch"));

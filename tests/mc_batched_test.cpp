@@ -10,10 +10,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "abb/abb.hpp"
 #include "gen/proxy.hpp"
+#include "leakage/batch_leakage.hpp"
 #include "mc/lane_draw.hpp"
 #include "mc/monte_carlo.hpp"
 #include "mc_scalar_oracle.hpp"
@@ -213,8 +215,9 @@ TEST_F(McBatchedModesTest, BatchSizeValidated) {
 }
 
 TEST_F(McBatchedModesTest, IsaVariantsBitIdentical) {
-  // The engines run the AVX-512 variants of the lane draws and of the
-  // first-order delay loop wherever the CPU has them, so the tests above
+  // The engines run the AVX-512 variants of the lane draws, the
+  // first-order delay loop and the leakage kernel wherever the CPU has
+  // them, so the tests above
   // never reach the baseline variants on such a host. Run both on the same
   // c7552p blocks — a full block and one ending in a partial lane group —
   // and compare every lane bitwise, with and without the ABB dVth shift.
@@ -261,6 +264,43 @@ TEST_F(McBatchedModesTest, IsaVariantsBitIdentical) {
       }
       expect_bitwise_equal(out[0], out[1], "first-order delay",
                            static_cast<int>(lanes), 1);
+    }
+  }
+
+  // The leakage kernel runs exp_f64x8 on groups of eight lanes and exp_f64
+  // on the rest, so every lane count from 1 to 17 takes a different mix of
+  // full groups and leftovers. A NaN deviate (the kNanDeviate fault) and an
+  // overflowing one put full-range lanes into a group of fast ones.
+  const BatchLeakageKernel leaks[2] = {
+      BatchLeakageKernel(flat, lib_, SimdIsa::kBaseline),
+      BatchLeakageKernel(flat, lib_, SimdIsa::kAvx512)};
+  ASSERT_EQ(leaks[0].isa(), SimdIsa::kBaseline);
+  ASSERT_EQ(leaks[1].isa(), SimdIsa::kAvx512);
+  std::vector<double> dl(n * kStride, 0.0);
+  std::vector<double> dv(n * kStride, 0.0);
+  draw_block(
+      SimdIsa::kBaseline, 47, 0, 17,
+      [this](std::size_t, Rng& rng) { return sample_global(var_, rng); },
+      sigmas, dl.data(), dv.data(), kStride);
+  GateId last = static_cast<GateId>(n - 1);
+  while (flat.is_input[last]) --last;
+  for (const bool edge : {false, true}) {
+    if (edge) {
+      dv[last * kStride + 2] = std::numeric_limits<double>::quiet_NaN();
+      dv[last * kStride + 9] = -1e4;
+    }
+    for (std::size_t lanes = 1; lanes <= 17; ++lanes) {
+      for (const double* dvth :
+           {static_cast<const double*>(nullptr), &shift}) {
+        std::vector<double> out[2];
+        for (int v = 0; v < 2; ++v) {
+          out[v].assign(lanes, 0.0);
+          leaks[v].total_block(dl.data(), dv.data(), kStride, lanes, dvth,
+                               out[v].data());
+        }
+        expect_bitwise_equal(out[0], out[1], "leakage",
+                             static_cast<int>(lanes), 1);
+      }
     }
   }
 }

@@ -150,7 +150,7 @@ double expect_lanes_match_streams(const std::vector<Rng>& streams,
                                   int draws) {
   RngLanes lanes(streams);
   std::vector<Rng> ref = streams;
-  RngLanes::F64x8 z = {};
+  F64x8 z = {};
   double max_abs = 0.0;
   for (int i = 0; i < draws; ++i) {
     lanes.normal(z);
