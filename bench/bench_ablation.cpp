@@ -19,7 +19,7 @@
 #include "leakage/leakage.hpp"
 #include "mc/monte_carlo.hpp"
 #include "report/flow.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -74,7 +74,7 @@ void ablation_clark(const bench::Setup& setup) {
                "max-of-means [ps]", "Clark err%", "naive err%"});
   for (const std::string name : {"c432p", "c880p", "c1908p"}) {
     const Circuit c = iscas85_proxy(name);
-    const SstaEngine ssta(c, setup.lib, setup.var);
+    const FlatSstaEngine ssta(c, setup.lib, setup.var);
     const Canonical clark = ssta.circuit_delay();
 
     // Max-of-means variant: deterministic arrival of means, per-gate sigma

@@ -18,7 +18,7 @@
 #include "leakage/leakage.hpp"
 #include "spatial/spatial_analysis.hpp"
 #include "spatial/spatial_ssta.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -53,7 +53,7 @@ int main() {
     const double mc_p99 = quantile(res.leakage_na, 0.99);
 
     const double flat_sigma =
-        SstaEngine(c, setup.lib, model.base).circuit_delay().sigma();
+        FlatSstaEngine(c, setup.lib, model.base).circuit_delay().sigma();
     const double spatial_sigma =
         SpatialSstaEngine(c, setup.lib, model, placement)
             .circuit_delay()

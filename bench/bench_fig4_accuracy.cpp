@@ -15,7 +15,7 @@
 #include "gen/proxy.hpp"
 #include "leakage/leakage.hpp"
 #include "mc/monte_carlo.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -35,7 +35,8 @@ int main() {
   double worst_lp99 = 0.0;
   for (const std::string& name : iscas85_proxy_names()) {
     const Circuit c = iscas85_proxy(name);
-    const Canonical d = SstaEngine(c, setup.lib, setup.var).circuit_delay();
+    const Canonical d =
+        FlatSstaEngine(c, setup.lib, setup.var).circuit_delay();
     const LeakageDistribution l =
         LeakageAnalyzer(c, setup.lib, setup.var).distribution();
 

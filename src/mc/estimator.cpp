@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "ssta/canonical.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "util/error.hpp"
 #include "util/normal.hpp"
 
@@ -32,8 +32,7 @@ IsShift compute_timing_is_shift(const Circuit& circuit,
                                 const CellLibrary& lib,
                                 const VariationModel& var,
                                 double t_max_ps) {
-  const SstaEngine ssta(circuit, lib, var);
-  const Canonical d = ssta.circuit_delay();
+  const Canonical d = FlatSstaEngine(circuit, lib, var).circuit_delay();
   const double g = std::sqrt(d.gl * d.gl + d.gv * d.gv);
   if (g <= 0.0) return {};  // no global sensitivity: nothing to shift along
   const double var_tot = d.variance();

@@ -216,7 +216,7 @@ void CornerTimer::backward(double t_max_ps) {
   }
   delay_moved_.clear();
 
-  // Same backward expression as StaEngine::analyze_impl, gathered per gate
+  // Same backward expression as the full-pass reference, gathered per gate
   // over its fanouts: min is exact, so the order does not change the bits.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   for (auto it = buckets_.rbegin(); it != buckets_.rend(); ++it) {
@@ -237,7 +237,7 @@ void CornerTimer::backward(double t_max_ps) {
     bucket.clear();
   }
 
-  // StaEngine's clamp and non-finite guard, on the gates that moved.
+  // The reference's clamp and non-finite guard, on the gates that moved.
   for (GateId id : slack_dirty_) {
     double req = req_raw_[id];
     if (!std::isfinite(req)) {

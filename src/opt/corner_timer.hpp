@@ -45,11 +45,11 @@
 /// Construction seeds every cell into the forward walk, and an analyze()
 /// whose target differs from the previous one seeds every gate into the
 /// backward walk, so a full pass is the same walk with every gate dirty.
-/// Each recomputed value uses the max/min/slack expression of
-/// StaEngine::analyze_impl on the FlatCircuit CSR arrays; max and min of
-/// finite values are exact, so the visiting order does not matter and the
-/// arrivals, required times and slacks equal StaEngine::analyze_corner()
-/// bit for bit (pinned by corner_timer_test).
+/// Each recomputed value uses the max/min/slack expression of the full-pass
+/// reference in tests/graph_oracle.hpp on the FlatCircuit CSR arrays; max
+/// and min of finite values are exact, so the visiting order does not
+/// matter and the arrivals, required times and slacks equal the reference's
+/// corner pass bit for bit (pinned by corner_timer_test).
 ///
 /// A non-finite current delay raises NumericalError when it is computed:
 /// the max/min passes would otherwise drop a NaN and return a plausible
@@ -167,7 +167,7 @@ class CornerTimer {
 
   std::vector<std::uint32_t> level_;
   std::vector<char> is_output_;
-  /// Required times before StaEngine's +inf -> t_max clamp: what the
+  /// Required times before the +inf -> t_max clamp: what the
   /// backward walk propagates. result_.required_ps holds the clamped ones.
   std::vector<double> req_raw_;
   std::vector<unsigned char> mark_;

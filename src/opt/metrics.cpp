@@ -1,22 +1,26 @@
 #include "opt/metrics.hpp"
 
+#include <limits>
+
 #include "leakage/leakage.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "sta/sta.hpp"
+#include "util/health.hpp"
 
 namespace statleak {
 
 CircuitMetrics measure_metrics(const Circuit& circuit, const CellLibrary& lib,
                                const VariationModel& var, double t_max_ps) {
+  if (!(t_max_ps > -std::numeric_limits<double>::infinity())) {
+    throw NumericalError("measure_metrics: the t_max target is NaN/-inf");
+  }
   CircuitMetrics m;
 
-  StaEngine sta(circuit, lib);
+  const StaEngine sta(circuit, lib);
   m.nominal_delay_ps = sta.critical_delay_ps();
-  m.corner3_delay_ps =
-      sta.analyze_corner(t_max_ps, var, 3.0).critical_delay_ps;
+  m.corner3_delay_ps = sta.corner_delay_ps(var, 3.0);
 
-  SstaEngine ssta(circuit, lib, var);
-  const Canonical delay = ssta.circuit_delay();
+  const Canonical delay = FlatSstaEngine(circuit, lib, var).circuit_delay();
   m.ssta_delay_mean_ps = delay.mean;
   m.ssta_delay_sigma_ps = delay.sigma();
   m.timing_yield = delay.cdf(t_max_ps);

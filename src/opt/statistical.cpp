@@ -12,7 +12,6 @@
 #include "opt/checkpoint.hpp"
 #include "opt/metrics.hpp"
 #include "ssta/flat_incremental.hpp"
-#include "ssta/ssta.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/parallel.hpp"

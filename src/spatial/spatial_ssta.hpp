@@ -1,9 +1,11 @@
 /// \file spatial_ssta.hpp
 /// \brief Block-based SSTA under the grid spatial-correlation model.
 ///
-/// Same algorithm as ssta/ — canonical forms, Clark MAX — but the canonical
-/// form carries one sensitivity per *shared source*: the two inter-die
-/// sources plus one (dL, dVth) pair per grid region:
+/// Same algorithm as the plain SSTA (ssta/flat_incremental.hpp, whose
+/// full-pass reference is tests/graph_oracle.hpp) — canonical forms, Clark
+/// MAX — but the canonical form carries one sensitivity per *shared
+/// source*: the two inter-die sources plus one (dL, dVth) pair per grid
+/// region:
 ///
 ///   A = mean + sum_k g[k] * Z_k + loc * z
 ///
@@ -47,10 +49,11 @@ struct VectorCanonical {
 };
 
 /// SSTA engine under the spatial model. Holds references; all constructor
-/// arguments must outlive the engine. A one-shot full-pass analyzer like
-/// ssta/SstaEngine: loads are read at construction and the circuit delay is
-/// computed on the first query and cached, so the engine snapshots the
-/// circuit at that query — later size/Vth changes are never seen.
+/// arguments must outlive the engine. A one-shot full-pass analyzer, shaped
+/// like the plain reference pass in tests/graph_oracle.hpp: loads are read
+/// at construction and the circuit delay is computed on the first query and
+/// cached, so the engine snapshots the circuit at that query — later
+/// size/Vth changes are never seen.
 class SpatialSstaEngine {
  public:
   SpatialSstaEngine(const Circuit& circuit, const CellLibrary& lib,

@@ -1,15 +1,15 @@
 /// \file delay_model.hpp
 /// \brief Shared per-gate canonical-delay and Clark-chain helpers.
 ///
-/// The optimizer's incremental engine, the flat SoA FlatSstaEngine
-/// (flat_incremental.hpp), must produce arrivals *bit-identical* to the
-/// full-pass reference analyzer SstaEngine (ssta.hpp) — the contract
-/// tests/ssta_incremental_test.cpp pins. The two computations that decide
-/// every arrival bit are the gate's own canonical delay and the iterated
-/// Clark MAX over its fanin arrivals. Defining both once, inline, and
-/// calling them from both engines makes the bit-identity hold by
-/// construction: there is exactly one expression shape, so the IEEE-754
-/// operation order per gate cannot drift between the engines.
+/// The SSTA engine, the flat SoA FlatSstaEngine (flat_incremental.hpp),
+/// must produce arrivals *bit-identical* to the plain full-pass reference
+/// in tests/graph_oracle.hpp — the contract tests/ssta_incremental_test.cpp
+/// pins. The two computations that decide every arrival bit are the gate's
+/// own canonical delay and the iterated Clark MAX over its fanin arrivals.
+/// Defining both once, inline, and calling them from the engine and the
+/// oracle makes the bit-identity hold by construction: there is exactly one
+/// expression shape, so the IEEE-754 operation order per gate cannot drift
+/// between the two.
 
 #pragma once
 

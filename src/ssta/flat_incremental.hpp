@@ -1,17 +1,25 @@
 /// \file flat_incremental.hpp
-/// \brief Flat-SoA incremental SSTA engine on a FlatCircuit snapshot — the
-///        statistical optimizer's timing engine.
+/// \brief Block-based statistical static timing analysis on a FlatCircuit
+///        snapshot: the one SSTA engine, one-shot or incremental.
 ///
-/// Same analysis and same bits as the full-pass reference analyzer
-/// SstaEngine (ssta.hpp), but incremental: the engine caches per-gate
-/// arrivals and fanin win weights, implementation changes are reported
-/// through on_resize() / on_vth_change(), and the next query re-propagates
-/// only the levelized fanout cone of the dirty gates, stopping early where a
-/// recomputed arrival is bit-identical to its cached value. Because each
-/// gate's iterated Clark MAX is a deterministic function of its fanin
-/// arrivals and the gate's own parameters, and cones are re-propagated in
-/// the same topological order a full pass would use, every query returns
-/// values bit-identical to a from-scratch SstaEngine (pinned by
+/// Forward PERT traversal propagating canonical forms: at each gate, the
+/// fanin arrivals are combined with iterated Clark MAX (recording per-fanin
+/// "win" probabilities), then the gate's own canonical delay is added. The
+/// circuit delay is the Clark MAX over all primary outputs. A backward pass
+/// turns the recorded win probabilities into per-gate criticality — the
+/// probability mass of critical paths through each gate — which the
+/// statistical optimizer uses to price timing cost.
+///
+/// One-shot callers (metrics, estimators, benches) construct an engine and
+/// query it once. The statistical optimizer keeps one alive and reports
+/// implementation changes through on_resize() / on_vth_change(); the next
+/// query re-propagates only the levelized fanout cone of the dirty gates,
+/// stopping early where a recomputed arrival is bit-identical to its cached
+/// value. Because each gate's iterated Clark MAX is a deterministic function
+/// of its fanin arrivals and the gate's own parameters, and cones are
+/// re-propagated in the same topological order a full pass would use, every
+/// query returns values bit-identical to a from-scratch full pass — the
+/// plain full-pass reference in tests/graph_oracle.hpp (pinned by
 /// tests/ssta_incremental_test.cpp).
 ///
 /// The trial API serves the optimizer's tentative-apply/reject pattern:
@@ -29,7 +37,7 @@
 /// on a move, so the engine recomputes the canonical own delay eagerly at
 /// notification time — O(moved gates) per move — and cone retiming reuses
 /// the cached value. The cached value comes from the same shared
-/// canonical_gate_delay() helper the reference analyzer calls (ssta/
+/// canonical_gate_delay() helper the reference calls (ssta/
 /// delay_model.hpp), and a gate's own delay is a deterministic function of
 /// its (kind, vth, size, load), so every arrival keeps the reference bits.
 ///
@@ -77,11 +85,24 @@
 #include "netlist/flat_circuit.hpp"
 #include "obs/registry.hpp"
 #include "ssta/canonical.hpp"
-#include "ssta/ssta.hpp"
 #include "sta/loads.hpp"
 #include "tech/variation.hpp"
 
 namespace statleak {
+
+/// Result of one SSTA pass.
+struct SstaResult {
+  std::vector<Canonical> arrival;  ///< per gate
+  Canonical circuit_delay;         ///< max over primary outputs
+  std::vector<double> criticality; ///< per gate, in [0, 1]; sums to ~1 per cut
+
+  /// Timing yield P(D <= t_max) under the Gaussian circuit-delay model.
+  double yield(double t_max_ps) const { return circuit_delay.cdf(t_max_ps); }
+  /// Delay at the given yield (quantile of the circuit delay).
+  double delay_at_yield_ps(double eta) const {
+    return circuit_delay.quantile(eta);
+  }
+};
 
 /// Flat SoA SSTA engine. Holds references; circuit, library and variation
 /// model must outlive it. The circuit's topology must stay frozen;
@@ -122,9 +143,8 @@ class FlatSstaEngine {
   void set_trial_log_cap(std::size_t cap) { trial_log_cap_ = cap; }
   std::size_t trial_log_cap() const { return trial_log_cap_; }
 
-  /// Attaches an observability registry (nullptr detaches). Shares the
-  /// reference analyzer's "ssta.analyze_passes" / "ssta.forward_passes" names
-  /// and counts its own layout-specific work under
+  /// Attaches an observability registry (nullptr detaches). Counts queries
+  /// under "ssta.analyze_passes" / "ssta.forward_passes" and its work under
   /// "ssta.flat_full_passes" / "ssta.flat_incremental_passes" /
   /// "ssta.flat_cone_gates_retimed" and "ssta.crit_walks" /
   /// "ssta.crit_full_passes" / "ssta.crit_updates". Phase timers
@@ -199,7 +219,7 @@ class FlatSstaEngine {
   FlatCircuit flat_;
   /// Original Circuit::topo_order() — NOT flat_.topo (which re-buckets by
   /// level): the criticality scatter accumulates in traversal order, so
-  /// bit-identity with the reference analyzer requires the same order.
+  /// bit-identity with the reference requires the same order.
   std::vector<GateId> topo_;
   std::vector<std::uint32_t> pos_;  ///< gate -> position in flat_.topo
   std::vector<char> is_output_;     ///< per-gate primary-output flag

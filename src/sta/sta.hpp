@@ -1,17 +1,19 @@
 /// \file sta.hpp
-/// \brief Deterministic static timing analysis.
+/// \brief Deterministic static timing: one-shot critical-delay queries.
 ///
-/// Classic PERT traversal over the gate DAG: arrival times forward, required
-/// times backward, slack per gate, critical-path extraction. Supports two
-/// evaluation modes:
+/// Forward PERT traversal over the gate DAG in one of two evaluation modes:
 ///
-///   * nominal       — library delays at zero variation,
-///   * corner        — every gate shifted by the same k-sigma worst-case
-///                     (dL, dVth) excursion (the guard-band baseline the
-///                     deterministic optimizer uses).
+///   * nominal — library delays at zero variation,
+///   * corner  — every gate shifted by the same k-sigma worst-case
+///               (dL, dVth) excursion (the guard-band baseline the
+///               deterministic optimizer uses).
 ///
-/// Per-sample timing (each gate with its own (dL, dVth) draw) is the
-/// Monte-Carlo engine's job: see BatchDelayKernel (sta/batch_delay.hpp).
+/// Required times and slacks are the deterministic sizer's job: see the
+/// incremental CornerTimer (opt/corner_timer.hpp). Per-sample timing (each
+/// gate with its own (dL, dVth) draw) is the Monte-Carlo engine's: see
+/// BatchDelayKernel (sta/batch_delay.hpp). The full-pass reference with
+/// required times, slacks and critical-path extraction is the test oracle
+/// tests/graph_oracle.hpp.
 
 #pragma once
 
@@ -30,48 +32,28 @@ struct StaResult {
   std::vector<double> required_ps;  ///< per gate, w.r.t. the given t_max
   std::vector<double> slack_ps;     ///< required - arrival
   double critical_delay_ps = 0.0;   ///< max arrival over primary outputs
-
-  /// Worst slack over all gates.
-  double worst_slack_ps() const;
 };
 
-/// Deterministic STA over a circuit with cached loads. The engine holds
-/// references: circuit and library must outlive it. After a gate's size
-/// changes, call on_resize(); Vth changes need no load update. Every pass
-/// re-evaluates every gate delay; the deterministic sizer times on the
-/// cached CornerTimer (opt/corner_timer.hpp), which this engine's
-/// analyze_corner() is the bitwise reference of.
+/// Deterministic critical-delay queries over a circuit with loads cached at
+/// construction. The engine holds references: circuit and library must
+/// outlive it. Vth changes are seen by the next query; size changes need a
+/// new engine (the loads would be stale).
 class StaEngine {
  public:
   StaEngine(const Circuit& circuit, const CellLibrary& lib);
 
   const LoadCache& loads() const { return loads_; }
-  void on_resize(GateId id) { loads_.on_resize(id); }
 
-  /// Nominal delay of one gate (pseudo-inputs have zero delay).
-  double gate_delay_ps(GateId id) const;
-
-  /// Gate delay at a global k-sigma corner of the variation model (both dL
-  /// and dVth pushed k standard deviations slow).
-  double gate_delay_corner_ps(GateId id, const VariationModel& var,
-                              double k_sigma) const;
-
-  /// Full nominal analysis against a delay target.
-  StaResult analyze(double t_max_ps) const;
-
-  /// Full corner analysis: all gates at the same k-sigma slow excursion.
-  StaResult analyze_corner(double t_max_ps, const VariationModel& var,
-                           double k_sigma) const;
-
-  /// Nominal critical delay only (no required/slack computation).
+  /// Nominal critical delay: max arrival over the primary outputs.
   double critical_delay_ps() const;
 
-  /// Gates of the nominal critical path, input to output.
-  std::vector<GateId> critical_path() const;
+  /// Critical delay with every gate at the same k-sigma slow corner of the
+  /// variation model (both dL and dVth pushed k standard deviations slow).
+  double corner_delay_ps(const VariationModel& var, double k_sigma) const;
 
  private:
   template <typename DelayFn>
-  StaResult analyze_impl(double t_max_ps, DelayFn&& delay) const;
+  double max_arrival_ps(DelayFn&& delay) const;
 
   const Circuit& circuit_;
   const CellLibrary& lib_;

@@ -59,7 +59,7 @@
 
 // ssta/
 #include "ssta/canonical.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 
 // leakage/
 #include "leakage/leakage.hpp"

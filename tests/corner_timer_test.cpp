@@ -4,14 +4,15 @@
 // CornerTimer caches per-gate corner delays (current, one step up, HVT, one
 // step down) and upsizing penalties, invalidates them on every committed
 // resize/Vth move, and runs its STA over the cache. The reference here is
-// recomputation from scratch: a fresh StaEngine::analyze_corner() for
-// arrivals, required times and slacks, and direct CellLibrary::delay_ps()
-// calls on fresh loads for every cached value. After every step of a random
-// walk, every gate's cached values must match the reference bit for bit, so
-// a missing invalidation shows up as a stale entry on the next check. The
-// timer's STA is a dirty-cone walk, so the steps mix the query patterns of
-// the sizer: forward-only queries between analyze() calls, alternating
-// targets, try-query-undo rejects and a snapshot-restore burst.
+// recomputation from scratch: the full-pass corner STA of graph_oracle.hpp
+// for arrivals, required times and slacks, and direct
+// CellLibrary::delay_ps() calls on fresh loads for every cached value.
+// After every step of a random walk, every gate's cached values must match
+// the reference bit for bit, so a missing invalidation shows up as a stale
+// entry on the next check. The timer's STA is a dirty-cone walk, so the
+// steps mix the query patterns of the sizer: forward-only queries between
+// analyze() calls, alternating targets, try-query-undo rejects and a
+// snapshot-restore burst.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +24,7 @@
 
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
+#include "graph_oracle.hpp"
 #include "opt/corner_timer.hpp"
 #include "opt/deterministic.hpp"
 #include "sta/sta.hpp"
@@ -60,8 +62,8 @@ class CornerTimerWalk : public ::testing::TestWithParam<const char*> {
   /// Compares everything the timer caches or computes against a from-scratch
   /// evaluation of the circuit's current implementation.
   void check(CornerTimer& timer, const Circuit& c, double t_max) {
-    const StaEngine ref(c, lib_);
-    const StaResult want = ref.analyze_corner(t_max, var_, kCornerK);
+    const LoadCache loads(c, lib_);
+    const StaResult want = oracle::sta(c, lib_, t_max, &var_, kCornerK);
     const StaResult& got = timer.analyze(t_max);
     ASSERT_TRUE(same_bits(got.critical_delay_ps, want.critical_delay_ps));
     for (GateId id = 0; id < c.num_gates(); ++id) {
@@ -77,13 +79,14 @@ class CornerTimerWalk : public ::testing::TestWithParam<const char*> {
     for (GateId id = 0; id < c.num_gates(); ++id) {
       const Gate& g = c.gate(id);
       ASSERT_TRUE(same_bits(timer.delay_ps(id),
-                            ref.gate_delay_corner_ps(id, var_, kCornerK)))
+                            oracle::gate_delay_ps(c, lib_, loads, id, &var_,
+                                                  kCornerK)))
           << "delay of gate " << id;
       if (g.kind == CellKind::kInput) continue;
 
       const std::size_t step = lib_.nearest_step(g.size);
       ASSERT_EQ(timer.step(id), step) << "step of gate " << id;
-      const double load = ref.loads().load_ff(id);
+      const double load = loads.load_ff(id);
       const auto delay = [&](Vth vth, double size) {
         return lib_.delay_ps(g.kind, vth, size, load, dl_, dv_);
       };
@@ -104,7 +107,7 @@ class CornerTimerWalk : public ::testing::TestWithParam<const char*> {
         for (GateId f : g.fanins) {
           const Gate& drv = c.gate(f);
           if (drv.kind == CellKind::kInput) continue;
-          const double fl = ref.loads().load_ff(f);
+          const double fl = loads.load_ff(f);
           penalty +=
               lib_.delay_ps(drv.kind, drv.vth, drv.size, fl + dcap, dl_, dv_) -
               lib_.delay_ps(drv.kind, drv.vth, drv.size, fl, dl_, dv_);
@@ -122,8 +125,7 @@ TEST_P(CornerTimerWalk, CachedTimingMatchesFreshAnalysisAfterEveryMove) {
   CornerTimer timer(c, lib_, dl_, dv_);
   // A target near the initial corner delay keeps both slack signs present.
   const double t_max =
-      0.98 * StaEngine(c, lib_).analyze_corner(0.0, var_, kCornerK)
-                 .critical_delay_ps;
+      0.98 * StaEngine(c, lib_).corner_delay_ps(var_, kCornerK);
   // The sizer alternates targets: boosted phase-1 rounds time against a
   // shrunken one, phase 2 against t_max. A repeated target takes the
   // incremental backward walk, a changed one reseeds it.
@@ -159,9 +161,7 @@ TEST_P(CornerTimerWalk, CachedTimingMatchesFreshAnalysisAfterEveryMove) {
   };
   // Forward-only query, as the sizer makes after every tentative upsize.
   const auto check_forward = [&]() {
-    const double want = StaEngine(c, lib_)
-                            .analyze_corner(t_max, var_, kCornerK)
-                            .critical_delay_ps;
+    const double want = StaEngine(c, lib_).corner_delay_ps(var_, kCornerK);
     ASSERT_TRUE(same_bits(timer.critical_delay_ps(), want));
   };
 
@@ -222,7 +222,7 @@ INSTANTIATE_TEST_SUITE_P(Circuits, CornerTimerWalk,
                          });
 
 TEST(CornerTimer, NonFiniteTargetIsANumericalError) {
-  // Same guard as StaEngine::analyze_impl: a NaN target poisons the
+  // Same guard as the full-pass reference: a NaN target poisons the
   // required times of the primary outputs.
   const CellLibrary lib(generic_100nm());
   Circuit c = iscas85_proxy("c432p");

@@ -105,9 +105,7 @@ TEST_P(DetTrajectoryTest, MatchesGolden) {
   // The final corner delay, re-timed from scratch on the delivered circuit,
   // and the sizer's own report of it.
   const double corner_delay =
-      StaEngine(c, lib)
-          .analyze_corner(cfg.t_max_ps, var, cfg.corner_k_sigma)
-          .critical_delay_ps;
+      StaEngine(c, lib).corner_delay_ps(var, cfg.corner_k_sigma);
   EXPECT_TRUE(SameBits(corner_delay, golden.final_corner_delay_ps));
   EXPECT_TRUE(SameBits(reg.gauge_value("det.final_corner_delay_ps"),
                        golden.final_corner_delay_ps));

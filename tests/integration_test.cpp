@@ -3,11 +3,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "gen/prefix.hpp"
 #include "gen/proxy.hpp"
+#include "gen/random_dag.hpp"
+#include "graph_oracle.hpp"
 #include "leakage/leakage.hpp"
+#include "mc/estimator.hpp"
 #include "mc/monte_carlo.hpp"
 #include "mlv/mlv.hpp"
 #include "netlist/bench_io.hpp"
@@ -19,7 +29,7 @@
 #include "report/flow.hpp"
 #include "spatial/spatial_analysis.hpp"
 #include "spatial/spatial_ssta.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 #include "util/rng.hpp"
@@ -80,11 +90,20 @@ TEST_F(IntegrationTest, MetricsAgreeWithUnderlyingEngines) {
   const CircuitMetrics m = measure_metrics(c, lib_, var_, t_max);
   EXPECT_NEAR(m.nominal_delay_ps, StaEngine(c, lib_).critical_delay_ps(),
               1e-9);
-  const Canonical d = SstaEngine(c, lib_, var_).circuit_delay();
+  const Canonical d = FlatSstaEngine(c, lib_, var_).circuit_delay();
   EXPECT_NEAR(m.ssta_delay_mean_ps, d.mean, 1e-9);
   EXPECT_NEAR(m.timing_yield, d.cdf(t_max), 1e-12);
   const LeakageAnalyzer leak(c, lib_, var_);
   EXPECT_NEAR(m.leakage_p99_na, leak.quantile_na(0.99), 1e-9);
+}
+
+TEST_F(IntegrationTest, MetricsRejectNonFiniteTarget) {
+  // A NaN or -inf target would turn the yield into NaN or 0 silently.
+  const Circuit c = iscas85_proxy("c432p");
+  for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW((void)measure_metrics(c, lib_, var_, t), NumericalError);
+  }
 }
 
 TEST_F(IntegrationTest, OptimizedCircuitSurvivesSpatialScrutiny) {
@@ -166,6 +185,77 @@ TEST_F(IntegrationTest, DetAndStatAgreeInZeroVariationLimit) {
   EXPECT_LE(StaEngine(det, lib_).critical_delay_ps(), cfg.t_max_ps + 1e-6);
   EXPECT_LE(StaEngine(stat, lib_).critical_delay_ps(), cfg.t_max_ps + 1e-6);
 }
+
+// ------------------------------------------- metrics vs the full-pass oracle
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+/// compute_timing_is_shift's closed form, applied to the oracle's circuit
+/// delay: the conditional-mean shift (t - mean) * ||g|| / sigma^2 along the
+/// global gradient g = (gl, gv), capped at 6 sigma.
+IsShift is_shift_of(const Canonical& d, double t_max_ps) {
+  const double g = std::sqrt(d.gl * d.gl + d.gv * d.gv);
+  if (g <= 0.0 || d.variance() <= 0.0) return {};
+  const double dist = (t_max_ps - d.mean) * g / d.variance();
+  if (dist <= 0.0) return {};
+  const double mag = std::min(dist, 6.0);
+  return {mag * d.gl / g, mag * d.gv / g};
+}
+
+/// Every ISCAS85 proxy plus "rdag23", a generated 300-gate random DAG.
+std::vector<std::string> metrics_circuits() {
+  std::vector<std::string> names = iscas85_proxy_names();
+  names.push_back("rdag23");
+  return names;
+}
+
+class MetricsOracleTest : public ::testing::TestWithParam<std::string> {};
+
+// Every timing field of measure_metrics, and the timing importance-sampling
+// shift, equal the full-pass oracle bit for bit. The circuit is first moved
+// to a seeded random implementation point (a size step and a Vth class per
+// cell), so loads, delays and the Clark MAX tightness are all non-uniform.
+TEST_P(MetricsOracleTest, TimingFieldsMatchOracleBitwise) {
+  const CellLibrary lib(generic_100nm());
+  const VariationModel var = VariationModel::typical_100nm();
+  Circuit c = GetParam() == "rdag23" ? [] {
+    RandomDagSpec spec;
+    spec.num_inputs = 24;
+    spec.num_gates = 300;
+    spec.num_outputs = 12;
+    spec.seed = 23;
+    return make_random_dag(spec);
+  }() : iscas85_proxy(GetParam());
+  Rng rng(41);
+  const auto steps = lib.size_steps();
+  for (GateId id = 0; id < c.num_gates(); ++id) {
+    if (c.gate(id).kind == CellKind::kInput) continue;
+    c.set_size(id, steps[rng.uniform_index(steps.size())]);
+    c.set_vth(id, rng.uniform_index(2) == 0 ? Vth::kLow : Vth::kHigh);
+  }
+
+  const Canonical d = oracle::ssta(c, lib, var).circuit_delay;
+  // In the upper tail, so the IS shift is active and the yield is not 1.
+  const double t_max = d.quantile(0.9);
+  const CircuitMetrics m = measure_metrics(c, lib, var, t_max);
+  EXPECT_EQ(bits(m.nominal_delay_ps),
+            bits(oracle::sta(c, lib, t_max).critical_delay_ps));
+  EXPECT_EQ(bits(m.corner3_delay_ps),
+            bits(oracle::sta(c, lib, t_max, &var, 3.0).critical_delay_ps));
+  EXPECT_EQ(bits(m.ssta_delay_mean_ps), bits(d.mean));
+  EXPECT_EQ(bits(m.ssta_delay_sigma_ps), bits(d.sigma()));
+  EXPECT_EQ(bits(m.timing_yield), bits(d.cdf(t_max)));
+
+  const IsShift want = is_shift_of(d, t_max);
+  const IsShift got = compute_timing_is_shift(c, lib, var, t_max);
+  EXPECT_TRUE(want.active());
+  EXPECT_EQ(bits(got.l_sigma), bits(want.l_sigma));
+  EXPECT_EQ(bits(got.v_sigma), bits(want.v_sigma));
+}
+
+INSTANTIATE_TEST_SUITE_P(ProxiesAndRandomDag, MetricsOracleTest,
+                         ::testing::ValuesIn(metrics_circuits()),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace statleak

@@ -12,7 +12,7 @@
 #include "opt/metrics.hpp"
 #include "opt/statistical.hpp"
 #include "report/flow.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 #include "util/error.hpp"
@@ -74,15 +74,11 @@ TEST_F(OptTest, DetMeetsNominalTarget) {
 TEST_F(OptTest, DetMeetsCornerTarget) {
   Circuit c = make_carry_lookahead_adder(12);
   OptConfig cfg;
-  cfg.t_max_ps = 1.35 * StaEngine(c, lib_)
-                            .analyze_corner(0.0, var_, 3.0)
-                            .critical_delay_ps;
+  cfg.t_max_ps = 1.35 * StaEngine(c, lib_).corner_delay_ps(var_, 3.0);
   cfg.corner_k_sigma = 3.0;
   const OptResult r = DeterministicOptimizer(lib_, var_, cfg).run(c);
   EXPECT_TRUE(r.feasible);
-  EXPECT_LE(StaEngine(c, lib_)
-                .analyze_corner(cfg.t_max_ps, var_, 3.0)
-                .critical_delay_ps,
+  EXPECT_LE(StaEngine(c, lib_).corner_delay_ps(var_, 3.0),
             cfg.t_max_ps + 1e-6);
 }
 
@@ -156,7 +152,8 @@ TEST_F(OptTest, StatMeetsYieldTarget) {
   cfg.yield_target = 0.99;
   const OptResult r = StatisticalOptimizer(lib_, var_, cfg).run(c);
   EXPECT_TRUE(r.feasible);
-  const double yield = SstaEngine(c, lib_, var_).circuit_delay().cdf(cfg.t_max_ps);
+  const double yield =
+      FlatSstaEngine(c, lib_, var_).circuit_delay().cdf(cfg.t_max_ps);
   EXPECT_GE(yield, 0.99 - 1e-9);
 }
 

@@ -11,7 +11,7 @@
 #include "leakage/leakage.hpp"
 #include "mc/monte_carlo.hpp"
 #include "opt/statistical.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 
@@ -63,11 +63,11 @@ TEST(Pelgrom, UpsizedCircuitHasSmallerDelaySigma) {
   const VariationModel var = pelgrom_model();
   // Relative sigma (sigma/mean) must shrink for the upsized circuit beyond
   // what it does without Pelgrom scaling.
-  const Canonical ds = SstaEngine(small, lib, var).circuit_delay();
-  const Canonical db = SstaEngine(big, lib, var).circuit_delay();
+  const Canonical ds = FlatSstaEngine(small, lib, var).circuit_delay();
+  const Canonical db = FlatSstaEngine(big, lib, var).circuit_delay();
   const VariationModel flat = VariationModel::typical_100nm();
-  const Canonical fs = SstaEngine(small, lib, flat).circuit_delay();
-  const Canonical fb = SstaEngine(big, lib, flat).circuit_delay();
+  const Canonical fs = FlatSstaEngine(small, lib, flat).circuit_delay();
+  const Canonical fb = FlatSstaEngine(big, lib, flat).circuit_delay();
   const double gain_pelgrom = (ds.sigma() / ds.mean) / (db.sigma() / db.mean);
   const double gain_flat = (fs.sigma() / fs.mean) / (fb.sigma() / fb.mean);
   EXPECT_GT(gain_pelgrom, gain_flat);
@@ -106,7 +106,7 @@ TEST(Pelgrom, AnalyticTracksMonteCarlo) {
   EXPECT_NEAR(d.mean_na, s.mean, 0.03 * s.mean);
   EXPECT_NEAR(d.stddev_na(), s.stddev, 0.12 * s.stddev);
 
-  const Canonical delay = SstaEngine(c, lib, var).circuit_delay();
+  const Canonical delay = FlatSstaEngine(c, lib, var).circuit_delay();
   const SampleSummary sd = res.delay_summary();
   EXPECT_NEAR(delay.mean, sd.mean, 0.03 * sd.mean);
   EXPECT_NEAR(delay.sigma(), sd.stddev, 0.2 * sd.stddev);
@@ -143,7 +143,7 @@ TEST(Pelgrom, OptimizerStillMeetsYield) {
   cfg.yield_target = 0.99;
   const OptResult r = StatisticalOptimizer(lib, var, cfg).run(c);
   EXPECT_TRUE(r.feasible);
-  EXPECT_GE(SstaEngine(c, lib, var).circuit_delay().cdf(cfg.t_max_ps),
+  EXPECT_GE(FlatSstaEngine(c, lib, var).circuit_delay().cdf(cfg.t_max_ps),
             0.99 - 1e-9);
 }
 

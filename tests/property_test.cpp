@@ -13,7 +13,7 @@
 #include "opt/deterministic.hpp"
 #include "opt/metrics.hpp"
 #include "opt/statistical.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 
@@ -33,7 +33,7 @@ TEST_P(ProxyInvariants, SstaTracksMcAcrossSuite) {
   const CellLibrary& lib = shared_library();
   const VariationModel var = VariationModel::typical_100nm();
   const Circuit c = iscas85_proxy(GetParam());
-  const Canonical d = SstaEngine(c, lib, var).circuit_delay();
+  const Canonical d = FlatSstaEngine(c, lib, var).circuit_delay();
 
   McConfig mc;
   mc.num_samples = 2500;
@@ -146,8 +146,8 @@ TEST_P(VariationSweep, DelaySigmaScalesWithVariation) {
   const VariationModel var = VariationModel::typical_100nm().scaled(scale);
   const Circuit c = iscas85_proxy("c432p");
   const Canonical base =
-      SstaEngine(c, lib, VariationModel::typical_100nm()).circuit_delay();
-  const Canonical scaled = SstaEngine(c, lib, var).circuit_delay();
+      FlatSstaEngine(c, lib, VariationModel::typical_100nm()).circuit_delay();
+  const Canonical scaled = FlatSstaEngine(c, lib, var).circuit_delay();
   // First-order delay model: sigma scales linearly with the variation scale
   // (up to MAX nonlinearity, hence the tolerance).
   EXPECT_NEAR(scaled.sigma(), scale * base.sigma(), 0.2 * scale * base.sigma());
@@ -191,7 +191,8 @@ TEST_P(SeedSweep, OptimizerInvariantsOnRandomLogic) {
   EXPECT_TRUE(r.feasible) << "seed " << GetParam();
 
   // Yield holds, sizes on grid, leakage objective sane.
-  const double yield = SstaEngine(c, lib, var).circuit_delay().cdf(cfg.t_max_ps);
+  const double yield =
+      FlatSstaEngine(c, lib, var).circuit_delay().cdf(cfg.t_max_ps);
   EXPECT_GE(yield, 0.95 - 1e-9);
   EXPECT_GT(r.final_objective, 0.0);
   const auto steps = lib.size_steps();

@@ -13,7 +13,7 @@
 #include "spatial/spatial_analysis.hpp"
 #include "spatial/spatial_model.hpp"
 #include "spatial/spatial_ssta.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "tech/process.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -199,7 +199,7 @@ TEST_F(SpatialEngineTest, ZeroRegionFractionMatchesFlatEngine) {
   flat.region_fraction_l = 0.0;
   flat.region_fraction_v = 0.0;
   const SpatialSstaEngine spatial(c, lib_, flat, placement);
-  const SstaEngine plain(c, lib_, flat.base);
+  const FlatSstaEngine plain(c, lib_, flat.base);
   const VectorCanonical ds = spatial.circuit_delay();
   const Canonical dp = plain.circuit_delay();
   EXPECT_NEAR(ds.mean, dp.mean, 1e-6 * dp.mean);

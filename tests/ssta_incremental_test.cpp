@@ -5,11 +5,11 @@
 // The contract under test: after ANY sequence of reported mutations —
 // committed resizes and Vth swaps, trial moves that are rolled back, trial
 // moves that are committed — every query on the long-lived incremental
-// engine is *bit-identical* to a freshly constructed full-pass reference
-// analyzer (SstaEngine) looking at the same circuit. Equality is ==, never
-// EXPECT_NEAR: the dirty-cone retiming recomputes each changed gate with
-// exactly the arithmetic a full pass would use, and the fixed-shape
-// summation trees make the leakage totals insensitive to update order.
+// engine is *bit-identical* to the full-pass reference (graph_oracle.hpp)
+// run on the same circuit. Equality is ==, never EXPECT_NEAR: the
+// dirty-cone retiming recomputes each changed gate with exactly the
+// arithmetic a full pass would use, and the fixed-shape summation trees make
+// the leakage totals insensitive to update order.
 
 #include <gtest/gtest.h>
 
@@ -19,10 +19,10 @@
 
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
+#include "graph_oracle.hpp"
 #include "leakage/leakage.hpp"
 #include "obs/registry.hpp"
 #include "ssta/flat_incremental.hpp"
-#include "ssta/ssta.hpp"
 #include "tech/process.hpp"
 #include "util/rng.hpp"
 
@@ -66,22 +66,22 @@ testing::AssertionResult same(const Canonical& a, const Canonical& b,
 
 /// Incremental engine + analyzer vs freshly constructed ones: arrivals,
 /// criticality, circuit delay and leakage stats must match bitwise. The
-/// fresh reference is the full-pass SstaEngine, so this is a cross-engine
+/// fresh reference is the full-pass oracle, so this is a cross-engine
 /// differential: the flat-SoA layout and its dirty-cone retiming must
 /// reproduce the reference arithmetic bit for bit.
 testing::AssertionResult states_match(const Circuit& c, const CellLibrary& lib,
                                       const VariationModel& var,
                                       const FlatSstaEngine& inc,
                                       const LeakageAnalyzer& leak) {
-  const SstaEngine fresh(c, lib, var);
+  const LoadCache fresh_loads(c, lib);
   const SstaResult& got = inc.analyze_ref();
-  const SstaResult want = fresh.analyze();
+  const SstaResult want = oracle::ssta(c, lib, var);
 
   for (GateId id = 0; id < c.num_gates(); ++id) {
-    if (inc.loads().load_ff(id) != fresh.loads().load_ff(id)) {
+    if (inc.loads().load_ff(id) != fresh_loads.load_ff(id)) {
       return testing::AssertionFailure()
              << "load of gate " << id << " diverged: "
-             << inc.loads().load_ff(id) << " vs " << fresh.loads().load_ff(id);
+             << inc.loads().load_ff(id) << " vs " << fresh_loads.load_ff(id);
     }
     auto r = same(got.arrival[id], want.arrival[id],
                   ("arrival of gate " + std::to_string(id)).c_str());
@@ -198,9 +198,9 @@ TEST_F(SstaIncrementalTest, FlatEngineRandomWalkMatchesScalarEverySeed) {
 /// 255 seeds). Committed moves, rolled-back and committed trials mix with
 /// forward-only circuit_delay() queries, so several retimes feed one
 /// refresh; states_match's analyze_ref() compares every criticality bit
-/// with a fresh SstaEngine after every step. A trial rolled back right after
-/// a refresh must leave no criticality work behind, and an analyze inside a
-/// trial costs one scatter after its rollback.
+/// with a fresh oracle pass after every step. A trial rolled back right
+/// after a refresh must leave no criticality work behind, and an analyze
+/// inside a trial costs one scatter after its rollback.
 TEST_F(SstaIncrementalTest, CriticalityWalkMatchesScalarAcrossTrials) {
   Circuit c = iscas85_proxy("c3540p");
   const auto cells = cells_of(c);

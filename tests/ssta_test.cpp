@@ -8,7 +8,7 @@
 #include "gen/arithmetic.hpp"
 #include "gen/random_dag.hpp"
 #include "mc/monte_carlo.hpp"
-#include "ssta/ssta.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 
@@ -106,7 +106,7 @@ Circuit chain_circuit(int length) {
 TEST_F(SstaTest, ZeroVariationDegeneratesToSta) {
   const Circuit c = make_carry_lookahead_adder(8);
   const VariationModel none = VariationModel::none();
-  const SstaEngine ssta(c, lib_, none);
+  const FlatSstaEngine ssta(c, lib_, none);
   const StaEngine sta(c, lib_);
   const Canonical d = ssta.circuit_delay();
   EXPECT_NEAR(d.mean, sta.critical_delay_ps(), 1e-6);
@@ -116,7 +116,7 @@ TEST_F(SstaTest, ZeroVariationDegeneratesToSta) {
 TEST_F(SstaTest, ChainMeanMatchesNominalDelay) {
   // On a chain there is no MAX: the mean equals the deterministic delay.
   const Circuit c = chain_circuit(10);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const StaEngine sta(c, lib_);
   EXPECT_NEAR(ssta.circuit_delay().mean, sta.critical_delay_ps(), 1e-9);
 }
@@ -125,7 +125,7 @@ TEST_F(SstaTest, ChainSigmaClosedForm) {
   // On a chain: globals add linearly, locals RSS. With identical gates of
   // delay d: gl_total = n*d*sL*sigLg, loc_total = sqrt(n)*d*local.
   const Circuit c = chain_circuit(16);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   // All gates identical except the last (PO load differs); compare against
   // the engine's own per-gate canonicals composed manually.
   Canonical manual;
@@ -139,7 +139,7 @@ TEST_F(SstaTest, ChainSigmaClosedForm) {
 
 TEST_F(SstaTest, GateDelayCanonicalFields) {
   const Circuit c = chain_circuit(2);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const GateId g = c.find("g0");
   const Canonical d = ssta.gate_delay(g);
   EXPECT_GT(d.mean, 0.0);
@@ -152,7 +152,7 @@ TEST_F(SstaTest, GateDelayCanonicalFields) {
 
 TEST_F(SstaTest, MatchesMonteCarloOnAdder) {
   const Circuit c = make_carry_lookahead_adder(12);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const Canonical d = ssta.circuit_delay();
 
   McConfig mc;
@@ -175,7 +175,7 @@ TEST_F(SstaTest, MatchesMonteCarloOnRandomDag) {
   spec.num_gates = 600;
   spec.seed = 77;
   const Circuit c = make_random_dag(spec);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const Canonical d = ssta.circuit_delay();
 
   McConfig mc;
@@ -189,7 +189,7 @@ TEST_F(SstaTest, MatchesMonteCarloOnRandomDag) {
 
 TEST_F(SstaTest, YieldMonotoneInTarget) {
   const Circuit c = make_carry_lookahead_adder(8);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const SstaResult r = ssta.analyze();
   const double mean = r.circuit_delay.mean;
   double prev = 0.0;
@@ -204,7 +204,7 @@ TEST_F(SstaTest, YieldMonotoneInTarget) {
 
 TEST_F(SstaTest, AnalyzeAndForwardOnlyAgree) {
   const Circuit c = make_carry_lookahead_adder(10);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const SstaResult full = ssta.analyze();
   const Canonical fwd = ssta.circuit_delay();
   EXPECT_NEAR(full.circuit_delay.mean, fwd.mean, 1e-9);
@@ -213,7 +213,7 @@ TEST_F(SstaTest, AnalyzeAndForwardOnlyAgree) {
 
 TEST_F(SstaTest, CriticalityOnChainIsOne) {
   const Circuit c = chain_circuit(8);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const SstaResult r = ssta.analyze();
   for (GateId id = 0; id < c.num_gates(); ++id) {
     EXPECT_NEAR(r.criticality[id], 1.0, 1e-9) << c.gate(id).name;
@@ -234,7 +234,7 @@ TEST_F(SstaTest, CriticalityOnBalancedForkIsHalf) {
   c.mark_output(join);
   c.finalize();
 
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const SstaResult r = ssta.analyze();
   EXPECT_NEAR(r.criticality[join], 1.0, 1e-9);
   EXPECT_NEAR(r.criticality[c.find("a1")], 0.5, 0.05);
@@ -247,7 +247,7 @@ TEST_F(SstaTest, CriticalityInUnitInterval) {
   spec.num_gates = 500;
   spec.seed = 21;
   const Circuit c = make_random_dag(spec);
-  const SstaEngine ssta(c, lib_, var_);
+  const FlatSstaEngine ssta(c, lib_, var_);
   const SstaResult r = ssta.analyze();
   for (double crit : r.criticality) {
     EXPECT_GE(crit, -1e-9);
@@ -260,8 +260,8 @@ TEST_F(SstaTest, MoreVariationMeansWiderDistribution) {
   // Named: the engine keeps a reference, so a temporary would dangle.
   const VariationModel tight_var = var_.scaled(0.5);
   const VariationModel wide_var = var_.scaled(2.0);
-  const SstaEngine tight(c, lib_, tight_var);
-  const SstaEngine wide(c, lib_, wide_var);
+  const FlatSstaEngine tight(c, lib_, tight_var);
+  const FlatSstaEngine wide(c, lib_, wide_var);
   EXPECT_LT(tight.circuit_delay().sigma(), wide.circuit_delay().sigma());
 }
 

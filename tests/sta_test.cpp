@@ -1,5 +1,7 @@
-// Unit tests for deterministic STA: load model, arrival/required/slack
-// algebra, critical-path extraction, corner analysis, and per-sample modes.
+// Unit tests for deterministic STA: load model, the critical-delay queries,
+// and — through the full-pass oracle (graph_oracle.hpp) —
+// arrival/required/slack algebra, critical-path extraction and per-sample
+// modes.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,7 @@
 
 #include "gen/arithmetic.hpp"
 #include "gen/random_dag.hpp"
+#include "graph_oracle.hpp"
 #include "mc_scalar_oracle.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
@@ -41,7 +44,9 @@ TEST_F(StaTest, ChainDelayIsSumOfGateDelays) {
   const Circuit c = make_chain(4);
   const StaEngine sta(c, lib_);
   double sum = 0.0;
-  for (GateId id = 0; id < c.num_gates(); ++id) sum += sta.gate_delay_ps(id);
+  for (GateId id = 0; id < c.num_gates(); ++id) {
+    sum += oracle::gate_delay_ps(c, lib_, sta.loads(), id);
+  }
   EXPECT_NEAR(sta.critical_delay_ps(), sum, 1e-9);
 }
 
@@ -62,9 +67,8 @@ TEST_F(StaTest, LoadsIncludeReceiversWireAndPoLoad) {
 
 TEST_F(StaTest, SlackIsRequiredMinusArrival) {
   Circuit c = make_chain(5);
-  const StaEngine sta(c, lib_);
   const double t_max = 500.0;
-  const StaResult r = sta.analyze(t_max);
+  const StaResult r = oracle::sta(c, lib_, t_max);
   for (GateId id = 0; id < c.num_gates(); ++id) {
     EXPECT_NEAR(r.slack_ps[id], r.required_ps[id] - r.arrival_ps[id], 1e-9);
   }
@@ -73,7 +77,7 @@ TEST_F(StaTest, SlackIsRequiredMinusArrival) {
   for (GateId id = 0; id < c.num_gates(); ++id) {
     EXPECT_NEAR(r.slack_ps[id], expected_slack, 1e-9);
   }
-  EXPECT_NEAR(r.worst_slack_ps(), expected_slack, 1e-9);
+  EXPECT_NEAR(oracle::worst_slack_ps(r), expected_slack, 1e-9);
 }
 
 TEST_F(StaTest, ArrivalsMonotoneAlongEdges) {
@@ -81,8 +85,7 @@ TEST_F(StaTest, ArrivalsMonotoneAlongEdges) {
   spec.num_gates = 400;
   spec.seed = 8;
   const Circuit c = make_random_dag(spec);
-  const StaEngine sta(c, lib_);
-  const StaResult r = sta.analyze(1000.0);
+  const StaResult r = oracle::sta(c, lib_, 1000.0);
   for (GateId id = 0; id < c.num_gates(); ++id) {
     for (GateId f : c.gate(id).fanins) {
       EXPECT_GE(r.arrival_ps[id], r.arrival_ps[f]);
@@ -96,7 +99,7 @@ TEST_F(StaTest, CriticalPathIsConnectedAndCritical) {
   spec.seed = 12;
   const Circuit c = make_random_dag(spec);
   const StaEngine sta(c, lib_);
-  const auto path = sta.critical_path();
+  const auto path = oracle::critical_path(c, lib_);
   ASSERT_GE(path.size(), 2u);
   // Path is connected input -> output.
   EXPECT_EQ(c.gate(path.front()).kind, CellKind::kInput);
@@ -108,7 +111,9 @@ TEST_F(StaTest, CriticalPathIsConnectedAndCritical) {
   }
   // Path delay equals the critical delay.
   double sum = 0.0;
-  for (GateId id : path) sum += sta.gate_delay_ps(id);
+  for (GateId id : path) {
+    sum += oracle::gate_delay_ps(c, lib_, sta.loads(), id);
+  }
   EXPECT_NEAR(sum, sta.critical_delay_ps(), 1e-9);
 }
 
@@ -116,8 +121,8 @@ TEST_F(StaTest, CornerSlowerThanNominalAndMonotoneInK) {
   const Circuit c = make_chain(6);
   const StaEngine sta(c, lib_);
   const double d0 = sta.critical_delay_ps();
-  const double d1 = sta.analyze_corner(0.0, var_, 1.0).critical_delay_ps;
-  const double d3 = sta.analyze_corner(0.0, var_, 3.0).critical_delay_ps;
+  const double d1 = sta.corner_delay_ps(var_, 1.0);
+  const double d3 = sta.corner_delay_ps(var_, 3.0);
   EXPECT_GT(d1, d0);
   EXPECT_GT(d3, d1);
 }
@@ -125,8 +130,7 @@ TEST_F(StaTest, CornerSlowerThanNominalAndMonotoneInK) {
 TEST_F(StaTest, ZeroCornerEqualsNominal) {
   const Circuit c = make_chain(3);
   const StaEngine sta(c, lib_);
-  EXPECT_NEAR(sta.analyze_corner(0.0, var_, 0.0).critical_delay_ps,
-              sta.critical_delay_ps(), 1e-9);
+  EXPECT_NEAR(sta.corner_delay_ps(var_, 0.0), sta.critical_delay_ps(), 1e-9);
 }
 
 // The per-sample modes live in the Monte-Carlo test oracle
@@ -169,7 +173,7 @@ TEST_F(StaTest, SampleSizeMismatchThrows) {
 
 TEST_F(StaTest, IncrementalLoadsMatchRebuild) {
   Circuit c = make_carry_lookahead_adder(8);
-  StaEngine sta(c, lib_);
+  LoadCache loads(c, lib_);
   Rng rng(31);
   const auto steps = lib_.size_steps();
   for (int trial = 0; trial < 50; ++trial) {
@@ -178,11 +182,11 @@ TEST_F(StaTest, IncrementalLoadsMatchRebuild) {
       id = static_cast<GateId>(rng.uniform_index(c.num_gates()));
     }
     c.set_size(id, steps[rng.uniform_index(steps.size())]);
-    sta.on_resize(id);
+    loads.on_resize(id);
   }
   const LoadCache fresh(c, lib_);
   for (GateId id = 0; id < c.num_gates(); ++id) {
-    EXPECT_NEAR(sta.loads().load_ff(id), fresh.load_ff(id), 1e-9)
+    EXPECT_NEAR(loads.load_ff(id), fresh.load_ff(id), 1e-9)
         << "gate " << c.gate(id).name;
   }
 }
@@ -208,11 +212,9 @@ TEST_F(StaTest, UpsizingHighFanoutDriverReducesDelay) {
   c.mark_output(join);
   c.finalize();
 
-  StaEngine sta(c, lib_);
-  const double before = sta.critical_delay_ps();
+  const double before = StaEngine(c, lib_).critical_delay_ps();
   c.set_size(driver, 4.0);
-  sta.on_resize(driver);
-  EXPECT_LT(sta.critical_delay_ps(), before);
+  EXPECT_LT(StaEngine(c, lib_).critical_delay_ps(), before);
 }
 
 TEST_F(StaTest, HvtSwapSlowsCircuit) {
@@ -230,11 +232,12 @@ TEST_F(StaTest, NonFiniteTargetIsAStructuredErrorNotASilentClamp) {
   // pass. The old code silently clamped it into a plausible slack; now it
   // raises NumericalError naming the first affected gate.
   Circuit c = make_chain(3);
-  const StaEngine sta(c, lib_);
-  EXPECT_THROW((void)sta.analyze(std::numeric_limits<double>::quiet_NaN()),
-               NumericalError);
-  EXPECT_THROW((void)sta.analyze(-std::numeric_limits<double>::infinity()),
-               NumericalError);
+  EXPECT_THROW(
+      (void)oracle::sta(c, lib_, std::numeric_limits<double>::quiet_NaN()),
+      NumericalError);
+  EXPECT_THROW(
+      (void)oracle::sta(c, lib_, -std::numeric_limits<double>::infinity()),
+      NumericalError);
 }
 
 TEST_F(StaTest, FloatingGateInfinityClampIsPreserved) {
@@ -247,9 +250,8 @@ TEST_F(StaTest, FloatingGateInfinityClampIsPreserved) {
   (void)c.add_gate("dangling", CellKind::kInv, {in});  // no fanout, no PO
   c.mark_output(used);
   c.finalize();
-  const StaEngine sta(c, lib_);
   const double t_max = 250.0;
-  const StaResult r = sta.analyze(t_max);
+  const StaResult r = oracle::sta(c, lib_, t_max);
   const GateId dangling = c.find("dangling");
   EXPECT_DOUBLE_EQ(r.required_ps[dangling], t_max);
   EXPECT_TRUE(std::isfinite(r.slack_ps[dangling]));
