@@ -44,6 +44,16 @@ McCommandResult make_mc_result(const McStudy& study, McResult&& res,
   return out;
 }
 
+/// load_study timed as `netlist.load`, plus the `netlist.gates` gauge.
+LoadedStudy timed_load(const StudyInput& input, obs::Registry* obs) {
+  obs::ScopedTimer timer(obs, "netlist.load");
+  LoadedStudy study = load_study(input);
+  timer.stop();
+  const auto gates = static_cast<double>(study.circuit.num_gates());
+  if (obs != nullptr) obs->set_gauge("netlist.gates", gates);
+  return study;
+}
+
 }  // namespace
 
 LoadedStudy load_study(const StudyInput& input) {
@@ -82,8 +92,8 @@ LoadedStudy load_study(const StudyInput& input) {
 
 // --- mc ---------------------------------------------------------------------
 
-McStudy prepare_mc_study(const McCommandConfig& config) {
-  McStudy study{load_study(config.input), config.mc, config.t_max_ps};
+McStudy prepare_mc_study(const McCommandConfig& config, obs::Registry* obs) {
+  McStudy study{timed_load(config.input, obs), config.mc, config.t_max_ps};
   if (study.t_max_ps <= 0.0) {
     study.t_max_ps =
         1.1 * StaEngine(study.study.circuit, study.study.lib)
@@ -102,7 +112,7 @@ McStudy prepare_mc_study(const McCommandConfig& config) {
 
 McCommandResult run_mc_command(const McCommandConfig& config,
                                obs::Registry* obs) {
-  const McStudy study = prepare_mc_study(config);
+  const McStudy study = prepare_mc_study(config, obs);
   McResult res = run_monte_carlo(study.study.circuit, study.study.lib,
                                  study.study.var, study.mc, obs);
   return make_mc_result(study, std::move(res), obs);
@@ -177,7 +187,7 @@ std::string mc_summary_text(const McCommandResult& r) {
 
 SweepCommandResult run_sweep_command(const SweepCommandConfig& config,
                                      obs::Registry* obs) {
-  const LoadedStudy study = load_study(config.input);
+  const LoadedStudy study = timed_load(config.input, obs);
 
   SweepCommandResult out;
   out.grid = config.grid;
@@ -259,7 +269,7 @@ std::string sweep_summary_text(const SweepCommandResult& r) {
 
 OptimizeCommandResult run_optimize_command(const OptimizeCommandConfig& config,
                                            obs::Registry* obs) {
-  LoadedStudy study = load_study(config.input);
+  LoadedStudy study = timed_load(config.input, obs);
 
   OptConfig opt = config.opt;
   if (opt.t_max_ps <= 0.0) {
@@ -290,7 +300,7 @@ OptimizeCommandResult run_optimize_command(const OptimizeCommandConfig& config,
 
 FlowCommandResult run_flow_command(const FlowCommandConfig& config,
                                    obs::Registry* obs) {
-  LoadedStudy study = load_study(config.input);
+  LoadedStudy study = timed_load(config.input, obs);
   FlowCommandResult out;
   out.impl_entries = study.impl_entries;
   out.outcome =

@@ -102,7 +102,9 @@ struct McStudy {
 };
 
 /// Loads the input and resolves the delay target and importance shift.
-McStudy prepare_mc_study(const McCommandConfig& config);
+/// With `obs`, the load is timed as `netlist.load`.
+McStudy prepare_mc_study(const McCommandConfig& config,
+                         obs::Registry* obs = nullptr);
 
 struct McCommandResult {
   McResult result;

@@ -1,11 +1,12 @@
 #include "netlist/bench_io.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <deque>
 #include <fstream>
-#include <set>
 #include <sstream>
-#include <unordered_map>
+#include <unordered_set>
 
 #include "util/error.hpp"
 
@@ -13,18 +14,21 @@ namespace statleak {
 
 namespace {
 
-std::string upper(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::toupper(c); });
+using Names = std::span<const std::string_view>;
+
+/// Whitespace as std::isspace defines it (CR included).
+std::string_view strip(std::string_view s) {
+  const auto space = [](unsigned char c) { return std::isspace(c) != 0; };
+  while (!s.empty() && space(s.front())) s.remove_prefix(1);
+  while (!s.empty() && space(s.back())) s.remove_suffix(1);
   return s;
 }
 
-std::string strip(const std::string& s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+std::string upper(std::string_view s) {
+  std::string out(s);
+  std::transform(out.begin(), out.end(), out.begin(),
+                 [](unsigned char c) { return std::toupper(c); });
+  return out;
 }
 
 [[noreturn]] void parse_error(int line, const std::string& msg) {
@@ -37,10 +41,11 @@ std::string strip(const std::string& s) {
 /// clean parse error before the tree decomposition allocates gates for it.
 constexpr std::size_t kMaxBenchFanin = 1024;
 
+/// One `name = OP(...)` line: views into the text, operands as a range.
 struct Def {
-  std::string name;
-  std::string op;
-  std::vector<std::string> args;
+  std::string_view name;
+  std::string_view op;
+  std::size_t first_arg = 0, num_args = 0;
   int line = 0;
 };
 
@@ -50,60 +55,53 @@ class Builder {
  public:
   explicit Builder(const std::string& name) : circuit_(name) {}
 
-  void add_input(const std::string& name) {
-    ids_[name] = circuit_.add_input(name);
-  }
+  void add_input(std::string_view name) { circuit_.add_input(name); }
 
-  Circuit build(const std::vector<Def>& defs,
-                const std::vector<std::string>& output_names) {
+  Circuit build(const std::vector<Def>& defs, Names args, Names outputs) {
+    circuit_.reserve(circuit_.num_gates() + defs.size());
     // Gates may reference later definitions, so create first, patch after.
-    for (const Def& def : defs) create(def);
-    resolve_patches();
-    for (const std::string& out : output_names) {
-      const auto it = ids_.find(out);
-      if (it == ids_.end()) {
-        throw Error("bench: OUTPUT(" + out + ") is never defined");
+    for (const Def& def : defs) {
+      create(def, args.subspan(def.first_arg, def.num_args));
+    }
+    for (const auto& [gate_id, src_name] : patches_) {
+      const GateId src = circuit_.find(src_name);
+      if (src == kInvalidGate) {
+        throw Error("bench: gate references undefined signal '" +
+                    std::string(src_name) + "'");
       }
-      circuit_.mark_output(it->second);
+      circuit_.gate(gate_id).fanins.push_back(src);
+    }
+    for (const std::string_view out : outputs) {
+      const GateId id = circuit_.find(out);
+      if (id == kInvalidGate) {
+        throw Error("bench: OUTPUT(" + std::string(out) +
+                    ") is never defined");
+      }
+      circuit_.mark_output(id);
     }
     circuit_.finalize();
     return std::move(circuit_);
   }
 
  private:
-  /// Creates the gate(s) for one definition, recording fanin names to be
-  /// resolved once every gate exists.
-  void create(const Def& def) {
-    const std::string& op = def.op;
-    const int arity = static_cast<int>(def.args.size());
-    const auto exact = [&](int want) {
-      if (arity != want) {
-        parse_error(def.line,
-                    op + " takes exactly " + std::to_string(want) + " input");
-      }
+  /// Creates the gate(s) for one definition.
+  void create(const Def& def, Names args) {
+    const std::string op = upper(def.op);
+    const auto need = [&](bool ok, const char* arity) {
+      if (!ok) parse_error(def.line, op + arity);
     };
-    const auto at_least = [&](int want) {
-      if (arity < want) {
-        parse_error(def.line, op + " needs at least " + std::to_string(want) +
-                                  " inputs");
-      }
-    };
-
-    if (op == "NOT" || op == "INV") {
-      exact(1);
-      make_gate(def.name, CellKind::kInv, def.args);
-    } else if (op == "BUF" || op == "BUFF") {
-      exact(1);
-      make_gate(def.name, CellKind::kBuf, def.args);
-    } else if (op == "NAND" || op == "NOR") {
-      at_least(2);
-      make_negated_reduction(def, op == "NAND");
-    } else if (op == "AND" || op == "OR") {
-      at_least(2);
-      make_reduction(def, op == "AND");
+    if (op == "NOT" || op == "INV" || op == "BUF" || op == "BUFF") {
+      need(args.size() == 1, " takes exactly 1 input");
+      make_gate(def.name,
+                op == "NOT" || op == "INV" ? CellKind::kInv : CellKind::kBuf,
+                args);
+    } else if (op == "AND" || op == "OR" || op == "NAND" || op == "NOR") {
+      need(args.size() >= 2, " needs at least 2 inputs");
+      make_reduction(def.name, args, op == "AND" || op == "NAND",
+                     op == "NAND" || op == "NOR");
     } else if (op == "XOR" || op == "XNOR") {
-      at_least(2);
-      make_xor_chain(def, op == "XNOR");
+      need(args.size() >= 2, " needs at least 2 inputs");
+      make_xor_chain(def.name, args, op == "XNOR");
     } else if (op == "DFF") {
       parse_error(def.line,
                   "sequential element DFF not supported "
@@ -113,131 +111,112 @@ class Builder {
     }
   }
 
-  /// AND/OR of any arity: balanced tree of 2/3-input cells; the tree root
-  /// carries the user-visible name.
-  void make_reduction(const Def& def, bool is_and) {
-    const CellKind two = is_and ? CellKind::kAnd2 : CellKind::kOr2;
-    const CellKind three = is_and ? CellKind::kAnd3 : CellKind::kOr3;
-    std::vector<std::string> args = reduce_to(def, def.args, 3, two);
-    make_gate(def.name, args.size() == 2 ? two : three, args);
-  }
-
-  /// NAND/NOR of any arity: pre-reduce with AND2/OR2 down to <= 4 operands,
-  /// finish with one native inverting gate carrying the user-visible name.
-  void make_negated_reduction(const Def& def, bool is_nand) {
-    const CellKind pre = is_nand ? CellKind::kAnd2 : CellKind::kOr2;
-    std::vector<std::string> args = reduce_to(def, def.args, 4, pre);
-    CellKind final_kind;
-    switch (args.size()) {
-      case 2:
-        final_kind = is_nand ? CellKind::kNand2 : CellKind::kNor2;
-        break;
-      case 3:
-        final_kind = is_nand ? CellKind::kNand3 : CellKind::kNor3;
-        break;
-      default:
-        final_kind = is_nand ? CellKind::kNand4 : CellKind::kNor4;
-        break;
-    }
-    make_gate(def.name, final_kind, args);
+  /// AND/OR/NAND/NOR of any arity: pairwise-reduce with AND2/OR2 cells down
+  /// to the widest native cell (3 inputs, 4 for NAND/NOR), which carries the
+  /// user-visible name.
+  void make_reduction(std::string_view name, Names args, bool is_and,
+                      bool invert) {
+    using K = CellKind;
+    static constexpr CellKind kCells[2][2][3] = {
+        {{K::kOr2, K::kOr3}, {K::kNor2, K::kNor3, K::kNor4}},
+        {{K::kAnd2, K::kAnd3}, {K::kNand2, K::kNand3, K::kNand4}}};
+    const auto& cells = kCells[is_and];
+    args = reduce_to(name, args, invert ? 4 : 3, cells[0][0]);
+    make_gate(name, cells[invert][args.size() - 2], args);
   }
 
   /// XOR/XNOR of any arity: left-to-right XOR2 chain, final gate named.
-  void make_xor_chain(const Def& def, bool negate_last) {
-    std::vector<std::string> args = def.args;
-    while (args.size() > 2) {
-      const std::string t = temp_name(def.name);
-      make_gate(t, CellKind::kXor2, {args[0], args[1]});
-      args.erase(args.begin(), args.begin() + 2);
-      args.insert(args.begin(), t);
+  void make_xor_chain(std::string_view name, Names args, bool negate_last) {
+    std::string_view acc = args[0];
+    for (std::size_t i = 1; i + 1 < args.size(); ++i) {
+      const std::string_view t = temp_name(name);
+      make_gate(t, CellKind::kXor2, std::array{acc, args[i]});
+      acc = t;
     }
-    make_gate(def.name, negate_last ? CellKind::kXnor2 : CellKind::kXor2,
-              args);
+    make_gate(name, negate_last ? CellKind::kXnor2 : CellKind::kXor2,
+              std::array{acc, args.back()});
   }
 
   /// Pairwise-reduces `args` with `two`-input cells until at most
   /// `max_operands` remain (but never below 2).
-  std::vector<std::string> reduce_to(const Def& def,
-                                     std::vector<std::string> args,
-                                     std::size_t max_operands, CellKind two) {
-    while (args.size() > max_operands) {
-      std::vector<std::string> next;
-      for (std::size_t i = 0; i < args.size(); i += 2) {
-        if (i + 1 < args.size()) {
-          const std::string t = temp_name(def.name);
-          make_gate(t, two, {args[i], args[i + 1]});
-          next.push_back(t);
+  Names reduce_to(std::string_view name, Names args, std::size_t max_operands,
+                  CellKind two) {
+    if (args.size() <= max_operands) return args;
+    level_.assign(args.begin(), args.end());
+    while (level_.size() > max_operands) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < level_.size(); i += 2) {
+        if (i + 1 < level_.size()) {
+          const std::string_view t = temp_name(name);
+          make_gate(t, two, std::array{level_[i], level_[i + 1]});
+          level_[kept++] = t;
         } else {
-          next.push_back(args[i]);
+          level_[kept++] = level_[i];
         }
       }
-      args = std::move(next);
+      level_.resize(kept);
     }
-    return args;
+    return level_;
   }
 
-  std::string temp_name(const std::string& base) {
-    return base + "__t" + std::to_string(temp_counter_++);
+  /// "<base>__tN", kept where it never moves: patches hold views of it.
+  std::string_view temp_name(std::string_view base) {
+    return temps_.emplace_back(std::string(base) + "__t" +
+                               std::to_string(temp_counter_++));
   }
 
-  void make_gate(const std::string& name, CellKind kind,
-                 const std::vector<std::string>& arg_names) {
+  /// Adds the gate; its fanin names are resolved once every gate exists.
+  void make_gate(std::string_view name, CellKind kind, Names arg_names) {
     const GateId id = circuit_.add_gate(name, kind, {});
-    ids_[name] = id;
-    for (const std::string& arg : arg_names) patches_.push_back({id, arg});
-  }
-
-  void resolve_patches() {
-    for (const auto& [gate_id, src_name] : patches_) {
-      const auto it = ids_.find(src_name);
-      if (it == ids_.end()) {
-        throw Error("bench: gate references undefined signal '" + src_name +
-                    "'");
-      }
-      circuit_.gate(gate_id).fanins.push_back(it->second);
-    }
-    patches_.clear();
+    circuit_.gate(id).fanins.reserve(arg_names.size());
+    for (const std::string_view arg : arg_names) patches_.push_back({id, arg});
   }
 
   Circuit circuit_;
-  std::unordered_map<std::string, GateId> ids_;
-  std::vector<std::pair<GateId, std::string>> patches_;
+  std::vector<std::pair<GateId, std::string_view>> patches_;
+  std::deque<std::string> temps_;
+  std::vector<std::string_view> level_;  ///< reduce_to's working level
   int temp_counter_ = 0;
 };
 
-Circuit read_bench_impl(std::istream& in, const std::string& circuit_name) {
+/// One pass over the whole text. Lines split on '\n' only; everything from
+/// the first '#' on is a comment; tokens are views into `text`.
+Circuit read_bench_impl(std::string_view text,
+                        const std::string& circuit_name) {
+  constexpr auto npos = std::string_view::npos;
   Builder builder(circuit_name);
   std::vector<Def> defs;
-  std::vector<std::string> output_names;
-  std::set<std::string> seen_outputs;
+  std::vector<std::string_view> args;  // every def's operands, in order
+  std::vector<std::string_view> outputs;
+  std::unordered_set<std::string_view> seen_outputs;
 
-  std::string raw;
   int line_no = 0;
-  while (std::getline(in, raw)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t eol = std::min(text.find('\n', pos), text.size());
+    std::string_view line = text.substr(pos, eol - pos);
+    pos = eol + 1;
     ++line_no;
-    const auto hash = raw.find('#');
-    if (hash != std::string::npos) raw.erase(hash);
-    const std::string line = strip(raw);
+    line = strip(line.substr(0, line.find('#')));
     if (line.empty()) continue;
 
     const auto lparen = line.find('(');
     const auto equals = line.find('=');
-    if (equals == std::string::npos) {
+    if (equals == npos) {
       // INPUT(x) or OUTPUT(x)
-      if (lparen == std::string::npos || line.back() != ')') {
+      if (lparen == npos || line.back() != ')') {
         parse_error(line_no, "expected INPUT(...), OUTPUT(...) or assignment");
       }
       const std::string head = upper(strip(line.substr(0, lparen)));
-      const std::string arg =
+      const std::string_view arg =
           strip(line.substr(lparen + 1, line.size() - lparen - 2));
       if (arg.empty()) parse_error(line_no, "empty signal name");
       if (head == "INPUT") {
         builder.add_input(arg);
       } else if (head == "OUTPUT") {
         if (!seen_outputs.insert(arg).second) {
-          parse_error(line_no, "duplicate OUTPUT(" + arg + ")");
+          parse_error(line_no, "duplicate OUTPUT(" + std::string(arg) + ")");
         }
-        output_names.push_back(arg);
+        outputs.push_back(arg);
       } else {
         parse_error(line_no, "unknown directive '" + head + "'");
       }
@@ -248,82 +227,66 @@ Circuit read_bench_impl(std::istream& in, const std::string& circuit_name) {
     Def def;
     def.name = strip(line.substr(0, equals));
     def.line = line_no;
-    const std::string rhs = strip(line.substr(equals + 1));
+    const std::string_view rhs = strip(line.substr(equals + 1));
     const auto rp = rhs.find('(');
-    if (def.name.empty() || rp == std::string::npos || rhs.back() != ')') {
+    if (def.name.empty() || rp == npos || rhs.back() != ')') {
       parse_error(line_no, "malformed assignment");
     }
-    def.op = upper(strip(rhs.substr(0, rp)));
-    const std::string args = rhs.substr(rp + 1, rhs.size() - rp - 2);
-    std::stringstream as(args);
-    std::string tok;
-    while (std::getline(as, tok, ',')) {
-      const std::string arg = strip(tok);
+    def.op = strip(rhs.substr(0, rp));
+    def.first_arg = args.size();
+    // Split as std::getline(',') does: an empty piece after the last comma
+    // is no operand, any other empty piece is an error.
+    std::string_view list = rhs.substr(rp + 1, rhs.size() - rp - 2);
+    while (!list.empty()) {
+      const auto comma = list.find(',');
+      const std::string_view arg = strip(list.substr(0, comma));
       if (arg.empty()) parse_error(line_no, "empty operand");
-      def.args.push_back(arg);
+      args.push_back(arg);
+      list = comma == npos ? std::string_view() : list.substr(comma + 1);
     }
-    if (def.args.empty()) parse_error(line_no, "operator with no operands");
-    if (def.args.size() > kMaxBenchFanin) {
-      parse_error(line_no, "operator with " + std::to_string(def.args.size()) +
+    def.num_args = args.size() - def.first_arg;
+    if (def.num_args == 0) parse_error(line_no, "operator with no operands");
+    if (def.num_args > kMaxBenchFanin) {
+      parse_error(line_no, "operator with " + std::to_string(def.num_args) +
                                " operands exceeds the fan-in cap of " +
                                std::to_string(kMaxBenchFanin));
     }
-    defs.push_back(std::move(def));
+    defs.push_back(def);
   }
 
-  return builder.build(defs, output_names);
+  return builder.build(defs, args, outputs);
 }
 
-const char* bench_op(CellKind kind) {
-  switch (kind) {
-    case CellKind::kInv:
-      return "NOT";
-    case CellKind::kBuf:
-      return "BUFF";
-    case CellKind::kNand2:
-    case CellKind::kNand3:
-    case CellKind::kNand4:
-      return "NAND";
-    case CellKind::kNor2:
-    case CellKind::kNor3:
-    case CellKind::kNor4:
-      return "NOR";
-    case CellKind::kAnd2:
-    case CellKind::kAnd3:
-      return "AND";
-    case CellKind::kOr2:
-    case CellKind::kOr3:
-      return "OR";
-    case CellKind::kXor2:
-      return "XOR";
-    case CellKind::kXnor2:
-      return "XNOR";
-    default:
-      return nullptr;
+/// The .bench operator of a kind: its library name without the arity digits
+/// ("NOT", "BUFF", "NAND" for NAND2-4), or empty for kinds the format lacks.
+std::string_view bench_op(CellKind kind) {
+  if (kind == CellKind::kAoi21 || kind == CellKind::kOai21 ||
+      kind == CellKind::kMux2) {
+    return {};
   }
+  const std::string_view name = to_string(kind);
+  return name.substr(0, name.find_last_not_of("0123456789") + 1);
 }
 
 }  // namespace
 
 Circuit read_bench(std::istream& in, const std::string& circuit_name) {
-  return read_bench_impl(in, circuit_name);
+  std::ostringstream text;
+  if (in) text << in.rdbuf();
+  return read_bench_impl(std::move(text).str(), circuit_name);
 }
 
 Circuit read_bench_string(const std::string& text,
                           const std::string& circuit_name) {
-  std::istringstream in(text);
-  return read_bench_impl(in, circuit_name);
+  return read_bench_impl(text, circuit_name);
 }
 
 Circuit read_bench_file(const std::string& path) {
   std::ifstream in(path);
   STATLEAK_CHECK(in.good(), "cannot open bench file: " + path);
-  std::string name = path;
-  const auto slash = name.find_last_of('/');
-  if (slash != std::string::npos) name.erase(0, slash + 1);
-  const auto dot = name.find_last_of('.');
-  if (dot != std::string::npos) name.erase(dot);
-  return read_bench_impl(in, name);
+  std::string_view name = path;
+  name.remove_prefix(name.find_last_of('/') + 1);  // npos + 1 wraps to 0
+  return read_bench(in, std::string(name.substr(0, name.find_last_of('.'))));
 }
 
 void write_bench(std::ostream& out, const Circuit& circuit) {
@@ -342,12 +305,11 @@ void write_bench(std::ostream& out, const Circuit& circuit) {
     const auto pin = [&](std::size_t p) -> const std::string& {
       return circuit.gate(g.fanins[p]).name;
     };
-    const char* op = bench_op(g.kind);
-    if (op != nullptr) {
+    const std::string_view op = bench_op(g.kind);
+    if (!op.empty()) {
       out << g.name << " = " << op << '(';
       for (std::size_t p = 0; p < g.fanins.size(); ++p) {
-        if (p) out << ", ";
-        out << pin(p);
+        out << (p ? ", " : "") << pin(p);
       }
       out << ")\n";
       continue;

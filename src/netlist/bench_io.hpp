@@ -1,12 +1,20 @@
 /// \file bench_io.hpp
 /// \brief Reader/writer for the ISCAS85 ".bench" netlist format.
 ///
-/// Grammar accepted (case-insensitive operators, '#' comments):
+/// Grammar accepted (case-insensitive keywords, '#' to end of line is a
+/// comment, whitespace as std::isspace defines it, CR included):
 ///
 ///   INPUT(name)
 ///   OUTPUT(name)
-///   name = OP(arg1, arg2, ...)      OP in {NOT, BUF, BUFF, AND, NAND, OR,
-///                                          NOR, XOR, XNOR}
+///   name = OP(arg1, arg2, ...)      OP in {NOT, INV, BUF, BUFF, AND, NAND,
+///                                          OR, NOR, XOR, XNOR}
+///
+/// Quirks real files rely on (pinned by name in tests/bench_io_test.cpp):
+/// directives are case-insensitive too (`input(a)`); one trailing comma is
+/// accepted (`AND(a, b,)` has two operands) while any other empty operand
+/// is an error; a '#' may follow ')' directly; CRLF line ends parse like LF
+/// and line numbers count '\n' only; and every INPUT takes an id below
+/// every gate, even when it comes after gate definitions.
 ///
 /// Gates may be referenced before they are defined (the format does not
 /// order definitions). Operators whose arity exceeds the cell library's
@@ -19,7 +27,8 @@
 /// definitions, duplicate OUTPUT declarations, redefined signals and
 /// operators with more than 1024 operands all raise a clean statleak::Error
 /// (never a crash or unbounded allocation); see the fuzz corpus in
-/// tests/bench_io_test.cpp.
+/// tests/bench_io_test.cpp and the differential test against the reference
+/// reader in tests/bench_reader_oracle.hpp.
 
 #pragma once
 
@@ -34,8 +43,7 @@ namespace statleak {
 /// Throws statleak::Error with a line number on any syntax/semantic problem.
 Circuit read_bench(std::istream& in, const std::string& circuit_name);
 
-/// Parses a .bench netlist held in a string (convenience for tests and
-/// embedded circuits).
+/// Parses a .bench netlist held in a string, in place.
 Circuit read_bench_string(const std::string& text,
                           const std::string& circuit_name);
 

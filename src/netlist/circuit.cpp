@@ -1,21 +1,22 @@
 #include "netlist/circuit.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/error.hpp"
 
 namespace statleak {
 
-GateId Circuit::add_input(const std::string& name) {
+GateId Circuit::add_input(std::string_view name) {
   return add_gate(name, CellKind::kInput, {});
 }
 
-GateId Circuit::add_gate(const std::string& name, CellKind kind,
+GateId Circuit::add_gate(std::string_view name, CellKind kind,
                          std::vector<GateId> fanins) {
   STATLEAK_CHECK(!finalized_, "cannot add gates after finalize");
   STATLEAK_CHECK(!name.empty(), "gate name must be non-empty");
   STATLEAK_CHECK(by_name_.find(name) == by_name_.end(),
-                 "duplicate gate name: " + name);
+                 "duplicate gate name: " + std::string(name));
   const auto id = static_cast<GateId>(gates_.size());
   Gate g;
   g.name = name;
@@ -55,10 +56,18 @@ void Circuit::finalize() {
     }
   }
 
-  // Fanout lists.
-  fanouts_.assign(gates_.size(), {});
+  // Fanout CSR, each list by consumer id, then pin.
+  fanout_offset_.assign(gates_.size() + 1, 0);
+  for (const Gate& g : gates_) {
+    for (GateId f : g.fanins) ++fanout_offset_[f + 1];
+  }
+  std::partial_sum(fanout_offset_.begin(), fanout_offset_.end(),
+                   fanout_offset_.begin());
+  std::vector<std::uint32_t> next(fanout_offset_.begin(),
+                                  fanout_offset_.end() - 1);
+  fanout_ids_.resize(fanout_offset_.back());
   for (GateId id = 0; id < gates_.size(); ++id) {
-    for (GateId f : gates_[id].fanins) fanouts_[f].push_back(id);
+    for (GateId f : gates_[id].fanins) fanout_ids_[next[f]++] = id;
   }
 
   // Kahn topological sort; detects cycles.
@@ -70,8 +79,9 @@ void Circuit::finalize() {
     if (pending[id] == 0) topo_.push_back(id);
   }
   for (std::size_t head = 0; head < topo_.size(); ++head) {
-    for (GateId out : fanouts_[topo_[head]]) {
-      if (--pending[out] == 0) topo_.push_back(out);
+    const GateId v = topo_[head];
+    for (auto k = fanout_offset_[v]; k < fanout_offset_[v + 1]; ++k) {
+      if (--pending[fanout_ids_[k]] == 0) topo_.push_back(fanout_ids_[k]);
     }
   }
   STATLEAK_CHECK(topo_.size() == gates_.size(),
@@ -110,7 +120,8 @@ bool Circuit::is_output(GateId id) const {
 std::span<const GateId> Circuit::fanouts(GateId id) const {
   require_finalized();
   STATLEAK_CHECK(id < gates_.size(), "gate id out of range");
-  return fanouts_[id];
+  return {fanout_ids_.data() + fanout_offset_[id],
+          fanout_ids_.data() + fanout_offset_[id + 1]};
 }
 
 std::span<const GateId> Circuit::topo_order() const {
@@ -131,7 +142,7 @@ int Circuit::depth() const {
   return d;
 }
 
-GateId Circuit::find(const std::string& name) const {
+GateId Circuit::find(std::string_view name) const {
   const auto it = by_name_.find(name);
   return it == by_name_.end() ? kInvalidGate : it->second;
 }

@@ -15,6 +15,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -44,13 +45,14 @@ class Circuit {
   void set_name(std::string name) { name_ = std::move(name); }
 
   /// Adds a primary input. Names must be unique across all gates.
-  GateId add_input(const std::string& name);
+  GateId add_input(std::string_view name);
 
-  /// Adds a logic gate. Fanins may reference gates not yet added — use
-  /// placeholder ids obtained from `id_for_name` and patch later, or simply
-  /// add gates in any order using name-based construction in BenchReader.
-  GateId add_gate(const std::string& name, CellKind kind,
+  /// Adds a logic gate. Fanins may be patched through gate() before
+  /// finalize(), so gates can be added in any order.
+  GateId add_gate(std::string_view name, CellKind kind,
                   std::vector<GateId> fanins);
+  /// Capacity hint: room for `n` gates and their names.
+  void reserve(std::size_t n) { gates_.reserve(n); by_name_.reserve(n); }
 
   /// Marks a gate as a primary output (idempotent).
   void mark_output(GateId id);
@@ -78,7 +80,7 @@ class Circuit {
   int depth() const;
 
   /// Id of the gate with the given name, or kInvalidGate.
-  GateId find(const std::string& name) const;
+  GateId find(std::string_view name) const;
 
   // --- implementation attributes (mutable after finalize) ----------------
   void set_size(GateId id, double size);
@@ -90,17 +92,22 @@ class Circuit {
  private:
   void require_finalized() const;
 
+  /// Lets find() look a string_view up without building a std::string.
+  struct Hash : std::hash<std::string_view> { using is_transparent = void; };
+
   std::string name_;
   std::vector<Gate> gates_;
   std::vector<GateId> inputs_;
   std::vector<GateId> outputs_;
   std::vector<char> is_output_;
-  std::unordered_map<std::string, GateId> by_name_;
+  std::unordered_map<std::string, GateId, Hash, std::equal_to<>> by_name_;
 
   bool finalized_ = false;
   std::vector<GateId> topo_;
   std::vector<int> level_;
-  std::vector<std::vector<GateId>> fanouts_;
+  // Fanouts as CSR: g's are fanout_ids_[fanout_offset_[g], ..[g + 1]).
+  std::vector<std::uint32_t> fanout_offset_;
+  std::vector<GateId> fanout_ids_;
 };
 
 /// Evaluates the circuit on one input assignment. `input_values[i]` is the

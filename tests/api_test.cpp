@@ -228,5 +228,51 @@ TEST_F(ApiTest, RunFlowCommandCompletes) {
   EXPECT_GT(r.outcome.stat_metrics.timing_yield, 0.0);
 }
 
+TEST_F(ApiTest, EveryCommandTimesTheNetlistLoadOnce) {
+  const std::string text = bench_text(circuit_);
+  const auto expect_one_load = [&](const obs::Registry& reg,
+                                   const char* command) {
+    std::int64_t calls = 0;
+    for (const obs::PhaseTime& p : reg.phases()) {
+      if (p.name == "netlist.load") calls += p.calls;
+    }
+    EXPECT_EQ(calls, 1) << command;
+    EXPECT_EQ(reg.gauge_value("netlist.gates"),
+              static_cast<double>(circuit_.num_gates()))
+        << command;
+  };
+  {
+    api::McCommandConfig cfg;
+    cfg.input.bench_text = text;
+    cfg.mc.num_samples = 16;
+    obs::Registry reg;
+    (void)api::run_mc_command(cfg, &reg);
+    expect_one_load(reg, "mc");
+  }
+  {
+    api::SweepCommandConfig cfg;
+    cfg.input.bench_text = text;
+    cfg.mc.num_samples = 16;
+    obs::Registry reg;
+    (void)api::run_sweep_command(cfg, &reg);
+    expect_one_load(reg, "sweep");
+  }
+  {
+    api::OptimizeCommandConfig cfg;
+    cfg.input.bench_text = text;
+    cfg.flow = api::OptimizeFlow::kDet;
+    obs::Registry reg;
+    (void)api::run_optimize_command(cfg, &reg);
+    expect_one_load(reg, "optimize");
+  }
+  {
+    api::FlowCommandConfig cfg;
+    cfg.input.bench_text = text;
+    obs::Registry reg;
+    (void)api::run_flow_command(cfg, &reg);
+    expect_one_load(reg, "flow");
+  }
+}
+
 }  // namespace
 }  // namespace statleak

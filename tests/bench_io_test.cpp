@@ -371,6 +371,62 @@ TEST(BenchFuzz, RandomByteMutationsNeverCrash) {
   }
 }
 
+// ------------------------------------------------------ grammar quirks ---
+// Behaviours of the .bench grammar that real files rely on, pinned by name
+// (the header comment of netlist/bench_io.hpp lists them).
+
+TEST(BenchQuirks, TrailingCommaIsAccepted) {
+  const Circuit c =
+      read_bench_string("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b,)\n", "t");
+  EXPECT_EQ(c.gate(c.find("y")).kind, CellKind::kAnd2);
+  // Only a piece after the last comma may be empty.
+  expect_rejected("INPUT(a)\nOUTPUT(y)\ny = AND(,a)\n", "leading comma");
+  expect_rejected("INPUT(a)\nOUTPUT(y)\ny = AND(a,,a)\n", "double comma");
+}
+
+TEST(BenchQuirks, LowerCaseDirectives) {
+  const Circuit c =
+      read_bench_string("input(a)\nOutput(y)\ny = not(a)\n", "t");
+  ASSERT_EQ(c.inputs().size(), 1u);
+  EXPECT_EQ(c.gate(c.inputs()[0]).name, "a");
+  EXPECT_EQ(c.gate(c.outputs()[0]).name, "y");
+}
+
+TEST(BenchQuirks, LateInputLineTakesAnInputIdBelowEveryGate) {
+  const Circuit c = read_bench_string(
+      "OUTPUT(y)\ny = NAND(a, x)\nx = NOT(a)\nINPUT(a)\n", "t");
+  const GateId a = c.find("a");
+  EXPECT_EQ(a, 0u);
+  EXPECT_LT(a, c.find("y"));
+  EXPECT_LT(a, c.find("x"));
+  // Gates keep definition order after the inputs.
+  EXPECT_LT(c.find("y"), c.find("x"));
+}
+
+TEST(BenchQuirks, CommentStraightAfterParen) {
+  const Circuit c = read_bench_string(
+      "INPUT(a)#in\nOUTPUT(y)#out\ny = NOT(a)# no space before '#'\n", "t");
+  EXPECT_EQ(c.num_cells(), 1u);
+  EXPECT_EQ(c.gate(c.find("y")).kind, CellKind::kInv);
+}
+
+TEST(BenchQuirks, CrlfLineEnds) {
+  const Circuit c = read_bench_string(
+      "INPUT(a)\r\nINPUT(b)\r\nOUTPUT(y)\r\ny = OR(a, b)\r\n", "t");
+  EXPECT_NE(c.find("a"), kInvalidGate);
+  EXPECT_NE(c.find("y"), kInvalidGate);
+  EXPECT_EQ(c.gate(c.find("y")).kind, CellKind::kOr2);
+  // Line numbers count '\n' only.
+  try {
+    read_bench_string("INPUT(a)\r\nOUTPUT(y)\r\ny = FROB(a)\r\n", "t");
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 3: unknown operator 'FROB'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------------------ .impl I/O ---
 // The implementation-sidecar parser hardened in the robustness PR: every
 // diagnostic carries line AND column so a bad token in a machine-generated

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <vector>
 
 #include "netlist/circuit.hpp"
 #include "util/error.hpp"
@@ -97,6 +99,55 @@ TEST(Circuit, Fanouts) {
   ASSERT_EQ(fanouts_a.size(), 1u);
   EXPECT_EQ(fanouts_a[0], c.find("x"));
   EXPECT_TRUE(c.fanouts(c.find("y")).empty());
+}
+
+/// a, b -> n = NAND2(b, a), d = NAND2(a, a), i = INV(a), o = NOR2(d, i),
+/// defined out of topological order so ids and levels disagree.
+Circuit make_shared_driver() {
+  Circuit c("shared");
+  const GateId a = c.add_input("a");
+  const GateId b = c.add_input("b");
+  const GateId o = c.add_gate("o", CellKind::kNor2, {});
+  const GateId n = c.add_gate("n", CellKind::kNand2, {b, a});
+  const GateId d = c.add_gate("d", CellKind::kNand2, {a, a});
+  const GateId i = c.add_gate("i", CellKind::kInv, {a});
+  c.gate(o).fanins = {d, i};
+  c.mark_output(o);
+  c.mark_output(n);
+  c.finalize();
+  return c;
+}
+
+TEST(Circuit, FanoutOrderIsConsumerIdThenPin) {
+  const Circuit c = make_shared_driver();
+  const auto ids = [&](GateId id) {
+    const auto fo = c.fanouts(id);
+    return std::vector<GateId>(fo.begin(), fo.end());
+  };
+  const GateId n = c.find("n");
+  const GateId d = c.find("d");
+  const GateId i = c.find("i");
+  const GateId o = c.find("o");
+  // d reads a on both pins and is listed once per pin.
+  EXPECT_EQ(ids(c.find("a")), (std::vector<GateId>{n, d, d, i}));
+  EXPECT_EQ(ids(c.find("b")), (std::vector<GateId>{n}));
+  EXPECT_EQ(ids(d), (std::vector<GateId>{o}));
+  EXPECT_EQ(ids(i), (std::vector<GateId>{o}));
+  EXPECT_TRUE(ids(o).empty());
+  EXPECT_TRUE(ids(n).empty());
+}
+
+TEST(Circuit, CopyKeepsFanoutsAfterSourceIsDestroyed) {
+  auto source = std::make_unique<Circuit>(make_shared_driver());
+  const Circuit copy = *source;
+  const GateId a = source->find("a");
+  const std::vector<GateId> want(source->fanouts(a).begin(),
+                                 source->fanouts(a).end());
+  source.reset();
+  const auto fo = copy.fanouts(a);
+  EXPECT_EQ(std::vector<GateId>(fo.begin(), fo.end()), want);
+  EXPECT_EQ(copy.fanouts(copy.find("d")).size(), 1u);
+  EXPECT_EQ(copy.depth(), 2);
 }
 
 TEST(Circuit, MarkOutputIdempotent) {

@@ -15,7 +15,8 @@
 ///   serve <netlist.bench> [options]       distributed Monte-Carlo campaign
 ///   worker [options]                      campaign worker process
 ///
-/// Circuits for `gen`: any ISCAS85 proxy name (c432 .. c7552), or
+/// Circuits for `gen`: any ISCAS85 proxy name (c432 .. c7552), a member of
+/// the scaling series (s10k / s30k / s100k / s200k), or
 /// rca<N> / cla<N> / csel<N> / ks<N> / mult<N> / wal<N> / alu<N> /
 /// parity<N> / rand<N>.
 ///
@@ -58,6 +59,7 @@
 #include <string>
 #include <vector>
 
+#include "gen/scaling.hpp"
 #include "statleak.hpp"
 
 namespace {
@@ -319,6 +321,7 @@ commands:
   std::cerr <<
       R"(
 circuits for gen: c432 c499 c880 c1355 c1908 c2670 c3540 c5315 c6288 c7552
+                  s10k s30k s100k s200k
                   rca<N> cla<N> csel<N> ks<N> mult<N> wal<N> alu<N> parity<N> rand<N>
 )";
   return 2;
@@ -516,6 +519,12 @@ Circuit generate(const std::string& spec, std::uint64_t seed) {
     r.seed = seed;
     return make_random_dag(r);
   }
+  for (const ScalingSpec& s : scaling_series()) {
+    if (s.name != spec) continue;
+    Circuit c = scaling_circuit(spec);  // the published member; no --seed
+    c.set_name(spec);
+    return c;
+  }
   return iscas85_proxy(spec);  // throws with a clear message if unknown
 }
 
@@ -550,15 +559,22 @@ void print_metrics(const CircuitMetrics& m, double t_max) {
   t.print(std::cout);
 }
 
-Circuit load_circuit(const Args& args) {
+/// Loads the netlist (and --impl) under the `netlist.load` phase, like the
+/// facade commands do.
+Circuit load_circuit(const Args& args, obs::Registry* obs) {
   if (args.positional().empty()) {
     throw UsageError("missing netlist argument");
   }
+  obs::ScopedTimer timer(obs, "netlist.load");
   Circuit c = read_bench_file(args.positional()[0]);
   if (const auto impl = args.get("--impl")) {
     const std::size_t updated = read_impl_file(*impl, c);
     std::cout << "applied " << updated << " implementation entries from "
               << *impl << "\n";
+  }
+  timer.stop();
+  if (obs != nullptr) {
+    obs->set_gauge("netlist.gates", static_cast<double>(c.num_gates()));
   }
   return c;
 }
@@ -670,7 +686,7 @@ int cmd_gen(const Args& args, ObsSession& session) {
 }
 
 int cmd_stats(const Args& args, ObsSession& session) {
-  const Circuit c = load_circuit(args);
+  const Circuit c = load_circuit(args, session.reg());
   obs::ScopedTimer timer(session.reg(), "stats.measure");
   const CircuitStats s = circuit_stats(c);
   timer.stop();
@@ -686,7 +702,7 @@ int cmd_stats(const Args& args, ObsSession& session) {
 }
 
 int cmd_analyze(const Args& args, ObsSession& session) {
-  Circuit c = load_circuit(args);
+  Circuit c = load_circuit(args, session.reg());
   const CellLibrary lib = make_library(args);
   const VariationModel var = VariationModel::typical_100nm();
   const double t_max = args.get_double(
@@ -959,7 +975,7 @@ int cmd_worker(const Args& args, ObsSession& session) {
 }
 
 int cmd_mlv(const Args& args, ObsSession& session) {
-  Circuit c = load_circuit(args);
+  Circuit c = load_circuit(args, session.reg());
   const CellLibrary lib = make_library(args);
   MlvConfig cfg;
   cfg.random_trials = static_cast<int>(args.get_long("--trials", 128));
