@@ -63,15 +63,19 @@ struct AbbResult {
 
 /// Runs the paired experiment (baseline and compensated populations share
 /// the same per-die parameter draws, so the comparison is sample-exact).
-/// Each ladder step evaluates a block of McConfig::batch_size dies through
-/// the flat engine's kernels, with the bias applied as a uniform dVth shift
-/// inside them; every value is bit-identical to the scalar ladder sweep of
+/// Runs on the Monte-Carlo engine's block loop, run_mc_blocks
+/// (mc/sample_loop.hpp): die i is the engine's die i, and the baseline is
+/// the loop's unbiased pass. Each block then sweeps the ladder through the
+/// same kernels, with the bias applied as a uniform dVth shift inside them;
+/// every value is bit-identical to the scalar ladder sweep of
 /// tests/mc_scalar_oracle.hpp for any batch size or thread count. Honours
 /// seed, num_threads, deadline_ms, exact_delay and health_policy; a Sobol
 /// sampler, importance shift, control variate or checkpoint path throws
 /// statleak::Error. With a registry attached, records the "abb.sweep"
-/// phase time and the "abb.dies" / "abb.sta_evals" / "abb.batches" /
-/// "flat.build_ns" counters; results are unaffected.
+/// phase time, the mc.draw / mc.delay_kernel / mc.leak_kernel layer
+/// timers, the "mc.kernel_isa" config note and the "abb.dies" /
+/// "abb.sta_evals" / "abb.batches" / "flat.build_ns" counters; results are
+/// unaffected.
 AbbResult run_abb_experiment(const Circuit& circuit, const CellLibrary& lib,
                              const VariationModel& var,
                              const BodyBiasConfig& abb, const McConfig& mc,

@@ -2,16 +2,17 @@
 /// \brief Batched-engine state shared by the Monte-Carlo entry points.
 ///
 /// run_monte_carlo, run_monte_carlo_spatial and run_abb_experiment all
-/// evaluate samples through the same gate-major kernels, and all three ready
-/// them through McArena::prepare(). A cold call pays three fixed costs
-/// before the first sample: flattening the circuit into SoA form
-/// (FlatCircuit::build), deriving the per-gate kernel constant tables, and
-/// allocating the per-worker BatchScratch blocks. A corner sweep evaluates
-/// the same frozen circuit dozens of times under different CellLibrary
-/// instances, so those costs are pure overhead after the first cell. An
-/// McArena carries them across calls: the FlatCircuit is rebuilt only when
-/// the circuit changes, the kernels are rebind()-ed (constants recomputed,
-/// allocations kept), and the scratch blocks keep their capacity.
+/// evaluate samples in one block loop, run_mc_blocks (mc/sample_loop.hpp),
+/// which readies the gate-major kernels through McArena::prepare(). A cold
+/// call pays three fixed costs before the first sample: flattening the
+/// circuit into SoA form (FlatCircuit::build), deriving the per-gate kernel
+/// constant tables, and allocating the per-worker BatchScratch blocks. A
+/// corner sweep evaluates the same frozen circuit dozens of times under
+/// different CellLibrary instances, so those costs are pure overhead after
+/// the first cell. An McArena carries them across calls: the FlatCircuit is
+/// rebuilt only when the circuit changes, the kernels are rebind()-ed
+/// (constants recomputed, allocations kept), and the scratch blocks keep
+/// their capacity.
 ///
 /// Reuse never changes a sampled bit: rebind() recomputes every derived
 /// constant from the current library, and scratch contents are dead between

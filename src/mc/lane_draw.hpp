@@ -3,14 +3,14 @@
 ///        lanes at a time.
 ///
 /// Sample s draws from Rng::stream(seed, s): its die (global) deviates
-/// first, then two normals per gate in GateId order — dL, then dVth. The
-/// callers (run_monte_carlo's sample loop and the ABB experiment) fill a
-/// block through draw_block, which draws each lane's die in scalar code and
-/// hands groups of up to eight lanes, with their streams positioned after
-/// the die draw, to draw_lane_group. That runs the eight streams side by
-/// side (RngLanes) and stores each gate's lanes next to each other in the
-/// gate-major dl/dv rows the kernels read, writing sample_gate's
-/// expressions lane by lane:
+/// first, then two normals per gate in GateId order — dL, then dVth.
+/// FlatDraw (mc/sample_loop.hpp), the block draw of run_monte_carlo and the
+/// ABB experiment, fills a block through draw_block. That draws each lane's
+/// die in scalar code and hands groups of up to eight lanes, with their
+/// streams positioned after the die draw, to draw_lane_group, which runs the
+/// eight streams side by side (RngLanes) and stores each gate's lanes next
+/// to each other in the gate-major dl/dv rows the kernels read, writing
+/// sample_gate's expressions lane by lane:
 ///   dl = die.dl_nm  + (0.0 + sigma_l_intra   * z)
 ///   dv = die.dvth_v + (0.0 + sigma_vth_intra(w) * z')
 /// so every lane equals the one-sample draw sequence of

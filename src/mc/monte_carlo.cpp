@@ -1,21 +1,13 @@
 #include "mc/monte_carlo.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <limits>
 #include <optional>
 #include <utility>
 
-#include "leakage/batch_leakage.hpp"
-#include "mc/arena.hpp"
-#include "mc/batch.hpp"
 #include "mc/checkpoint.hpp"
-#include "mc/lane_draw.hpp"
-#include "sta/batch_delay.hpp"
+#include "mc/sample_loop.hpp"
 #include "util/error.hpp"
-#include "util/fault.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/sobol.hpp"
 
@@ -142,9 +134,6 @@ double McResult::cv_leakage_quantile_na(double p) const {
 
 namespace {
 
-/// Contiguous range of slots one worker computed, in shard order.
-using SlotRun = std::pair<std::size_t, std::size_t>;  // [begin, end)
-
 /// Entry validation shared by the full-run, shard and finalize paths.
 void validate_mc_config(const VariationModel& var, const McConfig& config) {
   STATLEAK_CHECK(config.num_samples > 0, "need at least one sample");
@@ -168,168 +157,20 @@ void validate_mc_config(const VariationModel& var, const McConfig& config) {
   }
 }
 
-/// Computes slots [first, last) of the population, writing slot s to
-/// delay_out[s - first] / leak_out[s - first]. `restored` (nullable,
-/// local-indexed like the outputs) marks slots to skip. `flush(worker,
-/// begin, end)` reports computed *global*-slot runs at
-/// McConfig::checkpoint_every cadence and at shard boundaries; the range
-/// is itself sharded over config.num_threads. Slot values depend only on
-/// (seed, slot), never on the range cut, thread count or batch size — the
-/// property every distributed-merge guarantee rests on.
-void run_sample_range(
-    const Circuit& circuit, const CellLibrary& lib, const VariationModel& var,
-    const McConfig& config, std::size_t first, std::size_t last,
-    const std::uint8_t* restored, double* delay_out, double* leak_out,
-    const std::function<void(int, std::size_t, std::size_t)>& flush,
-    obs::Registry* obs, McArena* arena = nullptr) {
-  // Scrambled-Sobol points for the two global dimensions; the intra-die
-  // draws always stay on the per-sample pseudo-random streams. Point s is a
-  // pure function of (seed, s), same determinism contract as Rng::stream.
-  std::optional<SobolSequence> sobol_seq;
-  if (config.sampler == McSampler::kSobol) sobol_seq.emplace(config.seed);
-  const SobolSequence* qmc = sobol_seq ? &*sobol_seq : nullptr;
-
-  // One global draw for slot s. The historical pseudo path must keep the
-  // exact sample_global() call so existing seeds reproduce bit-for-bit;
-  // the general path draws standardized deviates (Sobol point or the same
-  // two stream normals), applies the standardized importance shift, and
-  // scales. With pseudo + shift the stream consumes the same two normals
-  // as before, so the per-gate draws that follow are unchanged. The
-  // kNanDeviate fault point poisons the die's dVth.
-  const IsShift shift = config.is_shift;
-  const bool legacy_draw = qmc == nullptr && !shift.active();
-  const auto draw_global = [&var, &shift, qmc, legacy_draw](
-                               std::size_t s, Rng& rng) -> GlobalSample {
-    GlobalSample die;
-    if (legacy_draw) {
-      die = sample_global(var, rng);
-    } else {
-      const double zl = qmc != nullptr ? qmc->normal(s, 0) : rng.normal();
-      const double zv = qmc != nullptr ? qmc->normal(s, 1) : rng.normal();
-      die = {var.sigma_l_inter_nm * (zl + shift.l_sigma),
-             var.sigma_vth_inter_v * (zv + shift.v_sigma)};
-    }
-    if (STATLEAK_FAULT_FIRES(fault::Point::kNanDeviate, s)) {
-      die.dvth_v = std::numeric_limits<double>::quiet_NaN();
-    }
-    return die;
-  };
-
-  const std::size_t n = circuit.num_gates();
-  const IntraDieSigmas sigmas(var, mc_device_widths(circuit, lib));
-  const std::size_t range = last - first;
-  const std::size_t flush_every = static_cast<std::size_t>(
-      std::max(1, config.checkpoint_every));
-  const int workers = resolve_num_threads(config.num_threads);
-
-  // --- fault-tolerant loop plumbing ----------------------------------------
-  const Deadline deadline(config.deadline_ms);
-  std::atomic<bool> stop{false};
-  const bool fail_fast = config.health_policy == HealthPolicy::kFail;
-
-  // Reports [run_begin, run_end) (in local coordinates) as global slots.
-  const auto flush_run = [&flush, first](int worker, std::size_t run_begin,
-                                         std::size_t run_end) {
-    if (run_end <= run_begin) return;
-    flush(worker, first + run_begin, first + run_end);
-  };
-
-  // Freeze the implementation point into SoA form and hoist every per-gate
-  // model constant out of the sample loop. With a caller-owned arena the
-  // snapshot survives across calls: the FlatCircuit is rebuilt only when
-  // the circuit changes, and the kernels are rebind()-ed — constants
-  // recomputed from the current library, table allocations kept. A
-  // rebind()-ed kernel computes the exact bits of a fresh one, so arena
-  // reuse is invisible in the output.
-  McArena local_arena;
-  McArena& ar = arena != nullptr ? *arena : local_arena;
-  ar.prepare(circuit, lib, workers, obs);
-  const BatchDelayKernel& delay_kernel = *ar.delay;
-  const BatchLeakageKernel& leak_kernel = *ar.leak;
-  const std::size_t block = resolve_batch_size(config.batch_size, n);
-  if (obs != nullptr) obs->note_config("mc.kernel_isa", to_string(ar.isa));
-
-  // Sample i draws exclusively from its counter-derived stream and writes
-  // slot i of the output arrays, so shard boundaries (and hence the
-  // thread count) cannot change a single bit of the output. Lanes of one
-  // block are just consecutive samples evaluated together — they never
-  // interact — so the batch size cannot either.
-  parallel_for(
-      config.num_threads, range,
-      [&](std::size_t begin, std::size_t end, int worker) {
-        // Per-thread accumulation: one registry merge per shard, so the
-        // workers never contend on the registry mutex inside the loop.
-        obs::LocalCounter evals(obs, "mc.sta_evals");
-        obs::LocalCounter batches(obs, "mc.batches");
-        obs::LocalPhase draw_time(obs, "mc.draw");
-        obs::LocalPhase delay_time(obs, "mc.delay_kernel");
-        obs::LocalPhase leak_time(obs, "mc.leak_kernel");
-        BatchScratch& sc = ar.scratch[static_cast<std::size_t>(worker)];
-        sc.resize(n, block);
-        std::size_t run_begin = begin;  // first unflushed computed slot
-        std::size_t covered = begin;    // end of processed region
-        for (std::size_t s0 = begin; s0 < end; s0 += block) {
-          if (stop.load(std::memory_order_relaxed)) break;
-          if (deadline.expired()) {
-            stop.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t lanes = std::min(block, end - s0);
-          // A fully restored block is skipped outright. Partially restored
-          // blocks (possible when a checkpoint record ends mid-block) are
-          // recomputed whole — the recomputed values are bitwise identical,
-          // so correctness never depends on the cut. With batch_size = 1
-          // every restored slot is skipped on its own.
-          bool all_restored = restored != nullptr;
-          for (std::size_t lane = 0; lane < lanes && all_restored; ++lane) {
-            all_restored = restored[s0 + lane] != 0;
-          }
-          if (all_restored) {
-            flush_run(worker, run_begin, s0);
-            run_begin = s0 + lanes;
-            covered = s0 + lanes;
-            continue;
-          }
-          STATLEAK_FAULT_STALL(fault::Point::kShardStall, first + s0);
-          draw_time.start();
-          draw_block(ar.isa, config.seed, first + s0, lanes, draw_global,
-                     sigmas, sc.dl.data(), sc.dv.data(), block);
-          draw_time.stop();
-          delay_time.start();
-          delay_kernel.critical_delay_block(
-              sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
-              nullptr, sc.arrival.data(), sc.delay_out.data());
-          delay_time.stop();
-          leak_time.start();
-          leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
-                                  nullptr, sc.leak_out.data());
-          leak_time.stop();
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            delay_out[s0 + lane] = sc.delay_out[lane];
-            leak_out[s0 + lane] = sc.leak_out[lane];
-            if (fail_fast) {
-              const std::uint8_t cause =
-                  classify_health(sc.delay_out[lane], sc.leak_out[lane]);
-              if (cause != 0) {
-                stop.store(true, std::memory_order_relaxed);
-                throw_sample_health(first + s0 + lane, cause);
-              }
-            }
-          }
-          evals.add(static_cast<double>(lanes));
-          batches.add();
-          covered = s0 + lanes;
-          if (covered - run_begin >= flush_every) {
-            flush_run(worker, run_begin, covered);
-            run_begin = covered;
-          }
-        }
-        flush_run(worker, run_begin, covered);
-        // Merged in pipeline order, so the report lists them that way.
-        draw_time.flush();
-        delay_time.flush();
-        leak_time.flush();
-      });
+/// Computes the slots of `range` with the flat engine's draw (see
+/// run_mc_blocks), reporting computed runs to `sink`.
+void run_sample_range(const Circuit& circuit, const CellLibrary& lib,
+                      const VariationModel& var, const McConfig& config,
+                      const McSlotRange& range, const McBlockSink& sink,
+                      obs::Registry* obs, McArena* arena = nullptr) {
+  run_mc_blocks(
+      circuit, lib, config, range,
+      {.batches = "mc.batches", .evals = "mc.sta_evals"},
+      FlatDraw(circuit, lib, var, config), [](const McBlock&) {},
+      [&range](std::size_t i) {
+        return classify_health(range.delay[i], range.leak[i]);
+      },
+      sink, obs, arena);
 }
 
 }  // namespace
@@ -367,14 +208,13 @@ McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
   McPopulation pop;
   pop.delay_ps.assign(num_samples, 0.0);
   pop.leakage_na.assign(num_samples, 0.0);
+  pop.done.assign(num_samples, 0);
 
   // --- checkpoint restore ---------------------------------------------------
-  // `restored[s] != 0` marks slots whose values came from the checkpoint;
-  // the loop skips them and the finalize pass counts them as done. Restored
-  // values are bitwise what this run would compute (the config hash pins
-  // every input to the sample), so a resumed run equals an uninterrupted
-  // one exactly.
-  std::vector<std::uint8_t> restored(num_samples, 0);
+  // Slots marked done on entry came from the checkpoint; the loop skips
+  // them. Restored values are bitwise what this run would compute (the
+  // config hash pins every input to the sample), so a resumed run equals an
+  // uninterrupted one exactly.
   std::unique_ptr<CheckpointWriter> writer;
   if (!config.checkpoint_path.empty()) {
     const std::vector<double> widths = mc_device_widths(circuit, lib);
@@ -383,7 +223,7 @@ McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
     if (checkpoint_exists(config.checkpoint_path)) {
       CheckpointData data =
           load_checkpoint(config.checkpoint_path, hash, num_samples);
-      restored = std::move(data.done);
+      pop.done = std::move(data.done);
       pop.delay_ps = std::move(data.delay_ps);
       pop.leakage_na = std::move(data.leakage_na);
       pop.samples_restored = data.done_count;
@@ -395,44 +235,20 @@ McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
     }
   }
 
-  const int workers = resolve_num_threads(config.num_threads);
-
-  // Each worker records the contiguous slot ranges it actually computed
-  // (restored slots break ranges); the same ranges drive checkpoint record
-  // appends. Indexed by worker — no locking.
-  std::vector<std::vector<SlotRun>> computed_runs(
-      static_cast<std::size_t>(workers));
-
-  // Appends [run_begin, run_end) to the worker's log and — when
-  // checkpointing — to the file. Spans point into the slot-indexed
-  // population vectors, which stay full-size until finalize compacts them.
-  const auto flush_run = [&](int worker, std::size_t run_begin,
-                             std::size_t run_end) {
-    computed_runs[static_cast<std::size_t>(worker)].emplace_back(run_begin,
-                                                                 run_end);
-    if (writer != nullptr) {
-      const std::size_t count = run_end - run_begin;
-      writer->append(run_begin,
-                     std::span<const double>(pop.delay_ps)
-                         .subspan(run_begin, count),
-                     std::span<const double>(pop.leakage_na)
-                         .subspan(run_begin, count));
-    }
-  };
-
-  run_sample_range(circuit, lib, var, config, 0, num_samples, restored.data(),
-                   pop.delay_ps.data(), pop.leakage_na.data(), flush_run, obs,
-                   arena);
-
-  // Done mask = restored slots + everything the workers logged. Ranges may
-  // overlap restored slots (recomputed partial blocks); the mask dedups.
-  pop.done = std::move(restored);
-  for (const auto& runs : computed_runs) {
-    for (const SlotRun& r : runs) {
-      std::fill(pop.done.begin() + static_cast<std::ptrdiff_t>(r.first),
-                pop.done.begin() + static_cast<std::ptrdiff_t>(r.second), 1);
-    }
+  // Computed runs go to the checkpoint file. Spans point into the
+  // slot-indexed population vectors, which stay full-size until finalize
+  // compacts them.
+  McBlockSink sink;
+  if (writer != nullptr) {
+    sink = [&writer](std::uint64_t begin, std::span<const double> delay,
+                     std::span<const double> leak) {
+      writer->append(begin, delay, leak);
+    };
   }
+  run_sample_range(circuit, lib, var, config,
+                   {0, num_samples, pop.delay_ps.data(),
+                    pop.leakage_na.data(), pop.done.data()},
+                   sink, obs, arena);
   return finalize_mc_population(circuit, lib, var, config, std::move(pop),
                                 obs);
 }
@@ -460,30 +276,15 @@ McShardResult run_monte_carlo_shard(const Circuit& circuit,
   res.leakage_na.assign(range, 0.0);
   res.done.assign(range, 0);
 
-  // Concurrent flushes touch disjoint slot ranges of `done` and the value
-  // arrays, so no lock is needed for them; only the caller's sink must be
-  // thread-safe (documented on McBlockSink).
-  const auto flush_run = [&](int /*worker*/, std::size_t gbegin,
-                             std::size_t gend) {
-    const std::size_t lo = static_cast<std::size_t>(gbegin - begin);
-    const std::size_t count = gend - gbegin;
-    std::fill(res.done.begin() + static_cast<std::ptrdiff_t>(lo),
-              res.done.begin() + static_cast<std::ptrdiff_t>(lo + count), 1);
-    if (sink) {
-      sink(gbegin,
-           std::span<const double>(res.delay_ps).subspan(lo, count),
-           std::span<const double>(res.leakage_na).subspan(lo, count));
-    }
-  };
+  run_sample_range(circuit, lib, var, config,
+                   {static_cast<std::size_t>(begin),
+                    static_cast<std::size_t>(end), res.delay_ps.data(),
+                    res.leakage_na.data(), res.done.data()},
+                   sink, obs);
 
-  run_sample_range(circuit, lib, var, config, begin, end, nullptr,
-                   res.delay_ps.data(), res.leakage_na.data(), flush_run,
-                   obs);
-
-  std::size_t done_count = 0;
-  for (std::uint8_t d : res.done) done_count += d;
-  res.samples_done = done_count;
-  res.completed = done_count == range;
+  res.samples_done = static_cast<std::uint64_t>(
+      std::count(res.done.begin(), res.done.end(), std::uint8_t{1}));
+  res.completed = res.samples_done == range;
   return res;
 }
 
@@ -499,31 +300,21 @@ McResult finalize_mc_population(const Circuit& circuit, const CellLibrary& lib,
                  "population vectors must be slot-indexed over num_samples");
 
   McResult result;
-  result.samples_requested = num_samples;
   result.samples_restored = pop.samples_restored;
   result.delay_ps = std::move(pop.delay_ps);
   result.leakage_na = std::move(pop.leakage_na);
   const std::vector<std::uint8_t> done = std::move(pop.done);
 
-  std::size_t done_count = 0;
-  for (std::uint8_t d : done) done_count += d;
-  result.samples_done = done_count;
-  result.completed = done_count == num_samples;
-
-  // Health scan over every done slot — covers restored values too (a
-  // checkpoint may carry poisoned samples from a quarantining producer).
-  // Under kFail the sample loop already threw for freshly computed samples,
-  // so this only fires for restored or merged-in ones.
-  const bool fail_fast = config.health_policy == HealthPolicy::kFail;
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    if (done[s] == 0) continue;
-    const std::uint8_t cause =
-        classify_health(result.delay_ps[s], result.leakage_na[s]);
-    if (cause == 0) continue;
-    if (fail_fast) throw_sample_health(s, cause);
-    result.quarantined.push_back(
-        {static_cast<std::uint64_t>(s), static_cast<HealthCause>(cause)});
-  }
+  // The health scan covers restored values too (a checkpoint may carry
+  // poisoned samples from a quarantining producer). Under kFail the sample
+  // loop already threw for freshly computed samples, so it only fires for
+  // restored or merged-in ones.
+  settle_population(
+      done, config.health_policy,
+      [&result](std::size_t s) {
+        return classify_health(result.delay_ps[s], result.leakage_na[s]);
+      },
+      result);
 
   // --- estimator side-channels ---------------------------------------------
   // Importance weights and control-variate proxies are recomputed here,
@@ -544,13 +335,7 @@ McResult finalize_mc_population(const Circuit& circuit, const CellLibrary& lib,
       result.cv_proxy_na.reserve(result.samples_done);
     }
     if (shift.active()) result.weights.reserve(result.samples_done);
-    std::size_t q = 0;  // cursor into the slot-ordered quarantine list
-    for (std::size_t s = 0; s < num_samples; ++s) {
-      if (done[s] == 0) continue;
-      if (q < result.quarantined.size() && result.quarantined[q].slot == s) {
-        ++q;
-        continue;
-      }
+    for_each_survivor(done, result.quarantined, [&](std::size_t s) {
       double zl;
       double zv;
       if (qmc != nullptr) {
@@ -571,26 +356,7 @@ McResult finalize_mc_population(const Circuit& circuit, const CellLibrary& lib,
                              var.sigma_vth_inter_v * zv};
         result.cv_proxy_na.push_back(cv->proxy_na(g));
       }
-    }
-  }
-
-  // Compact the slot-indexed vectors down to surviving samples. The common
-  // complete-and-healthy case keeps the full vectors untouched.
-  if (!result.completed || !result.quarantined.empty()) {
-    std::size_t q = 0;  // cursor into the slot-ordered quarantine list
-    std::size_t out = 0;
-    for (std::size_t s = 0; s < num_samples; ++s) {
-      if (done[s] == 0) continue;
-      if (q < result.quarantined.size() && result.quarantined[q].slot == s) {
-        ++q;
-        continue;
-      }
-      result.delay_ps[out] = result.delay_ps[s];
-      result.leakage_na[out] = result.leakage_na[s];
-      ++out;
-    }
-    result.delay_ps.resize(out);
-    result.leakage_na.resize(out);
+    });
   }
 
   if (obs != nullptr) {

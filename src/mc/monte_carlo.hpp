@@ -196,8 +196,7 @@ McResult run_monte_carlo(const Circuit& circuit, const CellLibrary& lib,
 
 /// Per-gate device widths (kInput slots hold -1), the Pelgrom scaling
 /// input that is part of mc_checkpoint_hash's fingerprint. Exposed so the
-/// distributed coordinator computes the same hash as the engine, and so
-/// the ABB sweep draws its dies with the engine's exact widths.
+/// distributed coordinator computes the same hash as the engine's draw.
 std::vector<double> mc_device_widths(const Circuit& circuit,
                                      const CellLibrary& lib);
 

@@ -1,14 +1,11 @@
 #include "spatial/spatial_analysis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <utility>
 
-#include "mc/arena.hpp"
+#include "mc/sample_loop.hpp"
 #include "util/error.hpp"
 #include "util/health.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace statleak {
@@ -87,121 +84,35 @@ McResult run_monte_carlo_spatial(const Circuit& circuit,
 
   const auto num_samples = static_cast<std::size_t>(config.num_samples);
   McResult result;
-  result.samples_requested = num_samples;
   result.delay_ps.assign(num_samples, 0.0);
   result.leakage_na.assign(num_samples, 0.0);
-
-  const int workers = resolve_num_threads(config.num_threads);
-  McArena arena;
-  arena.prepare(circuit, lib, workers, obs);
-  const BatchDelayKernel& delay_kernel = *arena.delay;
-  const BatchLeakageKernel& leak_kernel = *arena.leak;
-  const std::size_t block = resolve_batch_size(config.batch_size, n);
-
-  // Fault-tolerance plumbing mirrors the flat run_monte_carlo: deadline
-  // checks at block boundaries, health classification per sample, and a
-  // serial finalize pass that compacts partial/quarantined populations.
-  // Checkpointing is a flat-MC feature only (see docs/ROBUSTNESS.md).
-  const Deadline deadline(config.deadline_ms);
-  std::atomic<bool> stop{false};
-  const bool fail_fast = config.health_policy == HealthPolicy::kFail;
-  using SlotRun = std::pair<std::size_t, std::size_t>;
-  std::vector<std::vector<SlotRun>> computed_runs(
-      static_cast<std::size_t>(workers));
-
-  // Same counter-based sharding as the flat run_monte_carlo: sample i owns
-  // stream i and slot i, so output is bit-identical for any thread count
-  // and any batch size — lanes are just consecutive samples that never
-  // interact.
-  parallel_for(
-      config.num_threads, num_samples,
-      [&](std::size_t begin, std::size_t end, int worker) {
-        obs::LocalCounter batches(obs, "mc.spatial_batches");
-        BatchScratch& sc = arena.scratch[static_cast<std::size_t>(worker)];
-        sc.resize(n, block);
-        SpatialDieSample die;  // region buffers reused across lanes
-        std::size_t covered = begin;
-        for (std::size_t s0 = begin; s0 < end; s0 += block) {
-          if (stop.load(std::memory_order_relaxed)) break;
-          if (deadline.expired()) {
-            stop.store(true, std::memory_order_relaxed);
-            break;
-          }
-          const std::size_t lanes = std::min(block, end - s0);
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            Rng rng = Rng::stream(config.seed, s0 + lane);
-            sample_spatial_die(model, rng, die);
-            for (std::size_t id = 0; id < n; ++id) {
-              const ParamSample ps =
-                  sample_spatial_gate(model, die, regions[id], rng);
-              sc.dl[id * block + lane] = ps.dl_nm;
-              sc.dv[id * block + lane] = ps.dvth_v;
-            }
-          }
-          delay_kernel.critical_delay_block(
-              sc.dl.data(), sc.dv.data(), block, lanes, config.exact_delay,
-              nullptr, sc.arrival.data(), sc.delay_out.data());
-          leak_kernel.total_block(sc.dl.data(), sc.dv.data(), block, lanes,
-                                  nullptr, sc.leak_out.data());
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            result.delay_ps[s0 + lane] = sc.delay_out[lane];
-            result.leakage_na[s0 + lane] = sc.leak_out[lane];
-            if (fail_fast) {
-              const std::uint8_t cause =
-                  classify_health(sc.delay_out[lane], sc.leak_out[lane]);
-              if (cause != 0) {
-                stop.store(true, std::memory_order_relaxed);
-                throw_sample_health(s0 + lane, cause);
-              }
-            }
-          }
-          batches.add();
-          covered = s0 + lanes;
-        }
-        if (covered > begin) {
-          computed_runs[static_cast<std::size_t>(worker)].emplace_back(
-              begin, covered);
-        }
-      });
-
-  // Serial finalize: done mask, health scan (quarantine policy), and
-  // compaction of partial populations — same semantics as run_monte_carlo.
   std::vector<std::uint8_t> done(num_samples, 0);
-  for (const auto& runs : computed_runs) {
-    for (const SlotRun& r : runs) {
-      std::fill(done.begin() + static_cast<std::ptrdiff_t>(r.first),
-                done.begin() + static_cast<std::ptrdiff_t>(r.second), 1);
-    }
-  }
-  std::size_t done_count = 0;
-  for (std::uint8_t d : done) done_count += d;
-  result.samples_done = done_count;
-  result.completed = done_count == num_samples;
-  for (std::size_t s = 0; s < num_samples; ++s) {
-    if (done[s] == 0) continue;
-    const std::uint8_t cause =
-        classify_health(result.delay_ps[s], result.leakage_na[s]);
-    if (cause == 0) continue;
-    if (fail_fast) throw_sample_health(s, cause);
-    result.quarantined.push_back(
-        {static_cast<std::uint64_t>(s), static_cast<HealthCause>(cause)});
-  }
-  if (!result.completed || !result.quarantined.empty()) {
-    std::size_t q = 0;
-    std::size_t out = 0;
-    for (std::size_t s = 0; s < num_samples; ++s) {
-      if (done[s] == 0) continue;
-      if (q < result.quarantined.size() && result.quarantined[q].slot == s) {
-        ++q;
-        continue;
+
+  // Sample i draws its die and then every gate, in GateId order, from
+  // stream i, exactly as the scalar oracle does.
+  const auto draw = [&](const McBlock& b) {
+    SpatialDieSample die;  // region buffers shared by the block's lanes
+    const std::size_t stride = b.sc.block;
+    for (std::size_t lane = 0; lane < b.lanes; ++lane) {
+      Rng rng = Rng::stream(config.seed, b.slot + lane);
+      sample_spatial_die(model, rng, die);
+      for (std::size_t id = 0; id < n; ++id) {
+        const ParamSample ps =
+            sample_spatial_gate(model, die, regions[id], rng);
+        b.sc.dl[id * stride + lane] = ps.dl_nm;
+        b.sc.dv[id * stride + lane] = ps.dvth_v;
       }
-      result.delay_ps[out] = result.delay_ps[s];
-      result.leakage_na[out] = result.leakage_na[s];
-      ++out;
     }
-    result.delay_ps.resize(out);
-    result.leakage_na.resize(out);
-  }
+  };
+  const auto health = [&result](std::size_t s) {
+    return classify_health(result.delay_ps[s], result.leakage_na[s]);
+  };
+  run_mc_blocks(circuit, lib, config,
+                {0, num_samples, result.delay_ps.data(),
+                 result.leakage_na.data(), done.data()},
+                {.batches = "mc.spatial_batches"}, draw, [](const McBlock&) {}, health,
+                {}, obs);
+  settle_population(done, config.health_policy, health, result);
 
   if (obs != nullptr) {
     obs->add("mc.spatial_samples", static_cast<double>(result.delay_ps.size()));

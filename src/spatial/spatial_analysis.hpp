@@ -35,14 +35,17 @@ LeakageDistribution spatial_leakage_distribution(
 
 /// Monte-Carlo reference under the spatial model (same result shape as
 /// run_monte_carlo; sampling draws per-region shared components). Runs on
-/// the flat engine's gate-major kernels, so batch_size is a performance
-/// knob only: every sample is bit-identical to the scalar per-sample oracle
-/// in tests/mc_scalar_oracle.hpp. Honours seed, num_threads, deadline_ms,
+/// the Monte-Carlo engine's block loop, run_mc_blocks (mc/sample_loop.hpp),
+/// with its own regional draw, so batch_size is a performance knob only:
+/// every sample is bit-identical to the scalar per-sample oracle in
+/// tests/mc_scalar_oracle.hpp. Honours seed, num_threads, deadline_ms,
 /// exact_delay and health_policy; a Sobol sampler, importance shift,
 /// control variate or checkpoint path throws statleak::Error. With a
-/// registry attached, records the "mc.spatial_samples" phase time and the
-/// "mc.spatial_samples", "mc.spatial_batches" and "flat.build_ns"
-/// counters; sample values are unaffected.
+/// registry attached, records the "mc.spatial_samples" phase time, the
+/// mc.draw / mc.delay_kernel / mc.leak_kernel layer timers, the
+/// "mc.kernel_isa" config note and the "mc.spatial_samples",
+/// "mc.spatial_batches" and "flat.build_ns" counters; sample values are
+/// unaffected.
 McResult run_monte_carlo_spatial(const Circuit& circuit,
                                  const CellLibrary& lib,
                                  const SpatialVariationModel& model,

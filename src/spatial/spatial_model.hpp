@@ -68,7 +68,8 @@ struct SpatialDieSample {
 };
 
 /// Draws the shared components of one die into a reused buffer (resize is a
-/// no-op after the first call, so the Monte-Carlo loop does not allocate).
+/// no-op after the first call, so the lanes of a Monte-Carlo block share
+/// one allocation).
 /// Inline for the same reason as the base-model helpers: the scalar and
 /// batched engines must share one definition to issue the exact same
 /// normal() call sequence.

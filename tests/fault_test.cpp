@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "abb/abb.hpp"
 #include "flow_outcome_eq.hpp"
 #include "gen/arithmetic.hpp"
 #include "gen/proxy.hpp"
@@ -19,6 +20,8 @@
 #include "mc/monte_carlo.hpp"
 #include "opt/statistical.hpp"
 #include "report/flow.hpp"
+#include "spatial/placement.hpp"
+#include "spatial/spatial_analysis.hpp"
 #include "tech/process.hpp"
 #include "util/fault.hpp"
 #include "util/health.hpp"
@@ -53,6 +56,12 @@ class FaultTest : public ::testing::Test {
     cfg.num_samples = 300;
     cfg.seed = 5;
     return cfg;
+  }
+
+  /// The median die delay: about half the dies meet it without bias.
+  double abb_target() const {
+    return run_monte_carlo(circuit_, lib_, var_, base_config())
+        .delay_quantile_ps(0.5);
   }
 };
 
@@ -129,6 +138,61 @@ TEST_F(FaultTest, QuarantineIdenticalAcrossEngines) {
     ASSERT_EQ(batched.delay_ps[i], scalar.delay_ps[i]) << "sample " << i;
     ASSERT_EQ(batched.leakage_na[i], scalar.leakage_na[i]) << "sample " << i;
   }
+}
+
+TEST_F(FaultTest, AbbNanDeviateQuarantinesThePairedDie) {
+  // The ABB experiment draws its dies through the engine's die draw, so the
+  // same injected NaN reaches it. Under quarantine the poisoned die leaves
+  // baseline, compensated and bias together; every survivor is bitwise what
+  // the clean run produced.
+  const BodyBiasConfig abb;
+  const double t_max = abb_target();
+  const McConfig clean_cfg = base_config();
+  const AbbResult ref =
+      run_abb_experiment(circuit_, lib_, var_, abb, clean_cfg, t_max);
+
+  fault::arm(fault::Point::kNanDeviate, 17);
+  McConfig cfg = base_config();
+  cfg.health_policy = HealthPolicy::kQuarantine;
+  const AbbResult res =
+      run_abb_experiment(circuit_, lib_, var_, abb, cfg, t_max);
+  EXPECT_EQ(fault::fired_count(fault::Point::kNanDeviate), 1);
+
+  for (const McResult* pop : {&res.baseline, &res.compensated}) {
+    ASSERT_EQ(pop->quarantined.size(), 1u);
+    EXPECT_EQ(pop->quarantined[0].slot, 17u);
+    EXPECT_EQ(pop->samples_done, ref.bias_v.size());
+  }
+  EXPECT_TRUE(res.completed);
+  EXPECT_EQ(res.dies_done, ref.bias_v.size());
+  const std::size_t survivors = ref.bias_v.size() - 1;
+  ASSERT_EQ(res.baseline.delay_ps.size(), survivors);
+  ASSERT_EQ(res.baseline.leakage_na.size(), survivors);
+  ASSERT_EQ(res.compensated.delay_ps.size(), survivors);
+  ASSERT_EQ(res.compensated.leakage_na.size(), survivors);
+  ASSERT_EQ(res.bias_v.size(), survivors);
+  for (std::size_t i = 0, out = 0; i < ref.bias_v.size(); ++i) {
+    if (i == 17) continue;
+    ASSERT_EQ(ref.baseline.delay_ps[i], res.baseline.delay_ps[out]) << i;
+    ASSERT_EQ(ref.baseline.leakage_na[i], res.baseline.leakage_na[out]) << i;
+    ASSERT_EQ(ref.compensated.delay_ps[i], res.compensated.delay_ps[out])
+        << i;
+    ASSERT_EQ(ref.compensated.leakage_na[i], res.compensated.leakage_na[out])
+        << i;
+    ASSERT_EQ(ref.bias_v[i], res.bias_v[out]) << i;
+    ++out;
+  }
+}
+
+TEST_F(FaultTest, AbbNanDeviateFailsFastByDefault) {
+  const BodyBiasConfig abb;
+  const double t_max = abb_target();
+  fault::arm(fault::Point::kNanDeviate, 17);
+  const McConfig cfg = base_config();
+  EXPECT_THROW(
+      (void)run_abb_experiment(circuit_, lib_, var_, abb, cfg, t_max),
+      NumericalError);
+  EXPECT_EQ(fault::fired_count(fault::Point::kNanDeviate), 1);
 }
 
 TEST_F(FaultTest, ShortWriteLeavesDroppedTailAndResumesCleanly) {
@@ -345,6 +409,37 @@ TEST_F(FaultTest, ShardStallTripsTheDeadline) {
   EXPECT_FALSE(res.completed);
   EXPECT_LT(res.samples_done, res.samples_requested);
   EXPECT_EQ(res.delay_ps.size(), res.samples_done);
+
+  // The ABB experiment and spatial MC run the same block loop, so the same
+  // stall trips their deadlines; ABB's partial populations stay paired.
+  fault::reset();
+  fault::arm(fault::Point::kShardStall, 0);
+  fault::set_stall_ms(200);
+  const AbbResult abb = run_abb_experiment(circuit_, lib_, var_,
+                                           BodyBiasConfig{}, cfg, 1000.0);
+  EXPECT_EQ(fault::fired_count(fault::Point::kShardStall), 1);
+  EXPECT_FALSE(abb.completed);
+  EXPECT_FALSE(abb.baseline.completed);
+  EXPECT_FALSE(abb.compensated.completed);
+  EXPECT_LT(abb.dies_done, abb.dies_requested);
+  EXPECT_EQ(abb.baseline.delay_ps.size(), abb.dies_done);
+  EXPECT_EQ(abb.baseline.leakage_na.size(), abb.dies_done);
+  EXPECT_EQ(abb.compensated.delay_ps.size(), abb.dies_done);
+  EXPECT_EQ(abb.compensated.leakage_na.size(), abb.dies_done);
+  EXPECT_EQ(abb.bias_v.size(), abb.dies_done);
+
+  fault::reset();
+  fault::arm(fault::Point::kShardStall, 0);
+  fault::set_stall_ms(200);
+  SpatialVariationModel model;
+  model.base = var_;
+  const McResult spatial = run_monte_carlo_spatial(
+      circuit_, lib_, model, make_topological_placement(circuit_, 2), cfg);
+  EXPECT_EQ(fault::fired_count(fault::Point::kShardStall), 1);
+  EXPECT_FALSE(spatial.completed);
+  EXPECT_LT(spatial.samples_done, spatial.samples_requested);
+  EXPECT_EQ(spatial.delay_ps.size(), spatial.samples_done);
+  EXPECT_EQ(spatial.leakage_na.size(), spatial.samples_done);
 }
 
 }  // namespace

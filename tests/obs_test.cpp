@@ -627,6 +627,48 @@ TEST(Instrumentation, MonteCarloLayerTimersCountOneCallPerBlock) {
                    [](const auto& e) { return e.first == "mc.kernel_isa"; });
   ASSERT_NE(isa, config.end());
   EXPECT_EQ(isa->second.first, to_string(host_simd_isa()));
+
+  // The ABB experiment and spatial MC run the same block loop, so they
+  // record the same three layers. ABB draws each block once and evaluates
+  // it unbiased plus once per ladder step.
+  const auto calls = [](const obs::Registry& r, const char* name) {
+    for (const obs::PhaseTime& p : r.phases()) {
+      if (p.name == name) return static_cast<double>(p.calls);
+    }
+    ADD_FAILURE() << "no phase " << name;
+    return -1.0;
+  };
+  const BodyBiasConfig abb;
+  obs::Registry abb_reg;
+  (void)run_abb_experiment(f.circuit, f.lib, f.var, abb, mc,
+                           f.cfg.t_max_ps, &abb_reg);
+  const double abb_batches = abb_reg.counter_value("abb.batches");
+  ASSERT_GT(abb_batches, 0.0);
+  const auto steps = static_cast<double>(abb.ladder().size());
+  EXPECT_DOUBLE_EQ(calls(abb_reg, "mc.draw"), abb_batches);
+  EXPECT_DOUBLE_EQ(calls(abb_reg, "mc.delay_kernel"),
+                   abb_batches * (1.0 + steps));
+  EXPECT_DOUBLE_EQ(calls(abb_reg, "mc.leak_kernel"),
+                   abb_batches * (1.0 + steps));
+
+  SpatialVariationModel model;
+  model.base = f.var;
+  obs::Registry spatial_reg;
+  (void)run_monte_carlo_spatial(f.circuit, f.lib, model,
+                                make_topological_placement(f.circuit, 2), mc,
+                                &spatial_reg);
+  const double spatial_batches =
+      spatial_reg.counter_value("mc.spatial_batches");
+  ASSERT_GT(spatial_batches, 0.0);
+  for (const char* layer : layers) {
+    EXPECT_DOUBLE_EQ(calls(spatial_reg, layer), spatial_batches) << layer;
+  }
+  const auto spatial_config = spatial_reg.config();
+  const auto spatial_isa = std::find_if(
+      spatial_config.begin(), spatial_config.end(),
+      [](const auto& e) { return e.first == "mc.kernel_isa"; });
+  ASSERT_NE(spatial_isa, spatial_config.end());
+  EXPECT_EQ(spatial_isa->second.first, to_string(host_simd_isa()));
 }
 
 TEST(Registry, LocalPhaseMergesOncePerScope) {
