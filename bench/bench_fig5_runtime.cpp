@@ -13,9 +13,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <fstream>
 #include <string>
 
+#include "bench_util.hpp"
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
 #include "leakage/leakage.hpp"
@@ -348,18 +348,6 @@ BENCHMARK(BM_StatisticalOptimizerThreads)
     ->Iterations(1)
     ->UseRealTime();
 
-/// The CPU model string of /proc/cpuinfo, or "unknown" off Linux.
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos) return line.substr(colon + 2);
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 // Google Benchmark's own "library_build_type" context key describes the
@@ -374,7 +362,7 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("statleak_build_type", "debug");
 #endif
-  benchmark::AddCustomContext("cpu_model", cpu_model());
+  benchmark::AddCustomContext("cpu_model", statleak::bench::cpu_model());
   benchmark::AddCustomContext("mc_kernel_isa", to_string(host_simd_isa()));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

@@ -21,7 +21,8 @@
 /// their multi-second runtimes average the jitter out.
 ///
 /// Output: one JSON document on stdout (machine format for
-/// tools/bench_to_json.py --opt). Human summary on stderr. Single-threaded
+/// tools/bench_to_json.py --opt), with the host's CPU model and vCPU count.
+/// Human summary on stderr. Single-threaded
 /// by design — the thread dimension is covered by the invariance tests;
 /// throughput here isolates the layout.
 
@@ -29,6 +30,7 @@
 #include <cstdio>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -158,6 +160,8 @@ int main(int argc, char** argv) {
   std::printf("  \"build_type\": \"debug\",\n");
 #endif
   std::printf("  \"threads\": 1,\n");
+  std::printf("  \"cpu_model\": \"%s\",\n", bench::cpu_model().c_str());
+  std::printf("  \"vcpus\": %u,\n", std::thread::hardware_concurrency());
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const Entry& e = entries[i];

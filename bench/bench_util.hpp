@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <fstream>
 #include <iostream>
 #include <string>
 
@@ -30,6 +31,18 @@ inline void print_header(const std::string& experiment_id,
             << description << " ===\n"
             << "    (Srivastava/Sylvester/Blaauw, DAC 2004 reproduction; "
                "generic-100nm node)\n\n";
+}
+
+/// The CPU model string of /proc/cpuinfo, or "unknown" off Linux.
+inline std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos) return line.substr(colon + 2);
+  }
+  return "unknown";
 }
 
 }  // namespace statleak::bench

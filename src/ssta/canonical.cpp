@@ -18,15 +18,6 @@ double Canonical::quantile(double p) const {
   return normal_quantile(p, mean, sigma());
 }
 
-Canonical Canonical::sum(const Canonical& a, const Canonical& b) {
-  Canonical out;
-  out.mean = a.mean + b.mean;
-  out.gl = a.gl + b.gl;
-  out.gv = a.gv + b.gv;
-  out.loc = std::sqrt(a.loc * a.loc + b.loc * b.loc);
-  return out;
-}
-
 Canonical Canonical::max(const Canonical& a, const Canonical& b,
                          double* tightness_out) {
   const double var_a = a.variance();

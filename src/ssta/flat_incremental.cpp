@@ -24,49 +24,67 @@ bool same_bits(double a, double b) {
 FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
                                const VariationModel& var)
     : circuit_(circuit), lib_(lib), var_(var), loads_(circuit, lib),
-      flat_(FlatCircuit::build(circuit)) {
+      flat_(FlatCircuit::build(circuit)), topo_(circuit.topo_order()) {
   var_.validate();
-  const std::size_t n = circuit_.num_gates();
-  const auto topo = circuit_.topo_order();
-  topo_.assign(topo.begin(), topo.end());
-  pos_.resize(n);
-  for (std::uint32_t p = 0; p < n; ++p) pos_[flat_.topo[p]] = p;
-  is_output_.assign(n, 0);
+  const auto n = static_cast<std::uint32_t>(circuit_.num_gates());
+  rank_.resize(n);
+  for (std::uint32_t r = 0; r < n; ++r) rank_[topo_[r]] = r;
+  num_inputs_ = static_cast<std::uint32_t>(circuit_.inputs().size());
+
+  // Rank-space CSR. Every walk relies on two facts checked here once: the
+  // inputs are exactly the leading ranks, and every other gate has fanins.
+  fanin_offset_.assign(n + 1, 0);
+  fanout_offset_.assign(n + 1, 0);
+  fanin_.reserve(flat_.fanin.size());
+  fanout_.reserve(flat_.fanout.size());
   std::uint32_t max_degree = 1;
-  for (GateId id = 0; id < n; ++id) {
-    max_degree = std::max(
-        max_degree, flat_.fanin_offset[id + 1] - flat_.fanin_offset[id]);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    const GateId id = topo_[r];
+    const auto fins = flat_.fanins_of(id);
+    STATLEAK_CHECK((r < num_inputs_) == (flat_.is_input[id] != 0),
+                   "primary inputs must lead the topological order");
+    STATLEAK_CHECK(r < num_inputs_ || !fins.empty(), "max of nothing");
+    for (GateId f : fins) fanin_.push_back(rank_[f]);
+    for (GateId f : flat_.fanouts_of(id)) fanout_.push_back(rank_[f]);
+    fanin_offset_[r + 1] = static_cast<std::uint32_t>(fanin_.size());
+    fanout_offset_[r + 1] = static_cast<std::uint32_t>(fanout_.size());
+    max_degree =
+        std::max(max_degree, static_cast<std::uint32_t>(fins.size()));
   }
-  for (GateId out : flat_.outputs) is_output_[out] = 1;
-  // Consumer edges in the scatter's order: consumers by decreasing topo_
-  // position, each consumer's pins ascending.
+  // Consumer edges in the scatter's order: consumers by decreasing rank,
+  // each consumer's pins ascending.
   cons_offset_.assign(n + 1, 0);
-  for (GateId f : flat_.fanin) ++cons_offset_[f + 1];
-  for (std::size_t g = 0; g < n; ++g) cons_offset_[g + 1] += cons_offset_[g];
-  cons_.resize(flat_.fanin.size());
+  for (std::uint32_t f : fanin_) ++cons_offset_[f + 1];
+  for (std::uint32_t r = 0; r < n; ++r) cons_offset_[r + 1] += cons_offset_[r];
+  cons_.resize(fanin_.size());
   {
     std::vector<std::uint32_t> cursor(cons_offset_.begin(),
                                       cons_offset_.end() - 1);
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-      for (std::uint32_t slot = flat_.fanin_offset[*it];
-           slot < flat_.fanin_offset[*it + 1]; ++slot) {
-        cons_[cursor[flat_.fanin[slot]]++] = {*it, slot};
+    for (std::uint32_t r = n; r-- > 0;) {
+      for (std::uint32_t slot = fanin_offset_[r]; slot < fanin_offset_[r + 1];
+           ++slot) {
+        cons_[cursor[fanin_[slot]]++] = {r, slot};
       }
     }
   }
-  state_.arrival.assign(n, Canonical{});
+  const std::size_t m = flat_.outputs.size();
+  out_index_.assign(n, kNone);
+  out_rank_.resize(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    out_rank_[i] = rank_[flat_.outputs[i]];
+    out_index_[out_rank_[i]] = static_cast<std::uint32_t>(i);
+  }
+
+  arrival_.assign(n, Canonical{});
+  crit_.assign(n, 0.0);
   state_.criticality.assign(n, 0.0);
-  win_.assign(flat_.fanin.size(), 0.0);
+  win_.assign(fanin_.size(), 0.0);
   own_delay_.assign(n, Canonical{});
-  for (GateId id = 0; id < n; ++id) refresh_own_delay(id);
+  for (std::uint32_t r = 0; r < n; ++r) refresh_own_delay(r);
   dirty_.assign((n + 63) / 64, 0);
   touched_.assign(n, 0);
   weights_scratch_.resize(max_degree);
-  const std::size_t m = flat_.outputs.size();
-  out_pos_.assign(n, 0);
-  for (std::size_t i = 0; i < m; ++i) {
-    out_pos_[flat_.outputs[i]] = static_cast<std::uint32_t>(i);
-  }
+  out_arrival_.assign(m, Canonical{});
   out_prefix_.assign(m, Canonical{});
   out_tight_.assign(m, 1.0);
   sink_weights_.assign(m, 0.0);
@@ -80,56 +98,56 @@ Canonical FlatSstaEngine::gate_delay(GateId id) const {
                               loads_.load_ff(id));
 }
 
-void FlatSstaEngine::refresh_own_delay(GateId id) const {
-  own_delay_[id] = gate_delay(id);
+void FlatSstaEngine::refresh_own_delay(std::uint32_t r) const {
+  own_delay_[r] = gate_delay(topo_[r]);
 }
 
-void FlatSstaEngine::log_own_delay(GateId id) const {
-  if ((touched_[id] & 4) != 0) return;
-  touched_[id] = static_cast<char>(touched_[id] | 4);
-  touched_list_.push_back(id);
-  delay_undo_.push_back({id, own_delay_[id]});
+void FlatSstaEngine::log_own_delay(std::uint32_t r) const {
+  if ((touched_[r] & 4) != 0) return;
+  touched_[r] = static_cast<char>(touched_[r] | 4);
+  touched_list_.push_back(r);
+  delay_undo_.push_back({r, own_delay_[r]});
 }
 
 // ------------------------------------------------------- notifications ----
 
-void FlatSstaEngine::mark_dirty(GateId id) {
-  if (!is_dirty(id)) {
-    set_dirty(id);
-    pending_.push_back(id);
+void FlatSstaEngine::mark_dirty(std::uint32_t r) {
+  if (!is_dirty(r)) {
+    set_dirty(r);
+    pending_.push_back(r);
   }
 }
 
 void FlatSstaEngine::on_resize(GateId id) {
-  const auto drivers = flat_.fanins_of(id);
+  const std::uint32_t r = rank_[id];
+  const auto drivers = fanins(r);
   if (trial_active_) {
-    for (GateId driver : drivers) {
-      if ((touched_[driver] & 2) == 0) {
-        touched_[driver] = static_cast<char>(touched_[driver] | 2);
-        touched_list_.push_back(driver);
-        load_undo_.push_back({driver, loads_.load_ff(driver)});
+    for (std::uint32_t d : drivers) {
+      if ((touched_[d] & 2) == 0) {
+        touched_[d] = static_cast<char>(touched_[d] | 2);
+        touched_list_.push_back(d);
+        load_undo_.push_back({topo_[d], loads_.load_ff(topo_[d])});
       }
     }
-    log_own_delay(id);
-    for (GateId driver : drivers) log_own_delay(driver);
+    log_own_delay(r);
+    for (std::uint32_t d : drivers) log_own_delay(d);
   }
   loads_.on_resize(id);
-  refresh_own_delay(id);
-  for (GateId driver : drivers) refresh_own_delay(driver);
-  mark_dirty(id);
-  for (GateId driver : drivers) mark_dirty(driver);
+  refresh_own_delay(r);
+  for (std::uint32_t d : drivers) refresh_own_delay(d);
+  mark_dirty(r);
+  for (std::uint32_t d : drivers) mark_dirty(d);
 }
 
 void FlatSstaEngine::on_vth_change(GateId id) {
-  if (trial_active_) log_own_delay(id);
-  refresh_own_delay(id);
-  mark_dirty(id);
+  const std::uint32_t r = rank_[id];
+  if (trial_active_) log_own_delay(r);
+  refresh_own_delay(r);
+  mark_dirty(r);
 }
 
 void FlatSstaEngine::clear_pending() const {
-  for (GateId id : pending_) {
-    dirty_[pos_[id] >> 6] &= ~(std::uint64_t{1} << (pos_[id] & 63));
-  }
+  for (std::uint32_t r : pending_) clear_dirty(r);
   pending_.clear();
 }
 
@@ -138,11 +156,16 @@ void FlatSstaEngine::clear_pending() const {
 void FlatSstaEngine::begin_trial() {
   STATLEAK_CHECK(!trial_active_, "trials do not nest");
   trial_active_ = true;
-  trial_lost_baseline_ = false;
+  // A cone that overflowed the log last time will most likely overflow it
+  // again: start with the baseline lost (same rollback as an overflow).
+  trial_lost_baseline_ = last_trial_writes_ > trial_log_cap_;
+  trial_writes_ = 0;
+  if (obs_ != nullptr) {
+    obs_->add("ssta.unlogged_trials", trial_lost_baseline_ ? 1.0 : 0.0);
+  }
   trial_primed_ = primed_;
   trial_pending_ = pending_;
   trial_out_max_ = state_.circuit_delay;
-  trial_sink_weights_ = sink_weights_;
   trial_crit_primed_ = crit_primed_;
   trial_crit_overwritten_ = false;
   trial_crit_seeds_ = crit_seeds_.size();
@@ -157,7 +180,8 @@ void FlatSstaEngine::commit_trial() {
   trial_active_ = false;
   trial_lost_baseline_ = false;
   trial_chain_saved_ = false;
-  for (GateId id : touched_list_) touched_[id] = 0;
+  last_trial_writes_ = trial_writes_;
+  for (std::uint32_t r : touched_list_) touched_[r] = 0;
   touched_list_.clear();
   arrival_undo_.clear();
   win_undo_.clear();
@@ -169,39 +193,46 @@ void FlatSstaEngine::commit_trial() {
 void FlatSstaEngine::rollback_trial() {
   STATLEAK_CHECK(trial_active_, "no trial to roll back");
   trial_active_ = false;
+  last_trial_writes_ = trial_writes_;
   for (const LoadUndo& u : load_undo_) loads_.restore_load(u.id, u.load_ff);
   // Own delays are cached eagerly at notification time, so they are
   // restored regardless of whether a full pass ran during the trial (the
   // next full pass reuses the cache; it must hold pre-trial bits).
-  for (const DelayUndo& u : delay_undo_) own_delay_[u.id] = u.delay;
+  for (const DelayUndo& u : delay_undo_) own_delay_[u.rank] = u.delay;
   if (trial_lost_baseline_) {
-    // A full pass ran inside the trial; the arrival log does not reach back
-    // to the pre-trial state. Drop the cache — the next query recomputes
-    // from the (caller-restored) circuit, which is exact by construction.
+    // A full pass ran inside the trial, or the log did not cover its cone;
+    // either way it does not reach back to the pre-trial state. Drop the
+    // cache — the next query recomputes from the (caller-restored) circuit,
+    // which is exact by construction.
     primed_ = false;
     crit_primed_ = false;
   } else {
     primed_ = trial_primed_;
     for (const ArrivalUndo& u : arrival_undo_) {
-      state_.arrival[u.id] = u.arrival;
-      const std::uint32_t off = flat_.fanin_offset[u.id];
-      const std::uint32_t len = flat_.fanin_offset[u.id + 1] - off;
+      arrival_[u.rank] = u.arrival;
+      if (out_index_[u.rank] != kNone) {
+        out_arrival_[out_index_[u.rank]] = u.arrival;
+      }
+      const std::uint32_t off = fanin_offset_[u.rank];
+      const std::uint32_t len = fanin_offset_[u.rank + 1] - off;
       std::copy_n(win_undo_.begin() + u.win_off, len, win_.begin() + off);
     }
     state_.circuit_delay = trial_out_max_;
-    sink_weights_ = std::move(trial_sink_weights_);
     // Output chain: if a replay ran during the trial, the prefix and
     // tightness arrays were snapshotted just before the first overwrite —
     // swap the pre-trial bits back. Otherwise the arrays were never
     // touched, and restoring the arrivals above already re-validated them.
-    // The dirty window and lazy-weights flag roll back unconditionally.
+    // The dirty window rolls back unconditionally. The sink weights are a
+    // function of the tightness array: they can only have been rewritten
+    // if they were stale at begin or a replay ran, and then the next
+    // refresh rebuilds them from the restored tightness, same bits.
     if (trial_chain_saved_) {
       std::swap(out_prefix_, trial_out_prefix_);
       std::swap(out_tight_, trial_out_tight_);
     }
     out_dirty_min_ = trial_out_dirty_min_;
     out_dirty_max_ = trial_out_dirty_max_;
-    weights_stale_ = trial_weights_stale_;
+    weights_stale_ = trial_weights_stale_ || trial_chain_saved_;
     // The win restore is bitwise, so criticality built before the trial,
     // together with the seeds recorded before it, is still exact — keep it
     // unless an analyze during the trial rebuilt the array.
@@ -211,8 +242,8 @@ void FlatSstaEngine::rollback_trial() {
     }
   }
   clear_pending();
-  for (GateId id : trial_pending_) mark_dirty(id);
-  for (GateId id : touched_list_) touched_[id] = 0;
+  for (std::uint32_t r : trial_pending_) mark_dirty(r);
+  for (std::uint32_t r : touched_list_) touched_[r] = 0;
   touched_list_.clear();
   arrival_undo_.clear();
   win_undo_.clear();
@@ -221,13 +252,11 @@ void FlatSstaEngine::rollback_trial() {
   trial_pending_.clear();
   trial_lost_baseline_ = false;
   trial_chain_saved_ = false;
-  trial_sink_weights_.clear();
 }
 
-void FlatSstaEngine::log_arrival(GateId id) const {
-  if (!trial_active_ || trial_lost_baseline_ || (touched_[id] & 1) != 0) {
-    return;
-  }
+void FlatSstaEngine::log_arrival(std::uint32_t r) const {
+  ++trial_writes_;
+  if (trial_lost_baseline_ || (touched_[r] & 1) != 0) return;
   // A cone past the cap covers a constant fraction of the circuit: give up
   // on entry-by-entry restore (a rollback reprimes with a full pass, same
   // bits) rather than keep paying the log tax on a trial that will most
@@ -237,29 +266,23 @@ void FlatSstaEngine::log_arrival(GateId id) const {
     trial_lost_baseline_ = true;
     return;
   }
-  touched_[id] = static_cast<char>(touched_[id] | 1);
-  touched_list_.push_back(id);
+  touched_[r] = static_cast<char>(touched_[r] | 1);
+  touched_list_.push_back(r);
   arrival_undo_.push_back(
-      {id, state_.arrival[id], static_cast<std::uint32_t>(win_undo_.size())});
-  const std::uint32_t off = flat_.fanin_offset[id];
-  const std::uint32_t end = flat_.fanin_offset[id + 1];
+      {r, static_cast<std::uint32_t>(win_undo_.size()), arrival_[r]});
+  const std::uint32_t off = fanin_offset_[r];
+  const std::uint32_t end = fanin_offset_[r + 1];
   win_undo_.insert(win_undo_.end(), win_.begin() + off, win_.begin() + end);
 }
 
 // ------------------------------------------------------------ retiming ----
 
-bool FlatSstaEngine::retime_gate(GateId id) const {
-  // An input's arrival is the all-zero canonical forever: retiming one can
-  // never change state, so the cone stops immediately (bit-equivalent to
-  // folding nothing and storing the same zero back).
-  if (flat_.is_input[id]) return false;
-  const std::uint32_t off = flat_.fanin_offset[id];
-  const std::uint32_t deg = flat_.fanin_offset[id + 1] - off;
-  STATLEAK_CHECK(deg > 0, "max of nothing");
-  const Canonical* STATLEAK_RESTRICT arr = state_.arrival.data();
-  const GateId* STATLEAK_RESTRICT fin = flat_.fanin.data() + off;
-  double* STATLEAK_RESTRICT w = weights_scratch_.data();
-  Canonical fresh;
+Canonical FlatSstaEngine::fold_fanins(std::uint32_t r,
+                                      double* STATLEAK_RESTRICT w) const {
+  const std::uint32_t off = fanin_offset_[r];
+  const std::uint32_t deg = fanin_offset_[r + 1] - off;
+  const Canonical* STATLEAK_RESTRICT arr = arrival_.data();
+  const std::uint32_t* STATLEAK_RESTRICT fin = fanin_.data() + off;
   if (deg == 2) {
     // Dominant shape in mapped logic: a single saturating binary max, no
     // operand gather. The chain's weight algebra collapses to
@@ -267,21 +290,26 @@ bool FlatSstaEngine::retime_gate(GateId id) const {
     double tight = 1.0;
     const Canonical in_max =
         canonical_max_saturating(arr[fin[0]], arr[fin[1]], &tight);
-    fresh = Canonical::sum(in_max, own_delay_[id]);
     w[0] = tight;
     w[1] = 1.0 - tight;
-  } else if (deg == 1) {
-    fresh = Canonical::sum(arr[fin[0]], own_delay_[id]);
-    w[0] = 1.0;
-  } else {
-    operands_.clear();
-    for (std::uint32_t k = 0; k < deg; ++k) {
-      operands_.push_back(arr[fin[k]]);
-    }
-    const Canonical in_max = clark_max_chain_saturating(operands_, w);
-    fresh = Canonical::sum(in_max, own_delay_[id]);
+    return Canonical::sum(in_max, own_delay_[r]);
   }
-  const bool changed = !same_canonical(fresh, state_.arrival[id]);
+  if (deg == 1) {
+    w[0] = 1.0;
+    return Canonical::sum(arr[fin[0]], own_delay_[r]);
+  }
+  operands_.clear();
+  for (std::uint32_t k = 0; k < deg; ++k) operands_.push_back(arr[fin[k]]);
+  return Canonical::sum(clark_max_chain_saturating(operands_, w),
+                        own_delay_[r]);
+}
+
+bool FlatSstaEngine::retime_gate(std::uint32_t r) const {
+  double* STATLEAK_RESTRICT w = weights_scratch_.data();
+  const Canonical fresh = fold_fanins(r, w);
+  const std::uint32_t off = fanin_offset_[r];
+  const std::uint32_t deg = fanin_offset_[r + 1] - off;
+  const bool changed = !same_canonical(fresh, arrival_[r]);
   bool weights_changed = false;
   for (std::uint32_t k = 0; k < deg; ++k) {
     if (w[k] != win_[off + k]) {
@@ -291,16 +319,16 @@ bool FlatSstaEngine::retime_gate(GateId id) const {
   }
   // Nothing moved: skip the undo log and the (bit-identical) writeback.
   if (!changed && !weights_changed) return false;
-  if (weights_changed) crit_seeds_.push_back(id);
-  log_arrival(id);
-  state_.arrival[id] = fresh;
+  if (weights_changed) crit_seeds_.push_back(r);
+  if (trial_active_) log_arrival(r);
+  arrival_[r] = fresh;
   for (std::uint32_t k = 0; k < deg; ++k) win_[off + k] = w[k];
   return changed;
 }
 
 void FlatSstaEngine::replay_output_chain() const {
   if (out_dirty_min_ > out_dirty_max_) return;  // nothing pending
-  const std::size_t m = flat_.outputs.size();
+  const std::size_t m = out_arrival_.size();
   if (trial_active_ && !trial_lost_baseline_ && !trial_chain_saved_) {
     trial_out_prefix_ = out_prefix_;
     trial_out_tight_ = out_tight_;
@@ -309,13 +337,13 @@ void FlatSstaEngine::replay_output_chain() const {
   const std::uint32_t last_dirty = out_dirty_max_;
   std::uint32_t i = out_dirty_min_;
   if (i == 0) {
-    out_prefix_[0] = state_.arrival[flat_.outputs[0]];
+    out_prefix_[0] = out_arrival_[0];
     i = 1;
   }
   for (; i < m; ++i) {
     double tight = 1.0;
-    const Canonical next = canonical_max_saturating(
-        out_prefix_[i - 1], state_.arrival[flat_.outputs[i]], &tight);
+    const Canonical next =
+        canonical_max_saturating(out_prefix_[i - 1], out_arrival_[i], &tight);
     // Past the dirty window only the running prefix can differ; once it
     // re-converges bitwise (tightness included) the cached suffix is exact.
     if (i > last_dirty && tight == out_tight_[i] &&
@@ -327,7 +355,7 @@ void FlatSstaEngine::replay_output_chain() const {
   }
   state_.circuit_delay = out_prefix_[m - 1];
   weights_stale_ = true;
-  out_dirty_min_ = kNoDirty;
+  out_dirty_min_ = kNone;
   out_dirty_max_ = 0;
 }
 
@@ -338,7 +366,7 @@ void FlatSstaEngine::refresh_sink_weights() const {
   // and weights[i] = 1.0 - tight_i. Re-running that recurrence from the
   // cached per-step tightness reproduces every bit; rows with tightness
   // exactly 1.0 are identity rescales (x * 1.0 == x) and are skipped.
-  const std::size_t m = flat_.outputs.size();
+  const std::size_t m = out_arrival_.size();
   double* STATLEAK_RESTRICT w = sink_weights_.data();
   w[0] = 1.0;
   for (std::size_t i = 1; i < m; ++i) {
@@ -355,23 +383,16 @@ void FlatSstaEngine::refresh_sink_weights() const {
 void FlatSstaEngine::full_pass() const {
   if (trial_active_) trial_lost_baseline_ = true;
   if (obs_ != nullptr) obs_->add("ssta.flat_full_passes", 1.0);
-  const std::size_t n = circuit_.num_gates();
-  state_.arrival.assign(n, Canonical{});
-  for (GateId id : topo_) {
-    if (flat_.is_input[id]) continue;
-    const std::uint32_t off = flat_.fanin_offset[id];
-    const std::uint32_t deg = flat_.fanin_offset[id + 1] - off;
-    STATLEAK_CHECK(deg > 0, "max of nothing");
-    operands_.clear();
-    for (std::uint32_t k = 0; k < deg; ++k) {
-      operands_.push_back(state_.arrival[flat_.fanin[off + k]]);
-    }
-    const Canonical in_max =
-        clark_max_chain_saturating(operands_, win_.data() + off);
-    state_.arrival[id] = Canonical::sum(in_max, own_delay_[id]);
+  // Input arrivals (the leading ranks) are the zero canonical forever.
+  const auto n = static_cast<std::uint32_t>(arrival_.size());
+  for (std::uint32_t r = num_inputs_; r < n; ++r) {
+    arrival_[r] = fold_fanins(r, win_.data() + fanin_offset_[r]);
+  }
+  for (std::size_t i = 0; i < out_rank_.size(); ++i) {
+    out_arrival_[i] = arrival_[out_rank_[i]];
   }
   out_dirty_min_ = 0;
-  out_dirty_max_ = static_cast<std::uint32_t>(flat_.outputs.size()) - 1;
+  out_dirty_max_ = static_cast<std::uint32_t>(out_rank_.size()) - 1;
   replay_output_chain();
   clear_pending();
   primed_ = true;
@@ -388,34 +409,41 @@ void FlatSstaEngine::flush() const {
   }
   if (obs_ != nullptr) obs_->add("ssta.flat_incremental_passes", 1.0);
 
-  // Levelized cone propagation: a gate is recomputed only after all of its
-  // recomputed fanins — the same order a full forward pass visits them.
-  // Dirty bits are walked upward by topo position; a fanout always sets a
-  // higher bit, so it is visited after the gate that marked it.
+  // Cone propagation in rank order: a gate is recomputed only after all of
+  // its recomputed fanins. Dirty bits are walked upward by rank; a fanout
+  // always sets a higher bit, so it is visited after the gate that marked
+  // it. An input's arrival is the zero canonical forever, so a dirty input
+  // (the driver of a resized gate) is counted as visited and dropped here:
+  // only pending_ can hold one, since no gate has an input as a fanout.
+  std::int64_t retimed = 0;
   std::size_t lo = dirty_.size();
   std::size_t hi = 0;
-  for (GateId id : pending_) {
-    lo = std::min<std::size_t>(lo, pos_[id] >> 6);
-    hi = std::max<std::size_t>(hi, pos_[id] >> 6);
+  for (std::uint32_t r : pending_) {
+    if (r < num_inputs_) {
+      clear_dirty(r);
+      ++retimed;
+      continue;
+    }
+    lo = std::min<std::size_t>(lo, r >> 6);
+    hi = std::max<std::size_t>(hi, r >> 6);
   }
   pending_.clear();
 
-  std::int64_t retimed = 0;
   for (std::size_t w = lo; w <= hi; ++w) {
     while (dirty_[w] != 0) {
       const int bit = std::countr_zero(dirty_[w]);
       dirty_[w] &= dirty_[w] - 1;
-      const GateId id = flat_.topo[(w << 6) + static_cast<std::size_t>(bit)];
+      const auto r = static_cast<std::uint32_t>((w << 6) + bit);
       ++retimed;
       // Bit-identical arrival: the cone stops here.
-      if (!retime_gate(id)) continue;
-      if (is_output_[id] != 0) {
-        out_dirty_min_ = std::min(out_dirty_min_, out_pos_[id]);
-        out_dirty_max_ = std::max(out_dirty_max_, out_pos_[id]);
+      if (!retime_gate(r)) continue;
+      const std::uint32_t oi = out_index_[r];
+      if (oi != kNone) {
+        out_arrival_[oi] = arrival_[r];
+        out_dirty_min_ = std::min(out_dirty_min_, oi);
+        out_dirty_max_ = std::max(out_dirty_max_, oi);
       }
-      for (GateId fo : flat_.fanouts_of(id)) {
-        hi = std::max(hi, set_dirty(fo));
-      }
+      for (std::uint32_t fo : fanouts(r)) hi = std::max(hi, set_dirty(fo));
     }
   }
 
@@ -455,23 +483,26 @@ void FlatSstaEngine::refresh_criticality() const {
 void FlatSstaEngine::scatter_criticality() const {
   if (trial_active_) trial_crit_overwritten_ = true;
   if (obs_ != nullptr) obs_->add("ssta.crit_full_passes", 1.0);
-  const std::size_t n = circuit_.num_gates();
-  state_.criticality.assign(n, 0.0);
-  for (std::size_t i = 0; i < flat_.outputs.size(); ++i) {
-    state_.criticality[flat_.outputs[i]] += sink_weights_[i];
+  const auto n = static_cast<std::uint32_t>(crit_.size());
+  std::fill(crit_.begin(), crit_.end(), 0.0);
+  double* STATLEAK_RESTRICT crit = crit_.data();
+  for (std::size_t i = 0; i < out_rank_.size(); ++i) {
+    crit[out_rank_[i]] += sink_weights_[i];
   }
-  for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-    const GateId id = *it;
-    if (flat_.is_input[id] || state_.criticality[id] == 0.0) continue;
-    const std::uint32_t off = flat_.fanin_offset[id];
-    const std::uint32_t deg = flat_.fanin_offset[id + 1] - off;
-    const double crit = state_.criticality[id];
+  // A rank's value is final once the loop reaches it (its consumers all
+  // have higher ranks), so it is published right there.
+  double* STATLEAK_RESTRICT published = state_.criticality.data();
+  for (std::uint32_t r = n; r-- > num_inputs_;) {
+    const double c = crit[r];
+    published[topo_[r]] = c;
+    if (c == 0.0) continue;
+    const std::uint32_t off = fanin_offset_[r];
+    const std::uint32_t deg = fanin_offset_[r + 1] - off;
     const double* STATLEAK_RESTRICT w = win_.data() + off;
-    const GateId* STATLEAK_RESTRICT f = flat_.fanin.data() + off;
-    for (std::uint32_t pin = 0; pin < deg; ++pin) {
-      state_.criticality[f[pin]] += crit * w[pin];
-    }
+    const std::uint32_t* STATLEAK_RESTRICT f = fanin_.data() + off;
+    for (std::uint32_t pin = 0; pin < deg; ++pin) crit[f[pin]] += c * w[pin];
   }
+  for (std::uint32_t r = 0; r < num_inputs_; ++r) published[topo_[r]] = crit[r];
   crit_sink_ = sink_weights_;
   crit_seeds_.clear();
   crit_primed_ = true;
@@ -481,43 +512,44 @@ void FlatSstaEngine::walk_criticality() const {
   if (trial_active_) trial_crit_overwritten_ = true;
   std::size_t lo = dirty_.size();
   std::size_t hi = 0;
-  const auto mark = [&](GateId id) {
-    const std::size_t w = set_dirty(id);
+  const auto mark = [&](std::uint32_t r) {
+    const std::size_t w = set_dirty(r);
     lo = std::min(lo, w);
     hi = std::max(hi, w);
   };
-  for (GateId id : crit_seeds_) {
-    for (GateId f : flat_.fanins_of(id)) mark(f);
+  for (std::uint32_t r : crit_seeds_) {
+    for (std::uint32_t f : fanins(r)) mark(f);
   }
   crit_seeds_.clear();
   for (std::size_t i = 0; i < sink_weights_.size(); ++i) {
     if (same_bits(sink_weights_[i], crit_sink_[i])) continue;
     crit_sink_[i] = sink_weights_[i];
-    mark(flat_.outputs[i]);
+    mark(out_rank_[i]);
   }
 
-  // Deepest level first: every consumer of a gate sits at a higher topo
-  // position, so its criticality is final when the gate is recomputed.
-  double* STATLEAK_RESTRICT crit = state_.criticality.data();
+  // Deepest rank first: every consumer of a gate has a higher rank, so its
+  // criticality is final when the gate is recomputed.
+  double* STATLEAK_RESTRICT crit = crit_.data();
+  double* STATLEAK_RESTRICT published = state_.criticality.data();
   const double* STATLEAK_RESTRICT win = win_.data();
   std::int64_t updates = 0;
   for (std::size_t w = hi + 1; w-- > lo;) {
     while (dirty_[w] != 0) {
       const int bit = 63 - std::countl_zero(dirty_[w]);
       dirty_[w] &= ~(std::uint64_t{1} << bit);
-      const GateId id = flat_.topo[(w << 6) + static_cast<std::size_t>(bit)];
+      const auto r = static_cast<std::uint32_t>((w << 6) + bit);
       ++updates;
       // The scatter's addition sequence for this gate, in gather form.
       double sum = 0.0;
-      if (is_output_[id] != 0) sum += sink_weights_[out_pos_[id]];
-      for (std::uint32_t e = cons_offset_[id]; e < cons_offset_[id + 1];
-           ++e) {
-        const double c = crit[cons_[e].gate];
+      if (out_index_[r] != kNone) sum += sink_weights_[out_index_[r]];
+      for (std::uint32_t e = cons_offset_[r]; e < cons_offset_[r + 1]; ++e) {
+        const double c = crit[cons_[e].rank];
         if (c != 0.0) sum += c * win[cons_[e].slot];
       }
-      if (same_bits(sum, crit[id])) continue;  // the walk stops here
-      crit[id] = sum;
-      for (GateId f : flat_.fanins_of(id)) mark(f);
+      if (same_bits(sum, crit[r])) continue;  // the walk stops here
+      crit[r] = sum;
+      published[topo_[r]] = sum;
+      for (std::uint32_t f : fanins(r)) mark(f);
     }
   }
   if (obs_ != nullptr) {
@@ -535,7 +567,14 @@ const SstaResult& FlatSstaEngine::analyze_ref() const {
   return state_;
 }
 
-SstaResult FlatSstaEngine::analyze() const { return analyze_ref(); }
+SstaResult FlatSstaEngine::analyze() const {
+  SstaResult result = analyze_ref();
+  result.arrival.resize(arrival_.size());
+  for (std::size_t r = 0; r < arrival_.size(); ++r) {
+    result.arrival[topo_[r]] = arrival_[r];
+  }
+  return result;
+}
 
 Canonical FlatSstaEngine::circuit_delay() const {
   if (obs_ != nullptr) obs_->add("ssta.forward_passes", 1.0);

@@ -29,9 +29,26 @@
 /// engine only reads the circuit). commit_trial() keeps the new state and
 /// drops the log.
 ///
-/// Layout: the engine walks the FlatCircuit CSR adjacency and stores every
-/// per-fanin win weight in one flat array aligned with the CSR fanin slots,
+/// Layout: every per-gate array is indexed by topo rank, the gate's
+/// position in Circuit::topo_order(): arrivals, own delays, criticality,
+/// the dirty bitset and the undo logs. The fanin, fanout and consumer-edge
+/// CSR arrays are stored in rank space too, as ranks, and every per-fanin
+/// win weight sits in one flat array aligned with the rank-CSR fanin slots,
 /// so a trial undo entry is a memcpy of a fixed slice, never an allocation.
+/// A fanin always has a lower rank than its gate, so the cone retime, the
+/// full pass, the criticality scatter and the criticality walk all stream
+/// through memory in rank order. The primary inputs are the leading ranks
+/// (Kahn's order starts with the fanin-free gates, and only inputs have no
+/// fanins); the constructor checks that once, so no walk tests a gate for
+/// being an input or for having fanins. The output arrivals also live in
+/// one contiguous array in output order, written by the retime and restored
+/// by a rollback, so the output chain replay streams as well.
+///
+/// GateIds appear only at the API edge: on_resize() and on_vth_change() map
+/// an id to its rank, analyze() alone materialises arrivals by GateId, and
+/// the criticality the optimizer reads is published by GateId (the scatter
+/// publishes every entry, a walk only the entries it rewrote). flat() is
+/// the by-id FlatCircuit snapshot the rank arrays were built from.
 ///
 /// Own-delay cache: only the moved gate and its fanin drivers change delay
 /// on a move, so the engine recomputes the canonical own delay eagerly at
@@ -54,30 +71,41 @@
 /// expression shapes, and tightness values are identical — only redundant
 /// work is elided.
 ///
-/// Dirty sets: both walks keep their dirty gates in one bitset over
-/// positions in flat_.topo, which is level-major. The cone retime walks it
-/// upward (a fanout always sits at a higher position); the criticality walk
-/// walks it downward (a fanin always sits at a lower one).
+/// Dirty sets: both walks keep their dirty gates in one bitset over ranks.
+/// The cone retime walks it upward (a fanout always has a higher rank); the
+/// criticality walk walks it downward (a fanin always has a lower one). Any
+/// topological order visits the same dirty set and computes each gate from
+/// final operands, so the walk order decides no bit and no counter.
+///
+/// Undo log per trial: a trial starts without one when the previous trial
+/// wrote more arrivals than trial_log_cap() (its log overflowed, or would
+/// have). Such a trial has lost its baseline from the start, so its
+/// rollback reprimes with a full pass, exactly like a trial that overflows
+/// the log on its own; it just skips logging a cone that is most likely too
+/// big to restore entry by entry anyway.
 ///
 /// Incremental criticality: the reference builds criticality with a
-/// scatter over the *original* circuit topo order, and that order decides
-/// the bits. For any one gate the scatter's sum is a fixed sequence: 0.0,
-/// then its sink weight if it is an output, then crit[c] * win[slot] for
-/// each consumer edge, consumers in decreasing topo position, pins
-/// ascending, consumers of criticality 0 skipped. The engine stores those
-/// consumer edges per gate in that order, so a gather over them reproduces
-/// the scatter's bits. Criticality depends only on the win weights and the
-/// sink weights, so after a retime the values that can move are the fanins
-/// of gates whose win weights changed (recorded by the retime) and the
-/// outputs whose sink weight changed bitwise. The refresh seeds those into
-/// the dirty set and walks it from the deepest level down, stopping where a
-/// recomputed value equals the cached one bitwise. Priming, lost trial
-/// baselines and dense updates (more than n/8 seeds) keep the full scatter,
-/// which is cheaper per gate than the gather.
+/// scatter in reverse Circuit::topo_order() — decreasing rank — and that
+/// order decides the bits. For any one gate the scatter's sum is a fixed
+/// sequence: 0.0, then its sink weight if it is an output, then
+/// crit[c] * win[slot] for each consumer edge, consumers in decreasing
+/// rank, pins ascending, consumers of criticality 0 skipped. The engine
+/// stores those consumer edges per gate in that order, so a gather over
+/// them reproduces the scatter's bits. Criticality depends only on the win
+/// weights and the sink weights, so after a retime the values that can
+/// move are the fanins of gates whose win weights changed (recorded by the
+/// retime) and the outputs whose sink weight changed bitwise. The refresh
+/// seeds those into the dirty set and walks it from the highest rank down,
+/// stopping where a recomputed value equals the cached one bitwise.
+/// Priming, lost trial baselines and dense updates (more than n/8 seeds)
+/// keep the full scatter, which is cheaper per gate than the gather (a
+/// gather over every rank took 1.7x the scatter's time on a 10^5-gate
+/// circuit).
 
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cells/library.hpp"
@@ -92,7 +120,9 @@ namespace statleak {
 
 /// Result of one SSTA pass.
 struct SstaResult {
-  std::vector<Canonical> arrival;  ///< per gate
+  /// Per gate. FlatSstaEngine::analyze() fills it; analyze_ref() leaves it
+  /// empty.
+  std::vector<Canonical> arrival;
   Canonical circuit_delay;         ///< max over primary outputs
   std::vector<double> criticality; ///< per gate, in [0, 1]; sums to ~1 per cut
 
@@ -133,7 +163,9 @@ class FlatSstaEngine {
   /// Caps the per-trial arrival-undo log. A trial whose dirty cone logs
   /// more arrivals than the cap stops logging and marks its baseline lost:
   /// a rollback then reprimes with a full pass (bit-identical to the
-  /// incremental state) instead of restoring entry by entry.
+  /// incremental state) instead of restoring entry by entry. The trial
+  /// after one that wrote more arrivals than the cap starts with its
+  /// baseline already lost and logs nothing.
   /// The full pass is far dearer than the restore it replaces (a Clark MAX
   /// with erfc/exp per gate against a copy per logged entry), so the cap
   /// only bounds the log tax commit-heavy phases pay on huge cones. Default
@@ -147,7 +179,8 @@ class FlatSstaEngine {
   /// under "ssta.analyze_passes" / "ssta.forward_passes" and its work under
   /// "ssta.flat_full_passes" / "ssta.flat_incremental_passes" /
   /// "ssta.flat_cone_gates_retimed" and "ssta.crit_walks" /
-  /// "ssta.crit_full_passes" / "ssta.crit_updates". Phase timers
+  /// "ssta.crit_full_passes" / "ssta.crit_updates", and trials begun
+  /// without an undo log under "ssta.unlogged_trials". Phase timers
   /// "ssta.retime" and "ssta.criticality" time each retime and criticality
   /// refresh call.
   void attach_observer(obs::Registry* registry) { obs_ = registry; }
@@ -156,60 +189,74 @@ class FlatSstaEngine {
   /// definition as the cached value used during retiming).
   Canonical gate_delay(GateId id) const;
 
-  /// Full analysis with criticality (copy).
+  /// Full analysis with criticality and per-gate arrivals (copy).
   SstaResult analyze() const;
-  /// Full analysis with criticality, no copy (the optimizer's view).
+  /// Circuit delay and per-gate criticality, no copy (the optimizer's
+  /// view). The arrival vector is left empty.
   const SstaResult& analyze_ref() const;
   /// Forward-only analysis: circuit-delay canonical without criticality.
   Canonical circuit_delay() const;
 
-  /// The frozen topology snapshot the engine runs on (for callers that
-  /// want to share the CSR arrays, e.g. batched move pricing).
+  /// The by-id topology snapshot the engine's rank arrays were built from
+  /// (for callers that want to share the CSR arrays, e.g. batched move
+  /// pricing).
   const FlatCircuit& flat() const { return flat_; }
 
  private:
   struct ArrivalUndo {
-    GateId id = kInvalidGate;
-    Canonical arrival;
+    std::uint32_t rank = 0;
     std::uint32_t win_off = 0;  ///< into win_undo_; length = fanin count
+    Canonical arrival;
   };
   struct LoadUndo {
     GateId id = kInvalidGate;
     double load_ff = 0.0;
   };
   struct DelayUndo {
-    GateId id = kInvalidGate;
+    std::uint32_t rank = 0;
     Canonical delay;
   };
   struct ConsumerEdge {
-    GateId gate = kInvalidGate;  ///< consumer
-    std::uint32_t slot = 0;      ///< its fanin slot (index into win_)
+    std::uint32_t rank = 0;  ///< consumer
+    std::uint32_t slot = 0;  ///< its fanin slot (index into win_)
   };
 
-  /// Sentinel for out_dirty_min_ when no output arrival is pending replay.
-  static constexpr std::uint32_t kNoDirty = 0xFFFFFFFFu;
+  /// Sentinel for out_dirty_min_ when no output arrival is pending replay,
+  /// and for out_index_ at a gate that is not a primary output.
+  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
-  void mark_dirty(GateId id);
-  void refresh_own_delay(GateId id) const;
-  void log_own_delay(GateId id) const;
+  void mark_dirty(std::uint32_t r);
+  void refresh_own_delay(std::uint32_t r) const;
+  void log_own_delay(std::uint32_t r) const;
   void flush() const;
   void full_pass() const;
-  bool retime_gate(GateId id) const;
+  Canonical fold_fanins(std::uint32_t r, double* w) const;
+  bool retime_gate(std::uint32_t r) const;
   void replay_output_chain() const;
   void refresh_sink_weights() const;
   void refresh_criticality() const;
   void scatter_criticality() const;
   void walk_criticality() const;
-  void log_arrival(GateId id) const;
+  void log_arrival(std::uint32_t r) const;
   void clear_pending() const;
-  bool is_dirty(GateId id) const {
-    return (dirty_[pos_[id] >> 6] >> (pos_[id] & 63) & 1) != 0;
+  std::span<const std::uint32_t> fanins(std::uint32_t r) const {
+    return {fanin_.data() + fanin_offset_[r],
+            fanin_.data() + fanin_offset_[r + 1]};
   }
-  /// Sets `id`'s dirty bit; returns its word index.
-  std::size_t set_dirty(GateId id) const {
-    const std::uint32_t p = pos_[id];
-    dirty_[p >> 6] |= std::uint64_t{1} << (p & 63);
-    return p >> 6;
+  std::span<const std::uint32_t> fanouts(std::uint32_t r) const {
+    return {fanout_.data() + fanout_offset_[r],
+            fanout_.data() + fanout_offset_[r + 1]};
+  }
+  bool is_dirty(std::uint32_t r) const {
+    return (dirty_[r >> 6] >> (r & 63) & 1) != 0;
+  }
+  /// Sets rank `r`'s dirty bit; returns its word index.
+  std::size_t set_dirty(std::uint32_t r) const {
+    dirty_[r >> 6] |= std::uint64_t{1} << (r & 63);
+    return r >> 6;
+  }
+  void clear_dirty(std::uint32_t r) const {
+    dirty_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
   }
 
   const Circuit& circuit_;
@@ -217,49 +264,63 @@ class FlatSstaEngine {
   const VariationModel& var_;
   LoadCache loads_;
   FlatCircuit flat_;
-  /// Original Circuit::topo_order() — NOT flat_.topo (which re-buckets by
-  /// level): the criticality scatter accumulates in traversal order, so
-  /// bit-identity with the reference requires the same order.
-  std::vector<GateId> topo_;
-  std::vector<std::uint32_t> pos_;  ///< gate -> position in flat_.topo
-  std::vector<char> is_output_;     ///< per-gate primary-output flag
-  /// Consumer edges of gate g: cons_[cons_offset_[g] .. cons_offset_[g + 1])
+  /// Circuit::topo_order(): rank -> GateId. The criticality scatter
+  /// accumulates in this order, so bit-identity with the reference rests on
+  /// it.
+  std::span<const GateId> topo_;
+  std::vector<std::uint32_t> rank_;  ///< GateId -> rank
+  /// Ranks [0, num_inputs_) are the primary inputs.
+  std::uint32_t num_inputs_ = 0;
+  /// Rank-space CSR: fanins of rank r are the ranks
+  /// fanin_[fanin_offset_[r] .. fanin_offset_[r + 1]), pin-ordered; fanouts
+  /// likewise.
+  std::vector<std::uint32_t> fanin_offset_;
+  std::vector<std::uint32_t> fanin_;
+  std::vector<std::uint32_t> fanout_offset_;
+  std::vector<std::uint32_t> fanout_;
+  /// Consumer edges of rank r: cons_[cons_offset_[r] .. cons_offset_[r + 1])
   /// in the scatter's addition order (see the file comment).
   std::vector<std::uint32_t> cons_offset_;
   std::vector<ConsumerEdge> cons_;
+  std::vector<std::uint32_t> out_index_;  ///< rank -> output index, or kNone
+  std::vector<std::uint32_t> out_rank_;   ///< output index -> rank
   obs::Registry* obs_ = nullptr;
 
+  /// circuit_delay and the by-GateId criticality; arrival stays empty.
   mutable SstaResult state_;
-  mutable std::vector<double> win_;  ///< CSR win weights (fanin-slot aligned)
-  mutable std::vector<double> sink_weights_;
+  mutable std::vector<Canonical> arrival_;    ///< by rank
   mutable std::vector<Canonical> own_delay_;  ///< cached canonical delays
+  mutable std::vector<double> win_;  ///< CSR win weights (fanin-slot aligned)
+  mutable std::vector<double> crit_;  ///< by rank
+  mutable std::vector<double> sink_weights_;
   mutable bool primed_ = false;
   mutable bool crit_primed_ = false;
 
-  // Output-max replay chain: out_prefix_[i] is the running Clark-chain
-  // value after folding outputs[0..i], out_tight_[i] the tightness of the
-  // fold step that consumed outputs[i] (index 0 unused). The inclusive
-  // dirty window [out_dirty_min_, out_dirty_max_] names the outputs whose
-  // arrivals changed since the chain was last replayed; outside a dirty
-  // window the cached suffix is bit-exact. sink_weights_ is derived from
-  // out_tight_ lazily — weights_stale_ marks it pending.
-  std::vector<std::uint32_t> out_pos_;  ///< gate -> index into flat_.outputs
+  // Output-max replay chain: out_arrival_[i] is the arrival of output i,
+  // out_prefix_[i] the running Clark-chain value after folding
+  // outputs[0..i], out_tight_[i] the tightness of the fold step that
+  // consumed outputs[i] (index 0 unused). The inclusive dirty window
+  // [out_dirty_min_, out_dirty_max_] names the outputs whose arrivals
+  // changed since the chain was last replayed; outside a dirty window the
+  // cached suffix is bit-exact. sink_weights_ is derived from out_tight_
+  // lazily — weights_stale_ marks it pending.
+  mutable std::vector<Canonical> out_arrival_;
   mutable std::vector<Canonical> out_prefix_;
   mutable std::vector<double> out_tight_;
-  mutable std::uint32_t out_dirty_min_ = kNoDirty;
+  mutable std::uint32_t out_dirty_min_ = kNone;
   mutable std::uint32_t out_dirty_max_ = 0;
   mutable bool weights_stale_ = true;
 
-  /// Dirty bits by flat_.topo position. Between walks they are set exactly
-  /// for the gates in pending_; each walk leaves them all clear.
+  /// Dirty bits by rank. Between walks they are set exactly for the ranks
+  /// in pending_; each walk leaves them all clear.
   mutable std::vector<std::uint64_t> dirty_;
-  mutable std::vector<GateId> pending_;
+  mutable std::vector<std::uint32_t> pending_;
 
   // Incremental criticality. The criticality array is exact for the win
   // weights and crit_sink_ it was last built from; crit_seeds_ lists every
-  // gate whose win weights changed since (with repeats). crit_primed_ false
+  // rank whose win weights changed since (with repeats). crit_primed_ false
   // means the next refresh scatters.
-  mutable std::vector<GateId> crit_seeds_;
+  mutable std::vector<std::uint32_t> crit_seeds_;
   mutable std::vector<double> crit_sink_;
   std::size_t dense_seeds_ = 0;  ///< n/8: more seeds than this scatter
 
@@ -269,15 +330,20 @@ class FlatSstaEngine {
   bool trial_active_ = false;
   std::size_t trial_log_cap_ = 0;  ///< set in the constructor
   mutable bool trial_lost_baseline_ = false;
+  /// Arrivals written by cone retimes during the current trial, and by the
+  /// last finished one: the next trial starts unlogged when that exceeds
+  /// trial_log_cap_.
+  mutable std::size_t trial_writes_ = 0;
+  std::size_t last_trial_writes_ = 0;
   mutable std::vector<ArrivalUndo> arrival_undo_;
   mutable std::vector<double> win_undo_;  ///< flat saved win-weight slices
   mutable std::vector<LoadUndo> load_undo_;
   mutable std::vector<DelayUndo> delay_undo_;
-  mutable std::vector<char> touched_;  ///< 1: arrival, 2: load, 4: own delay
-  mutable std::vector<GateId> touched_list_;
-  mutable std::vector<GateId> trial_pending_;
+  mutable std::vector<char> touched_;  ///< by rank; 1: arrival, 2: load,
+                                       ///< 4: own delay
+  mutable std::vector<std::uint32_t> touched_list_;
+  mutable std::vector<std::uint32_t> trial_pending_;
   mutable Canonical trial_out_max_;
-  mutable std::vector<double> trial_sink_weights_;
   mutable bool trial_primed_ = false;
   mutable bool trial_crit_primed_ = false;
   /// The criticality array was rebuilt during the trial: a rollback cannot
@@ -291,7 +357,7 @@ class FlatSstaEngine {
   mutable bool trial_chain_saved_ = false;
   mutable std::vector<Canonical> trial_out_prefix_;
   mutable std::vector<double> trial_out_tight_;
-  mutable std::uint32_t trial_out_dirty_min_ = kNoDirty;
+  mutable std::uint32_t trial_out_dirty_min_ = kNone;
   mutable std::uint32_t trial_out_dirty_max_ = 0;
   mutable bool trial_weights_stale_ = true;
 };

@@ -14,13 +14,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
 #include "graph_oracle.hpp"
 #include "leakage/leakage.hpp"
+#include "netlist/bench_io.hpp"
 #include "obs/registry.hpp"
 #include "ssta/flat_incremental.hpp"
 #include "tech/process.hpp"
@@ -74,7 +78,7 @@ testing::AssertionResult states_match(const Circuit& c, const CellLibrary& lib,
                                       const FlatSstaEngine& inc,
                                       const LeakageAnalyzer& leak) {
   const LoadCache fresh_loads(c, lib);
-  const SstaResult& got = inc.analyze_ref();
+  const SstaResult got = inc.analyze();
   const SstaResult want = oracle::ssta(c, lib, var);
 
   for (GateId id = 0; id < c.num_gates(); ++id) {
@@ -197,7 +201,7 @@ TEST_F(SstaIncrementalTest, FlatEngineRandomWalkMatchesScalarEverySeed) {
 /// to take the backward walk rather than the dense scatter (c3540p: n/8 is
 /// 255 seeds). Committed moves, rolled-back and committed trials mix with
 /// forward-only circuit_delay() queries, so several retimes feed one
-/// refresh; states_match's analyze_ref() compares every criticality bit
+/// refresh; states_match's analyze() compares every criticality bit
 /// with a fresh oracle pass after every step. A trial rolled back right
 /// after a refresh must leave no criticality work behind, and an analyze
 /// inside a trial costs one scatter after its rollback.
@@ -275,6 +279,96 @@ TEST_F(SstaIncrementalTest, CriticalityWalkMatchesScalarAcrossTrials) {
   EXPECT_TRUE(analyzed_inside);
   EXPECT_GT(reg.counter_value("ssta.crit_walks"), 0.0);
   EXPECT_GT(reg.counter_value("ssta.crit_updates"), 0.0);
+}
+
+/// The engine indexes every array by topo rank and speaks GateIds only at
+/// its API edge. Here ids are far from ranks: a random DAG is written to
+/// .bench with its definition lines shuffled, then read back (the reader
+/// resolves forward references, so ids follow the shuffled file order). A
+/// seeded walk of committed moves, committed and rolled-back trials, with
+/// a log cap small enough that most trials lose their baseline, must keep
+/// arrivals, criticality by GateId (after walks and scatters alike) and
+/// the circuit delay equal to the oracle's bit for bit.
+TEST_F(SstaIncrementalTest, PermutedGateIdsMatchOracleBitwise) {
+  std::string text;
+  {
+    const std::string written = write_bench_string(random_circuit(71, 600));
+    std::vector<std::string_view> head;
+    std::vector<std::string_view> defs;
+    std::string_view rest = written;
+    while (!rest.empty()) {
+      const std::size_t eol = rest.find('\n');
+      const std::string_view line = rest.substr(0, eol);
+      rest.remove_prefix(eol == std::string_view::npos ? rest.size()
+                                                       : eol + 1);
+      (line.find('=') == std::string_view::npos ? head : defs)
+          .push_back(line);
+    }
+    Rng shuffle(71);
+    for (std::size_t i = defs.size(); i > 1; --i) {
+      std::swap(defs[i - 1], defs[shuffle.uniform_index(i)]);
+    }
+    for (const auto& lines : {head, defs}) {
+      for (std::string_view line : lines) text.append(line).append("\n");
+    }
+  }
+  Circuit c = read_bench_string(text, "permuted");
+  const auto topo = c.topo_order();
+  std::size_t displacement = 0;
+  for (std::size_t r = 0; r < topo.size(); ++r) {
+    displacement += static_cast<std::size_t>(
+        std::abs(static_cast<long>(topo[r]) - static_cast<long>(r)));
+  }
+  ASSERT_GT(displacement / topo.size(), 50u) << "ids track topo ranks";
+
+  const auto cells = cells_of(c);
+  const auto steps = lib_.size_steps();
+  FlatSstaEngine inc(c, lib_, var_);
+  inc.set_trial_log_cap(8);
+  LeakageAnalyzer leak(c, lib_, var_);
+  obs::Registry reg;
+  inc.attach_observer(&reg);
+  Rng rng(72);
+  const auto random_move = [&](GateId id) {
+    if (rng.uniform() < 0.5) {
+      c.set_size(id, steps[rng.uniform_index(steps.size())]);
+      inc.on_resize(id);
+    } else {
+      c.set_vth(id, c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+      inc.on_vth_change(id);
+    }
+    leak.on_gate_changed(id);
+  };
+  for (int step = 0; step < 300; ++step) {
+    const double roll = rng.uniform();
+    if (roll < 0.4) {
+      random_move(cells[rng.uniform_index(cells.size())]);
+      if (rng.uniform() < 0.5) (void)inc.circuit_delay();
+    } else {
+      std::vector<Saved> saved;
+      inc.begin_trial();
+      const int moves = 1 + static_cast<int>(rng.uniform_index(2));
+      for (int m = 0; m < moves; ++m) {
+        const GateId id = cells[rng.uniform_index(cells.size())];
+        saved.push_back({id, c.gate(id).size, c.gate(id).vth});
+        random_move(id);
+        (void)inc.circuit_delay();
+      }
+      if (roll < 0.75) {
+        inc.rollback_trial();
+        for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+          restore(c, leak, *it);
+        }
+      } else {
+        inc.commit_trial();
+      }
+    }
+    ASSERT_TRUE(states_match(c, lib_, var_, inc, leak)) << "step " << step;
+  }
+  EXPECT_GT(reg.counter_value("ssta.crit_walks"), 0.0);
+  EXPECT_GT(reg.counter_value("ssta.crit_full_passes"), 1.0);
+  EXPECT_GT(reg.counter_value("ssta.flat_full_passes"), 1.0);
+  EXPECT_GT(reg.counter_value("ssta.unlogged_trials"), 0.0);
 }
 
 // ------------------------------------------------------ trial edge cases ----
@@ -397,6 +491,63 @@ TEST_F(SstaIncrementalTest, RejectHeavyWalkAtDefaultCapNeverReprimes) {
   }
   ASSERT_TRUE(states_match(c, lib_, var_, inc, leak));
   EXPECT_EQ(reg.counter_value("ssta.flat_full_passes"), 1.0);
+}
+
+/// A trial after one that wrote more arrivals than the log cap starts
+/// without an undo log. Its rollback reprimes with one full pass and lands
+/// on the oracle's bits; the next trial, following a small one, logs again
+/// and restores from the log.
+TEST_F(SstaIncrementalTest, TrialAfterCapExceedingTrialStartsUnlogged) {
+  Circuit c = random_circuit(81, 400);
+  const auto cells = cells_of(c);
+  FlatSstaEngine inc(c, lib_, var_);
+  LeakageAnalyzer leak(c, lib_, var_);
+  obs::Registry reg;
+  inc.attach_observer(&reg);
+  inc.set_trial_log_cap(4);
+  (void)inc.analyze_ref();
+  const auto counter = [&](const char* name) {
+    return reg.counter_value(name);
+  };
+
+  // Big: upsizing every level-1 gate to the top of the grid retimes most
+  // of the circuit.
+  inc.begin_trial();
+  for (GateId id : cells) {
+    if (c.level(id) != 1) continue;
+    c.set_size(id, lib_.size_steps().back());
+    inc.on_resize(id);
+    leak.on_gate_changed(id);
+  }
+  (void)inc.circuit_delay();
+  inc.commit_trial();
+  EXPECT_EQ(counter("ssta.unlogged_trials"), 0.0);
+
+  // Small: a Vth flip of a gate without fanouts rewrites one arrival.
+  GateId leaf = kInvalidGate;
+  for (GateId id : cells) {
+    if (c.fanouts(id).empty()) leaf = id;
+  }
+  ASSERT_NE(leaf, kInvalidGate);
+  const auto small_trial = [&] {
+    const Gate saved = c.gate(leaf);
+    inc.begin_trial();
+    c.set_vth(leaf, saved.vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+    inc.on_vth_change(leaf);
+    (void)inc.circuit_delay();
+    inc.rollback_trial();
+    c.set_vth(leaf, saved.vth);
+  };
+  const double full_before = counter("ssta.flat_full_passes");
+  small_trial();
+  EXPECT_EQ(counter("ssta.unlogged_trials"), 1.0);
+  ASSERT_TRUE(states_match(c, lib_, var_, inc, leak));
+  EXPECT_EQ(counter("ssta.flat_full_passes"), full_before + 1.0);
+
+  small_trial();
+  EXPECT_EQ(counter("ssta.unlogged_trials"), 1.0);
+  ASSERT_TRUE(states_match(c, lib_, var_, inc, leak));
+  EXPECT_EQ(counter("ssta.flat_full_passes"), full_before + 1.0);
 }
 
 }  // namespace

@@ -23,9 +23,9 @@ CI estimator-quality gate pins floors on.
 With --opt the input is the JSON document printed by bench_opt_throughput
 (wall seconds and optimizer iterations per second of the flat-SoA engine on
 every benchmarked circuit) and the output is BENCH_opt.json: per-circuit
-seconds / iterations / commits / moves-per-second per engine.  Inputs that
-also carry a "scalar" engine entry (BENCH_opt.json records one for the
-retired scalar optimizer engine) additionally get the flat/scalar speedup.
+seconds / iterations / commits / moves-per-second under "flat", plus the
+host (CPU model, vCPUs, build type) the bench stamped and the commit of the
+checkout the tool runs in.
 
 Timing artifacts from debug builds are meaningless for the perf trajectory,
 so any input that carries a build-type marker saying "debug" is refused
@@ -45,7 +45,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
+import subprocess
 import sys
 
 
@@ -149,33 +151,38 @@ def distill_estimators(raw: dict) -> dict:
     }
 
 
+def checkout_commit() -> str:
+    """`git describe --always --dirty` of the tool's checkout, or "unknown"."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip() or "unknown"
+
+
 def distill_opt(raw: dict) -> dict:
-    """Reduce bench_opt_throughput output to per-circuit engine entries.
+    """Reduce bench_opt_throughput output to per-circuit flat-engine entries.
 
     Output shape:
-        circuits.<circuit>.<engine> =
-            {seconds, iterations, commits, moves_per_second}
-        circuits.<circuit>.speedup_flat_vs_scalar  (only with both engines)
+        circuits.<circuit>.flat = {seconds, iterations, commits,
+                                   moves_per_second}
     """
     if raw.get("bench") != "opt_throughput":
         raise ValueError("input is not bench_opt_throughput output")
 
-    circuits: dict[str, dict] = {}
-    for entry in raw.get("results", []):
-        circuits.setdefault(entry["circuit"], {})[entry["engine"]] = {
+    circuits = {
+        entry["circuit"]: {"flat": {
             "num_cells": entry["num_cells"],
             "seconds": round(entry["seconds"], 4),
             "iterations": entry["iterations"],
             "commits": entry["commits"],
             "moves_per_second": round(entry["moves_per_second"], 1),
-        }
-    for circuit, engines in circuits.items():
-        if "flat" in engines and "scalar" in engines:
-            flat = engines["flat"]["seconds"]
-            if flat > 0:
-                engines["speedup_flat_vs_scalar"] = round(
-                    engines["scalar"]["seconds"] / flat, 2)
-
+        }}
+        for entry in raw.get("results", [])
+    }
     return {
         "schema_version": 1,
         "generated_by": "tools/bench_to_json.py --opt",
@@ -183,7 +190,12 @@ def distill_opt(raw: dict) -> dict:
         "unit": ("statistical-optimizer wall seconds and loop iterations "
                  "per second, single thread, min over back-to-back "
                  "repetitions"),
-        "build_type": raw.get("build_type"),
+        "host": {
+            "cpu_model": raw.get("cpu_model", "unknown"),
+            "vcpus": raw.get("vcpus"),
+            "build_type": raw.get("build_type"),
+            "commit": checkout_commit(),
+        },
         "threads": raw.get("threads"),
         "note": ("the benchmark asserts the c880p trajectory (482 "
                  "iterations, 416 commits) before reporting any timing"),
