@@ -74,6 +74,9 @@ int run_worker(const WorkerOptions& options, obs::Registry* obs) {
       const std::string type = message_type(*msg);
       if (type == "setup") {
         const WorkerSetup setup = parse_setup(*msg);
+        // Shards run one at a time on this thread, and each builds and
+        // drops its own FlatCircuit views, so no view of the old circuit
+        // outlives this replacement.
         study.emplace(api::load_study(setup.input));
         mc = setup.mc;
         if (options.threads_override > 0) {

@@ -46,7 +46,7 @@ std::string NetBuilder::next_name(CellKind kind) {
 }
 
 GateId NetBuilder::make(CellKind kind, std::vector<GateId> fanins) {
-  return circuit_.add_gate(next_name(kind), kind, std::move(fanins));
+  return circuit_.add_gate(next_name(kind), kind, fanins);
 }
 
 GateId NetBuilder::and_tree(std::vector<GateId> terms) {

@@ -82,7 +82,7 @@ Circuit make_random_dag(const RandomDagSpec& spec) {
       ++fanout_count[idx];
     }
     const GateId id =
-        circuit.add_gate("g" + std::to_string(g), kind, std::move(fanins));
+        circuit.add_gate("g" + std::to_string(g), kind, fanins);
     pool.push_back(id);
     fanout_count.push_back(0);
   }

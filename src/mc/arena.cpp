@@ -9,7 +9,8 @@ namespace statleak {
 
 void McArena::prepare(const Circuit& circuit, const CellLibrary& lib,
                       int workers, obs::Registry* obs) {
-  if (this->circuit != &circuit || !flat.has_value()) {
+  if (this->circuit != &circuit || !flat.has_value() ||
+      flat->fanin.data() != circuit.fanin_csr().ids.data()) {
     const auto t0 = std::chrono::steady_clock::now();
     this->circuit = &circuit;
     flat.emplace(FlatCircuit::build(circuit));

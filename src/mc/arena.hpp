@@ -20,7 +20,11 @@
 /// against cold standalone runs.
 ///
 /// Contract: a circuit shared through an arena must not be mutated between
-/// runs — the cached FlatCircuit is keyed on the circuit's address only.
+/// runs — the cached FlatCircuit is keyed on the circuit's address. The
+/// snapshot views the circuit's topology arrays (netlist/flat_circuit.hpp),
+/// so the arena must not outlive the circuit; prepare() rebuilds it when
+/// the circuit's arrays moved. Every arena in the library lives inside one
+/// call that holds its circuit by reference (sweep_corners, run_mc_blocks).
 
 #pragma once
 

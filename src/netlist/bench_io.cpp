@@ -63,13 +63,13 @@ class Builder {
     for (const Def& def : defs) {
       create(def, args.subspan(def.first_arg, def.num_args));
     }
-    for (const auto& [gate_id, src_name] : patches_) {
-      const GateId src = circuit_.find(src_name);
+    for (const Patch& p : patches_) {
+      const GateId src = circuit_.find(p.src_name);
       if (src == kInvalidGate) {
         throw Error("bench: gate references undefined signal '" +
-                    std::string(src_name) + "'");
+                    std::string(p.src_name) + "'");
       }
-      circuit_.gate(gate_id).fanins.push_back(src);
+      circuit_.patch_fanin(p.gate, p.pin, src);
     }
     for (const std::string_view out : outputs) {
       const GateId id = circuit_.find(out);
@@ -165,15 +165,26 @@ class Builder {
                                std::to_string(temp_counter_++));
   }
 
-  /// Adds the gate; its fanin names are resolved once every gate exists.
+  /// Adds the gate with placeholder fanins; their names are resolved once
+  /// every gate exists.
   void make_gate(std::string_view name, CellKind kind, Names arg_names) {
-    const GateId id = circuit_.add_gate(name, kind, {});
-    circuit_.gate(id).fanins.reserve(arg_names.size());
-    for (const std::string_view arg : arg_names) patches_.push_back({id, arg});
+    unresolved_.assign(arg_names.size(), kInvalidGate);
+    const GateId id = circuit_.add_gate(name, kind, unresolved_);
+    for (std::uint32_t pin = 0; pin < arg_names.size(); ++pin) {
+      patches_.push_back({id, pin, arg_names[pin]});
+    }
   }
 
+  /// Pin `pin` of `gate` reads the signal named `src_name`.
+  struct Patch {
+    GateId gate;
+    std::uint32_t pin;
+    std::string_view src_name;
+  };
+
   Circuit circuit_;
-  std::vector<std::pair<GateId, std::string_view>> patches_;
+  std::vector<GateId> unresolved_;  ///< make_gate's placeholder fanins
+  std::vector<Patch> patches_;
   std::deque<std::string> temps_;
   std::vector<std::string_view> level_;  ///< reduce_to's working level
   int temp_counter_ = 0;
@@ -300,9 +311,9 @@ void write_bench(std::ostream& out, const Circuit& circuit) {
     out << "OUTPUT(" << circuit.gate(id).name << ")\n";
   }
   for (GateId id : circuit.topo_order()) {
-    const Gate& g = circuit.gate(id);
+    const Gate g = circuit.gate(id);
     if (g.kind == CellKind::kInput) continue;
-    const auto pin = [&](std::size_t p) -> const std::string& {
+    const auto pin = [&](std::size_t p) {
       return circuit.gate(g.fanins[p]).name;
     };
     const std::string_view op = bench_op(g.kind);

@@ -11,58 +11,20 @@ FlatCircuit FlatCircuit::build(const Circuit& circuit) {
   const auto n = static_cast<std::uint32_t>(circuit.num_gates());
   flat.num_gates = n;
   flat.depth = circuit.depth();
-
-  // CSR fanins/fanouts: count, prefix-sum, fill (order preserved).
-  flat.fanin_offset.resize(n + 1, 0);
-  flat.fanout_offset.resize(n + 1, 0);
-  for (GateId g = 0; g < n; ++g) {
-    flat.fanin_offset[g + 1] =
-        flat.fanin_offset[g] +
-        static_cast<std::uint32_t>(circuit.gate(g).fanins.size());
-    flat.fanout_offset[g + 1] =
-        flat.fanout_offset[g] +
-        static_cast<std::uint32_t>(circuit.fanouts(g).size());
-  }
-  flat.fanin.reserve(flat.fanin_offset[n]);
-  flat.fanout.reserve(flat.fanout_offset[n]);
-  for (GateId g = 0; g < n; ++g) {
-    const Gate& gate = circuit.gate(g);
-    flat.fanin.insert(flat.fanin.end(), gate.fanins.begin(),
-                      gate.fanins.end());
-    const auto fouts = circuit.fanouts(g);
-    flat.fanout.insert(flat.fanout.end(), fouts.begin(), fouts.end());
-  }
-
-  // Level-bucketed topo order: a stable partition of topo_order() by level
-  // keeps the original relative order within each bucket, and because
-  // levels already respect the DAG (level(fanin) < level(gate)), the
-  // concatenation of buckets is itself a valid topological order.
-  const int depth = flat.depth;
-  flat.level_offset.assign(static_cast<std::size_t>(depth) + 2, 0);
-  for (GateId g = 0; g < n; ++g) {
-    flat.level_offset[static_cast<std::size_t>(circuit.level(g)) + 1] += 1;
-  }
-  for (std::size_t l = 1; l < flat.level_offset.size(); ++l) {
-    flat.level_offset[l] += flat.level_offset[l - 1];
-  }
-  flat.topo.resize(n);
-  {
-    std::vector<std::uint32_t> cursor(
-        flat.level_offset.begin(), flat.level_offset.end() - 1);
-    for (const GateId g : circuit.topo_order()) {
-      flat.topo[cursor[static_cast<std::size_t>(circuit.level(g))]++] = g;
-    }
-  }
-
-  const auto outs = circuit.outputs();
-  flat.outputs.assign(outs.begin(), outs.end());
+  flat.fanin_offset = circuit.fanin_csr().offset;
+  flat.fanin = circuit.fanin_csr().ids;
+  flat.fanout_offset = circuit.fanout_csr().offset;
+  flat.fanout = circuit.fanout_csr().ids;
+  flat.topo = circuit.level_order();
+  flat.level_offset = circuit.level_offset();
+  flat.outputs = circuit.outputs();
 
   flat.is_input.assign(n, 0);
   flat.kind.resize(n);
   flat.vth.resize(n);
   flat.size.resize(n);
   for (GateId g = 0; g < n; ++g) {
-    const Gate& gate = circuit.gate(g);
+    const Gate gate = circuit.gate(g);
     flat.is_input[g] = gate.kind == CellKind::kInput ? 1 : 0;
     flat.kind[g] = gate.kind;
     flat.vth[g] = gate.vth;

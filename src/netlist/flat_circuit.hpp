@@ -1,11 +1,9 @@
 /// \file flat_circuit.hpp
-/// \brief Frozen structure-of-arrays snapshot of a finalized Circuit.
+/// \brief Structure-of-arrays view of a finalized Circuit plus a frozen
+///        copy of one implementation point.
 ///
-/// The AoS Circuit/Gate model is convenient to build and mutate, but walking
-/// it per Monte-Carlo sample chases a std::vector<GateId> allocation per
-/// gate (the fanin list) and re-reads cold Gate fields (name strings sit
-/// between the hot ones). FlatCircuit freezes one implementation point of a
-/// circuit into contiguous arrays:
+/// The batched kernels (BatchDelayKernel, BatchLeakageKernel, BatchScorer)
+/// walk contiguous arrays. FlatCircuit hands them:
 ///
 ///   - CSR fanin and fanout adjacency (`fanin_offset`/`fanin`,
 ///     `fanout_offset`/`fanout`), fanins pin-ordered exactly as in the Gate,
@@ -16,11 +14,15 @@
 ///   - per-gate implementation attributes (`kind`, `vth`, `size`) and flags
 ///     (`is_input`) in index-by-GateId arrays.
 ///
-/// The snapshot is immutable by convention: it does not observe later
+/// The topology arrays are views of the Circuit's own (Circuit::fanin_csr(),
+/// fanout_csr(), level_order(), level_offset(), outputs()), so a
+/// FlatCircuit borrows its circuit: the circuit must outlive it and must
+/// not be reassigned while it is in use. Only `kind`, `vth`, `size` and
+/// `is_input` are copies. They are a snapshot: they do not observe later
 /// set_size/set_vth mutations of the source Circuit. The batched kernels
-/// (BatchDelayKernel, BatchLeakageKernel) precompute per-gate model
-/// constants on top of this topology, so rebuild the snapshot (cheap;
-/// `flat.build_ns` counts it) whenever the implementation point changes.
+/// precompute per-gate model constants on top of this snapshot, so rebuild
+/// it (cheap; `flat.build_ns` counts it) whenever the implementation point
+/// changes.
 ///
 /// Because topo is a topological order, iterating it in sequence evaluates
 /// every gate after all of its fanins — level buckets additionally expose
@@ -42,23 +44,23 @@ struct FlatCircuit {
 
   // CSR fanin adjacency: fanins of gate g are
   // fanin[fanin_offset[g] .. fanin_offset[g + 1]), pin-ordered.
-  std::vector<std::uint32_t> fanin_offset;
-  std::vector<GateId> fanin;
+  std::span<const std::uint32_t> fanin_offset;
+  std::span<const GateId> fanin;
 
   // CSR fanout adjacency, same layout, order matching Circuit::fanouts().
-  std::vector<std::uint32_t> fanout_offset;
-  std::vector<GateId> fanout;
+  std::span<const std::uint32_t> fanout_offset;
+  std::span<const GateId> fanout;
 
   // Level-bucketed topological order: topo is a permutation of [0, num_gates);
   // level_offset has depth + 2 entries and level l occupies
   // topo[level_offset[l] .. level_offset[l + 1]).
-  std::vector<GateId> topo;
-  std::vector<std::uint32_t> level_offset;
+  std::span<const GateId> topo;
+  std::span<const std::uint32_t> level_offset;
 
   // Primary outputs (order matching Circuit::outputs()).
-  std::vector<GateId> outputs;
+  std::span<const GateId> outputs;
 
-  // Indexed by GateId.
+  // Indexed by GateId; copied at build time.
   std::vector<char> is_input;
   std::vector<CellKind> kind;
   std::vector<Vth> vth;
@@ -78,8 +80,8 @@ struct FlatCircuit {
             topo.data() + level_offset[static_cast<std::size_t>(l) + 1]};
   }
 
-  /// Snapshots a finalized circuit. Throws statleak::Error if the circuit
-  /// is not finalized.
+  /// Views a finalized circuit and snapshots its implementation point.
+  /// Throws statleak::Error if the circuit is not finalized.
   static FlatCircuit build(const Circuit& circuit);
 };
 

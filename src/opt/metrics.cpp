@@ -48,10 +48,9 @@ CircuitMetrics measure_metrics(const Circuit& circuit, const CellLibrary& lib,
 void reset_implementation(Circuit& circuit, const CellLibrary& lib) {
   const double min_size = lib.size_steps().front();
   for (GateId id = 0; id < circuit.num_gates(); ++id) {
-    Gate& g = circuit.gate(id);
-    if (g.kind == CellKind::kInput) continue;
-    g.size = min_size;
-    g.vth = Vth::kLow;
+    if (circuit.gate(id).kind == CellKind::kInput) continue;
+    circuit.set_size(id, min_size);
+    circuit.set_vth(id, Vth::kLow);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -182,26 +183,29 @@ class Builder {
 
   void make_gate(const std::string& name, CellKind kind,
                  const std::vector<std::string>& arg_names) {
-    const GateId id = circuit_.add_gate(name, kind, {});
+    const GateId id = circuit_.add_gate(
+        name, kind, std::vector<GateId>(arg_names.size(), kInvalidGate));
     ids_[name] = id;
-    for (const std::string& arg : arg_names) patches_.push_back({id, arg});
+    for (std::size_t pin = 0; pin < arg_names.size(); ++pin) {
+      patches_.push_back({id, pin, arg_names[pin]});
+    }
   }
 
   void resolve_patches() {
-    for (const auto& [gate_id, src_name] : patches_) {
+    for (const auto& [gate_id, pin, src_name] : patches_) {
       const auto it = ids_.find(src_name);
       if (it == ids_.end()) {
         throw Error("bench: gate references undefined signal '" + src_name +
                     "'");
       }
-      circuit_.gate(gate_id).fanins.push_back(it->second);
+      circuit_.patch_fanin(gate_id, pin, it->second);
     }
     patches_.clear();
   }
 
   Circuit circuit_;
   std::unordered_map<std::string, GateId> ids_;
-  std::vector<std::pair<GateId, std::string>> patches_;
+  std::vector<std::tuple<GateId, std::size_t, std::string>> patches_;
   int temp_counter_ = 0;
 };
 
