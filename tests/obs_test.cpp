@@ -466,8 +466,9 @@ TEST(Instrumentation, DeterministicDelayEvalsStayBelowOnePerCellPerIteration) {
 TEST(Instrumentation, CriticalityWalksStayWellBelowTheCellCount) {
   // A sparse refresh recomputes only the backward cone whose criticality
   // moved, not every gate, and most refreshes are sparse or no-ops. On a
-  // circuit this small a move still moves a large share of the values (the
-  // walk averages ~0.34 x cells here), so the bound is half the cells.
+  // circuit this small a move can still move a large share of the values
+  // (such refreshes scatter; the walks average ~0.12 x cells here), so the
+  // bound is half the cells.
   const CellLibrary lib(generic_100nm());
   const VariationModel var = VariationModel::typical_100nm();
   Circuit c = iscas85_proxy("c880p");

@@ -281,6 +281,62 @@ TEST_F(SstaIncrementalTest, CriticalityWalkMatchesScalarAcrossTrials) {
   EXPECT_GT(reg.counter_value("ssta.crit_updates"), 0.0);
 }
 
+/// The criticality refresh rule at counter level. A walk update costs about
+/// 3.5 scattered gates, so a sparse refresh scatters when its seed count
+/// times the last walk's updates per seed predicts more than n/3.5
+/// updates. Toggling a gate's Vth and back changes the win and sink weights
+/// of the same gates both ways, so the second refresh has the first one's
+/// seeds and is predicted at the first walk's size: it must scatter after a
+/// walk well past the cutover and walk again after one well below it. Each
+/// probe starts from a fresh engine, whose first sparse refresh always
+/// walks, and every refresh is checked against the oracle.
+TEST_F(SstaIncrementalTest, CriticalityRefreshScattersAfterACostlyWalk) {
+  Circuit c = iscas85_proxy("c3540p");
+  const double cutover = static_cast<double>(c.num_gates()) / 3.5;
+  const auto cells = cells_of(c);
+  int costly = 0;
+  int cheap = 0;
+  for (std::size_t i = 0; i < cells.size() && (costly < 3 || cheap < 3);
+       i += 7) {
+    const GateId id = cells[i];
+    FlatSstaEngine inc(c, lib_, var_);
+    LeakageAnalyzer leak(c, lib_, var_);
+    obs::Registry reg;
+    inc.attach_observer(&reg);
+    const auto count = [&](const char* name) {
+      return reg.counter_value(name);
+    };
+    const auto toggle = [&] {
+      c.set_vth(id, c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+      inc.on_vth_change(id);
+      leak.on_gate_changed(id);
+      (void)inc.analyze_ref();
+    };
+    (void)inc.analyze_ref();
+    ASSERT_EQ(count("ssta.crit_full_passes"), 1.0);  // priming
+    toggle();
+    ASSERT_TRUE(states_match(c, lib_, var_, inc, leak)) << "gate " << id;
+    const bool walked = count("ssta.crit_walks") == 1.0;
+    const double first_walk = count("ssta.crit_updates");
+    const double scatters = count("ssta.crit_full_passes");
+    toggle();  // back: the circuit is shared by every probe
+    ASSERT_TRUE(states_match(c, lib_, var_, inc, leak)) << "gate " << id;
+    if (!walked) continue;  // a dense refresh, or nothing moved
+    if (first_walk > 1.2 * cutover) {
+      ++costly;
+      EXPECT_EQ(count("ssta.crit_walks"), 1.0) << "gate " << id;
+      EXPECT_EQ(count("ssta.crit_full_passes"), scatters + 1.0)
+          << "gate " << id;
+    } else if (first_walk < 0.8 * cutover) {
+      ++cheap;
+      EXPECT_EQ(count("ssta.crit_walks"), 2.0) << "gate " << id;
+      EXPECT_EQ(count("ssta.crit_full_passes"), scatters) << "gate " << id;
+    }
+  }
+  EXPECT_GE(costly, 3);
+  EXPECT_GE(cheap, 3);
+}
+
 /// The engine indexes every array by topo rank and speaks GateIds only at
 /// its API edge. Here ids are far from ranks: a random DAG is written to
 /// .bench with its definition lines shuffled, then read back (the reader
