@@ -1,8 +1,9 @@
 // Golden-trajectory regression tests for the deterministic corner sizer, the
 // baseline of the paper's det-vs-stat experiment. On the c432p, c880p and
 // c3540p proxies, at the nominal corner and at 1.5 sigma, the whole greedy
-// walk is pinned: iteration count, every commit/reject counter, and the bits
-// of the final objective and of the final corner delay. The D_min sizing
+// walk is pinned: iteration count, every commit/reject counter, the bits of
+// the final objective and of the final corner delay, and the corner timer's
+// work counters. The D_min sizing
 // that sets every flow's target is pinned bitwise too.
 //
 // The sizer is deterministic, so any drift here is a behavioral change. A
@@ -16,6 +17,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "gen/proxy.hpp"
 #include "obs/registry.hpp"
@@ -68,6 +70,40 @@ constexpr DetGolden kGoldens[] = {
      0x1.677dc79b3524bp+11},
 };
 
+// The corner timer's work on the same runs, read from the attached
+// registry: queries answered, library delay evaluations, and the arrivals
+// and required times its dirty-cone walks recomputed. Any walk that visits
+// the same dirty closure reproduces them. They sit in their own table
+// because gtest prints a DetGolden's bytes into the test names: a larger
+// DetGolden would rename the tests.
+struct DetWork {
+  char circuit[8];
+  double corner_k_sigma;
+  double sta_passes;
+  double delay_evals;
+  double arrival_updates;
+  double required_updates;
+};
+
+constexpr DetWork kWork[] = {
+    {"c432p", 0.0, 602, 3027, 15813, 6257},
+    {"c432p", 1.5, 587, 3254, 14520, 4051},
+    {"c880p", 0.0, 690, 3548, 20052, 8781},
+    {"c880p", 1.5, 813, 5125, 24610, 9111},
+    {"c3540p", 0.0, 3430, 23655, 355661, 54466},
+    {"c3540p", 1.5, 4481, 38333, 507401, 62105},
+};
+
+const DetWork* work_of(const DetGolden& golden) {
+  for (const DetWork& work : kWork) {
+    if (std::string_view(work.circuit) == golden.circuit &&
+        work.corner_k_sigma == golden.corner_k_sigma) {
+      return &work;
+    }
+  }
+  return nullptr;
+}
+
 struct DminGolden {
   char circuit[8];
   double d_min_ps;
@@ -111,6 +147,14 @@ TEST_P(DetTrajectoryTest, MatchesGolden) {
                        golden.final_corner_delay_ps));
   EXPECT_EQ(reg.trace_events("det").size(),
             static_cast<std::size_t>(r.iterations));
+
+  const DetWork* work = work_of(golden);
+  ASSERT_NE(work, nullptr);
+  EXPECT_EQ(reg.counter_value("det.sta_passes"), work->sta_passes);
+  EXPECT_EQ(reg.counter_value("det.delay_evals"), work->delay_evals);
+  EXPECT_EQ(reg.counter_value("det.arrival_updates"), work->arrival_updates);
+  EXPECT_EQ(reg.counter_value("det.required_updates"),
+            work->required_updates);
 }
 
 INSTANTIATE_TEST_SUITE_P(
