@@ -12,7 +12,8 @@
 // entry on the next check. The timer's STA is a dirty-cone walk, so the
 // steps mix the query patterns of the sizer: forward-only queries between
 // analyze() calls, alternating targets, try-query-undo rejects and a
-// snapshot-restore burst.
+// snapshot-restore burst. The timer walks in topo-rank space, so one input
+// has its GateIds far from their ranks.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "graph_oracle.hpp"
 #include "opt/corner_timer.hpp"
 #include "opt/deterministic.hpp"
+#include "permuted_circuit.hpp"
 #include "sta/sta.hpp"
 #include "tech/process.hpp"
 #include "util/health.hpp"
@@ -41,8 +43,10 @@ bool same_bits(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-/// "rdag<seed>" = 300-gate random DAG, otherwise an ISCAS85 proxy.
+/// "rdag<seed>" = 300-gate random DAG, "permuted" = a random DAG whose ids
+/// sit far from their topo ranks, otherwise an ISCAS85 proxy.
 Circuit walk_circuit(const std::string& name) {
+  if (name == "permuted") return permuted_circuit();
   if (name.rfind("rdag", 0) != 0) return iscas85_proxy(name);
   RandomDagSpec spec;
   spec.num_inputs = 24;
@@ -216,7 +220,7 @@ TEST_P(CornerTimerWalk, CachedTimingMatchesFreshAnalysisAfterEveryMove) {
 
 INSTANTIATE_TEST_SUITE_P(Circuits, CornerTimerWalk,
                          ::testing::Values("rdag5", "rdag23", "rdag41",
-                                           "c880p"),
+                                           "c880p", "permuted"),
                          [](const auto& info) {
                            return std::string(info.param);
                          });

@@ -14,18 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
-#include <string_view>
-#include <utility>
 #include <vector>
 
 #include "gen/proxy.hpp"
 #include "gen/random_dag.hpp"
 #include "graph_oracle.hpp"
 #include "leakage/leakage.hpp"
-#include "netlist/bench_io.hpp"
 #include "obs/registry.hpp"
+#include "permuted_circuit.hpp"
 #include "ssta/flat_incremental.hpp"
 #include "tech/process.hpp"
 #include "util/rng.hpp"
@@ -338,45 +335,13 @@ TEST_F(SstaIncrementalTest, CriticalityRefreshScattersAfterACostlyWalk) {
 }
 
 /// The engine indexes every array by topo rank and speaks GateIds only at
-/// its API edge. Here ids are far from ranks: a random DAG is written to
-/// .bench with its definition lines shuffled, then read back (the reader
-/// resolves forward references, so ids follow the shuffled file order). A
+/// its API edge. Here ids are far from ranks (permuted_circuit.hpp). A
 /// seeded walk of committed moves, committed and rolled-back trials, with
 /// a log cap small enough that most trials lose their baseline, must keep
 /// arrivals, criticality by GateId (after walks and scatters alike) and
 /// the circuit delay equal to the oracle's bit for bit.
 TEST_F(SstaIncrementalTest, PermutedGateIdsMatchOracleBitwise) {
-  std::string text;
-  {
-    const std::string written = write_bench_string(random_circuit(71, 600));
-    std::vector<std::string_view> head;
-    std::vector<std::string_view> defs;
-    std::string_view rest = written;
-    while (!rest.empty()) {
-      const std::size_t eol = rest.find('\n');
-      const std::string_view line = rest.substr(0, eol);
-      rest.remove_prefix(eol == std::string_view::npos ? rest.size()
-                                                       : eol + 1);
-      (line.find('=') == std::string_view::npos ? head : defs)
-          .push_back(line);
-    }
-    Rng shuffle(71);
-    for (std::size_t i = defs.size(); i > 1; --i) {
-      std::swap(defs[i - 1], defs[shuffle.uniform_index(i)]);
-    }
-    for (const auto& lines : {head, defs}) {
-      for (std::string_view line : lines) text.append(line).append("\n");
-    }
-  }
-  Circuit c = read_bench_string(text, "permuted");
-  const auto topo = c.topo_order();
-  std::size_t displacement = 0;
-  for (std::size_t r = 0; r < topo.size(); ++r) {
-    displacement += static_cast<std::size_t>(
-        std::abs(static_cast<long>(topo[r]) - static_cast<long>(r)));
-  }
-  ASSERT_GT(displacement / topo.size(), 50u) << "ids track topo ranks";
-
+  Circuit c = permuted_circuit();
   const auto cells = cells_of(c);
   const auto steps = lib_.size_steps();
   FlatSstaEngine inc(c, lib_, var_);
