@@ -16,10 +16,11 @@
 /// view into those arrays.
 ///
 /// finalize() builds the graph every engine shares, once: the topological
-/// order and each gate's rank in it, the logic levels and the
-/// level-bucketed order, the by-id fanout CSR, and the rank-space fanin and
-/// fanout CSR (rows by rank, entries as ranks). FlatCircuit views the
-/// by-id arrays; FlatSstaEngine walks the rank-space ones.
+/// order and each gate's rank in it, the logic levels, the by-id fanout
+/// CSR, and the rank-space fanin and fanout CSR (rows by rank, entries as
+/// ranks). The topological order is the only gate order: FlatCircuit and
+/// the batched kernels view it with the by-id arrays, and the incremental
+/// timers (FlatSstaEngine, CornerTimer) walk the rank-space CSR in it.
 
 #pragma once
 
@@ -144,12 +145,6 @@ class Circuit {
   const Csr& fanout_csr() const { return frozen(fanout_); }
   /// GateId -> rank, the inverse of topo_order().
   std::span<const std::uint32_t> ranks() const { return frozen(rank_); }
-  /// topo_order() stably partitioned by level: level l occupies
-  /// level_order()[level_offset()[l] .. level_offset()[l + 1]).
-  std::span<const GateId> level_order() const { return frozen(level_order_); }
-  std::span<const std::uint32_t> level_offset() const {
-    return frozen(level_offset_);
-  }
   /// The by-id CSR mapped through rank: row r holds the ranks of
   /// topo_order()[r]'s fanins (fanouts), in the by-id row's order.
   const Csr& rank_fanin_csr() const { return frozen(rank_fanin_); }
@@ -205,8 +200,6 @@ class Circuit {
   std::vector<GateId> topo_;
   std::vector<std::uint32_t> rank_;
   std::vector<int> level_;
-  std::vector<GateId> level_order_;
-  std::vector<std::uint32_t> level_offset_;
   Csr fanout_;
   Csr rank_fanin_;
   Csr rank_fanout_;

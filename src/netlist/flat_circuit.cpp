@@ -10,13 +10,11 @@ FlatCircuit FlatCircuit::build(const Circuit& circuit) {
   FlatCircuit flat;
   const auto n = static_cast<std::uint32_t>(circuit.num_gates());
   flat.num_gates = n;
-  flat.depth = circuit.depth();
   flat.fanin_offset = circuit.fanin_csr().offset;
   flat.fanin = circuit.fanin_csr().ids;
   flat.fanout_offset = circuit.fanout_csr().offset;
   flat.fanout = circuit.fanout_csr().ids;
-  flat.topo = circuit.level_order();
-  flat.level_offset = circuit.level_offset();
+  flat.topo = circuit.topo_order();
   flat.outputs = circuit.outputs();
 
   flat.is_input.assign(n, 0);

@@ -7,27 +7,19 @@
 ///
 ///   - CSR fanin and fanout adjacency (`fanin_offset`/`fanin`,
 ///     `fanout_offset`/`fanout`), fanins pin-ordered exactly as in the Gate,
-///   - the topological order bucketed by logic level (`topo` is a
-///     permutation of all gate ids; `level_offset[l] .. level_offset[l+1]`
-///     delimits the gates of level l, and within a level the original
-///     topo_order() relative order is preserved),
+///   - the topological order (`topo`, Circuit::topo_order(): a permutation
+///     of all gate ids with every gate after all of its fanins),
 ///   - per-gate implementation attributes (`kind`, `vth`, `size`) and flags
 ///     (`is_input`) in index-by-GateId arrays.
 ///
 /// The topology arrays are views of the Circuit's own (Circuit::fanin_csr(),
-/// fanout_csr(), level_order(), level_offset(), outputs()), so a
-/// FlatCircuit borrows its circuit: the circuit must outlive it and must
-/// not be reassigned while it is in use. Only `kind`, `vth`, `size` and
-/// `is_input` are copies. They are a snapshot: they do not observe later
-/// set_size/set_vth mutations of the source Circuit. The batched kernels
-/// precompute per-gate model constants on top of this snapshot, so rebuild
-/// it (cheap; `flat.build_ns` counts it) whenever the implementation point
-/// changes.
-///
-/// Because topo is a topological order, iterating it in sequence evaluates
-/// every gate after all of its fanins — level buckets additionally expose
-/// independent gate sets, which the kernels do not currently need but the
-/// invariants test pins so future wavefront schedulers can rely on them.
+/// fanout_csr(), topo_order(), outputs()), so a FlatCircuit borrows its
+/// circuit: the circuit must outlive it and must not be reassigned while it
+/// is in use. Only `kind`, `vth`, `size` and `is_input` are copies. They are
+/// a snapshot: they do not observe later set_size/set_vth mutations of the
+/// source Circuit. The batched kernels precompute per-gate model constants
+/// on top of this snapshot, so rebuild it (cheap; `flat.build_ns` counts it)
+/// whenever the implementation point changes.
 
 #pragma once
 
@@ -51,11 +43,8 @@ struct FlatCircuit {
   std::span<const std::uint32_t> fanout_offset;
   std::span<const GateId> fanout;
 
-  // Level-bucketed topological order: topo is a permutation of [0, num_gates);
-  // level_offset has depth + 2 entries and level l occupies
-  // topo[level_offset[l] .. level_offset[l + 1]).
+  // Topological order: a permutation of [0, num_gates), fanins first.
   std::span<const GateId> topo;
-  std::span<const std::uint32_t> level_offset;
 
   // Primary outputs (order matching Circuit::outputs()).
   std::span<const GateId> outputs;
@@ -66,18 +55,12 @@ struct FlatCircuit {
   std::vector<Vth> vth;
   std::vector<double> size;
 
-  int depth = 0;
-
   std::span<const GateId> fanins_of(GateId g) const {
     return {fanin.data() + fanin_offset[g], fanin.data() + fanin_offset[g + 1]};
   }
   std::span<const GateId> fanouts_of(GateId g) const {
     return {fanout.data() + fanout_offset[g],
             fanout.data() + fanout_offset[g + 1]};
-  }
-  std::span<const GateId> level_bucket(int l) const {
-    return {topo.data() + level_offset[static_cast<std::size_t>(l)],
-            topo.data() + level_offset[static_cast<std::size_t>(l) + 1]};
   }
 
   /// Views a finalized circuit and snapshots its implementation point.

@@ -27,48 +27,41 @@ CornerTimer::CornerTimer(Circuit& circuit, const CellLibrary& lib,
       lib_(lib),
       dl_nm_(dl_nm),
       dvth_v_(dvth_v),
-      flat_(FlatCircuit::build(circuit)),
-      loads_(circuit, lib) {
-  const std::size_t n = circuit.num_gates();
+      loads_(circuit, lib),
+      fanin_(circuit.fanin_csr()),
+      fanout_(circuit.fanout_csr()),
+      rank_fanin_(circuit.rank_fanin_csr()),
+      rank_fanout_(circuit.rank_fanout_csr()),
+      topo_(circuit.topo_order()),
+      rank_(circuit.ranks()),
+      num_inputs_(static_cast<std::uint32_t>(circuit.inputs().size())) {
+  const auto n = static_cast<std::uint32_t>(circuit.num_gates());
   step_.resize(n);
-  level_.resize(n);
   for (GateId id = 0; id < n; ++id) {
     step_[id] = lib.nearest_step(circuit.gate(id).size);
-    level_[id] = static_cast<std::uint32_t>(circuit.level(id));
   }
-  is_output_.assign(n, 0);
-  for (GateId out : flat_.outputs) is_output_[out] = 1;
-  buckets_.resize(static_cast<std::size_t>(flat_.depth) + 1);
   now_.assign(n, 0.0);
   entry_.resize(n);
   stale_.assign(n, 0);
-  mark_.assign(n, 0);
-  // Every cell starts pending, so the first query's forward walk is the
-  // full pass.
-  for (GateId id = 0; id < n; ++id) invalidate(id, kDelays | kPenalty);
+  forward_ = RankSet(n);
+  backward_ = RankSet(n);
+  slack_dirty_ = RankSet(n);
+  // Every cell starts stale, so the first query's forward walk is the full
+  // pass.
+  for (std::uint32_t r = 0; r < n; ++r) invalidate(r, kDelays | kPenalty);
   result_.arrival_ps.assign(n, 0.0);
   result_.required_ps.assign(n, 0.0);
   result_.slack_ps.assign(n, 0.0);
   req_raw_.assign(n, 0.0);
 }
 
-void CornerTimer::invalidate(GateId id, unsigned char bits) {
-  if (flat_.is_input[id] != 0) return;
-  stale_[id] |= bits;
-  if ((bits & kNow) != 0) push_once(pending_, id, kPending);
-}
-
-void CornerTimer::push_once(std::vector<GateId>& list, GateId id,
-                            unsigned char bit) {
-  if ((mark_[id] & bit) != 0) return;
-  mark_[id] |= bit;
-  list.push_back(id);
-}
-
-void CornerTimer::enqueue(GateId id) {
-  if ((mark_[id] & kQueued) != 0) return;
-  mark_[id] |= kQueued;
-  buckets_[level_[id]].push_back(id);
+void CornerTimer::invalidate(std::uint32_t r, unsigned char bits) {
+  if (r < num_inputs_) return;
+  stale_[topo_[r]] |= bits;
+  if ((bits & kNow) == 0) return;
+  // The delay enters the gate's arrival and its fanins' required times.
+  forward_.insert(r);
+  for (std::uint32_t f : rank_fanin_.row(r)) backward_.insert(f);
 }
 
 void CornerTimer::set_size_step(GateId id, std::size_t step) {
@@ -77,28 +70,31 @@ void CornerTimer::set_size_step(GateId id, std::size_t step) {
   circuit_.set_size(id, steps[step]);
   step_[id] = step;
   loads_.on_resize(id);
-  invalidate(id, kDelays | kPenalty);
-  for (GateId f : flat_.fanins_of(id)) {
-    invalidate(f, kDelays);
-    for (GateId fo : flat_.fanouts_of(f)) invalidate(fo, kPenalty);
+  const std::uint32_t r = rank_[id];
+  invalidate(r, kDelays | kPenalty);
+  for (std::uint32_t d : rank_fanin_.row(r)) {
+    invalidate(d, kDelays);
+    for (std::uint32_t fo : rank_fanout_.row(d)) invalidate(fo, kPenalty);
   }
-  for (GateId fo : flat_.fanouts_of(id)) invalidate(fo, kPenalty);
+  for (std::uint32_t fo : rank_fanout_.row(r)) invalidate(fo, kPenalty);
 }
 
 void CornerTimer::set_vth(GateId id, Vth vth) {
   circuit_.set_vth(id, vth);
-  invalidate(id, kDelays);
-  for (GateId fo : flat_.fanouts_of(id)) invalidate(fo, kPenalty);
+  const std::uint32_t r = rank_[id];
+  invalidate(r, kDelays);
+  for (std::uint32_t fo : rank_fanout_.row(r)) invalidate(fo, kPenalty);
 }
 
-double CornerTimer::eval(GateId id, Vth vth, double size, double load_ff) {
+double CornerTimer::eval(const Gate& g, Vth vth, double size,
+                         double load_ff) {
   ++delay_evals_;
-  return lib_.delay_ps(flat_.kind[id], vth, size, load_ff, dl_nm_, dvth_v_);
+  return lib_.delay_ps(g.kind, vth, size, load_ff, dl_nm_, dvth_v_);
 }
 
 double CornerTimer::rebuild_now(GateId id) {
   const Gate& g = circuit_.gate(id);
-  const double d = eval(id, g.vth, g.size, loads_.load_ff(id));
+  const double d = eval(g, g.vth, g.size, loads_.load_ff(id));
   if (!std::isfinite(d)) {
     throw NumericalError("corner delay of gate " + std::to_string(id) +
                          " is not finite — a library or load input is "
@@ -113,7 +109,7 @@ double CornerTimer::delay_up_ps(GateId id) {
   Entry& e = entry_[id];
   if ((stale_[id] & kUp) != 0) {
     const Gate& g = circuit_.gate(id);
-    e.up = eval(id, g.vth, lib_.size_steps()[step_[id] + 1],
+    e.up = eval(g, g.vth, lib_.size_steps()[step_[id] + 1],
                 loads_.load_ff(id));
     stale_[id] &= static_cast<unsigned char>(~kUp);
   }
@@ -123,7 +119,8 @@ double CornerTimer::delay_up_ps(GateId id) {
 double CornerTimer::delay_hvt_ps(GateId id) {
   Entry& e = entry_[id];
   if ((stale_[id] & kHvt) != 0) {
-    e.hvt = eval(id, Vth::kHigh, circuit_.gate(id).size, loads_.load_ff(id));
+    const Gate& g = circuit_.gate(id);
+    e.hvt = eval(g, Vth::kHigh, g.size, loads_.load_ff(id));
     stale_[id] &= static_cast<unsigned char>(~kHvt);
   }
   return e.hvt;
@@ -133,7 +130,7 @@ double CornerTimer::delay_down_ps(GateId id) {
   Entry& e = entry_[id];
   if ((stale_[id] & kDown) != 0) {
     const Gate& g = circuit_.gate(id);
-    e.down = eval(id, g.vth, lib_.size_steps()[step_[id] - 1],
+    e.down = eval(g, g.vth, lib_.size_steps()[step_[id] - 1],
                   loads_.load_ff(id));
     stale_[id] &= static_cast<unsigned char>(~kDown);
   }
@@ -148,10 +145,11 @@ double CornerTimer::upsize_penalty_ps(GateId id) {
         lib_.pin_cap_ff(g.kind, lib_.size_steps()[step_[id] + 1]) -
         lib_.pin_cap_ff(g.kind, g.size);
     double penalty = 0.0;
-    for (GateId f : flat_.fanins_of(id)) {
-      if (flat_.is_input[f] != 0) continue;
+    for (std::uint32_t d : rank_fanin_.row(rank_[id])) {
+      if (d < num_inputs_) continue;
+      const GateId f = topo_[d];
       const Gate& drv = circuit_.gate(f);
-      penalty += eval(f, drv.vth, drv.size, loads_.load_ff(f) + dcap) -
+      penalty += eval(drv, drv.vth, drv.size, loads_.load_ff(f) + dcap) -
                  delay_ps(f);
     }
     entry_[id].penalty = penalty;
@@ -162,38 +160,24 @@ double CornerTimer::upsize_penalty_ps(GateId id) {
 
 void CornerTimer::forward() {
   ++sta_passes_;
-  // Rebuild every pending delay before touching any walk state: a rebuild
-  // that throws leaves its gate stale and pending, and the next query
-  // throws again.
-  for (GateId id : pending_) (void)delay_ps(id);
-  for (GateId id : pending_) {
-    mark_[id] &= static_cast<unsigned char>(~kPending);
-    push_once(delay_moved_, id, kDelayMoved);
-    enqueue(id);
-  }
-  pending_.clear();
-
-  // Level by level, so every gate is recomputed after all of its
-  // recomputed fanins. Fanouts sit on strictly higher levels, so indexed
-  // iteration is safe while later buckets grow.
+  // Rank order recomputes every gate after all of its recomputed fanins.
+  // A pending delay is rebuilt on the visit; a rebuild that throws leaves
+  // its gate stale and in the set, and the next query throws again.
   std::vector<double>& arr = result_.arrival_ps;
-  for (std::vector<GateId>& bucket : buckets_) {
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId id = bucket[i];
-      mark_[id] &= static_cast<unsigned char>(~kQueued);
-      ++arrival_updates_;
-      double in_arr = 0.0;
-      for (GateId f : flat_.fanins_of(id)) in_arr = std::max(in_arr, arr[f]);
-      const double a = in_arr + now_[id];
-      if (same_bits(a, arr[id])) continue;
-      arr[id] = a;
-      push_once(slack_dirty_, id, kSlackDirty);
-      for (GateId fo : flat_.fanouts_of(id)) enqueue(fo);
-    }
-    bucket.clear();
-  }
+  forward_.drain_up([&](std::uint32_t r) {
+    const GateId id = topo_[r];
+    const double d = delay_ps(id);
+    ++arrival_updates_;
+    double in_arr = 0.0;
+    for (GateId f : fanin_.row(id)) in_arr = std::max(in_arr, arr[f]);
+    const double a = in_arr + d;
+    if (same_bits(a, arr[id])) return;
+    arr[id] = a;
+    slack_dirty_.insert(r);
+    for (std::uint32_t fo : rank_fanout_.row(r)) forward_.insert(fo);
+  });
   result_.critical_delay_ps = 0.0;
-  for (GateId out : flat_.outputs) {
+  for (GateId out : circuit_.outputs()) {
     result_.critical_delay_ps = std::max(result_.critical_delay_ps, arr[out]);
   }
 }
@@ -204,41 +188,31 @@ void CornerTimer::backward(double t_max_ps) {
     // stays unprimed until its slacks are all refreshed without a throw.
     backward_primed_ = false;
     backward_target_ps_ = t_max_ps;
-    for (GateId id = 0; id < flat_.num_gates; ++id) {
-      enqueue(id);
-      push_once(slack_dirty_, id, kSlackDirty);
+    for (std::uint32_t r = 0; r < topo_.size(); ++r) {
+      backward_.insert(r);
+      slack_dirty_.insert(r);
     }
   }
-  // A gate's delay enters only its fanins' required times.
-  for (GateId id : delay_moved_) {
-    mark_[id] &= static_cast<unsigned char>(~kDelayMoved);
-    for (GateId f : flat_.fanins_of(id)) enqueue(f);
-  }
-  delay_moved_.clear();
 
   // Same backward expression as the full-pass reference, gathered per gate
   // over its fanouts: min is exact, so the order does not change the bits.
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (auto it = buckets_.rbegin(); it != buckets_.rend(); ++it) {
-    std::vector<GateId>& bucket = *it;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-      const GateId id = bucket[i];
-      mark_[id] &= static_cast<unsigned char>(~kQueued);
-      ++required_updates_;
-      double req = is_output_[id] != 0 ? t_max_ps : kInf;
-      for (GateId fo : flat_.fanouts_of(id)) {
-        req = std::min(req, req_raw_[fo] - now_[fo]);
-      }
-      if (same_bits(req, req_raw_[id])) continue;
-      req_raw_[id] = req;
-      push_once(slack_dirty_, id, kSlackDirty);
-      for (GateId f : flat_.fanins_of(id)) enqueue(f);
+  backward_.drain_down([&](std::uint32_t r) {
+    const GateId id = topo_[r];
+    ++required_updates_;
+    double req = circuit_.is_output(id) ? t_max_ps : kInf;
+    for (GateId fo : fanout_.row(id)) {
+      req = std::min(req, req_raw_[fo] - now_[fo]);
     }
-    bucket.clear();
-  }
+    if (same_bits(req, req_raw_[id])) return;
+    req_raw_[id] = req;
+    slack_dirty_.insert(r);
+    for (std::uint32_t f : rank_fanin_.row(r)) backward_.insert(f);
+  });
 
   // The reference's clamp and non-finite guard, on the gates that moved.
-  for (GateId id : slack_dirty_) {
+  slack_dirty_.drain_up([&](std::uint32_t r) {
+    const GateId id = topo_[r];
     double req = req_raw_[id];
     if (!std::isfinite(req)) {
       if (req == kInf) {
@@ -252,11 +226,7 @@ void CornerTimer::backward(double t_max_ps) {
     }
     result_.required_ps[id] = req;
     result_.slack_ps[id] = req - result_.arrival_ps[id];
-  }
-  for (GateId id : slack_dirty_) {
-    mark_[id] &= static_cast<unsigned char>(~kSlackDirty);
-  }
-  slack_dirty_.clear();
+  });
   backward_primed_ = true;
 }
 

@@ -27,47 +27,52 @@
 ///     penalties of every fanout of those drivers (the drivers' loads and
 ///     delays feed them).
 ///
-/// analyze() and critical_delay_ps() are incremental, like FlatSstaEngine:
+/// analyze() and critical_delay_ps() are incremental, like FlatSstaEngine,
+/// and walk the same graph: the circuit's topo ranks, with a RankSet
+/// (util/rank_set.hpp) per walk:
 ///
-///   - every gate whose current delay a mutator invalidates is recorded as
-///     pending;
-///   - the forward walk rebuilds the pending delays, then recomputes
-///     arrivals level bucket by level bucket from those gates, following
-///     fanouts only where a recomputed arrival differs bitwise from the
-///     cached one;
-///   - the backward walk (analyze() only) re-mins the required times of the
-///     fanin drivers of every gate whose delay was invalidated since the
-///     last analyze(), walking fanin cones down the levels with the same
-///     bitwise cutoff;
-///   - slack is refreshed only for gates whose arrival or required time
-///     moved since the last analyze(), forward-only walks included.
+///   - a mutator that invalidates a gate's current delay inserts the gate
+///     into the forward set and its fanin drivers into the backward set
+///     (the delay enters only their required times);
+///   - the forward walk drains its set upward by rank, rebuilding a stale
+///     delay where it meets one, and inserts a gate's fanouts only where
+///     its recomputed arrival differs bitwise from the cached one;
+///   - the backward walk (analyze() only) drains its set downward, re-mins
+///     each required time and inserts the fanins of the gates whose
+///     required time moved, with the same bitwise cutoff;
+///   - a gate whose arrival or required time moved, forward-only walks
+///     included, joins the slack set, which analyze() drains last.
 ///
 /// Construction seeds every cell into the forward walk, and an analyze()
 /// whose target differs from the previous one seeds every gate into the
 /// backward walk, so a full pass is the same walk with every gate dirty.
 /// Each recomputed value uses the max/min/slack expression of the full-pass
-/// reference in tests/graph_oracle.hpp on the FlatCircuit CSR arrays; max
-/// and min of finite values are exact, so the visiting order does not
-/// matter and the arrivals, required times and slacks equal the reference's
-/// corner pass bit for bit (pinned by corner_timer_test).
+/// reference in tests/graph_oracle.hpp; max and min of finite values are
+/// exact, so the visiting order does not matter and the arrivals, required
+/// times and slacks equal the reference's corner pass bit for bit (pinned by
+/// corner_timer_test). The sets hold ranks; every per-gate value (delays,
+/// entries, steps, and the StaResult arrays) stays indexed by GateId, so the
+/// sizer's candidate scan reads them directly. The walks read those values
+/// through the by-id CSR and insert through the rank-space one.
 ///
 /// A non-finite current delay raises NumericalError when it is computed:
 /// the max/min passes would otherwise drop a NaN and return a plausible
-/// slack. The gate stays pending, so the next query throws again. A NaN or
-/// -inf target raises NumericalError too and leaves the backward walk
-/// unprimed.
+/// slack. The gate stays stale and in the forward set, so the next query
+/// throws again. A NaN or -inf target raises NumericalError too and leaves
+/// the backward walk unprimed.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cells/library.hpp"
 #include "netlist/circuit.hpp"
-#include "netlist/flat_circuit.hpp"
 #include "sta/loads.hpp"
 #include "sta/sta.hpp"
+#include "util/rank_set.hpp"
 
 namespace statleak {
 
@@ -137,27 +142,28 @@ class CornerTimer {
   static constexpr unsigned char kPenalty = 16;
   static constexpr unsigned char kDelays = kNow | kUp | kHvt | kDown;
 
-  // Walk bits per gate: in pending_, in delay_moved_, in slack_dirty_, and
-  // queued in a walk bucket.
-  static constexpr unsigned char kPending = 1;
-  static constexpr unsigned char kDelayMoved = 2;
-  static constexpr unsigned char kSlackDirty = 4;
-  static constexpr unsigned char kQueued = 8;
-
-  void invalidate(GateId id, unsigned char bits);
-  void push_once(std::vector<GateId>& list, GateId id, unsigned char bit);
-  void enqueue(GateId id);
-  double eval(GateId id, Vth vth, double size, double load_ff);
+  /// Marks fields of the gate at rank `r` stale; a stale current delay
+  /// also seeds the walks.
+  void invalidate(std::uint32_t r, unsigned char bits);
+  double eval(const Gate& g, Vth vth, double size, double load_ff);
   double rebuild_now(GateId id);
   void forward();
   void backward(double t_max_ps);
-
   Circuit& circuit_;
   const CellLibrary& lib_;
   const double dl_nm_;
   const double dvth_v_;
-  const FlatCircuit flat_;
   LoadCache loads_;
+  // The circuit's graph: the walks read values through the by-id CSR and
+  // insert into their sets through the rank-space one.
+  const Csr& fanin_;
+  const Csr& fanout_;
+  const Csr& rank_fanin_;
+  const Csr& rank_fanout_;
+  std::span<const GateId> topo_;         ///< rank -> GateId
+  std::span<const std::uint32_t> rank_;  ///< GateId -> rank
+  /// Ranks [0, num_inputs_) are the primary inputs.
+  std::uint32_t num_inputs_ = 0;
 
   std::vector<std::size_t> step_;
   std::vector<double> now_;
@@ -165,20 +171,16 @@ class CornerTimer {
   std::vector<unsigned char> stale_;
   StaResult result_;
 
-  std::vector<std::uint32_t> level_;
-  std::vector<char> is_output_;
   /// Required times before the +inf -> t_max clamp: what the
   /// backward walk propagates. result_.required_ps holds the clamped ones.
   std::vector<double> req_raw_;
-  std::vector<unsigned char> mark_;
-  /// Delay invalidated since the last forward walk.
-  std::vector<GateId> pending_;
-  /// Delay invalidated since the last backward walk: the fanins of these
-  /// gates seed it.
-  std::vector<GateId> delay_moved_;
+  /// Arrival to recompute: a stale delay, or a fanin's arrival moved.
+  RankSet forward_;
+  /// Required time to recompute: a fanout's delay was invalidated since the
+  /// last backward walk, or its required time moved.
+  RankSet backward_;
   /// Arrival or required time moved since the last slack refresh.
-  std::vector<GateId> slack_dirty_;
-  std::vector<std::vector<GateId>> buckets_;  ///< walk scratch, by level
+  RankSet slack_dirty_;
   bool backward_primed_ = false;
   double backward_target_ps_ = 0.0;
 

@@ -73,11 +73,12 @@
 /// expression shapes, and tightness values are identical — only redundant
 /// work is elided.
 ///
-/// Dirty sets: both walks keep their dirty gates in one bitset over ranks.
-/// The cone retime walks it upward (a fanout always has a higher rank); the
-/// criticality walk walks it downward (a fanin always has a lower one). Any
-/// topological order visits the same dirty set and computes each gate from
-/// final operands, so the walk order decides no bit and no counter.
+/// Dirty sets: both walks keep their dirty gates in one RankSet
+/// (util/rank_set.hpp). The cone retime drains it upward (a fanout always
+/// has a higher rank); the criticality walk drains it downward (a fanin
+/// always has a lower one). Any topological order visits the same dirty set
+/// and computes each gate from final operands, so the walk order decides no
+/// bit and no counter.
 ///
 /// Undo log per trial: a trial starts without one when the previous trial
 /// wrote more arrivals than trial_log_cap() (its log overflowed, or would
@@ -121,6 +122,7 @@
 #include "ssta/canonical.hpp"
 #include "sta/loads.hpp"
 #include "tech/variation.hpp"
+#include "util/rank_set.hpp"
 
 namespace statleak {
 
@@ -253,17 +255,6 @@ class FlatSstaEngine {
     return {fanout_.data() + fanout_offset_[r],
             fanout_.data() + fanout_offset_[r + 1]};
   }
-  bool is_dirty(std::uint32_t r) const {
-    return (dirty_[r >> 6] >> (r & 63) & 1) != 0;
-  }
-  /// Sets rank `r`'s dirty bit; returns its word index.
-  std::size_t set_dirty(std::uint32_t r) const {
-    dirty_[r >> 6] |= std::uint64_t{1} << (r & 63);
-    return r >> 6;
-  }
-  void clear_dirty(std::uint32_t r) const {
-    dirty_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
-  }
 
   const Circuit& circuit_;
   const CellLibrary& lib_;
@@ -317,9 +308,9 @@ class FlatSstaEngine {
   mutable std::uint32_t out_dirty_max_ = 0;
   mutable bool weights_stale_ = true;
 
-  /// Dirty bits by rank. Between walks they are set exactly for the ranks
-  /// in pending_; each walk leaves them all clear.
-  mutable std::vector<std::uint64_t> dirty_;
+  /// Dirty ranks. Between walks the set holds exactly the ranks in
+  /// pending_; each walk drains it.
+  mutable RankSet dirty_;
   mutable std::vector<std::uint32_t> pending_;
 
   // Incremental criticality. The criticality array is exact for the win

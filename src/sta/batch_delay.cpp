@@ -39,9 +39,10 @@ void BatchDelayKernel::block_impl(const double* dl, const double* dv,
                                   std::size_t stride, std::size_t lanes,
                                   double shift, double* arrival,
                                   double* out) const {
-  // Gate-major: finish all lanes of a gate before moving on. `topo` is a
-  // valid topological order (level buckets concatenated), so every fanin's
-  // arrival block is complete when a gate is reached.
+  // Gate-major: finish all lanes of a gate before moving on. `topo` is the
+  // circuit's topological order, so every fanin's arrival block is complete
+  // when a gate is reached. Each lane's fanin max chain runs in pin order,
+  // so any topological order gives the same bits.
   for (const GateId g : flat_->topo) {
     double* STATLEAK_RESTRICT arr_g = arrival + g * stride;
     if (flat_->is_input[g]) {

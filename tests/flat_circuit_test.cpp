@@ -1,9 +1,8 @@
 // Invariants of the frozen SoA circuit snapshot: CSR adjacency must
-// round-trip the AoS Circuit exactly (including fanin pin order), the
-// level-bucketed topo order must be a valid topological permutation whose
-// buckets partition the gates by level, and the per-gate attribute arrays
-// must mirror the implementation point at build time (not track later
-// mutations).
+// round-trip the AoS Circuit exactly (including fanin pin order), the topo
+// order must be a valid topological permutation, and the per-gate attribute
+// arrays must mirror the implementation point at build time (not track
+// later mutations).
 
 #include <gtest/gtest.h>
 
@@ -40,7 +39,7 @@ TEST_P(FlatCircuitTest, CsrAdjacencyRoundTrips) {
   }
 }
 
-TEST_P(FlatCircuitTest, TopoIsValidPermutationAndLevelsBucket) {
+TEST_P(FlatCircuitTest, TopoIsValidTopologicalPermutation) {
   const Circuit c = iscas85_proxy(GetParam());
   const FlatCircuit flat = FlatCircuit::build(c);
 
@@ -60,21 +59,6 @@ TEST_P(FlatCircuitTest, TopoIsValidPermutationAndLevelsBucket) {
   for (GateId g = 0; g < flat.num_gates; ++g) {
     for (const GateId f : flat.fanins_of(g)) {
       EXPECT_LT(pos[f], pos[g]) << "fanin " << f << " of gate " << g;
-    }
-  }
-
-  // Level buckets cover [0, num_gates) and hold exactly the gates of that
-  // level; fanins sit in strictly lower buckets.
-  ASSERT_EQ(flat.level_offset.size(),
-            static_cast<std::size_t>(flat.depth) + 2);
-  EXPECT_EQ(flat.level_offset.front(), 0u);
-  EXPECT_EQ(flat.level_offset.back(), flat.num_gates);
-  for (int l = 0; l <= flat.depth; ++l) {
-    for (const GateId g : flat.level_bucket(l)) {
-      EXPECT_EQ(c.level(g), l) << "gate " << g;
-      for (const GateId f : flat.fanins_of(g)) {
-        EXPECT_LT(c.level(f), l) << "fanin " << f << " of gate " << g;
-      }
     }
   }
 }

@@ -415,27 +415,10 @@ testing::AssertionResult graph_consistent(const Circuit& c) {
     depth = std::max(depth, level[id]);
   }
   if (c.depth() != depth) return testing::AssertionFailure() << "depth";
-  // Level buckets: topo order stably partitioned by level.
-  std::vector<GateId> bucketed;
-  for (int l = 0; l <= depth; ++l) {
-    for (const GateId id : topo) {
-      if (level[id] == l) bucketed.push_back(id);
-    }
-  }
-  const auto order = c.level_order();
-  const auto offset = c.level_offset();
-  if (!std::equal(order.begin(), order.end(), bucketed.begin(),
-                  bucketed.end()) ||
-      offset.size() != static_cast<std::size_t>(depth) + 2 ||
-      offset.back() != c.num_gates()) {
-    return testing::AssertionFailure() << "level order";
-  }
-  for (int l = 0; l <= depth; ++l) {
-    for (auto k = offset[l]; k < offset[l + 1]; ++k) {
-      if (level[order[k]] != l) {
-        return testing::AssertionFailure() << "bucket " << l;
-      }
-    }
+  // The incremental timers test `rank < inputs` for "is an input".
+  const auto inputs = c.inputs();
+  if (!std::equal(inputs.begin(), inputs.end(), got_topo.begin())) {
+    return testing::AssertionFailure() << "inputs lead the topo order";
   }
   // Rank space: the by-id CSR mapped through rank.
   const auto rank = c.ranks();
