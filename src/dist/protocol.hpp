@@ -58,7 +58,9 @@ class DistError : public Error {
 /// scalar-vs-batched engine switch when the scalar Monte-Carlo engine was
 /// retired. v4 marks the in-repo exp of the leakage kernel (util/exp.hpp):
 /// a v3 worker's leakage bits differ, so it must not join a v4 campaign.
-inline constexpr int kProtocolVersion = 4;
+/// v5 marks the in-repo erfc (util/erfc.hpp): a v4 worker's Sobol draws
+/// and SSTA yields differ.
+inline constexpr int kProtocolVersion = 5;
 
 // --- framing ----------------------------------------------------------------
 

@@ -51,7 +51,10 @@ inline constexpr std::uint32_t kMcSampleBlock = 0;
 /// rejected instead of resumed into a population that mixes both
 /// arithmetics. Revision 1: leakage terms use the in-repo exp
 /// (util/exp.hpp) instead of libm's; earlier builds mixed no revision.
-inline constexpr std::uint64_t kMcArithmeticRevision = 1;
+/// Revision 2: normal_cdf runs the in-repo erfc (util/erfc.hpp), which
+/// moves the Halley step of normal_inverse_cdf and with it every Sobol
+/// draw.
+inline constexpr std::uint64_t kMcArithmeticRevision = 2;
 
 /// The journal format tag of MC checkpoint files.
 inline constexpr JournalFormat mc_checkpoint_format() {

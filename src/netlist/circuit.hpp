@@ -115,6 +115,8 @@ class Circuit {
     return {name_of(id), kind_[id], vth_[id], size_[id],
             {fanins.data(), fanins.size()}};
   }
+  /// Every gate's kind, by GateId.
+  std::span<const CellKind> kinds() const { return kind_; }
   std::span<const GateId> inputs() const { return inputs_; }
   std::span<const GateId> outputs() const { return outputs_; }
   bool is_output(GateId id) const {

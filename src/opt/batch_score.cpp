@@ -25,11 +25,12 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 }  // namespace
 
 BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
-                         const FlatCircuit& flat, const LoadCache& loads,
+                         const Circuit& circuit, const LoadCache& loads,
                          ThreadPool& pool, std::size_t block)
     : lib_(lib),
       leak_(leak),
-      flat_(flat),
+      circuit_(circuit),
+      kind_(circuit.kinds()),
       loads_(loads.loads()),
       pool_(pool),
       block_(block),
@@ -53,11 +54,16 @@ BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
     }
   }
 
-  const std::size_t n = flat_.num_gates;
-  vth_.assign(flat_.vth.begin(), flat_.vth.end());
-  size_.assign(flat_.size.begin(), flat_.size.end());
+  const std::size_t n = kind_.size();
+  vth_.resize(n);
+  size_.resize(n);
   step_.resize(n);
-  for (GateId g = 0; g < n; ++g) step_[g] = lib_.nearest_step(size_[g]);
+  for (GateId g = 0; g < n; ++g) {
+    const Gate gate = circuit_.gate(g);
+    vth_[g] = gate.vth;
+    size_[g] = gate.size;
+    step_[g] = lib_.nearest_step(size_[g]);
+  }
 
   // Persistent assign-slot lanes start fully dirty; the first assign scan
   // builds them (the leakage analyzer's committed moments are only
@@ -193,9 +199,7 @@ void BatchScorer::set_impl(GateId id, Vth vth, double size) {
     // output loads of its fanin drivers — their persisted delay deltas are
     // stale (sta/loads.hpp: loads depend on receiver sizes only, so a pure
     // Vth swap leaves every load untouched).
-    const std::uint32_t off = flat_.fanin_offset[id];
-    const std::uint32_t end = flat_.fanin_offset[id + 1];
-    for (std::uint32_t k = off; k < end; ++k) mark_dirty(flat_.fanin[k]);
+    for (GateId d : circuit_.fanin_csr().row(id)) mark_dirty(d);
   }
 }
 
@@ -215,11 +219,11 @@ void BatchScorer::rebuild_gate_slots(GateId id) {
   const std::size_t s_down = s_hvt + 1;
   sl_alive_[s_hvt] = 0;
   sl_alive_[s_down] = 0;
-  if (flat_.is_input[id]) return;
+  if (kind_[id] == CellKind::kInput) return;
   const double load = loads_[id];
   const double size = size_[id];
   const double dn = terms_[0].drive_num;
-  const std::size_t tn = static_cast<std::size_t>(flat_.kind[id]) * 2 +
+  const std::size_t tn = static_cast<std::size_t>(kind_[id]) * 2 +
                          (vth_[id] == Vth::kHigh ? 1 : 0);
   const GateLeakMoments& m = leak_.cached_moments(id);
   // The exact stage-1 delay decomposition of the batched scan (and of the
@@ -237,7 +241,7 @@ void BatchScorer::rebuild_gate_slots(GateId id) {
       nvar = std::max(0.0, nominal * nominal * var_factor_);
     } else {
       const GateLeakMoments nm =
-          leak_.model().gate_moments(flat_.kind[id], tvth, tgt);
+          leak_.model().gate_moments(kind_[id], tvth, tgt);
       nmean = nm.mean_na;
       nvar = nm.var_na2;
     }
@@ -260,7 +264,7 @@ void BatchScorer::rebuild_gate_slots(GateId id) {
     }
   };
   if (vth_[id] == Vth::kLow) {
-    const std::size_t th = static_cast<std::size_t>(flat_.kind[id]) * 2 + 1;
+    const std::size_t th = static_cast<std::size_t>(kind_[id]) * 2 + 1;
     const double d_tgt = terms_[th].intrinsic_ps +
                          dn * load / (terms_[th].idrive_unit_ua * size);
     fill(s_hvt, d_tgt - d_now, th, Vth::kHigh, size);
@@ -301,18 +305,18 @@ MoveCandidate BatchScorer::best_sizing(std::span<const double> criticality,
   std::fill(shard_best_.begin(), shard_best_.end(), MoveCandidate{});
 
   pool_.parallel_for(
-      flat_.num_gates, [&](std::size_t lo, std::size_t hi, int worker) {
+      kind_.size(), [&](std::size_t lo, std::size_t hi, int worker) {
         Worker& w = workers_[static_cast<std::size_t>(worker)];
         w.clear();
         for (std::size_t i = lo; i < hi; ++i) {
           const auto id = static_cast<GateId>(i);
-          if (flat_.is_input[id]) continue;
+          if (kind_[id] == CellKind::kInput) continue;
           if (criticality[id] < crit_floor) continue;
           const std::size_t step = step_[id];
           if (step + 1 >= steps_.size()) continue;
           if ((locked[id] >> (step + 1)) & 1u) continue;
           const std::size_t t =
-              static_cast<std::size_t>(flat_.kind[id]) * 2 +
+              static_cast<std::size_t>(kind_[id]) * 2 +
               (vth_[id] == Vth::kHigh ? 1 : 0);
           w.gate.push_back(id);
           w.tgt_step.push_back(step + 1);
@@ -386,7 +390,7 @@ void BatchScorer::price_blocks_sizing(Worker& w, const LeakDeltaPricer& pricer,
       for (std::size_t i = 0; i < len; ++i) {
         const GateId id = w.gate[base + i];
         const GateLeakMoments nm =
-            leak_.model().gate_moments(flat_.kind[id], vth_[id], tgt[i]);
+            leak_.model().gate_moments(kind_[id], vth_[id], tgt[i]);
         nmean[i] = nm.mean_na;
         nvar[i] = nm.var_na2;
       }
@@ -443,7 +447,7 @@ void BatchScorer::refresh_block(std::size_t b) {
 
 bool BatchScorer::patch_keys(std::span<const double> criticality,
                              std::span<const unsigned char> locked) {
-  const std::size_t n = flat_.num_gates;
+  const std::size_t n = kind_.size();
   constexpr std::size_t kGates = kKeyBlock / 2;  // gates per key block
   std::size_t count = 0;
   for (std::size_t lo = 0; lo < n; lo += kGates) {
@@ -489,7 +493,7 @@ void BatchScorer::rekey_all(const AssignBound& bound,
                             std::span<const double> criticality,
                             std::span<const unsigned char> locked,
                             double crit_floor, double eps) {
-  const std::size_t n = flat_.num_gates;
+  const std::size_t n = kind_.size();
   p0_ = bound.p;
   q0_ = bound.q;
   floor_seen_ = crit_floor;

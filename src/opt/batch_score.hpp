@@ -1,5 +1,5 @@
 /// \file batch_score.hpp
-/// \brief Candidate-batched move pricing on the FlatCircuit snapshot.
+/// \brief Candidate-batched move pricing over SoA mirrors of the circuit.
 ///
 /// The statistical optimizer's scoring scans price every legal move against
 /// the same committed state (scoring is read-only; commits are serial).
@@ -9,7 +9,7 @@
 /// keeps that walk as the reference scan — the scorer works SoA. The
 /// phase-1 (sizing) scan is parallel per candidate:
 ///
-///   1. a filter pass over flat mirror arrays (vth/size/step per gate,
+///   1. a filter pass over SoA mirror arrays (vth/size/step per gate,
 ///      maintained by the optimizer through set_impl()) collects the legal
 ///      candidates of the worker's gate shard into SoA candidate arrays,
 ///      gathering every per-candidate input (load, delay terms, leak-unit
@@ -66,7 +66,7 @@
 
 #include "cells/library.hpp"
 #include "leakage/leakage.hpp"
-#include "netlist/flat_circuit.hpp"
+#include "netlist/circuit.hpp"
 #include "sta/loads.hpp"
 #include "util/parallel.hpp"
 
@@ -83,11 +83,12 @@ struct MoveCandidate {
 
 class BatchScorer {
  public:
-  /// `block` is the candidate-block size K (>= 1). The flat snapshot and
-  /// load cache must outlive the scorer; mirrors are seeded from the
-  /// snapshot (taken at the optimizer's reset point).
+  /// `block` is the candidate-block size K (>= 1). The circuit and load
+  /// cache must outlive the scorer; the mirrors are seeded from the
+  /// circuit's implementation point at construction (the optimizer's reset
+  /// point).
   BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
-              const FlatCircuit& flat, const LoadCache& loads,
+              const Circuit& circuit, const LoadCache& loads,
               ThreadPool& pool, std::size_t block);
 
   /// Reports one gate's implementation change into the mirror arrays.
@@ -199,7 +200,8 @@ class BatchScorer {
 
   const CellLibrary& lib_;
   const LeakageAnalyzer& leak_;
-  const FlatCircuit& flat_;
+  const Circuit& circuit_;
+  std::span<const CellKind> kind_;  ///< by GateId
   std::span<const double> loads_;
   ThreadPool& pool_;
   std::size_t block_;

@@ -124,7 +124,7 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
       config_.candidate_block > 0
           ? static_cast<std::size_t>(config_.candidate_block)
           : kDefaultCandidateBlock;
-  BatchScorer scorer(lib_, leak, ssta.flat(), ssta.loads(), pool, block);
+  BatchScorer scorer(lib_, leak, circuit, ssta.loads(), pool, block);
 
   // Keeps the scorer's implementation mirrors in lockstep with the circuit.
   // Every set_size/set_vth in this function is followed by a sync(id);

@@ -178,8 +178,9 @@ inline Canonical canonical_max_saturating(const Canonical& a,
     } else {
       // General case: clark_max's full formula, inlined.
       const double phi = normal_pdf(alpha);
-      const double Phi = normal_cdf(alpha);
-      const double Phi_neg = normal_cdf(-alpha);
+      double Phi;
+      double Phi_neg;
+      normal_cdf_pair(alpha, Phi, Phi_neg);
       tight = Phi;
       mean = a.mean * Phi + b.mean * Phi_neg + theta * phi;
       const double second_moment = (var_a + a.mean * a.mean) * Phi +

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "ssta/clark_lanes.hpp"
 #include "ssta/delay_model.hpp"
 #include "util/error.hpp"
 #include "util/simd.hpp"
@@ -28,10 +29,10 @@ constexpr double kWalkCostPerScatterGate = 3.5;
 }  // namespace
 
 FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
-                               const VariationModel& var)
+                               const VariationModel& var, SimdIsa isa)
     : circuit_(circuit), lib_(lib), var_(var), loads_(circuit, lib),
-      flat_(FlatCircuit::build(circuit)), topo_(circuit.topo_order()),
-      rank_(circuit.ranks()),
+      isa_(isa == SimdIsa::kAvx512 ? host_simd_isa() : SimdIsa::kBaseline),
+      topo_(circuit.topo_order()), rank_(circuit.ranks()),
       fanin_offset_(circuit.rank_fanin_csr().offset),
       fanin_(circuit.rank_fanin_csr().ids),
       fanout_offset_(circuit.rank_fanout_csr().offset),
@@ -42,13 +43,18 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
 
   // Every walk relies on two facts checked here once: the inputs are
   // exactly the leading ranks, and every other gate has fanins.
+  const std::span<const CellKind> kinds = circuit_.kinds();
   std::uint32_t max_degree = 1;
+  first_fanout_.assign(n, kNone);
   for (std::uint32_t r = 0; r < n; ++r) {
     const std::uint32_t degree = fanin_offset_[r + 1] - fanin_offset_[r];
-    STATLEAK_CHECK((r < num_inputs_) == (flat_.is_input[topo_[r]] != 0),
+    STATLEAK_CHECK((r < num_inputs_) == (kinds[topo_[r]] == CellKind::kInput),
                    "primary inputs must lead the topological order");
     STATLEAK_CHECK(r < num_inputs_ || degree != 0, "max of nothing");
     max_degree = std::max(max_degree, degree);
+    for (std::uint32_t fo : fanouts(r)) {
+      first_fanout_[r] = std::min(first_fanout_[r], fo);
+    }
   }
   // Consumer edges in the scatter's order: consumers by decreasing rank,
   // each consumer's pins ascending. Rank r has one per fanout entry, so
@@ -64,11 +70,12 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
       }
     }
   }
-  const std::size_t m = flat_.outputs.size();
+  const std::span<const GateId> outputs = circuit_.outputs();
+  const std::size_t m = outputs.size();
   out_index_.assign(n, kNone);
   out_rank_.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
-    out_rank_[i] = rank_[flat_.outputs[i]];
+    out_rank_[i] = rank_[outputs[i]];
     out_index_[out_rank_[i]] = static_cast<std::uint32_t>(i);
   }
 
@@ -79,6 +86,8 @@ FlatSstaEngine::FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
   own_delay_.assign(n, Canonical{});
   for (std::uint32_t r = 0; r < n; ++r) refresh_own_delay(r);
   dirty_ = RankSet(n);
+  pairs_.slots = 2;
+  chains_.slots = kLaneMaxFanins;
   touched_.assign(n, 0);
   weights_scratch_.resize(max_degree);
   out_arrival_.assign(m, Canonical{});
@@ -302,9 +311,8 @@ Canonical FlatSstaEngine::fold_fanins(std::uint32_t r,
                         own_delay_[r]);
 }
 
-bool FlatSstaEngine::retime_gate(std::uint32_t r) const {
-  double* STATLEAK_RESTRICT w = weights_scratch_.data();
-  const Canonical fresh = fold_fanins(r, w);
+bool FlatSstaEngine::apply_retime(std::uint32_t r, const Canonical& fresh,
+                                  const double* STATLEAK_RESTRICT w) const {
   const std::uint32_t off = fanin_offset_[r];
   const std::uint32_t deg = fanin_offset_[r + 1] - off;
   const bool changed = !same_canonical(fresh, arrival_[r]);
@@ -398,6 +406,69 @@ void FlatSstaEngine::full_pass() const {
   crit_seeds_.clear();
 }
 
+void FlatSstaEngine::queue_lane(LaneQueue& q, std::uint32_t r) const {
+  const std::uint32_t off = fanin_offset_[r];
+  const std::uint32_t deg = fanin_offset_[r + 1] - off;
+  const std::uint32_t k = q.lanes++;
+  q.rank[k] = r;
+  q.deg[k] = deg;
+  q.width = std::max(q.width, deg);
+  // Operand slots past the gate's fanins repeat its last one, so the
+  // masked chain steps see finite operands.
+  for (std::uint32_t i = 0; i < q.slots; ++i) {
+    const Canonical& a = arrival_[fanin_[off + std::min(i, deg - 1)]];
+    q.ops[i].mean[k] = a.mean;
+    q.ops[i].gl[k] = a.gl;
+    q.ops[i].gv[k] = a.gv;
+    q.ops[i].loc[k] = a.loc;
+  }
+  const Canonical& d = own_delay_[r];
+  q.delay.mean[k] = d.mean;
+  q.delay.gl[k] = d.gl;
+  q.delay.gv[k] = d.gv;
+  q.delay.loc[k] = d.loc;
+  if (q.lanes == 8) run_lanes(q);
+}
+
+void FlatSstaEngine::run_lanes(LaneQueue& q) const {
+  if (q.lanes < kMinLanes) {
+    // Too few gates to pay for eight lanes: the scalar fold.
+    double* STATLEAK_RESTRICT w = weights_scratch_.data();
+    for (std::uint32_t k = 0; k < q.lanes; ++k) {
+      const std::uint32_t r = q.rank[k];
+      cone_apply(r, fold_fanins(r, w), w);
+    }
+  } else {
+    CanonicalLanes out;
+    double w[kLaneMaxFanins][8];
+    clark_fold_x8(isa_, q.ops, q.width, q.deg, q.delay, out, w);
+    for (std::uint32_t k = 0; k < q.lanes; ++k) {
+      double wk[kLaneMaxFanins];
+      for (std::int64_t i = 0; i < q.deg[k]; ++i) wk[i] = w[i][k];
+      cone_apply(q.rank[k], {out.mean[k], out.gl[k], out.gv[k], out.loc[k]},
+                 wk);
+    }
+    lane_gates_ += q.lanes;
+  }
+  q.lanes = 0;
+  q.width = 0;
+}
+
+void FlatSstaEngine::cone_apply(std::uint32_t r, const Canonical& fresh,
+                                const double* w) const {
+  ++cone_visits_;
+  dirty_.erase(r);
+  // Bit-identical arrival: the cone stops here.
+  if (!apply_retime(r, fresh, w)) return;
+  const std::uint32_t oi = out_index_[r];
+  if (oi != kNone) {
+    out_arrival_[oi] = arrival_[r];
+    out_dirty_min_ = std::min(out_dirty_min_, oi);
+    out_dirty_max_ = std::max(out_dirty_max_, oi);
+  }
+  for (std::uint32_t fo : fanouts(r)) dirty_.insert(fo);
+}
+
 void FlatSstaEngine::flush() const {
   if (primed_ && pending_.empty()) return;
   obs::ScopedTimer timer(obs_, "ssta.retime");
@@ -407,25 +478,43 @@ void FlatSstaEngine::flush() const {
   }
   if (obs_ != nullptr) obs_->add("ssta.flat_incremental_passes", 1.0);
 
-  // Cone propagation in rank order: a gate is recomputed only after all of
-  // its recomputed fanins. An input's arrival is the zero canonical
-  // forever, so a dirty input (the driver of a resized gate) is counted as
-  // visited and dropped.
-  std::int64_t retimed = 0;
+  // Cone propagation in rank order, one window of dirty ranks at a time. A
+  // window closes before the lowest fanout rank of any gate in it, so no
+  // member feeds another, and every fanout a member inserts lies above the
+  // window: each member is recomputed from final fanin arrivals, as in a
+  // one-by-one drain. Two-input gates fill one eight-lane queue, wider ones
+  // another (a masked chain); one-input gates take the scalar fold. An
+  // input's arrival is the zero canonical forever, so a dirty input (the
+  // driver of a resized gate) is counted as visited and dropped.
+  cone_visits_ = 0;
+  lane_gates_ = 0;
   pending_.clear();
-  dirty_.drain_up([&](std::uint32_t r) {
-    ++retimed;
-    if (r < num_inputs_) return;
-    // Bit-identical arrival: the cone stops here.
-    if (!retime_gate(r)) return;
-    const std::uint32_t oi = out_index_[r];
-    if (oi != kNone) {
-      out_arrival_[oi] = arrival_[r];
-      out_dirty_min_ = std::min(out_dirty_min_, oi);
-      out_dirty_max_ = std::max(out_dirty_max_, oi);
+  double* STATLEAK_RESTRICT w = weights_scratch_.data();
+  std::uint32_t r = dirty_.first_from(0);
+  while (r != RankSet::npos) {
+    std::uint32_t limit = RankSet::npos;
+    for (; r < limit; r = dirty_.first_from(r + 1)) {
+      if (r < num_inputs_) {
+        ++cone_visits_;
+        dirty_.erase(r);
+        continue;
+      }
+      limit = std::min(limit, first_fanout_[r]);
+      const std::uint32_t deg = fanin_offset_[r + 1] - fanin_offset_[r];
+      if (deg == 2) {
+        queue_lane(pairs_, r);
+      } else if (deg > 2 && deg <= kLaneMaxFanins) {
+        queue_lane(chains_, r);
+      } else {
+        cone_apply(r, fold_fanins(r, w), w);
+      }
     }
-    for (std::uint32_t fo : fanouts(r)) dirty_.insert(fo);
-  });
+    run_lanes(pairs_);
+    run_lanes(chains_);
+    // r was looked up before the last members inserted their fanouts.
+    if (limit != RankSet::npos) r = dirty_.first_from(limit);
+  }
+  dirty_.reset_window();
 
   replay_output_chain();
   // Many forward-only queries between refreshes: past the dense threshold
@@ -437,8 +526,11 @@ void FlatSstaEngine::flush() const {
     crit_primed_ = false;
     crit_seeds_.resize(trial_active_ ? trial_crit_seeds_ : 0);
   }
-  if (obs_ != nullptr) obs_->add("ssta.flat_cone_gates_retimed",
-                                 static_cast<double>(retimed));
+  if (obs_ != nullptr) {
+    obs_->add("ssta.flat_cone_gates_retimed",
+              static_cast<double>(cone_visits_));
+    obs_->add("ssta.lane_gates", static_cast<double>(lane_gates_));
+  }
 }
 
 void FlatSstaEngine::refresh_criticality() const {

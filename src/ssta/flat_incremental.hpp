@@ -1,6 +1,6 @@
 /// \file flat_incremental.hpp
-/// \brief Block-based statistical static timing analysis on a FlatCircuit
-///        snapshot: the one SSTA engine, one-shot or incremental.
+/// \brief Block-based statistical static timing analysis on a Circuit's
+///        rank-space graph: the one SSTA engine, one-shot or incremental.
 ///
 /// Forward PERT traversal propagating canonical forms: at each gate, the
 /// fanin arrivals are combined with iterated Clark MAX (recording per-fanin
@@ -49,8 +49,7 @@
 /// GateIds appear only at the API edge: on_resize() and on_vth_change() map
 /// an id to its rank, analyze() alone materialises arrivals by GateId, and
 /// the criticality the optimizer reads is published by GateId (the scatter
-/// publishes every entry, a walk only the entries it rewrote). flat() is
-/// a by-id FlatCircuit of the circuit as it was at construction.
+/// publishes every entry, a walk only the entries it rewrote).
 ///
 /// Own-delay cache: only the moved gate and its fanin drivers change delay
 /// on a move, so the engine recomputes the canonical own delay eagerly at
@@ -74,11 +73,28 @@
 /// work is elided.
 ///
 /// Dirty sets: both walks keep their dirty gates in one RankSet
-/// (util/rank_set.hpp). The cone retime drains it upward (a fanout always
+/// (util/rank_set.hpp). The cone retime takes it upward (a fanout always
 /// has a higher rank); the criticality walk drains it downward (a fanin
 /// always has a lower one). Any topological order visits the same dirty set
 /// and computes each gate from final operands, so the walk order decides no
 /// bit and no counter.
+///
+/// Lane-parallel cone retime: the retime takes the dirty ranks in windows.
+/// A window closes before the lowest fanout rank of any gate in it
+/// (first_fanout_), so no member feeds another and every fanout a member
+/// inserts lies above the window: each member's fanin arrivals are final
+/// when the window opens. Two-input gates fill one eight-lane queue, gates
+/// of three and four inputs another, and a full queue runs the eight-lane
+/// fold (ssta/clark_lanes.hpp), whose lanes equal the scalar fold bit for
+/// bit. One-input gates, and queues left with fewer than kMinLanes gates at
+/// the end of a window, take the scalar fold. Each result is applied as
+/// soon as its batch is done, with the same compare, undo log, criticality
+/// seed and fanout insert as a one-by-one drain. Within a window that order
+/// decides nothing: the members' arrivals and weights are disjoint, a
+/// fanout lands above the window whoever inserts it, and the undo log, the
+/// seeds and the output window are sets whose contents do not depend on the
+/// order (the log cap trips at the same count). So no bit and no counter
+/// depends on the windows.
 ///
 /// Undo log per trial: a trial starts without one when the previous trial
 /// wrote more arrivals than trial_log_cap() (its log overflowed, or would
@@ -117,12 +133,13 @@
 
 #include "cells/library.hpp"
 #include "netlist/circuit.hpp"
-#include "netlist/flat_circuit.hpp"
 #include "obs/registry.hpp"
 #include "ssta/canonical.hpp"
+#include "ssta/clark_lanes.hpp"
 #include "sta/loads.hpp"
 #include "tech/variation.hpp"
 #include "util/rank_set.hpp"
+#include "util/simd.hpp"
 
 namespace statleak {
 
@@ -148,8 +165,11 @@ struct SstaResult {
 /// as every change is reported via on_resize() / on_vth_change().
 class FlatSstaEngine {
  public:
+  /// `isa` picks the variant of the cone retime's eight-lane Clark kernel
+  /// (ssta/clark_lanes.hpp); kAvx512 falls back to kBaseline on a host
+  /// without AVX-512. Both give the same bits.
   FlatSstaEngine(const Circuit& circuit, const CellLibrary& lib,
-                 const VariationModel& var);
+                 const VariationModel& var, SimdIsa isa = host_simd_isa());
 
   /// Call after gate `id` changed size: patches the load cache, refreshes
   /// the own-delay cache of `id` and its fanin drivers, and marks them
@@ -205,10 +225,6 @@ class FlatSstaEngine {
   /// Forward-only analysis: circuit-delay canonical without criticality.
   Canonical circuit_delay() const;
 
-  /// A by-id FlatCircuit of the circuit as it was at construction (for
-  /// callers that want its arrays, e.g. batched move pricing).
-  const FlatCircuit& flat() const { return flat_; }
-
  private:
   struct ArrivalUndo {
     std::uint32_t rank = 0;
@@ -238,7 +254,30 @@ class FlatSstaEngine {
   void flush() const;
   void full_pass() const;
   Canonical fold_fanins(std::uint32_t r, double* w) const;
-  bool retime_gate(std::uint32_t r) const;
+  /// Writes a recomputed arrival and its fanin weights back (logging the
+  /// old ones in a trial). Returns whether the arrival changed bitwise.
+  bool apply_retime(std::uint32_t r, const Canonical& fresh,
+                    const double* w) const;
+  /// Eight gates of one cone-retime window, gathered for clark_fold_x8.
+  struct LaneQueue {
+    CanonicalLanes ops[kLaneMaxFanins];
+    CanonicalLanes delay;
+    std::int64_t deg[8];
+    std::uint32_t rank[8];
+    std::uint32_t slots = 0;  ///< operand slots filled per lane
+    std::uint32_t lanes = 0;
+    std::uint32_t width = 0;  ///< largest deg
+  };
+  /// A queue of fewer gates than this runs the scalar fold instead.
+  static constexpr std::uint32_t kMinLanes = 3;
+  /// Adds rank r to `q`; a full queue runs.
+  void queue_lane(LaneQueue& q, std::uint32_t r) const;
+  /// Folds the queued gates, applies them and empties q.
+  void run_lanes(LaneQueue& q) const;
+  /// One visited rank of the cone retime: applies its recomputed arrival
+  /// and, when it moved, records the output and inserts the fanouts.
+  void cone_apply(std::uint32_t r, const Canonical& fresh,
+                  const double* w) const;
   void replay_output_chain() const;
   void refresh_sink_weights() const;
   void refresh_criticality() const;
@@ -260,7 +299,7 @@ class FlatSstaEngine {
   const CellLibrary& lib_;
   const VariationModel& var_;
   LoadCache loads_;
-  FlatCircuit flat_;
+  SimdIsa isa_;
   /// Circuit::topo_order(): rank -> GateId. The criticality scatter
   /// accumulates in this order, so bit-identity with the reference rests on
   /// it.
@@ -279,6 +318,9 @@ class FlatSstaEngine {
   /// fanout_offset_[r + 1]), in the scatter's addition order (see the file
   /// comment).
   std::vector<ConsumerEdge> cons_;
+  /// Rank -> the lowest rank among its fanouts, or kNone: a cone-retime
+  /// window closes there.
+  std::vector<std::uint32_t> first_fanout_;
   std::vector<std::uint32_t> out_index_;  ///< rank -> output index, or kNone
   std::vector<std::uint32_t> out_rank_;   ///< output index -> rank
   obs::Registry* obs_ = nullptr;
@@ -324,6 +366,12 @@ class FlatSstaEngine {
   double walk_cutover_ = 0.0;
   /// Gates the last walk recomputed per seed (0 before the first walk).
   mutable double walk_updates_per_seed_ = 0.0;
+
+  mutable LaneQueue pairs_;   ///< two-input gates
+  mutable LaneQueue chains_;  ///< three or more inputs
+  // Per flush, for ssta.flat_cone_gates_retimed and ssta.lane_gates.
+  mutable std::int64_t cone_visits_ = 0;
+  mutable std::int64_t lane_gates_ = 0;
 
   mutable std::vector<Canonical> operands_;       ///< retime scratch
   mutable std::vector<double> weights_scratch_;   ///< max fanin degree

@@ -43,8 +43,9 @@ ClarkMax clark_max(double mean1, double var1, double mean2, double var2,
 
   const double alpha = (mean1 - mean2) / theta;
   const double phi = normal_pdf(alpha);
-  const double Phi = normal_cdf(alpha);
-  const double Phi_neg = normal_cdf(-alpha);
+  double Phi;
+  double Phi_neg;
+  normal_cdf_pair(alpha, Phi, Phi_neg);
 
   out.tightness = Phi;
   out.mean = mean1 * Phi + mean2 * Phi_neg + theta * phi;

@@ -22,6 +22,9 @@
 /// ln(2^-1075) gives 0, and the rest scale with std::ldexp, so results next
 /// to the overflow threshold stay finite and subnormal results round once.
 ///
+/// A lane body compiled per ISA variant calls the overload that takes its
+/// ISA tag (util/lane_ops.hpp); it computes the same lanes.
+///
 /// Accuracy: at most 0.96 ulp against expl, measured over 8M arguments
 /// across the full range (tests/exp_test.cpp bounds it at 2 ulp). The
 /// result differs from glibc 2.36's exp in the last bit for about a tenth of
@@ -34,6 +37,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "util/lane_ops.hpp"
 #include "util/simd.hpp"
 
 namespace statleak {
@@ -144,6 +148,20 @@ STATLEAK_ALWAYS_INLINE void exp_f64x8(const F64x8& x, F64x8& y) {
   const I64x2 quarter = __builtin_shufflevector(half, half, 0, 1) &
                         __builtin_shufflevector(half, half, 2, 3);
   if ((quarter[0] & quarter[1]) == 0) [[unlikely]] {
+    detail::exp_slow_lanes(x, y);
+  }
+}
+
+/// exp_f64x8 inside a lane body that takes an ISA tag (util/lane_ops.hpp):
+/// the same lanes, with the range check through the tag's compare.
+template <typename Isa>
+STATLEAK_ALWAYS_INLINE void exp_f64x8(const F64x8& x, F64x8& y, Isa isa) {
+  detail::exp_fast<F64x8, U64x8>(x, y);
+  F64x8 limit;
+  lane_splat(detail::kExpFastLimit, limit);
+  U64x8 fast;
+  lane_lt((F64x8)((U64x8)x & 0x7fffffffffffffffu), limit, fast, isa);
+  if (!lane_all(fast, isa)) [[unlikely]] {
     detail::exp_slow_lanes(x, y);
   }
 }

@@ -6,15 +6,6 @@
 
 namespace statleak {
 
-namespace {
-constexpr double kInvSqrt2Pi = 0.3989422804014326779399461;
-constexpr double kInvSqrt2 = 0.7071067811865475244008444;
-}  // namespace
-
-double normal_pdf(double x) { return kInvSqrt2Pi * std::exp(-0.5 * x * x); }
-
-double normal_cdf(double x) { return 0.5 * std::erfc(-x * kInvSqrt2); }
-
 double normal_inverse_cdf(double p) {
   STATLEAK_CHECK(p > 0.0 && p < 1.0, "normal_inverse_cdf requires p in (0,1)");
 

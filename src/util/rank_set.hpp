@@ -14,6 +14,10 @@
 /// set bit, so a drain scans the words the cone spans, not the whole
 /// circuit. A visit that throws leaves its own rank, and every rank it did
 /// not reach, in the set: the next drain resumes from there.
+///
+/// A walk that visits several ranks at once (the SSTA cone retime's
+/// windows) steps through the set with first_from(), takes what it visited
+/// out with erase(), and calls reset_window() once the set is empty.
 
 #pragma once
 
@@ -28,6 +32,8 @@ namespace statleak {
 
 class RankSet {
  public:
+  static constexpr std::uint32_t npos = std::numeric_limits<std::uint32_t>::max();
+
   RankSet() = default;
   /// An empty set over ranks [0, n).
   explicit RankSet(std::uint32_t n) : words_((n + 63) / 64, 0) {}
@@ -41,6 +47,27 @@ class RankSet {
     lo_ = std::min(lo_, w);
     hi_ = std::max(hi_, w);
   }
+  void erase(std::uint32_t r) {
+    words_[r >> 6] &= ~(std::uint64_t{1} << (r & 63));
+  }
+  /// The lowest rank >= r in the set, or npos.
+  std::uint32_t first_from(std::uint32_t r) const {
+    std::size_t w = std::max<std::size_t>(r >> 6, lo_);
+    if (w > hi_) return npos;
+    std::uint64_t bits = words_[w];
+    if (w == r >> 6) bits &= ~std::uint64_t{0} << (r & 63);
+    while (bits == 0) {
+      if (++w > hi_) return npos;
+      bits = words_[w];
+    }
+    return static_cast<std::uint32_t>((w << 6) + std::countr_zero(bits));
+  }
+  /// Forgets the word window. Only valid when no rank is in the set.
+  void reset_window() {
+    lo_ = kEmpty;
+    hi_ = 0;
+  }
+
   /// Removes every rank without visiting it.
   void clear() {
     for (std::size_t w = lo_; w <= hi_; ++w) words_[w] = 0;
@@ -77,11 +104,6 @@ class RankSet {
 
  private:
   static constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
-
-  void reset_window() {
-    lo_ = kEmpty;
-    hi_ = 0;
-  }
 
   std::vector<std::uint64_t> words_;
   /// Every set bit lies in words_[lo_ .. hi_]; lo_ > hi_ when none can.

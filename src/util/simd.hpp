@@ -76,12 +76,16 @@ namespace statleak {
 /// registers in a baseline body, one zmm register in an AVX-512 one. Casts
 /// between these types reinterpret the bits. Vectors cross function
 /// boundaries only by reference: passing or returning one by value would
-/// change the ABI between variants (GCC warns with -Wpsabi).
+/// change the ABI between variants (GCC warns with -Wpsabi). Between a
+/// baseline and an AVX-512 function they do not cross at all: their
+/// alignment is 16 bytes in baseline code and 64 in AVX-512 code, which
+/// loads them with aligned moves, so such calls pass plain double arrays.
 typedef double F64x8 __attribute__((vector_size(64)));
 typedef std::int64_t I64x8 __attribute__((vector_size(64)));
 typedef std::uint64_t U64x8 __attribute__((vector_size(64)));
 
-/// Instruction-set variant of the Monte-Carlo hot loops.
+/// Instruction-set variant of the SIMD hot loops (the Monte-Carlo kernels
+/// and the SSTA cone retime's lane kernel).
 enum class SimdIsa { kBaseline, kAvx512 };
 
 inline const char* to_string(SimdIsa isa) {

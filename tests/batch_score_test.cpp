@@ -260,7 +260,7 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
   FlatSstaEngine ssta(c, lib, var);
   LeakageAnalyzer leak(c, lib, var);
   ThreadPool pool(wc.threads);
-  BatchScorer scorer(lib, leak, ssta.flat(), ssta.loads(), pool, wc.block);
+  BatchScorer scorer(lib, leak, c, ssta.loads(), pool, wc.block);
   Rng rng(0xB5C0u + static_cast<std::uint64_t>(wc.threads));
 
   std::vector<std::uint64_t> size_locks(c.num_gates(), 0);

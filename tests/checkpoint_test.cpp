@@ -345,14 +345,16 @@ TEST_F(CheckpointTest, ConfigHashCoversSamplerAndImportanceShift) {
 TEST_F(CheckpointTest, ConfigHashPinnedWithArithmeticRevision) {
   // The fingerprint of one fixed small config. It mixes
   // kMcArithmeticRevision, so it differs from the hash the same config had
-  // before the leakage kernel moved to the in-repo exp: a checkpoint written
-  // by such a build is rejected, never resumed into a mixed population.
-  // A change here orphans every checkpoint on disk; bump the revision only
-  // when sample bits move on purpose.
-  EXPECT_EQ(kMcArithmeticRevision, 1u);
+  // before the leakage kernel moved to the in-repo exp, and before
+  // normal_cdf (and with it every Sobol draw) moved to the in-repo erfc: a
+  // checkpoint written by such a build is rejected, never resumed into a
+  // mixed population. A change here orphans every checkpoint on disk; bump
+  // the revision only when sample bits move on purpose.
+  EXPECT_EQ(kMcArithmeticRevision, 2u);
   const std::uint64_t hash = mc_checkpoint_hash(
       circuit_, var_, base_config(), device_widths(), lib_.node());
-  EXPECT_EQ(hash, 0x186783ea985c5187ull);
+  EXPECT_EQ(hash, 0x94a8923097d33f99ull);
+  EXPECT_NE(hash, 0x186783ea985c5187ull);  // revision 1: libm erfc
   EXPECT_NE(hash, 0x6ff14bd00012c886ull);  // the same config, libm exp
 }
 

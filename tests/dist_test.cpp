@@ -227,12 +227,16 @@ TEST(ProtocolTest, SetupFromAnotherProtocolVersionIsRejected) {
   // A v3 peer computes leakage with libm's exp: its bits differ.
   msg.set("protocol", 3);
   EXPECT_THROW((void)dist::parse_setup(msg), dist::DistError);
+  // A v4 peer's normal_cdf runs libm's erfc: its Sobol draws differ.
+  msg.set("protocol", 4);
+  EXPECT_THROW((void)dist::parse_setup(msg), dist::DistError);
 }
 
 TEST(ProtocolTest, SetupCarriesNoEngineSwitch) {
   // v3 retired the scalar Monte-Carlo engine and its use_batched switch;
-  // v4 moved the leakage kernel to the in-repo exp.
-  EXPECT_EQ(dist::kProtocolVersion, 4);
+  // v4 moved the leakage kernel to the in-repo exp, v5 normal_cdf to the
+  // in-repo erfc.
+  EXPECT_EQ(dist::kProtocolVersion, 5);
   const obs::Json msg = dist::setup_message(dist::WorkerSetup{});
   EXPECT_FALSE(msg.at("mc").contains("use_batched"));
   EXPECT_TRUE(msg.at("mc").contains("batch"));

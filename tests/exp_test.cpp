@@ -12,6 +12,7 @@
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -27,8 +28,14 @@ constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 void exp8_baseline(const F64x8& x, F64x8& y) { exp_f64x8(x, y); }
 
 #if STATLEAK_AVX512_VARIANT
-STATLEAK_TARGET_AVX512 void exp8_avx512(const F64x8& x, F64x8& y) {
-  exp_f64x8(x, y);
+// Plain arrays across the wrapper: an F64x8 is 16-byte aligned in this
+// baseline test code but loaded 64-byte aligned by AVX-512 code.
+STATLEAK_TARGET_AVX512 void exp8_avx512(const double* x, double* y) {
+  F64x8 xv;
+  F64x8 yv;
+  std::memcpy(&xv, x, sizeof xv);
+  exp_f64x8(xv, yv);
+  std::memcpy(y, &yv, sizeof yv);
 }
 STATLEAK_TARGET_AVX512 double exp1_avx512(double x) { return exp_f64(x); }
 bool have_avx512() { return host_simd_isa() == SimdIsa::kAvx512; }
@@ -57,7 +64,13 @@ double check_batch(const std::vector<double>& xs) {
     exp8_baseline(x, y);
 #if STATLEAK_AVX512_VARIANT
     F64x8 y512 = {};
-    if (have_avx512()) exp8_avx512(x, y512);
+    if (have_avx512()) {
+      double xs8[8];
+      double ys8[8];
+      std::memcpy(xs8, &x, sizeof xs8);
+      exp8_avx512(xs8, ys8);
+      std::memcpy(&y512, ys8, sizeof ys8);
+    }
 #endif
     for (std::size_t k = 0; k < 8; ++k) {
       const double s = exp_f64(x[k]);

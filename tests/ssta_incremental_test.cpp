@@ -131,67 +131,91 @@ void restore(Circuit& c, LeakageAnalyzer& leak, const Saved& s) {
 }
 
 /// 1000-step random walk of committed moves, rolled-back trials and
-/// committed trials; bit-identity asserted against fresh full-pass
-/// reference engines after every step: CSR win slices, cached own delays
-/// and rollback memcpy restores must reproduce the reference arithmetic.
+/// committed trials on a random DAG; bit-identity asserted against fresh
+/// full-pass reference engines after every step: CSR win slices, cached
+/// own delays, rollback memcpy restores and the eight-lane Clark kernel of
+/// the cone retime (in variant `isa`) must reproduce the reference
+/// arithmetic. `log_cap` > 0 caps the undo log so small that most
+/// rolled-back trials take the lost-baseline path (rollback reprimes with a
+/// full pass) instead of the entry-by-entry restore.
+void random_walk(const CellLibrary& lib, const VariationModel& var,
+                 Circuit& c, std::uint64_t seed, SimdIsa isa,
+                 std::size_t log_cap, obs::Registry* reg) {
+  const auto steps = lib.size_steps();
+  std::vector<GateId> cells;
+  for (GateId id = 0; id < c.num_gates(); ++id) {
+    if (c.gate(id).kind != CellKind::kInput) cells.push_back(id);
+  }
+  FlatSstaEngine inc(c, lib, var, isa);
+  inc.attach_observer(reg);
+  if (log_cap > 0) inc.set_trial_log_cap(log_cap);
+  LeakageAnalyzer leak(c, lib, var);
+  Rng rng(seed * 1000003ull);
+
+  const auto random_move = [&](GateId id) {
+    if (rng.uniform() < 0.5) {
+      c.set_size(id, steps[rng.uniform_index(steps.size())]);
+      inc.on_resize(id);
+    } else {
+      const Vth flipped = c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow;
+      c.set_vth(id, flipped);
+      inc.on_vth_change(id);
+    }
+    leak.on_gate_changed(id);
+  };
+
+  for (int step = 0; step < 1000; ++step) {
+    const double roll = rng.uniform();
+    if (roll < 0.55) {
+      // Committed single move.
+      random_move(cells[rng.uniform_index(cells.size())]);
+    } else {
+      // Trial of 1-3 moves; half are rolled back, half committed.
+      const bool rollback = roll < 0.80;
+      const int moves = 1 + static_cast<int>(rng.uniform_index(3));
+      std::vector<Saved> saved;
+      inc.begin_trial();
+      for (int m = 0; m < moves; ++m) {
+        const GateId id = cells[rng.uniform_index(cells.size())];
+        saved.push_back({id, c.gate(id).size, c.gate(id).vth});
+        random_move(id);
+        // Sometimes query mid-trial so the cone actually retimes inside
+        // the trial (exercises the undo log, not just the dirty list).
+        if (rng.uniform() < 0.7) (void)inc.circuit_delay();
+      }
+      if (rollback) {
+        inc.rollback_trial();
+        for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+          restore(c, leak, *it);
+        }
+      } else {
+        inc.commit_trial();
+      }
+    }
+    ASSERT_TRUE(states_match(c, lib, var, inc, leak))
+        << "seed " << seed << ", step " << step;
+  }
+}
+
 TEST_F(SstaIncrementalTest, FlatEngineRandomWalkMatchesScalarEverySeed) {
-  const auto steps = lib_.size_steps();
   for (const std::uint64_t seed : {11u, 22u, 33u, 44u, 55u}) {
     Circuit c = random_circuit(seed);
-    const auto cells = cells_of(c);
-    FlatSstaEngine inc(c, lib_, var_);
-    // The last two seeds cap the undo log so small that most rolled-back
-    // trials take the lost-baseline path (rollback reprimes with a full
-    // pass) instead of the entry-by-entry restore.
-    if (seed >= 44) inc.set_trial_log_cap(4);
-    LeakageAnalyzer leak(c, lib_, var_);
-    Rng rng(seed * 1000003ull);
-
-    const auto random_move = [&](GateId id) {
-      if (rng.uniform() < 0.5) {
-        c.set_size(id, steps[rng.uniform_index(steps.size())]);
-        inc.on_resize(id);
-      } else {
-        const Vth flipped =
-            c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow;
-        c.set_vth(id, flipped);
-        inc.on_vth_change(id);
-      }
-      leak.on_gate_changed(id);
-    };
-
-    for (int step = 0; step < 1000; ++step) {
-      const double roll = rng.uniform();
-      if (roll < 0.55) {
-        // Committed single move.
-        random_move(cells[rng.uniform_index(cells.size())]);
-      } else {
-        // Trial of 1-3 moves; half are rolled back, half committed.
-        const bool rollback = roll < 0.80;
-        const int moves = 1 + static_cast<int>(rng.uniform_index(3));
-        std::vector<Saved> saved;
-        inc.begin_trial();
-        for (int m = 0; m < moves; ++m) {
-          const GateId id = cells[rng.uniform_index(cells.size())];
-          saved.push_back({id, c.gate(id).size, c.gate(id).vth});
-          random_move(id);
-          // Sometimes query mid-trial so the cone actually retimes inside
-          // the trial (exercises the undo log, not just the dirty list).
-          if (rng.uniform() < 0.7) (void)inc.circuit_delay();
-        }
-        if (rollback) {
-          inc.rollback_trial();
-          for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
-            restore(c, leak, *it);
-          }
-        } else {
-          inc.commit_trial();
-        }
-      }
-      ASSERT_TRUE(states_match(c, lib_, var_, inc, leak))
-          << "seed " << seed << ", step " << step;
-    }
+    random_walk(lib_, var_, c, seed, host_simd_isa(), seed >= 44 ? 4 : 0,
+                nullptr);
+    if (HasFatalFailure()) return;
   }
+}
+
+/// The same walk on a wider DAG with the lane kernel forced to the
+/// baseline variant (on an AVX-512 host the walk above runs the other
+/// one); the registry shows the retime really ran eight-lane batches.
+TEST_F(SstaIncrementalTest, BaselineIsaWalkMatchesOracle) {
+  Circuit c = random_circuit(66, 1500);
+  obs::Registry reg;
+  random_walk(lib_, var_, c, 66, SimdIsa::kBaseline, 0, &reg);
+  EXPECT_GT(reg.counter_value("ssta.lane_gates"), 0.0);
+  EXPECT_LE(reg.counter_value("ssta.lane_gates"),
+            reg.counter_value("ssta.flat_cone_gates_retimed"));
 }
 
 /// Incremental criticality on a circuit large enough for sparse refreshes
