@@ -16,10 +16,11 @@ namespace {
 
 /// The one draw body; the wrappers below compile it per ISA. A full group
 /// stores each gate's eight lanes with one unaligned vector store.
+template <typename Isa>
 STATLEAK_ALWAYS_INLINE void draw_body(const LaneGroup& group,
                                       const IntraDieSigmas& sigmas,
                                       double* dl, double* dv,
-                                      std::size_t stride) {
+                                      std::size_t stride, Isa isa) {
   RngLanes lanes(std::span<const Rng>(group.rng.data(), group.count));
   F64x8 die_dl = {};
   F64x8 die_dv = {};
@@ -34,8 +35,8 @@ STATLEAK_ALWAYS_INLINE void draw_body(const LaneGroup& group,
   for (std::size_t id = 0; id < n; ++id) {
     F64x8 zl = {};
     F64x8 zv = {};
-    lanes.normal(zl);
-    lanes.normal(zv);
+    lanes.normal(zl, isa);
+    lanes.normal(zv, isa);
     // sample_gate: g.dl_nm + rng.normal(0.0, sigma), normal(mean, sd) being
     // mean + sd * normal().
     const F64x8 l = die_dl + (0.0 + sigma_l * zl);
@@ -56,7 +57,7 @@ STATLEAK_ALWAYS_INLINE void draw_body(const LaneGroup& group,
 
 void draw_baseline(const LaneGroup& group, const IntraDieSigmas& sigmas,
                    double* dl, double* dv, std::size_t stride) {
-  draw_body(group, sigmas, dl, dv, stride);
+  draw_body(group, sigmas, dl, dv, stride, BaselineLanes{});
 }
 
 #if STATLEAK_AVX512_VARIANT
@@ -64,7 +65,7 @@ STATLEAK_TARGET_AVX512 void draw_avx512(const LaneGroup& group,
                                         const IntraDieSigmas& sigmas,
                                         double* dl, double* dv,
                                         std::size_t stride) {
-  draw_body(group, sigmas, dl, dv, stride);
+  draw_body(group, sigmas, dl, dv, stride, Avx512Lanes{});
 }
 #endif
 

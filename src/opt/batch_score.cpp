@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "util/error.hpp"
@@ -426,15 +427,22 @@ double BatchScorer::slot_key(std::size_t s, double crit,
   return live ? (bounded ? key : kInf) : -kInf;
 }
 
-void BatchScorer::rekey_gate(GateId id, double crit, unsigned char lock) {
+bool BatchScorer::rekey_gate(GateId id, double crit, unsigned char lock) {
   const std::size_t s0 = 2 * static_cast<std::size_t>(id);
+  // The block maximum follows a key that rises; only a maximal key that
+  // falls leaves it to be recomputed from the whole block.
+  double& top = bmax_[s0 / kKeyBlock];
+  bool fell = false;
   for (std::size_t s = s0; s < s0 + 2; ++s) {
     const double key = slot_key(s, crit, lock);
     live_slots_ += static_cast<std::int64_t>(key != -kInf) -
                    static_cast<std::int64_t>(key_[s] != -kInf);
+    fell = fell || (key < key_[s] && key_[s] == top);
     key_[s] = key;
+    top = std::max(top, key);
   }
   stats_.rekeys += 2;
+  return fell;
 }
 
 void BatchScorer::refresh_block(std::size_t b) {
@@ -446,38 +454,77 @@ void BatchScorer::refresh_block(std::size_t b) {
 }
 
 bool BatchScorer::patch_keys(std::span<const double> criticality,
+                             const CriticalityChanges& changed,
                              std::span<const unsigned char> locked) {
   const std::size_t n = kind_.size();
-  constexpr std::size_t kGates = kKeyBlock / 2;  // gates per key block
-  std::size_t count = 0;
-  for (std::size_t lo = 0; lo < n; lo += kGates) {
-    const std::size_t hi = std::min(lo + kGates, n);
-    // Branch-free test of the whole block first: most blocks are clean.
-    std::uint64_t diff = 0;
-    for (std::size_t g = lo; g < hi; ++g) {
-      diff |= bits(criticality[g]) ^ bits(crit_seen_[g]);
-      diff |= static_cast<std::uint64_t>((locked[g] ^ lock_seen_[g]) |
-                                         dirty_flag_[g]);
-    }
-    if (diff == 0) continue;
-    for (std::size_t g = lo; g < hi; ++g) {
-      if (bits(criticality[g]) == bits(crit_seen_[g]) &&
-          locked[g] == lock_seen_[g] && dirty_flag_[g] == 0) {
-        continue;
-      }
-      crit_seen_[g] = criticality[g];
-      lock_seen_[g] = locked[g];
-      dirty_flag_[g] = 0;
-      rekey_gate(static_cast<GateId>(g), criticality[g], locked[g]);
-      ++count;
-    }
-    refresh_block(lo / kGates);
-    // Dense: stop patching; a straight pass re-keys everything (the keys
-    // patched so far are recomputed with the rest).
-    if (count > n / 8) return false;
+  const double floor = floor_seen_;
+  const double* STATLEAK_RESTRICT crit = criticality.data();
+  double* STATLEAK_RESTRICT seen = crit_seen_.data();
+  std::uint8_t* STATLEAK_RESTRICT flag = dirty_flag_.data();
+  const auto moved = [&](std::size_t g) {
+    return bits(std::max(crit[g], floor)) ^ bits(seen[g]);
+  };
+  // An unlisted gate still has the criticality its keys were built from:
+  // flag the listed ones whose clamped value moved. When the feed reads
+  // "all", the word loop below diffs every gate instead.
+  if (changed.all) {
+    ++stats_.full_diffs;
+  } else {
+    for (GateId g : changed.gates) flag[g] |= moved(g) != 0 ? 1 : 0;
   }
+  // Words of eight gates: most have no flag, no changed lock byte and (on
+  // a full diff) no moved criticality. The gates to re-key are collected
+  // first, so a dense scan re-keys nothing twice and the re-key loop can
+  // fetch its slots ahead.
+  rekey_.clear();
+  const std::size_t whole = n - n % 8;  // the tail word is checked per gate
+  for (std::size_t lo = 0; lo < n; lo += 8) {
+    if (lo < whole) {
+      std::uint64_t diff = 0;
+      if (changed.all) {
+        for (std::size_t k = 0; k < 8; ++k) diff |= moved(lo + k);
+      }
+      std::uint64_t f = 0, a = 0, b = 0;
+      std::memcpy(&f, flag + lo, 8);
+      std::memcpy(&a, locked.data() + lo, 8);
+      std::memcpy(&b, lock_seen_.data() + lo, 8);
+      if ((diff | f | (a ^ b)) == 0) continue;
+    }
+    for (std::size_t g = lo; g < std::min(lo + 8, n); ++g) {
+      if (moved(g) != 0 || flag[g] != 0 || locked[g] != lock_seen_[g]) {
+        rekey_.push_back(static_cast<GateId>(g));
+      }
+    }
+    // Dense: a straight pass re-keys everything.
+    if (rekey_.size() > n / 8) return false;
+  }
+  constexpr std::size_t kGates = kKeyBlock / 2;  // gates per key block
+  constexpr std::size_t kNoBlock = ~std::size_t{0};
+  constexpr std::size_t kAhead = 8;  // gates fetched ahead of the re-key
+  std::size_t block = kNoBlock;  // key block whose maximum is to recompute
+  for (std::size_t i = 0; i < rekey_.size(); ++i) {
+    if (i + kAhead < rekey_.size()) {
+      const std::size_t s = 2 * static_cast<std::size_t>(rekey_[i + kAhead]);
+      __builtin_prefetch(&sl_dm_[s]);
+      __builtin_prefetch(&sl_dv_[s]);
+      __builtin_prefetch(&sl_dd_[s]);
+      __builtin_prefetch(&sl_alive_[s]);
+      __builtin_prefetch(&key_[s], 1);
+    }
+    const GateId g = rekey_[i];
+    const double c = std::max(crit[g], floor);
+    seen[g] = c;
+    lock_seen_[g] = locked[g];
+    flag[g] = 0;
+    if (rekey_gate(g, c, locked[g]) && g / kGates != block) {
+      if (block != kNoBlock) refresh_block(block);
+      block = g / kGates;
+    }
+  }
+  if (block != kNoBlock) refresh_block(block);
   return true;
 }
+
 void BatchScorer::recompute_maxima() {
   dm_hi_ = dv_hi_ = vexb_hi_ = 0.0;
   for (std::size_t s = 0; s < key_.size(); ++s) {
@@ -498,7 +545,9 @@ void BatchScorer::rekey_all(const AssignBound& bound,
   q0_ = bound.q;
   floor_seen_ = crit_floor;
   eps_seen_ = eps;
-  std::copy(criticality.begin(), criticality.end(), crit_seen_.begin());
+  for (std::size_t g = 0; g < n; ++g) {
+    crit_seen_[g] = std::max(criticality[g], crit_floor);
+  }
   std::copy(locked.begin(), locked.end(), lock_seen_.begin());
   std::fill(dirty_flag_.begin(), dirty_flag_.end(), std::uint8_t{0});
   // The maxima are recomputed in the same pass: the keys carry the bound of
@@ -511,7 +560,7 @@ void BatchScorer::rekey_all(const AssignBound& bound,
     const std::size_t hi = std::min(lo + kKeyBlock, key_.size());
     double m = -kInf;
     for (std::size_t s = lo; s < hi; ++s) {
-      const double key = slot_key(s, criticality[s >> 1], locked[s >> 1]);
+      const double key = slot_key(s, crit_seen_[s >> 1], locked[s >> 1]);
       key_[s] = key;
       m = std::max(m, key);
       live += static_cast<std::int64_t>(key != -kInf);
@@ -538,10 +587,14 @@ void BatchScorer::rekey_all(const AssignBound& bound,
 /// last re-keyed everything (assign_bound()). For this scan's constants
 /// p, q and dm, dv >= 0, benefit <= p * dm + q * dv <= r * (p0 * dm + q0 *
 /// dv) with r = max(p / p0, q / q0), so score <= r * key. A key stays valid
-/// as long as dm, dv, the criticality, the lock byte, floor and eps it was
-/// built from do; each scan therefore re-keys the slots whose lanes were
-/// rebuilt or whose criticality or lock byte changed (an O(n) diff against
-/// the copies kept in crit_seen_/lock_seen_), and re-keys everything —
+/// as long as dm, dv, the clamped criticality max(crit, floor), the lock
+/// byte, floor and eps it was built from do (the key and the denominator
+/// read criticality only through that clamp, so a gate whose criticality
+/// moves below the floor keeps its key bits). Each scan therefore re-keys
+/// the slots whose lanes were rebuilt or whose lock byte changed (a byte
+/// diff against lock_seen_) or whose clamped criticality changed (checked
+/// for the gates the change feed lists, or for every gate against
+/// crit_seen_ when it reads "all"), and re-keys everything —
 /// recomputing the rectangle maxima and resetting p0, q0 — on the first
 /// scan, on a floor/eps change, when r leaves [., kMaxDrift], when the
 /// aggregate guard fails on stale maxima, or when more than n/8 gates
@@ -560,6 +613,7 @@ void BatchScorer::rekey_all(const AssignBound& bound,
 /// When the bound is unusable on a scan, the same loop exact-scores every
 /// live slot and the keys are rebuilt on the next bounded scan.
 MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
+                                       CriticalityChanges changed,
                                        std::span<const unsigned char> locked,
                                        double q_now, double pct,
                                        double crit_floor, double eps) {
@@ -570,7 +624,7 @@ MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
   const bool drifted = keyed_ && bound.ok && key_drift(bound) > kMaxDrift;
   stats_.drift_rekeys += drifted ? 1 : 0;
   if (!keyed_ || !bound.ok || drifted || crit_floor != floor_seen_ ||
-      eps != eps_seen_ || !patch_keys(criticality, locked)) {
+      eps != eps_seen_ || !patch_keys(criticality, changed, locked)) {
     if (!bound.ok) {
       // Stale maxima may be all that fails the guard.
       recompute_maxima();

@@ -37,8 +37,11 @@
 /// changed). On top of the lanes it keeps a per-slot KEY, a proven upper
 /// bound on the slot's score up to one per-scan factor r (see best_assign),
 /// and the maximum key of every 64-slot block. A scan re-keys only the
-/// slots whose inputs moved (rebuilt lanes, changed criticality or lock
-/// bytes, found by an O(n) diff against copies the scorer keeps), seeds a
+/// slots whose inputs moved: rebuilt lanes and changed lock bytes, found
+/// by a byte diff against copies the scorer keeps, and changed criticality,
+/// read from the SSTA engine's change feed (ssta/flat_incremental.hpp).
+/// Keys see criticality only through max(crit, crit_floor), so only a
+/// change of that clamped value re-keys a slot. The scan then seeds a
 /// threshold with the exact score of the max-key slot, and walks blocks and
 /// slots in slot order, exact-scoring only those whose r * key can reach
 /// the threshold. Every slot that could attain the maximum score is
@@ -67,6 +70,7 @@
 #include "cells/library.hpp"
 #include "leakage/leakage.hpp"
 #include "netlist/circuit.hpp"
+#include "ssta/flat_incremental.hpp"
 #include "sta/loads.hpp"
 #include "util/parallel.hpp"
 
@@ -103,8 +107,11 @@ class BatchScorer {
                             double q_now, double pct, double crit_floor,
                             double gain_eps);
 
-  /// Phase-2 scan: best HVT swap or downsize move.
+  /// Phase-2 scan: best HVT swap or downsize move. `changed` names the
+  /// gates whose criticality may have moved since the previous assign scan
+  /// (the engine's feed, or "all", which diffs every gate).
   MoveCandidate best_assign(std::span<const double> criticality,
+                            CriticalityChanges changed,
                             std::span<const unsigned char> locked,
                             double q_now, double pct, double crit_floor,
                             double eps);
@@ -122,6 +129,8 @@ class BatchScorer {
   struct AssignStats {
     std::int64_t rekeys = 0;        ///< slot keys recomputed
     std::int64_t full_rekeys = 0;   ///< scans that re-keyed every slot
+    std::int64_t full_diffs = 0;    ///< scans that diffed every gate's
+                                    ///< criticality (the feed read "all")
     std::int64_t drift_rekeys = 0;  ///< ... because r passed 1 + 1e-3
     std::int64_t exact = 0;         ///< exact quantiles evaluated
     std::int64_t unbounded = 0;     ///< scans run with the bound off
@@ -133,6 +142,9 @@ class BatchScorer {
   /// key_ratio() is 0 after a scan that ran with the bound off.
   double key_ratio() const { return key_ratio_; }
   std::span<const double> slot_keys() const { return key_; }
+  /// Test access: per gate, max(criticality, floor) as the keys last saw
+  /// it; after a bounded scan it equals the scanned criticality's clamp.
+  std::span<const double> keyed_criticality() const { return crit_seen_; }
 
  private:
   /// Phase-1 scan state of one worker.
@@ -181,14 +193,20 @@ class BatchScorer {
 
   /// Key of one slot under the stored p0_/q0_: -inf for a dead or locked
   /// slot, +inf for a live one outside the bound (dm < 0 or dv < 0).
+  /// `crit` may come clamped to floor_seen_: the key clamps it again, which
+  /// keeps its bits.
   double slot_key(std::size_t s, double crit, unsigned char lock) const;
-  /// Re-keys one gate's two slots and keeps live_slots_ current.
-  void rekey_gate(GateId id, double crit, unsigned char lock);
+  /// Re-keys one gate's two slots and keeps live_slots_ and the block
+  /// maximum current. Returns true when a maximal key fell: the caller then
+  /// recomputes the block maximum with refresh_block().
+  bool rekey_gate(GateId id, double crit, unsigned char lock);
   void refresh_block(std::size_t b);
-  /// Re-keys the gates whose lanes, criticality or lock byte changed since
-  /// the keys were built; stops with false once more than n/8 did (the
-  /// caller then re-keys everything).
+  /// Re-keys the gates whose lanes, lock byte or clamped criticality
+  /// changed since the keys were built: the listed gates of `changed`, or
+  /// every gate when it reads "all". Stops with false once more than n/8
+  /// did (the caller then re-keys everything).
   bool patch_keys(std::span<const double> criticality,
+                  const CriticalityChanges& changed,
                   std::span<const unsigned char> locked);
   /// Recomputes the rectangle maxima over every legal slot with dm, dv >= 0.
   void recompute_maxima();
@@ -230,12 +248,15 @@ class BatchScorer {
   std::vector<double> sl_vexb_;  ///< dm^2 + (om + nmean) * dm (cf-free)
   std::vector<double> sl_tgt_;   ///< downsize target size
   std::vector<GateId> dirty_;             ///< gates queued for rebuild
-  std::vector<std::uint8_t> dirty_flag_;  ///< rebuilt or queued, not re-keyed
+  /// Rebuilt or queued, not re-keyed (patch_keys also flags the listed
+  /// gates whose clamped criticality moved).
+  std::vector<std::uint8_t> dirty_flag_;
+  std::vector<GateId> rekey_;  ///< patch_keys scratch: gates to re-key
 
   // Lazy assign-scan keys (see best_assign).
   std::vector<double> key_;   ///< per slot
   std::vector<double> bmax_;  ///< max key per 64-slot block
-  std::vector<double> crit_seen_;         ///< criticality keyed from
+  std::vector<double> crit_seen_;  ///< max(crit, floor_seen_) keyed from
   std::vector<unsigned char> lock_seen_;  ///< lock bytes keyed from
   double floor_seen_ = 0.0, eps_seen_ = 0.0;
   double p0_ = 0.0, q0_ = 0.0;  ///< bound constants the keys carry

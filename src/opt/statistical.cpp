@@ -281,8 +281,10 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
           best.new_size = replayed.new_size;
         } else {
           obs::ScopedTimer score_timer(obs, "stat.score");
-          best = scorer.best_assign(timing.criticality, locked, q_now, pct,
-                                    kCritFloor, kEps);
+          best = scorer.best_assign(timing.criticality,
+                                    ssta.criticality_changes(), locked, q_now,
+                                    pct, kCritFloor, kEps);
+          ssta.clear_criticality_changes();
         }
         if (best.gate == kInvalidGate) {
           if (journal != nullptr) {
@@ -488,6 +490,8 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
     obs->add("opt.pruned_candidates", static_cast<double>(scorer.pruned()));
     const BatchScorer::AssignStats& assign = scorer.assign_stats();
     obs->add("opt.assign_rekeys", static_cast<double>(assign.rekeys));
+    obs->add("opt.assign_full_rekeys", static_cast<double>(assign.full_rekeys));
+    obs->add("opt.assign_full_diffs", static_cast<double>(assign.full_diffs));
     obs->add("opt.exact_candidates", static_cast<double>(assign.exact));
     obs->add("opt.unbounded_scans", static_cast<double>(assign.unbounded));
   }

@@ -212,7 +212,77 @@ STATLEAK_TARGET_AVX512 void fold_avx512(const CanonicalLanes* ops,
 }
 #endif
 
+/// One block of clark_chain_weights: the `count` rows row[0..count),
+/// ascending, with factors f[0..count). The weights below row[0] take every
+/// factor, those in [row[k-1], row[k]) the factors from k on.
+STATLEAK_ALWAYS_INLINE void scale_weight_block(const std::size_t* row,
+                                               const double* f,
+                                               std::size_t count, double* w) {
+  std::size_t lo = 0;
+  for (std::size_t k = 0; k < count; ++k) {
+    const std::size_t hi = row[k];
+    std::size_t j = lo;
+    for (; j + 8 <= hi; j += 8) {
+      double x[8];
+      for (std::size_t l = 0; l < 8; ++l) x[l] = w[j + l];
+      for (std::size_t q = k; q < count; ++q) {
+        for (std::size_t l = 0; l < 8; ++l) x[l] *= f[q];
+      }
+      for (std::size_t l = 0; l < 8; ++l) w[j + l] = x[l];
+    }
+    for (; j < hi; ++j) {
+      double x = w[j];
+      for (std::size_t q = k; q < count; ++q) x *= f[q];
+      w[j] = x;
+    }
+    lo = hi;
+  }
+}
+
+STATLEAK_ALWAYS_INLINE void chain_weights_body(const double* tight,
+                                               std::size_t m, double* w) {
+  std::size_t row[8];
+  double f[8];
+  std::size_t count = 0;
+  w[0] = 1.0;
+  for (std::size_t i = 1; i < m; ++i) {
+    const double t = tight[i];
+    w[i] = 1.0 - t;
+    if (t == 1.0) continue;
+    row[count] = i;
+    f[count] = t;
+    if (++count == 8) {
+      scale_weight_block(row, f, count, w);
+      count = 0;
+    }
+  }
+  scale_weight_block(row, f, count, w);
+}
+
+void chain_weights_baseline(const double* tight, std::size_t m, double* w) {
+  chain_weights_body(tight, m, w);
+}
+
+#if STATLEAK_AVX512_VARIANT
+STATLEAK_TARGET_AVX512 void chain_weights_avx512(const double* tight,
+                                                 std::size_t m, double* w) {
+  chain_weights_body(tight, m, w);
+}
+#endif
+
 }  // namespace
+
+void clark_chain_weights(SimdIsa isa, const double* tight, std::size_t m,
+                         double* w) {
+#if STATLEAK_AVX512_VARIANT
+  if (isa == SimdIsa::kAvx512 && host_simd_isa() == SimdIsa::kAvx512) {
+    chain_weights_avx512(tight, m, w);
+    return;
+  }
+#endif
+  (void)isa;
+  chain_weights_baseline(tight, m, w);
+}
 
 void clark_fold_x8(SimdIsa isa, const CanonicalLanes* ops, std::size_t width,
                    const std::int64_t* deg, const CanonicalLanes& delay,

@@ -58,4 +58,17 @@ void clark_fold_x8(SimdIsa isa, const CanonicalLanes* ops, std::size_t width,
                    const std::int64_t* deg, const CanonicalLanes& delay,
                    CanonicalLanes& out, double (*weights)[8]);
 
+/// The weights of an m-operand Clark chain fold from its per-step
+/// tightness (tight[0] is unused): the recurrence of clark_max_chain, w[0]
+/// = 1.0, then for i = 1 .. m-1 every w[j < i] is multiplied by tight[i]
+/// and w[i] = 1.0 - tight[i]. A row whose tightness is exactly 1.0 scales
+/// nothing (x * 1.0 == x) and is skipped. The other rows are applied eight
+/// at a time: each block's factors multiply every weight below it in a
+/// register, in row order, so each weight sees the multiplications of the
+/// row-by-row recurrence in the same order and gets its bits, while the
+/// array is swept once per block instead of once per row. `isa` picks the
+/// variant as clark_fold_x8 does; both give the same bits. m >= 1.
+void clark_chain_weights(SimdIsa isa, const double* tight, std::size_t m,
+                         double* w);
+
 }  // namespace statleak

@@ -367,22 +367,11 @@ void FlatSstaEngine::replay_output_chain() const {
 
 void FlatSstaEngine::refresh_sink_weights() const {
   if (!weights_stale_) return;
-  // clark_max_chain builds weights by repeated rescaling: after step i,
-  // weights[j < i] have been multiplied by tight_i in increasing-j order
-  // and weights[i] = 1.0 - tight_i. Re-running that recurrence from the
-  // cached per-step tightness reproduces every bit; rows with tightness
-  // exactly 1.0 are identity rescales (x * 1.0 == x) and are skipped.
-  const std::size_t m = out_arrival_.size();
-  double* STATLEAK_RESTRICT w = sink_weights_.data();
-  w[0] = 1.0;
-  for (std::size_t i = 1; i < m; ++i) {
-    const double tight = out_tight_[i];
-    if (tight != 1.0) {
-      STATLEAK_VEC_LOOP
-      for (std::size_t j = 0; j < i; ++j) w[j] *= tight;
-    }
-    w[i] = 1.0 - tight;
-  }
+  // clark_max_chain builds weights by repeated rescaling; re-running that
+  // recurrence from the cached per-step tightness reproduces every bit
+  // (clark_chain_weights applies it eight rows per sweep).
+  clark_chain_weights(isa_, out_tight_.data(), out_tight_.size(),
+                      sink_weights_.data());
   weights_stale_ = false;
 }
 
@@ -560,6 +549,8 @@ void FlatSstaEngine::refresh_criticality() const {
 void FlatSstaEngine::scatter_criticality() const {
   if (trial_active_) trial_crit_overwritten_ = true;
   if (obs_ != nullptr) obs_->add("ssta.crit_full_passes", 1.0);
+  crit_changed_all_ = true;
+  crit_changed_.clear();
   const auto n = static_cast<std::uint32_t>(crit_.size());
   std::fill(crit_.begin(), crit_.end(), 0.0);
   double* STATLEAK_RESTRICT crit = crit_.data();
@@ -616,8 +607,13 @@ std::size_t FlatSstaEngine::walk_criticality() const {
     if (same_bits(sum, crit[r])) return;  // the walk stops here
     crit[r] = sum;
     published[topo_[r]] = sum;
+    if (!crit_changed_all_) crit_changed_.push_back(topo_[r]);
     for (std::uint32_t f : fanins(r)) dirty_.insert(f);
   });
+  if (crit_changed_.size() > dense_seeds_) {
+    crit_changed_all_ = true;
+    crit_changed_.clear();
+  }
   if (obs_ != nullptr) {
     obs_->add("ssta.crit_walks", 1.0);
     obs_->add("ssta.crit_updates", static_cast<double>(updates));

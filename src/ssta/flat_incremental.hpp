@@ -124,6 +124,16 @@
 /// count times the last walk's updates per seed, and scatters when the
 /// prediction passes that cutover. The choice decides no bit: the walk
 /// and the scatter leave the same values.
+///
+/// Criticality change feed: the engine lists the GateIds whose published
+/// criticality a walk rewrote (a walk writes only entries whose bits
+/// changed), so a consumer that mirrors the published array can catch up
+/// in O(what moved) instead of diffing every gate. A scatter, or a list
+/// grown past n/8 entries, turns the feed into "all". The consumer clears
+/// it once it has caught up. Rollbacks need no entry of their own: a
+/// rollback never writes the published array, and one that follows an
+/// in-trial refresh leaves criticality unprimed, so the next refresh
+/// scatters.
 
 #pragma once
 
@@ -157,6 +167,14 @@ struct SstaResult {
   double delay_at_yield_ps(double eta) const {
     return circuit_delay.quantile(eta);
   }
+};
+
+/// The gates whose published criticality may have changed bitwise since the
+/// feed was last cleared: every gate when `all` is set, else exactly those
+/// listed (repeats allowed). See the file comment.
+struct CriticalityChanges {
+  bool all = true;
+  std::span<const GateId> gates;
 };
 
 /// Flat SoA SSTA engine. Holds references; circuit, library and variation
@@ -224,6 +242,16 @@ class FlatSstaEngine {
   const SstaResult& analyze_ref() const;
   /// Forward-only analysis: circuit-delay canonical without criticality.
   Canonical circuit_delay() const;
+
+  /// The criticality change feed since the last clear (see the file
+  /// comment). A fresh engine's feed reads "all".
+  CriticalityChanges criticality_changes() const {
+    return {crit_changed_all_, crit_changed_};
+  }
+  void clear_criticality_changes() {
+    crit_changed_all_ = false;
+    crit_changed_.clear();
+  }
 
  private:
   struct ArrivalUndo {
@@ -366,6 +394,10 @@ class FlatSstaEngine {
   double walk_cutover_ = 0.0;
   /// Gates the last walk recomputed per seed (0 before the first walk).
   mutable double walk_updates_per_seed_ = 0.0;
+  /// The change feed: GateIds a walk republished since the last clear, or
+  /// every gate once crit_changed_all_ is set.
+  mutable std::vector<GateId> crit_changed_;
+  mutable bool crit_changed_all_ = true;
 
   mutable LaneQueue pairs_;   ///< two-input gates
   mutable LaneQueue chains_;  ///< three or more inputs

@@ -32,7 +32,12 @@
 #include <cstdint>
 #include <span>
 
+#include "util/lane_ops.hpp"
 #include "util/simd.hpp"
+
+#if STATLEAK_AVX512_VARIANT
+#include <immintrin.h>
+#endif
 
 namespace statleak {
 
@@ -96,6 +101,36 @@ inline double apply_sign(double x, std::uint64_t u) {
   return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^
                                ((u & 256u) << 55));
 }
+
+/// accept[k] and scale[k] of ziggurat layer u[k] & 255, one table load per
+/// lane.
+STATLEAK_ALWAYS_INLINE void ziggurat_layers(const U64x8& u, U64x8& accept,
+                                            F64x8& scale, BaselineLanes) {
+  for (std::size_t k = 0; k < 8; ++k) {
+    const ZigguratTables::Layer& layer = kZiggurat.layer[u[k] & 255u];
+    accept[k] = layer.accept;
+    scale[k] = layer.scale;
+  }
+}
+
+#if STATLEAK_AVX512_VARIANT
+/// The same loads as two eight-lane gathers. A Layer is 16 bytes, so the
+/// index is twice the layer number at a stride of 8 bytes, from the first
+/// `accept` and from the first `scale`.
+STATLEAK_TARGET_AVX512 inline void ziggurat_layers(const U64x8& u,
+                                                   U64x8& accept, F64x8& scale,
+                                                   Avx512Lanes) {
+  static_assert(sizeof(ZigguratTables::Layer) == 16);
+  // The masked forms with a zero source: the plain ones start from an
+  // undefined register, which GCC 12 reports as maybe-uninitialized.
+  const __m512i index = (__m512i)((u & 255u) << 1);
+  const ZigguratTables::Layer* base = kZiggurat.layer;
+  accept = (U64x8)_mm512_mask_i64gather_epi64(_mm512_setzero_si512(), 0xFF,
+                                              index, &base->accept, 8);
+  scale = (F64x8)_mm512_mask_i64gather_pd(_mm512_setzero_pd(), 0xFF, index,
+                                          &base->scale, 8);
+}
+#endif
 
 /// Out-of-line ziggurat slow path of the stream with state `s`: boundary
 /// re-check, wedge accept test, and the base-strip tail sampler. `u` is the
@@ -189,7 +224,10 @@ class Rng {
 ///
 /// The constructor and normal() are always inlined, so a caller compiled
 /// for a wider target (STATLEAK_TARGET_AVX512, util/simd.hpp) runs the
-/// generator at its width. Vectors cross function boundaries only by
+/// generator at its width. Such a caller passes its ISA tag
+/// (util/lane_ops.hpp): the AVX-512 variant gathers the eight layers'
+/// `accept` and `scale` with two gathers, the baseline loads them lane by
+/// lane. The loads decide no bit. Vectors cross function boundaries only by
 /// reference: passing one by value would change the ABI between variants.
 class RngLanes {
  public:
@@ -209,7 +247,10 @@ class RngLanes {
   }
 
   /// Sets z[k] to the next standard normal deviate of lane k.
-  STATLEAK_ALWAYS_INLINE void normal(F64x8& z) {
+  STATLEAK_ALWAYS_INLINE void normal(F64x8& z) { normal(z, BaselineLanes{}); }
+
+  template <typename Isa>
+  STATLEAK_ALWAYS_INLINE void normal(F64x8& z, Isa isa) {
     U64x8 u = s_[0] + s_[3];
     rotl_(u, 23);
     u += s_[0];
@@ -223,12 +264,7 @@ class RngLanes {
 
     U64x8 accept = {};
     F64x8 scale = {};
-    for (std::size_t k = 0; k < kWidth; ++k) {
-      const detail::ZigguratTables::Layer& layer =
-          detail::kZiggurat.layer[u[k] & 255u];
-      accept[k] = layer.accept;
-      scale[k] = layer.scale;
-    }
+    detail::ziggurat_layers(u, accept, scale, isa);
     // Casts between equal-size vector types reinterpret the bits.
     const I64x8 mantissa = (I64x8)(u >> 11);
     const I64x8 hit = mantissa < (I64x8)accept;

@@ -13,12 +13,13 @@
 // masks, both scans must return the same gate and move with the same score
 // bits, for every thread count. After every assign scan the scorer's key
 // bound itself is checked slot by slot, and further walks reach every path
-// of the lazy scan: sparse key patches, drift re-keys and the unbounded
-// scan.
+// of the lazy scan: sparse key patches, drift re-keys, the unbounded scan,
+// and scans driven by the SSTA engine's criticality change feed.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -74,6 +75,7 @@ struct ScanInputs {
   const FlatSstaEngine& ssta;
   const SstaResult& timing;
   double q_now;
+  double crit_floor = kCritFloor;
 
   /// Own mean delay of a gate under a hypothetical (vth, size).
   double own_delay(GateId id, Vth vth, double size) const {
@@ -91,7 +93,7 @@ MoveCandidate reference_sizing(const ScanInputs& in, ThreadPool& pool,
       pool, in.circuit.num_gates(), [&](GateId id, MoveCandidate& local) {
         const Gate& g = in.circuit.gate(id);
         if (g.kind == CellKind::kInput) return;
-        if (in.timing.criticality[id] < kCritFloor) return;
+        if (in.timing.criticality[id] < in.crit_floor) return;
         const std::size_t step = in.lib.nearest_step(g.size);
         if (step + 1 >= steps.size()) return;
         if ((locked[id] >> (step + 1)) & 1u) return;
@@ -123,7 +125,8 @@ MoveCandidate reference_assign(const ScanInputs& in, ThreadPool& pool,
         const std::size_t step = in.lib.nearest_step(g.size);
         const bool can_down = step > 0 && (locked[id] & 2) == 0;
         if (!can_hvt && !can_down) return;
-        const double crit = std::max(in.timing.criticality[id], kCritFloor);
+        const double crit =
+            std::max(in.timing.criticality[id], in.crit_floor);
         const double d_now = in.own_delay(id, g.vth, g.size);
 
         if (can_hvt) {
@@ -171,7 +174,9 @@ testing::AssertionResult same_move(const MoveCandidate& got,
 /// The inequality the lazy assign scan rests on, slot by slot, after a
 /// scan: a legal unlocked move has a live key (> -inf), any other slot a
 /// dead one, and every live key with a finite value bounds the move's
-/// exact score: score <= key_ratio * key * (1 + 1e-6).
+/// exact score: score <= key_ratio * key * (1 + 1e-6). The keys must also
+/// have been built from the scanned criticality, clamped to the floor, bit
+/// for bit (a stale one may still bound the score by a margin).
 void expect_keys_bound_scores(const ScanInputs& in, const BatchScorer& scorer,
                               std::span<const unsigned char> locked,
                               double pct, int step) {
@@ -179,8 +184,13 @@ void expect_keys_bound_scores(const ScanInputs& in, const BatchScorer& scorer,
   const double ratio = scorer.key_ratio();
   if (ratio == 0.0) return;  // unbounded scan: no keys were used
   const std::span<const double> keys = scorer.slot_keys();
+  const std::span<const double> keyed = scorer.keyed_criticality();
   for (GateId id = 0; id < in.circuit.num_gates(); ++id) {
     const Gate& g = in.circuit.gate(id);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(keyed[id]),
+              std::bit_cast<std::uint64_t>(
+                  std::max(in.timing.criticality[id], in.crit_floor)))
+        << "gate " << id << " keyed from stale criticality, step " << step;
     const std::size_t step_now = in.lib.nearest_step(g.size);
     const bool input = g.kind == CellKind::kInput;
     for (int down = 0; down < 2; ++down) {
@@ -194,7 +204,7 @@ void expect_keys_bound_scores(const ScanInputs& in, const BatchScorer& scorer,
       if (!live || !std::isfinite(key)) continue;
       const Vth vth = down ? g.vth : Vth::kHigh;
       const double size = down ? steps[step_now - 1] : g.size;
-      const double crit = std::max(in.timing.criticality[id], kCritFloor);
+      const double crit = std::max(in.timing.criticality[id], in.crit_floor);
       const double dd =
           in.own_delay(id, vth, size) - in.own_delay(id, g.vth, g.size);
       const double benefit =
@@ -246,8 +256,13 @@ Circuit make_circuit(const std::string& name) {
 
 /// Runs `steps` steps of a walk at percentile `pct`, comparing every scan
 /// with the reference and checking the key bound after every assign scan.
+/// With `feed`, each assign scan gets the engine's criticality change feed
+/// (and clears it), as the optimizer does, and one in four tentative moves
+/// refreshes criticality inside its trial; without it, every scan diffs
+/// every gate. Both scans clamp criticality to `crit_floor`.
 WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
-                    WalkMode mode) {
+                    WalkMode mode, bool feed = false,
+                    double crit_floor = kCritFloor) {
   const CellLibrary lib{generic_100nm()};
   const VariationModel var = VariationModel::typical_100nm();
   WalkResult result;
@@ -313,20 +328,24 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
       }
     }
     const SstaResult& timing = ssta.analyze_ref();
-    const ScanInputs in{c, lib, leak, ssta, timing, leak.quantile_na(pct)};
+    const ScanInputs in{c,      lib, leak, ssta, timing, leak.quantile_na(pct),
+                        crit_floor};
 
     if (mode == WalkMode::kMixed) {
       const MoveCandidate want_size =
           reference_sizing(in, pool, size_locks, pct);
       const MoveCandidate got_size = scorer.best_sizing(
-          timing.criticality, size_locks, in.q_now, pct, kCritFloor, kEps);
+          timing.criticality, size_locks, in.q_now, pct, crit_floor, kEps);
       EXPECT_TRUE(same_move(got_size, want_size)) << "sizing, step " << step;
       ++result.scans;
     }
     const MoveCandidate want_assign =
         reference_assign(in, pool, assign_locks, pct);
     const MoveCandidate got_assign = scorer.best_assign(
-        timing.criticality, assign_locks, in.q_now, pct, kCritFloor, kEps);
+        timing.criticality,
+        feed ? ssta.criticality_changes() : CriticalityChanges{},
+        assign_locks, in.q_now, pct, crit_floor, kEps);
+    if (feed) ssta.clear_criticality_changes();
     EXPECT_TRUE(same_move(got_assign, want_assign)) << "assign, step " << step;
     expect_keys_bound_scores(in, scorer, assign_locks, pct, step);
     if (::testing::Test::HasFailure()) return finish();
@@ -354,6 +373,13 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
     Vth vth = Vth::kLow;
     random_target(id, size, vth);
     const double roll = rng.uniform();
+    const auto query = [&] {
+      if (feed && rng.uniform() < 0.25) {
+        (void)ssta.analyze_ref();
+      } else {
+        (void)ssta.circuit_delay();
+      }
+    };
     if (roll < 0.6) {
       // Committed move.
       apply(id, size, vth);
@@ -363,7 +389,7 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
       // gate fields are restored and re-reported to the scorer.
       ssta.begin_trial();
       apply(id, size, vth);
-      (void)ssta.circuit_delay();
+      query();
       ssta.rollback_trial();
       c.set_size(id, saved.size);
       c.set_vth(id, saved.vth);
@@ -372,7 +398,7 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
       // Tentative move, accepted.
       ssta.begin_trial();
       apply(id, size, vth);
-      (void)ssta.circuit_delay();
+      query();
       ssta.commit_trial();
       leak.on_gate_changed(id);
     }
@@ -437,6 +463,96 @@ TEST(BatchScoreLazyTest, CommittedWalkPatchesKeysAndCrossesTheDriftBound) {
       r.assign.full_rekeys * 2 * static_cast<std::int64_t>(r.num_gates);
   EXPECT_GT(r.assign.rekeys, full_keys);
   EXPECT_LT(r.assign.exact, r.assign.exact + r.pruned);
+}
+
+// Walks whose assign scans read the SSTA engine's criticality change feed,
+// as the optimizer's do: most scans check only the listed gates, the scans
+// after a criticality scatter diff every gate, and every pick, every key
+// bound and every keyed criticality still matches the reference. Most
+// gates a walk relists sit below the optimizer's floor of 1e-4, where they
+// move no key, so the walks also run with a floor of 1e-12: there a listed
+// gate missed by the scorer would leave a stale key.
+TEST(BatchScoreLazyTest, FeedDrivenWalksMatchReferenceScan) {
+  struct Case {
+    WalkConfig config;
+    int steps;
+    WalkMode mode;
+    double floor;
+  };
+  for (const Case& k :
+       {Case{{"c3540p", 1, 64}, 200, WalkMode::kCommitted, kCritFloor},
+        Case{{"c3540p", 2, 3}, 200, WalkMode::kCommitted, 1e-12},
+        Case{{"rdag23", 2, 3}, 200, WalkMode::kCommitted, kCritFloor},
+        Case{{"c880p", 2, 3}, 80, WalkMode::kMixed, kCritFloor}}) {
+    const WalkResult r =
+        run_walk(k.config, k.steps, kPct, k.mode, true, k.floor);
+    if (HasFailure()) return;
+    const char* name = k.config.circuit;
+    EXPECT_EQ(r.assign.unbounded, 0) << name;
+    EXPECT_GT(r.assign.full_diffs, 0) << name;
+    if (std::string(name) == "c3540p") {
+      // Scans that neither re-keyed everything nor diffed every gate: the
+      // listed path. (The smaller circuits scatter their criticality on
+      // most moves.)
+      EXPECT_LT(r.assign.full_diffs + r.assign.full_rekeys, r.scans) << name;
+    }
+  }
+}
+
+// Keys see criticality only through max(crit, floor): a scan whose
+// criticality moved only below the floor, or onto it, re-keys nothing,
+// whether the moves are listed or the feed reads "all". A gate lifted above
+// the floor re-keys exactly its two slots. Every such scan picks what a
+// fresh scorer picks from scratch.
+TEST(BatchScoreLazyTest, SubFloorCriticalityChangesRekeyNothing) {
+  const CellLibrary lib{generic_100nm()};
+  const VariationModel var = VariationModel::typical_100nm();
+  Circuit c = iscas85_proxy("c880p");
+  FlatSstaEngine ssta(c, lib, var);
+  LeakageAnalyzer leak(c, lib, var);
+  ThreadPool pool(1);
+  BatchScorer scorer(lib, leak, c, ssta.loads(), pool, 64);
+  const std::vector<unsigned char> locks(c.num_gates(), 0);
+  const double q_now = leak.quantile_na(kPct);
+  std::vector<double> crit = ssta.analyze_ref().criticality;
+  const auto scan = [&](BatchScorer& s, const CriticalityChanges& changed) {
+    return s.best_assign(crit, changed, locks, q_now, kPct, kCritFloor, kEps);
+  };
+  (void)scan(scorer, CriticalityChanges{});  // the first scan keys all
+  ASSERT_EQ(scorer.assign_stats().full_rekeys, 1);
+
+  std::vector<GateId> below;
+  GateId lifted = kInvalidGate;
+  for (GateId id = 0; id < c.num_gates(); ++id) {
+    if (c.gate(id).kind == CellKind::kInput) continue;
+    if (crit[id] < kCritFloor) {
+      crit[id] = below.size() % 2 == 0 ? crit[id] * 0.5 : kCritFloor;
+      below.push_back(id);
+    }
+  }
+  ASSERT_GT(below.size(), 10u);
+  for (GateId id : below) {
+    if (c.gate(id).vth == Vth::kLow && lifted == kInvalidGate) lifted = id;
+  }
+  ASSERT_NE(lifted, kInvalidGate);
+  const auto expect_fresh_pick = [&](const MoveCandidate& got) {
+    BatchScorer fresh(lib, leak, c, ssta.loads(), pool, 64);
+    EXPECT_TRUE(same_move(got, scan(fresh, CriticalityChanges{})));
+  };
+
+  const std::int64_t rekeys = scorer.assign_stats().rekeys;
+  expect_fresh_pick(scan(scorer, CriticalityChanges{false, below}));
+  EXPECT_EQ(scorer.assign_stats().rekeys, rekeys);
+  expect_fresh_pick(scan(scorer, CriticalityChanges{}));
+  EXPECT_EQ(scorer.assign_stats().rekeys, rekeys);
+  EXPECT_EQ(scorer.assign_stats().full_diffs, 1);
+  EXPECT_EQ(scorer.assign_stats().full_rekeys, 1);
+
+  crit[lifted] = 0.5;
+  const GateId one[] = {lifted};
+  expect_fresh_pick(scan(scorer, CriticalityChanges{false, one}));
+  EXPECT_EQ(scorer.assign_stats().rekeys, rekeys + 2);
+  EXPECT_EQ(scorer.assign_stats().full_rekeys, 1);
 }
 
 }  // namespace

@@ -296,5 +296,39 @@ TEST(ClarkLanesTest, ExtremeRatiosAndNearCancellingMoments) {
   EXPECT_TRUE(check_all(gates));
 }
 
+/// clark_chain_weights against the row-by-row recurrence it reorders, in
+/// both variants: m of 1, 2 (one row), 9 (one full block and one row), 411
+/// and 11,776 (the output counts of c3540p-sized and s100k-sized
+/// circuits), with rows of tightness exactly 1.0 (skipped) and exactly 0.0
+/// mixed among random ones.
+TEST(ClarkLanesTest, ChainWeightsMatchRowByRowRecurrence) {
+  std::vector<SimdIsa> isas = {SimdIsa::kBaseline};
+  if (host_simd_isa() == SimdIsa::kAvx512) isas.push_back(SimdIsa::kAvx512);
+  Rng rng(29);
+  for (const std::size_t m : {1u, 2u, 9u, 411u, 11776u}) {
+    std::vector<double> tight(m, 1.0);
+    for (std::size_t i = 1; i < m; ++i) {
+      const double roll = rng.uniform();
+      tight[i] = roll < 0.4 ? 1.0 : roll < 0.45 ? 0.0 : rng.uniform();
+    }
+    std::vector<double> want(m);
+    want[0] = 1.0;
+    for (std::size_t i = 1; i < m; ++i) {
+      if (tight[i] != 1.0) {
+        for (std::size_t j = 0; j < i; ++j) want[j] *= tight[i];
+      }
+      want[i] = 1.0 - tight[i];
+    }
+    for (const SimdIsa isa : isas) {
+      std::vector<double> got(m, -1.0);
+      clark_chain_weights(isa, tight.data(), m, got.data());
+      for (std::size_t j = 0; j < m; ++j) {
+        ASSERT_EQ(bits(got[j]), bits(want[j]))
+            << "m " << m << ", weight " << j << ", " << to_string(isa);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace statleak

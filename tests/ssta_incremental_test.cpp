@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -414,6 +415,104 @@ TEST_F(SstaIncrementalTest, PermutedGateIdsMatchOracleBitwise) {
   EXPECT_GT(reg.counter_value("ssta.crit_full_passes"), 1.0);
   EXPECT_GT(reg.counter_value("ssta.flat_full_passes"), 1.0);
   EXPECT_GT(reg.counter_value("ssta.unlogged_trials"), 0.0);
+}
+
+// ------------------------------------------------- criticality change feed ----
+
+/// The engine's criticality change feed (flat_incremental.hpp) against the
+/// published array itself. A walk of committed moves, rolled-back and
+/// committed trials (some with an analyze inside the trial) mixes with
+/// forward-only queries. After every analyze_ref(), every GateId whose
+/// published criticality differs bitwise from the copy taken at the last
+/// clear must be listed, unless the feed reads "all". The feed is cleared
+/// at random points, so lists also span several refreshes. Both the list
+/// and the "all" form must show up with changes pending on every circuit.
+TEST_F(SstaIncrementalTest, CriticalityFeedCoversEveryRepublishedGate) {
+  struct Case {
+    const char* name;
+    Circuit circuit;
+  };
+  std::vector<Case> cases;
+  for (const std::uint64_t seed : {5u, 23u, 41u}) {
+    cases.push_back({"rdag", random_circuit(seed, 600)});
+  }
+  cases.push_back({"c880p", iscas85_proxy("c880p")});
+  cases.push_back({"permuted", permuted_circuit()});
+  const auto steps = lib_.size_steps();
+  for (Case& k : cases) {
+    Circuit& c = k.circuit;
+    const auto cells = cells_of(c);
+    FlatSstaEngine inc(c, lib_, var_);
+    Rng rng(cells.size());
+    std::vector<double> seen(c.num_gates(), 0.0);
+    int listed = 0;
+    int all = 0;
+    const auto check = [&](int step) {
+      const SstaResult& t = inc.analyze_ref();
+      const CriticalityChanges feed = inc.criticality_changes();
+      std::vector<char> in_list(c.num_gates(), 0);
+      for (GateId id : feed.gates) in_list[id] = 1;
+      bool moved = false;
+      for (GateId id = 0; id < c.num_gates(); ++id) {
+        if (std::bit_cast<std::uint64_t>(t.criticality[id]) ==
+            std::bit_cast<std::uint64_t>(seen[id])) {
+          continue;
+        }
+        moved = true;
+        ASSERT_TRUE(feed.all || in_list[id] != 0)
+            << k.name << ": gate " << id << " moved unlisted, step " << step;
+      }
+      if (moved) {
+        all += feed.all ? 1 : 0;
+        listed += feed.all ? 0 : 1;
+      }
+      if (rng.uniform() < 0.6) {
+        inc.clear_criticality_changes();
+        seen = t.criticality;
+      }
+    };
+    const auto random_move = [&](GateId id) {
+      if (rng.uniform() < 0.5) {
+        c.set_size(id, steps[rng.uniform_index(steps.size())]);
+        inc.on_resize(id);
+      } else {
+        c.set_vth(id, c.gate(id).vth == Vth::kLow ? Vth::kHigh : Vth::kLow);
+        inc.on_vth_change(id);
+      }
+    };
+    for (int step = 0; step < 300; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.4) {
+        random_move(cells[rng.uniform_index(cells.size())]);
+        if (rng.uniform() < 0.5) (void)inc.circuit_delay();
+      } else {
+        std::vector<Saved> saved;
+        inc.begin_trial();
+        const int moves = 1 + static_cast<int>(rng.uniform_index(2));
+        for (int m = 0; m < moves; ++m) {
+          const GateId id = cells[rng.uniform_index(cells.size())];
+          saved.push_back({id, c.gate(id).size, c.gate(id).vth});
+          random_move(id);
+          (void)inc.circuit_delay();
+        }
+        if (rng.uniform() < 0.2) check(step);  // a refresh inside the trial
+        if (HasFatalFailure()) return;
+        if (roll < 0.75) {
+          inc.rollback_trial();
+          for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+            c.set_size(it->id, it->size);
+            c.set_vth(it->id, it->vth);
+          }
+        } else {
+          inc.commit_trial();
+        }
+      }
+      check(step);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(listed, 0) << k.name;
+    EXPECT_GT(all, 0) << k.name;
+  }
 }
 
 // ------------------------------------------------------ trial edge cases ----
