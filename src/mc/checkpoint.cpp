@@ -1,25 +1,12 @@
 #include "mc/checkpoint.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "util/rng.hpp"
 
 namespace statleak {
 
 namespace {
-
-template <typename T>
-void put(std::vector<std::uint8_t>& buf, T value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T get(const std::uint8_t* p) {
-  T value;
-  std::memcpy(&value, p, sizeof(T));
-  return value;
-}
 
 [[noreturn]] void reject(const std::string& path, const std::string& why) {
   throw CheckpointError("checkpoint '" + path + "': " + why);
@@ -40,9 +27,7 @@ std::uint64_t mc_checkpoint_hash(const Circuit& circuit,
   std::uint64_t h = 0x53544C4Bu;  // "STLK"
   const auto mix = [&h](std::uint64_t x) { h = mix64(h ^ x); };
   const auto mix_f64 = [&mix](double x) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &x, sizeof(bits));
-    mix(bits);
+    mix(std::bit_cast<std::uint64_t>(x));
   };
 
   mix(kMcArithmeticRevision);
@@ -65,12 +50,7 @@ std::uint64_t mc_checkpoint_hash(const Circuit& circuit,
     mix_f64(g.size);
   }
 
-  mix_f64(var.sigma_l_inter_nm);
-  mix_f64(var.sigma_l_intra_nm);
-  mix_f64(var.sigma_vth_inter_v);
-  mix_f64(var.sigma_vth_intra_v);
-  mix(var.pelgrom_vth_scaling ? 1 : 0);
-  mix_f64(var.pelgrom_ref_width_um);
+  mix_variation_constants(var, mix);
 
   mix(widths.size());
   for (double w : widths) mix_f64(w);
@@ -78,24 +58,7 @@ std::uint64_t mc_checkpoint_hash(const Circuit& circuit,
   // Every physical constant of the node changes the sampled values, so a
   // checkpoint is pinned to its environment corner (temperature, Vdd, node
   // flavor). The name is deliberately not mixed — only physics matters.
-  mix_f64(node.vdd);
-  mix_f64(node.leff_nm);
-  mix_f64(node.temperature_k);
-  mix_f64(node.vth_low);
-  mix_f64(node.vth_high);
-  mix_f64(node.subthreshold_slope);
-  mix_f64(node.i0_na_per_um);
-  mix_f64(node.vth_rolloff_v_per_nm);
-  mix_f64(node.leak_quadratic_per_nm2);
-  mix_f64(node.alpha);
-  mix_f64(node.k_drive_ua_per_um);
-  mix_f64(node.k_delay);
-  mix_f64(node.cg_ff_per_um);
-  mix_f64(node.cj_ff_per_um);
-  mix_f64(node.cw_fixed_ff);
-  mix_f64(node.cw_per_fanout_ff);
-  mix_f64(node.wn_unit_um);
-  mix_f64(node.pn_ratio);
+  mix_node_constants(node, mix);
   return h;
 }
 

@@ -2,7 +2,7 @@
 /// \brief Structure-of-arrays view of a finalized Circuit plus a frozen
 ///        copy of one implementation point.
 ///
-/// The batched kernels (BatchDelayKernel, BatchLeakageKernel, BatchScorer)
+/// The Monte-Carlo batched kernels (BatchDelayKernel, BatchLeakageKernel)
 /// walk contiguous arrays. FlatCircuit hands them:
 ///
 ///   - CSR fanin and fanout adjacency (`fanin_offset`/`fanin`,

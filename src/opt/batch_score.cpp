@@ -6,7 +6,6 @@
 #include <cstring>
 #include <limits>
 
-#include "util/error.hpp"
 #include "util/simd.hpp"
 
 namespace statleak {
@@ -20,6 +19,12 @@ constexpr double kInflate = 1.0 + 1e-6;
 // more than this factor (keys past it still bound, but prune less).
 constexpr double kMaxDrift = 1.0 + 1e-3;
 constexpr std::size_t kKeyBlock = 64;  ///< slots per block maximum
+/// Candidates per unit of the blocks() counter (opt.candidate_blocks).
+constexpr std::int64_t kCountBlock = 64;
+
+std::int64_t count_blocks(std::int64_t candidates) {
+  return (candidates + kCountBlock - 1) / kCountBlock;
+}
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
@@ -27,16 +32,14 @@ std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
                          const Circuit& circuit, const LoadCache& loads,
-                         ThreadPool& pool, std::size_t block)
+                         ThreadPool& pool)
     : lib_(lib),
       leak_(leak),
       circuit_(circuit),
       kind_(circuit.kinds()),
       loads_(loads.loads()),
       pool_(pool),
-      block_(block),
       steps_(lib.size_steps()) {
-  STATLEAK_CHECK(block_ >= 1, "candidate block size must be >= 1");
   const LeakageModel& model = leak_.model();
   pelgrom_ = model.variation().pelgrom_vth_scaling;
   mean_factor_ = model.mean_factor();
@@ -88,8 +91,7 @@ BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
   crit_seen_.resize(n);
   lock_seen_.resize(n);
 
-  workers_.resize(static_cast<std::size_t>(pool_.size()));
-  shard_best_.resize(workers_.size());
+  shards_.resize(static_cast<std::size_t>(pool_.size()));
 }
 
 /// The assign-phase benefit bound. The exact score of an assign candidate
@@ -215,48 +217,50 @@ void BatchScorer::rebuild_dirty_slots() {
   dirty_.clear();
 }
 
+std::size_t BatchScorer::term_index(GateId id, Vth vth) const {
+  return static_cast<std::size_t>(kind_[id]) * 2 +
+         (vth == Vth::kHigh ? 1 : 0);
+}
+
+double BatchScorer::own_delay(GateId id, Vth vth, double size) const {
+  const CellLibrary::DelayTerms& t = terms_[term_index(id, vth)];
+  const double dn = terms_[0].drive_num;  // 1000 * k_delay * vdd, class-free
+  return t.intrinsic_ps + dn * loads_[id] / (t.idrive_unit_ua * size);
+}
+
+GateLeakMoments BatchScorer::moved_moments(GateId id, Vth vth,
+                                           double size) const {
+  if (pelgrom_) return leak_.model().gate_moments(kind_[id], vth, size);
+  const double nominal = leak_unit_[term_index(id, vth)] * size;
+  return GateLeakMoments{nominal * mean_factor_,
+                         std::max(0.0, nominal * nominal * var_factor_)};
+}
+
 void BatchScorer::rebuild_gate_slots(GateId id) {
   const std::size_t s_hvt = 2 * static_cast<std::size_t>(id);
   const std::size_t s_down = s_hvt + 1;
   sl_alive_[s_hvt] = 0;
   sl_alive_[s_down] = 0;
   if (kind_[id] == CellKind::kInput) return;
-  const double load = loads_[id];
+  const Vth vth = vth_[id];
   const double size = size_[id];
-  const double dn = terms_[0].drive_num;
-  const std::size_t tn = static_cast<std::size_t>(kind_[id]) * 2 +
-                         (vth_[id] == Vth::kHigh ? 1 : 0);
   const GateLeakMoments& m = leak_.cached_moments(id);
-  // The exact stage-1 delay decomposition of the batched scan (and of the
-  // reference scan's delay_ps()), evaluated at rebuild time: the inputs are
-  // frozen until the next set_impl/load change, which re-dirties this gate.
-  const double d_now = terms_[tn].intrinsic_ps +
-                       dn * load / (terms_[tn].idrive_unit_ua * size);
-  const auto fill = [&](std::size_t slot, double dd, std::size_t t, Vth tvth,
-                        double tgt) {
-    double nmean;
-    double nvar;
-    if (!pelgrom_) {
-      const double nominal = leak_unit_[t] * tgt;
-      nmean = nominal * mean_factor_;
-      nvar = std::max(0.0, nominal * nominal * var_factor_);
-    } else {
-      const GateLeakMoments nm =
-          leak_.model().gate_moments(kind_[id], tvth, tgt);
-      nmean = nm.mean_na;
-      nvar = nm.var_na2;
-    }
-    const double dm = m.mean_na - nmean;
-    const double dv = m.var_na2 - nvar;
+  // Evaluated at rebuild time: the inputs are frozen until the next
+  // set_impl/load change, which re-dirties this gate.
+  const double d_now = own_delay(id, vth, size);
+  const auto fill = [&](std::size_t slot, Vth tvth, double tgt) {
+    const GateLeakMoments nm = moved_moments(id, tvth, tgt);
+    const double dm = m.mean_na - nm.mean_na;
+    const double dv = m.var_na2 - nm.var_na2;
     sl_alive_[slot] = 1;
-    sl_dd_[slot] = dd;
-    sl_nmean_[slot] = nmean;
-    sl_nvar_[slot] = nvar;
+    sl_dd_[slot] = own_delay(id, tvth, tgt) - d_now;
+    sl_nmean_[slot] = nm.mean_na;
+    sl_nvar_[slot] = nm.var_na2;
     sl_om_[slot] = m.mean_na;
     sl_ov_[slot] = m.var_na2;
     sl_dm_[slot] = dm;
     sl_dv_[slot] = dv;
-    sl_vexb_[slot] = dm * dm + (m.mean_na + nmean) * dm;
+    sl_vexb_[slot] = dm * dm + (m.mean_na + nm.mean_na) * dm;
     sl_tgt_[slot] = tgt;
     if (dm >= 0.0 && dv >= 0.0) {
       dm_hi_ = std::max(dm_hi_, dm);
@@ -264,34 +268,9 @@ void BatchScorer::rebuild_gate_slots(GateId id) {
       vexb_hi_ = std::max(vexb_hi_, sl_vexb_[slot]);
     }
   };
-  if (vth_[id] == Vth::kLow) {
-    const std::size_t th = static_cast<std::size_t>(kind_[id]) * 2 + 1;
-    const double d_tgt = terms_[th].intrinsic_ps +
-                         dn * load / (terms_[th].idrive_unit_ua * size);
-    fill(s_hvt, d_tgt - d_now, th, Vth::kHigh, size);
-  }
+  if (vth == Vth::kLow) fill(s_hvt, Vth::kHigh, size);
   const std::size_t step = step_[id];
-  if (step > 0) {
-    const double tgt = steps_[step - 1];
-    const double d_tgt = terms_[tn].intrinsic_ps +
-                         dn * load / (terms_[tn].idrive_unit_ua * tgt);
-    fill(s_down, d_tgt - d_now, tn, vth_[id], tgt);
-  }
-}
-
-void BatchScorer::Worker::clear() {
-  gate.clear();
-  tgt_step.clear();
-  load.clear();
-  cur_size.clear();
-  tgt_size.clear();
-  intr_now.clear();
-  idr_now.clear();
-  leak_unit_tgt.clear();
-  old_mean.clear();
-  old_var.clear();
-  crit.clear();
-  blocks = 0;
+  if (step > 0) fill(s_down, vth, steps_[step - 1]);
 }
 
 MoveCandidate BatchScorer::best_sizing(std::span<const double> criticality,
@@ -302,13 +281,11 @@ MoveCandidate BatchScorer::best_sizing(std::span<const double> criticality,
   const LeakDeltaPricer pricer = leak_.delta_pricer(pct);
   // parallel_for skips empty shards; reset everything serially first so the
   // reduction never reads a previous scan's leftovers.
-  for (Worker& w : workers_) w.blocks = 0;
-  std::fill(shard_best_.begin(), shard_best_.end(), MoveCandidate{});
+  std::fill(shards_.begin(), shards_.end(), Shard{});
 
   pool_.parallel_for(
       kind_.size(), [&](std::size_t lo, std::size_t hi, int worker) {
-        Worker& w = workers_[static_cast<std::size_t>(worker)];
-        w.clear();
+        Shard local;
         for (std::size_t i = lo; i < hi; ++i) {
           const auto id = static_cast<GateId>(i);
           if (kind_[id] == CellKind::kInput) continue;
@@ -316,101 +293,32 @@ MoveCandidate BatchScorer::best_sizing(std::span<const double> criticality,
           const std::size_t step = step_[id];
           if (step + 1 >= steps_.size()) continue;
           if ((locked[id] >> (step + 1)) & 1u) continue;
-          const std::size_t t =
-              static_cast<std::size_t>(kind_[id]) * 2 +
-              (vth_[id] == Vth::kHigh ? 1 : 0);
-          w.gate.push_back(id);
-          w.tgt_step.push_back(step + 1);
-          w.load.push_back(loads_[id]);
-          w.cur_size.push_back(size_[id]);
-          w.tgt_size.push_back(steps_[step + 1]);
-          w.intr_now.push_back(terms_[t].intrinsic_ps);
-          w.idr_now.push_back(terms_[t].idrive_unit_ua);
-          w.leak_unit_tgt.push_back(leak_unit_[t]);
-          const GateLeakMoments& m = leak_.cached_moments(id);
-          w.old_mean.push_back(m.mean_na);
-          w.old_var.push_back(m.var_na2);
-          w.crit.push_back(criticality[id]);
+          ++local.legal;
+          // Same Vth on both sides: only the size moves.
+          const Vth vth = vth_[id];
+          const double tgt = steps_[step + 1];
+          const double delta =
+              own_delay(id, vth, size_[id]) - own_delay(id, vth, tgt);
+          if (delta <= gain_eps) continue;
+          const double dleak_pct =
+              pricer.quantile_na(leak_.cached_moments(id),
+                                 moved_moments(id, vth, tgt)) -
+              q_now;
+          const double score =
+              criticality[id] * delta / std::max(dleak_pct, 1e-6);
+          if (score > local.best.score) {
+            local.best = MoveCandidate{score, id, step + 1, false, 0.0};
+          }
         }
-        MoveCandidate local;
-        price_blocks_sizing(w, pricer, q_now, crit_floor, gain_eps, local);
-        shard_best_[static_cast<std::size_t>(worker)] = local;
+        shards_[static_cast<std::size_t>(worker)] = local;
       });
 
   MoveCandidate best;
-  for (std::size_t wi = 0; wi < workers_.size(); ++wi) {
-    blocks_ += workers_[wi].blocks;
-    if (shard_best_[wi].score > best.score) best = shard_best_[wi];
+  for (const Shard& shard : shards_) {
+    blocks_ += count_blocks(shard.legal);
+    if (shard.best.score > best.score) best = shard.best;
   }
   return best;
-}
-
-void BatchScorer::price_blocks_sizing(Worker& w, const LeakDeltaPricer& pricer,
-                                      double q_now, double /*crit_floor*/,
-                                      double gain_eps,
-                                      MoveCandidate& local) const {
-  const std::size_t m = w.gate.size();
-  if (m == 0) return;
-  w.delta.resize(block_);
-  w.new_mean.resize(block_);
-  w.new_var.resize(block_);
-  const double dn = terms_[0].drive_num;  // 1000 * k_delay * vdd, class-free
-  const double mf = mean_factor_;
-  const double vf = var_factor_;
-  for (std::size_t base = 0; base < m; base += block_) {
-    const std::size_t len = std::min(block_, m - base);
-    ++w.blocks;
-    const double* STATLEAK_RESTRICT load = w.load.data() + base;
-    const double* STATLEAK_RESTRICT cur = w.cur_size.data() + base;
-    const double* STATLEAK_RESTRICT tgt = w.tgt_size.data() + base;
-    const double* STATLEAK_RESTRICT intr = w.intr_now.data() + base;
-    const double* STATLEAK_RESTRICT idr = w.idr_now.data() + base;
-    const double* STATLEAK_RESTRICT lu = w.leak_unit_tgt.data() + base;
-    double* STATLEAK_RESTRICT delta = w.delta.data();
-    double* STATLEAK_RESTRICT nmean = w.new_mean.data();
-    double* STATLEAK_RESTRICT nvar = w.new_var.data();
-
-    // Stage 1: own-delay gain. Each delay is the exact delay_ps()
-    // decomposition (see CellLibrary::DelayTerms); same Vth for both sides.
-    STATLEAK_VEC_LOOP
-    for (std::size_t i = 0; i < len; ++i) {
-      const double d_now = intr[i] + dn * load[i] / (idr[i] * cur[i]);
-      const double d_tgt = intr[i] + dn * load[i] / (idr[i] * tgt[i]);
-      delta[i] = d_now - d_tgt;
-    }
-
-    // Stage 2: hypothetical leak moments at the target size.
-    if (!pelgrom_) {
-      STATLEAK_VEC_LOOP
-      for (std::size_t i = 0; i < len; ++i) {
-        const double nominal = lu[i] * tgt[i];
-        nmean[i] = nominal * mf;
-        nvar[i] = std::max(0.0, nominal * nominal * vf);
-      }
-    } else {
-      for (std::size_t i = 0; i < len; ++i) {
-        const GateId id = w.gate[base + i];
-        const GateLeakMoments nm =
-            leak_.model().gate_moments(kind_[id], vth_[id], tgt[i]);
-        nmean[i] = nm.mean_na;
-        nvar[i] = nm.var_na2;
-      }
-    }
-
-    // Stage 3: quantile + score, scalar over dense lanes (transcendentals).
-    for (std::size_t i = 0; i < len; ++i) {
-      if (delta[i] <= gain_eps) continue;
-      const GateLeakMoments old_m{w.old_mean[base + i], w.old_var[base + i]};
-      const GateLeakMoments now_m{nmean[i], nvar[i]};
-      const double dleak_pct = pricer.quantile_na(old_m, now_m) - q_now;
-      const double score =
-          w.crit[base + i] * delta[i] / std::max(dleak_pct, 1e-6);
-      if (score > local.score) {
-        local = MoveCandidate{score, w.gate[base + i], w.tgt_step[base + i],
-                              false, 0.0};
-      }
-    }
-  }
 }
 
 double BatchScorer::slot_key(std::size_t s, double crit,
@@ -703,9 +611,7 @@ MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
   }
   stats_.exact += exact;
   pruned_ += live - exact;
-  // Keeps "groups of up to K candidates" comparable with the sizing scan.
-  blocks_ += (live + static_cast<std::int64_t>(block_) - 1) /
-             static_cast<std::int64_t>(block_);
+  blocks_ += count_blocks(live);
   return best;
 }
 

@@ -1,29 +1,23 @@
 /// \file batch_score.hpp
-/// \brief Candidate-batched move pricing over SoA mirrors of the circuit.
+/// \brief The statistical optimizer's move-pricing scans.
 ///
 /// The statistical optimizer's scoring scans price every legal move against
-/// the same committed state (scoring is read-only; commits are serial).
-/// Instead of a one-gate-at-a-time walk through the AoS Gate graph — a
-/// Gate-struct dereference, a binary size-step search and several
-/// virtual-free-but-cold library calls per gate; tests/batch_score_test.cpp
-/// keeps that walk as the reference scan — the scorer works SoA. The
-/// phase-1 (sizing) scan is parallel per candidate:
+/// the same committed state (scoring is read-only; commits are serial). The
+/// scorer reads the Circuit's per-gate kind array and the load cache, and
+/// keeps its own implementation mirrors (vth/size/step per gate, maintained
+/// by the optimizer through set_impl()), so a scan touches flat arrays
+/// instead of the one-gate-at-a-time reference walk of
+/// tests/batch_score_test.cpp (a Gate view, a binary size-step search and
+/// several library calls per gate).
 ///
-///   1. a filter pass over SoA mirror arrays (vth/size/step per gate,
-///      maintained by the optimizer through set_impl()) collects the legal
-///      candidates of the worker's gate shard into SoA candidate arrays,
-///      gathering every per-candidate input (load, delay terms, leak-unit
-///      currents, cached "old" leak moments) into contiguous lanes;
-///   2. blocks of K candidates are priced in staged gate-major passes:
-///      pure-arithmetic stages (delay completion, leak-moment completion,
-///      final score) carry STATLEAK_VEC_LOOP hints, while the one stage
-///      with transcendental calls (the Wilkinson lognormal quantile) stays
-///      a scalar loop over dense lanes — vectorized libm would break the
-///      bit contract;
-///   3. each worker keeps the serial argmax rule "first strictly-greater
-///      score wins, candidates in (gate ascending, HVT before downsize)
-///      order"; shard winners are reduced in shard order, reproducing the
-///      serial winner exactly for every thread count and block size.
+/// The phase-1 (sizing) scan is one pass per worker over its gate shard.
+/// Each legal upsizing move (non-input gate at or above the criticality
+/// floor, a next size step, not locked) is priced in place: own-delay gain
+/// from the DelayTerms decomposition, hypothetical leak moments at the
+/// target size, the Wilkinson quantile of the totals with the move, score.
+/// Each worker keeps the serial argmax rule "first strictly-greater score
+/// wins, gates ascending"; shard winners are reduced in shard order, which
+/// reproduces the serial winner exactly for every thread count.
 ///
 /// The phase-2 (assignment) scan is lazy instead (CELF-style, Leskovec et
 /// al. 2007). A gate's two possible
@@ -50,16 +44,16 @@
 /// to the reference scan; the scan is serial, so thread count cannot
 /// change it.
 ///
-/// Bit contract: every stage completes a decomposed expression whose terms
-/// are the exact subexpressions of the reference scan (CellLibrary::
-/// delay_terms(), leak_unit_na(), LeakageModel factors, LeakDeltaPricer) in
-/// the same association order, so the candidate chosen — gate, move and
-/// score bits — is the reference scan's (pinned scan by scan by
-/// tests/batch_score_test.cpp, and end to end by the trajectory goldens of
-/// tests/opt_trajectory_test.cpp across thread counts and block sizes).
-/// With Pelgrom width scaling enabled the leak-moment stage falls back to
-/// per-candidate LeakageModel::gate_moments() calls — the same function
-/// the reference scan prices through.
+/// Bit contract: both scans price a move through the same two helpers
+/// (own_delay(), moved_moments()), whose terms are the exact subexpressions
+/// of the reference scan (CellLibrary::delay_terms(), leak_unit_na(),
+/// LeakageModel factors, LeakDeltaPricer) in the same association order, so
+/// the candidate chosen — gate, move and score bits — is the reference
+/// scan's (pinned scan by scan by tests/batch_score_test.cpp, and end to
+/// end by the trajectory goldens of tests/opt_trajectory_test.cpp across
+/// thread counts). With Pelgrom width scaling enabled the hypothetical
+/// moments come from LeakageModel::gate_moments() — the same function the
+/// reference scan prices through.
 
 #pragma once
 
@@ -87,13 +81,12 @@ struct MoveCandidate {
 
 class BatchScorer {
  public:
-  /// `block` is the candidate-block size K (>= 1). The circuit and load
-  /// cache must outlive the scorer; the mirrors are seeded from the
-  /// circuit's implementation point at construction (the optimizer's reset
-  /// point).
+  /// The circuit and load cache must outlive the scorer; the mirrors are
+  /// seeded from the circuit's implementation point at construction (the
+  /// optimizer's reset point).
   BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
               const Circuit& circuit, const LoadCache& loads,
-              ThreadPool& pool, std::size_t block);
+              ThreadPool& pool);
 
   /// Reports one gate's implementation change into the mirror arrays.
   /// Every mutation of the circuit during the run must be reported (the
@@ -116,8 +109,9 @@ class BatchScorer {
                             double q_now, double pct, double crit_floor,
                             double eps);
 
-  /// Scoring-scan counters since construction (one "pass" per best_* call;
-  /// blocks of up to K candidates actually priced).
+  /// Scoring-scan counters since construction: one "pass" per best_* call;
+  /// blocks() counts candidates priced in groups of up to 64 — the sizing
+  /// scan's legal candidates per shard, the assign scan's live slots.
   std::int64_t passes() const { return passes_; }
   std::int64_t blocks() const { return blocks_; }
   /// Live assign-phase candidates discharged by the key bound without
@@ -147,25 +141,6 @@ class BatchScorer {
   std::span<const double> keyed_criticality() const { return crit_seen_; }
 
  private:
-  /// Phase-1 scan state of one worker.
-  struct Worker {
-    // SoA candidate lanes (filter-pass output, gathered contiguous).
-    std::vector<GateId> gate;
-    std::vector<std::size_t> tgt_step;
-    std::vector<double> load;
-    std::vector<double> cur_size;
-    std::vector<double> tgt_size;
-    std::vector<double> intr_now, idr_now;  ///< current-impl delay terms
-    std::vector<double> leak_unit_tgt;
-    std::vector<double> old_mean, old_var;  ///< committed leak moments
-    std::vector<double> crit;
-    // Stage arrays, sized to one block and reused per block.
-    std::vector<double> delta;
-    std::vector<double> new_mean, new_var;
-    std::int64_t blocks = 0;
-    void clear();
-  };
-
   /// Per-scan constants of the assign-phase benefit bound
   /// benefit <= p * dm + q * dv (see assign_bound()).
   struct AssignBound {
@@ -177,9 +152,15 @@ class BatchScorer {
   /// Smallest r with p <= r * p0_ and q <= r * q0_.
   double key_drift(const AssignBound& bound) const;
 
-  void price_blocks_sizing(Worker& w, const LeakDeltaPricer& pricer,
-                           double q_now, double crit_floor, double gain_eps,
-                           MoveCandidate& local) const;
+  /// Index into terms_/leak_unit_ of gate `id`'s kind at `vth`.
+  std::size_t term_index(GateId id, Vth vth) const;
+  /// Own mean delay of gate `id` at `vth` and `size`, driving its current
+  /// load: the exact delay_ps() decomposition (CellLibrary::DelayTerms).
+  double own_delay(GateId id, Vth vth, double size) const;
+  /// Leak moments of gate `id` at `vth` and `size`: nominal x the model's
+  /// factors, or gate_moments() under Pelgrom width scaling — the
+  /// reference scan's expressions.
+  GateLeakMoments moved_moments(GateId id, Vth vth, double size) const;
 
   /// Recomputes the persistent per-slot lanes of one gate's two assign
   /// moves from the current mirrors, loads and committed leak moments, and
@@ -222,7 +203,6 @@ class BatchScorer {
   std::span<const CellKind> kind_;  ///< by GateId
   std::span<const double> loads_;
   ThreadPool& pool_;
-  std::size_t block_;
   std::span<const double> steps_;
   bool pelgrom_ = false;
   double mean_factor_ = 1.0;
@@ -267,8 +247,12 @@ class BatchScorer {
   bool keyed_ = false;
   double key_ratio_ = 0.0;
 
-  std::vector<Worker> workers_;
-  std::vector<MoveCandidate> shard_best_;
+  /// One sizing-scan shard's winner and legal-candidate count.
+  struct Shard {
+    MoveCandidate best;
+    std::int64_t legal = 0;
+  };
+  std::vector<Shard> shards_;
   std::int64_t passes_ = 0;
   std::int64_t blocks_ = 0;
   std::int64_t pruned_ = 0;

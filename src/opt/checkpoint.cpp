@@ -1,6 +1,6 @@
 #include "opt/checkpoint.hpp"
 
-#include <cstring>
+#include <bit>
 
 #include "util/rng.hpp"
 
@@ -8,24 +8,7 @@ namespace statleak {
 
 namespace {
 
-template <typename T>
-void put(std::vector<std::uint8_t>& buf, T value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T get(const std::uint8_t* p) {
-  T value;
-  std::memcpy(&value, p, sizeof(T));
-  return value;
-}
-
-std::uint64_t f64_bits(double x) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &x, sizeof(bits));
-  return bits;
-}
+std::uint64_t f64_bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 constexpr std::size_t kMovePayloadBytes = 24;
 constexpr std::size_t kCompletePayloadBytes = 32;
@@ -41,8 +24,8 @@ std::uint64_t opt_checkpoint_hash(const Circuit& circuit,
   const auto mix_f64 = [&mix](double x) { mix(f64_bits(x)); };
 
   // Constraint/objective configuration: anything that steers the greedy
-  // search. Threads/candidate-block/deadline/cadence are trajectory-
-  // invariant and deliberately NOT mixed.
+  // search. Threads/deadline/cadence are trajectory-invariant and
+  // deliberately NOT mixed.
   mix(config.seed);
   mix_f64(config.t_max_ps);
   mix_f64(config.yield_target);
@@ -65,32 +48,8 @@ std::uint64_t opt_checkpoint_hash(const Circuit& circuit,
   // of the node (both pin every delay/leakage figure the scans price).
   mix(lib.size_steps().size());
   for (double s : lib.size_steps()) mix_f64(s);
-  const ProcessNode& node = lib.node();
-  mix_f64(node.vdd);
-  mix_f64(node.leff_nm);
-  mix_f64(node.temperature_k);
-  mix_f64(node.vth_low);
-  mix_f64(node.vth_high);
-  mix_f64(node.subthreshold_slope);
-  mix_f64(node.i0_na_per_um);
-  mix_f64(node.vth_rolloff_v_per_nm);
-  mix_f64(node.leak_quadratic_per_nm2);
-  mix_f64(node.alpha);
-  mix_f64(node.k_drive_ua_per_um);
-  mix_f64(node.k_delay);
-  mix_f64(node.cg_ff_per_um);
-  mix_f64(node.cj_ff_per_um);
-  mix_f64(node.cw_fixed_ff);
-  mix_f64(node.cw_per_fanout_ff);
-  mix_f64(node.wn_unit_um);
-  mix_f64(node.pn_ratio);
-
-  mix_f64(var.sigma_l_inter_nm);
-  mix_f64(var.sigma_l_intra_nm);
-  mix_f64(var.sigma_vth_inter_v);
-  mix_f64(var.sigma_vth_intra_v);
-  mix(var.pelgrom_vth_scaling ? 1 : 0);
-  mix_f64(var.pelgrom_ref_width_um);
+  mix_node_constants(lib.node(), mix);
+  mix_variation_constants(var, mix);
   return h;
 }
 

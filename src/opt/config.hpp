@@ -43,13 +43,6 @@ struct OptConfig : ExecConfig {
   /// round because downsizing can free up timing room elsewhere.
   int assignment_rounds = 3;
 
-  /// Candidate block size K for the statistical optimizer's batched move
-  /// pricing (opt/batch_score.hpp). <= 0 selects the default (64).
-  /// Per-candidate pricing is independent, so any K yields the same
-  /// trajectory; it only shapes the SoA working set the vectorized stages
-  /// stream over.
-  int candidate_block = 0;
-
   /// Journal file for the statistical optimizer's durable checkpoint/resume
   /// (opt/checkpoint.hpp). Empty = no journaling. When the file already
   /// exists and validates against the run's fingerprint, the run resumes:

@@ -24,8 +24,6 @@ constexpr double kEps = 1e-9;
 constexpr double kCritFloor = 1e-4;
 /// Boost rounds of the sizing-enables-swaps outer loop (see run()).
 constexpr int kMaxBoostRounds = 4;
-/// Default candidate block size for batched move pricing.
-constexpr std::size_t kDefaultCandidateBlock = 64;
 }  // namespace
 
 StatisticalOptimizer::StatisticalOptimizer(const CellLibrary& lib,
@@ -113,18 +111,13 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
   // ------------------------------------------ parallel candidate scoring ----
   // Move pricing in phases 1 and 2 is read-only per candidate (const queries
   // on the SSTA snapshot, load cache and leakage analyzer), so the
-  // BatchScorer shards it by gate index over a pool that lives for the whole
-  // run: SoA candidate gather + staged block pricing, each shard keeping the
+  // BatchScorer shards the sizing scan by gate index over a pool that lives
+  // for the whole run, each shard pricing its moves in place under the
   // serial rule "first strictly-greater score wins, ids ascending", shards
   // reduced in index order (opt/batch_score.hpp). Commits stay serial, so
-  // the optimization trajectory is identical for every thread count and
-  // block size.
+  // the optimization trajectory is identical for every thread count.
   ThreadPool pool(config_.num_threads);
-  const std::size_t block =
-      config_.candidate_block > 0
-          ? static_cast<std::size_t>(config_.candidate_block)
-          : kDefaultCandidateBlock;
-  BatchScorer scorer(lib_, leak, circuit, ssta.loads(), pool, block);
+  BatchScorer scorer(lib_, leak, circuit, ssta.loads(), pool);
 
   // Keeps the scorer's implementation mirrors in lockstep with the circuit.
   // Every set_size/set_vth in this function is followed by a sync(id);
@@ -483,8 +476,6 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
           "opt.checkpoint_every",
           static_cast<std::int64_t>(config_.checkpoint_every));
     }
-    obs->note_config_num("opt.candidate_block",
-                         static_cast<std::int64_t>(block));
     obs->add("opt.flat_passes", static_cast<double>(scorer.passes()));
     obs->add("opt.candidate_blocks", static_cast<double>(scorer.blocks()));
     obs->add("opt.pruned_candidates", static_cast<double>(scorer.pruned()));

@@ -25,8 +25,8 @@
 ///     locked. Locks are cleared between rounds, because accepted downsizes
 ///     free timing room.
 ///
-/// Moves are priced by the candidate-batched BatchScorer
-/// (opt/batch_score.hpp) on the flat SSTA engine's snapshot.
+/// Moves are priced by the BatchScorer (opt/batch_score.hpp) on the flat
+/// SSTA engine's snapshot.
 ///
 ///   Phase 3 (yield recovery): if eta is not reachable (or numerical
 ///     coupling dented it), the most critical gates are reverted to LVT /

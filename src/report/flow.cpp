@@ -104,9 +104,6 @@ FlowOutcome run_flow(Circuit& circuit, const CellLibrary& lib,
   base.t_max_ps = out.t_max_ps;
   base.yield_target = config.yield_target;
   base.leakage_percentile = config.leakage_percentile;
-  // Scoring knob (statistical phase only; the deterministic sizer ignores
-  // it). Trajectory-invariant — see OptConfig.
-  base.candidate_block = config.opt_candidate_block;
 
   // The two branches share only the input circuit and T, so they run side
   // by side: the serial deterministic sizer takes one thread and the

@@ -53,10 +53,6 @@ struct FlowConfig : ExecConfig {
   /// Kernel block size of the batched MC cross-check (0 = auto; results
   /// are bit-identical either way — see McConfig::batch_size).
   int mc_batch_size = 0;
-  /// Statistical-optimizer candidate block size (OptConfig::candidate_block).
-  /// A performance knob only: the optimization trajectory is bit-identical
-  /// for every block size.
-  int opt_candidate_block = 0;
   /// Durable journal for the statistical phase (OptConfig::checkpoint_path):
   /// a flow whose budget expires mid-statistical-optimization resumes it
   /// bit-identically on the next invocation. Empty = no journaling. The

@@ -17,6 +17,9 @@
 
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -94,6 +97,24 @@ struct ProcessNode {
   /// Throws statleak::Error if any parameter is non-physical.
   void validate() const;
 };
+
+/// Feeds the node's physical constants to a fingerprint: `mix` receives
+/// each double's bits, in this fixed order. The name and
+/// `calib_temperature_k` are not mixed. Shared by the optimizer's and the
+/// Monte-Carlo checkpoint fingerprints; reordering or extending the list
+/// invalidates every journal and checkpoint written before.
+template <class Mix>
+void mix_node_constants(const ProcessNode& node, Mix&& mix) {
+  for (const double x :
+       {node.vdd, node.leff_nm, node.temperature_k, node.vth_low,
+        node.vth_high, node.subthreshold_slope, node.i0_na_per_um,
+        node.vth_rolloff_v_per_nm, node.leak_quadratic_per_nm2, node.alpha,
+        node.k_drive_ua_per_um, node.k_delay, node.cg_ff_per_um,
+        node.cj_ff_per_um, node.cw_fixed_ff, node.cw_per_fanout_ff,
+        node.wn_unit_um, node.pn_ratio}) {
+    mix(std::bit_cast<std::uint64_t>(x));
+  }
+}
 
 /// Generic 100 nm-class node (BPTM/ITRS-2003-era constants). The default
 /// technology for all experiments.

@@ -12,7 +12,10 @@
 
 #pragma once
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
 
 #include "util/rng.hpp"
 
@@ -70,6 +73,21 @@ struct VariationModel {
   /// Scales every sigma by the given factor (sensitivity studies).
   VariationModel scaled(double factor) const;
 };
+
+/// Feeds the variation model to a fingerprint: `mix` receives each sigma's
+/// bits, the Pelgrom flag as 0/1 and the reference width's bits, in this
+/// fixed order. Shared by the optimizer's and the Monte-Carlo checkpoint
+/// fingerprints; reordering or extending the list invalidates every journal
+/// and checkpoint written before.
+template <class Mix>
+void mix_variation_constants(const VariationModel& var, Mix&& mix) {
+  for (const double x : {var.sigma_l_inter_nm, var.sigma_l_intra_nm,
+                         var.sigma_vth_inter_v, var.sigma_vth_intra_v}) {
+    mix(std::bit_cast<std::uint64_t>(x));
+  }
+  mix(std::uint64_t{var.pelgrom_vth_scaling ? 1u : 0u});
+  mix(std::bit_cast<std::uint64_t>(var.pelgrom_ref_width_um));
+}
 
 /// One sampled die-level (global) variation draw.
 struct GlobalSample {

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
 
@@ -11,23 +10,6 @@
 namespace statleak {
 
 namespace {
-
-// --- little-endian scalar packing ------------------------------------------
-// statleak targets little-endian hosts only (x86-64, AArch64 LE); raw
-// memcpy of the in-memory representation IS the wire format.
-
-template <typename T>
-void put(std::vector<std::uint8_t>& buf, T value) {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-  buf.insert(buf.end(), p, p + sizeof(T));
-}
-
-template <typename T>
-T get(const std::uint8_t* p) {
-  T value;
-  std::memcpy(&value, p, sizeof(T));
-  return value;
-}
 
 /// First 32 header bytes (everything the header CRC covers).
 std::vector<std::uint8_t> header_prefix(const JournalFormat& format,

@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +59,26 @@ class CheckpointError : public Error {
 /// value as `seed` to extend a checksum over discontiguous spans.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
+
+// --- little-endian scalar packing ------------------------------------------
+// statleak targets little-endian hosts only (x86-64, AArch64 LE); raw
+// memcpy of the in-memory representation IS the wire format of the journal
+// container and of every client payload.
+
+/// Appends the bytes of `value` to `buf`.
+template <typename T>
+void put(std::vector<std::uint8_t>& buf, T value) {
+  const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+  buf.insert(buf.end(), p, p + sizeof(T));
+}
+
+/// Reads a T from the bytes at `p`.
+template <typename T>
+T get(const std::uint8_t* p) {
+  T value;
+  std::memcpy(&value, p, sizeof(T));
+  return value;
+}
 
 /// The client format tag pair stamped into (and validated against) the
 /// header. Different clients — the MC checkpoint, the optimizer journal —

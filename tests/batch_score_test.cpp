@@ -1,17 +1,19 @@
-// Differential oracle for the statistical optimizer's candidate-batched move
-// pricing (opt/batch_score.hpp).
+// Differential oracle for the statistical optimizer's move pricing
+// (opt/batch_score.hpp).
 //
-// BatchScorer prices moves from SoA lanes over the FlatCircuit snapshot; its
-// assign scan reads persistent per-slot lanes that are rebuilt lazily for
-// the gates set_impl() dirtied, and skips most exact Wilkinson quantiles
-// behind a Lipschitz upper bound. The reference below is the plain per-gate
+// BatchScorer prices moves from the Circuit's kind array, the load cache and
+// its own implementation mirrors: its sizing scan prices each legal move in
+// place, and its assign scan reads persistent per-slot lanes that are
+// rebuilt lazily for the gates set_impl() dirtied, and skips most exact
+// Wilkinson quantiles behind a Lipschitz upper bound. The reference below is the plain per-gate
 // scan: every candidate priced from the live circuit through
 // CellLibrary::delay_ps() and LeakageAnalyzer::quantile_if_na(), with no
 // caching and no prune. After every step of a random walk of committed
 // size/Vth moves — plus tentative moves inside an SSTA trial that are
 // rejected and reverted, as the optimizer's are — under fresh random lock
 // masks, both scans must return the same gate and move with the same score
-// bits, for every thread count. After every assign scan the scorer's key
+// bits, for every thread count and with Pelgrom width scaling on or off.
+// After every assign scan the scorer's key
 // bound itself is checked slot by slot, and further walks reach every path
 // of the lazy scan: sparse key patches, drift re-keys, the unbounded scan,
 // and scans driven by the SSTA engine's criticality change feed.
@@ -23,6 +25,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -230,12 +233,20 @@ enum class WalkMode {
 };
 
 /// One walk: a circuit ("rdag<seed>" = 300-gate random DAG, otherwise an
-/// ISCAS85 proxy) scanned on `threads` workers with candidate block `block`.
+/// ISCAS85 proxy) scanned on `threads` workers, under the typical variation
+/// model with or without Pelgrom width scaling of the intra-die Vth sigma.
 struct WalkConfig {
   const char* circuit;
   int threads;
-  std::size_t block;
+  bool pelgrom = false;
 };
+
+// Names the walk in test names (gtest would print the struct's bytes,
+// pointer and padding included).
+void PrintTo(const WalkConfig& wc, std::ostream* os) {
+  *os << wc.circuit << " threads=" << wc.threads
+      << (wc.pelgrom ? " pelgrom" : "");
+}
 
 struct WalkResult {
   int scans = 0;
@@ -264,7 +275,8 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
                     WalkMode mode, bool feed = false,
                     double crit_floor = kCritFloor) {
   const CellLibrary lib{generic_100nm()};
-  const VariationModel var = VariationModel::typical_100nm();
+  VariationModel var = VariationModel::typical_100nm();
+  var.pelgrom_vth_scaling = wc.pelgrom;
   WalkResult result;
   Circuit c = make_circuit(wc.circuit);
   std::vector<GateId> cells;
@@ -275,7 +287,7 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
   FlatSstaEngine ssta(c, lib, var);
   LeakageAnalyzer leak(c, lib, var);
   ThreadPool pool(wc.threads);
-  BatchScorer scorer(lib, leak, c, ssta.loads(), pool, wc.block);
+  BatchScorer scorer(lib, leak, c, ssta.loads(), pool);
   Rng rng(0xB5C0u + static_cast<std::uint64_t>(wc.threads));
 
   std::vector<std::uint64_t> size_locks(c.num_gates(), 0);
@@ -422,13 +434,16 @@ TEST_P(BatchScoreTest, MatchesReferenceScanAlongRandomWalk) {
 
 INSTANTIATE_TEST_SUITE_P(
     Circuits, BatchScoreTest,
-    ::testing::Values(WalkConfig{"rdag5", 1, 64}, WalkConfig{"rdag5", 2, 3},
-                      WalkConfig{"rdag23", 1, 64}, WalkConfig{"rdag23", 2, 3},
-                      WalkConfig{"rdag41", 1, 64}, WalkConfig{"rdag41", 2, 3},
-                      WalkConfig{"c880p", 1, 64}, WalkConfig{"c880p", 2, 3}),
+    ::testing::Values(WalkConfig{"rdag5", 1}, WalkConfig{"rdag5", 2},
+                      WalkConfig{"rdag23", 1}, WalkConfig{"rdag23", 2},
+                      WalkConfig{"rdag41", 1}, WalkConfig{"rdag41", 2},
+                      WalkConfig{"c880p", 1}, WalkConfig{"c880p", 2},
+                      WalkConfig{"rdag23", 2, true},
+                      WalkConfig{"c880p", 1, true}),
     [](const auto& info) {
       return std::string(info.param.circuit) + "_threads" +
-             std::to_string(info.param.threads);
+             std::to_string(info.param.threads) +
+             (info.param.pelgrom ? "_pelgrom" : "");
     });
 
 // At the median z = 0, where the quantile is not increasing in the
@@ -437,7 +452,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BatchScoreLazyTest, MedianScansRunUnboundedAndMatchReference) {
   for (const char* circuit : {"rdag5", "c880p"}) {
     const WalkResult r =
-        run_walk(WalkConfig{circuit, 2, 3}, 60, 0.5, WalkMode::kMixed);
+        run_walk(WalkConfig{circuit, 2}, 60, 0.5, WalkMode::kMixed);
     if (HasFailure()) return;
     EXPECT_EQ(r.scans, 120) << circuit;
     EXPECT_GT(r.assign.unbounded, 0) << circuit;
@@ -451,7 +466,7 @@ TEST(BatchScoreLazyTest, MedianScansRunUnboundedAndMatchReference) {
 // enough to cross the re-key threshold more than once.
 TEST(BatchScoreLazyTest, CommittedWalkPatchesKeysAndCrossesTheDriftBound) {
   const WalkResult r =
-      run_walk(WalkConfig{"c880p", 1, 64}, 320, kPct, WalkMode::kCommitted);
+      run_walk(WalkConfig{"c880p", 1}, 320, kPct, WalkMode::kCommitted);
   if (HasFailure()) return;
   EXPECT_EQ(r.scans, 320);
   EXPECT_EQ(r.assign.unbounded, 0);
@@ -480,10 +495,10 @@ TEST(BatchScoreLazyTest, FeedDrivenWalksMatchReferenceScan) {
     double floor;
   };
   for (const Case& k :
-       {Case{{"c3540p", 1, 64}, 200, WalkMode::kCommitted, kCritFloor},
-        Case{{"c3540p", 2, 3}, 200, WalkMode::kCommitted, 1e-12},
-        Case{{"rdag23", 2, 3}, 200, WalkMode::kCommitted, kCritFloor},
-        Case{{"c880p", 2, 3}, 80, WalkMode::kMixed, kCritFloor}}) {
+       {Case{{"c3540p", 1}, 200, WalkMode::kCommitted, kCritFloor},
+        Case{{"c3540p", 2}, 200, WalkMode::kCommitted, 1e-12},
+        Case{{"rdag23", 2}, 200, WalkMode::kCommitted, kCritFloor},
+        Case{{"c880p", 2}, 80, WalkMode::kMixed, kCritFloor}}) {
     const WalkResult r =
         run_walk(k.config, k.steps, kPct, k.mode, true, k.floor);
     if (HasFailure()) return;
@@ -511,7 +526,7 @@ TEST(BatchScoreLazyTest, SubFloorCriticalityChangesRekeyNothing) {
   FlatSstaEngine ssta(c, lib, var);
   LeakageAnalyzer leak(c, lib, var);
   ThreadPool pool(1);
-  BatchScorer scorer(lib, leak, c, ssta.loads(), pool, 64);
+  BatchScorer scorer(lib, leak, c, ssta.loads(), pool);
   const std::vector<unsigned char> locks(c.num_gates(), 0);
   const double q_now = leak.quantile_na(kPct);
   std::vector<double> crit = ssta.analyze_ref().criticality;
@@ -536,7 +551,7 @@ TEST(BatchScoreLazyTest, SubFloorCriticalityChangesRekeyNothing) {
   }
   ASSERT_NE(lifted, kInvalidGate);
   const auto expect_fresh_pick = [&](const MoveCandidate& got) {
-    BatchScorer fresh(lib, leak, c, ssta.loads(), pool, 64);
+    BatchScorer fresh(lib, leak, c, ssta.loads(), pool);
     EXPECT_TRUE(same_move(got, scan(fresh, CriticalityChanges{})));
   };
 

@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -40,8 +41,6 @@ namespace {
 }
 
 struct DetGolden {
-  // Held inline, not as a pointer: gtest prints the parameter's bytes into
-  // the test names, and a pointer would print its address.
   char circuit[8];
   double corner_k_sigma;
   int iterations;
@@ -52,6 +51,11 @@ struct DetGolden {
   double final_objective_na;
   double final_corner_delay_ps;
 };
+
+// Names the row in test names (gtest would print the struct's bytes).
+void PrintTo(const DetGolden& golden, std::ostream* os) {
+  *os << golden.circuit << " k=" << golden.corner_k_sigma;
+}
 
 // Measured with the seed library and the typical 100 nm variation model at
 // t_max = 1.15 * D_min, the flow's operating point.

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 
 #include "gen/arithmetic.hpp"
 #include "gen/prefix.hpp"
@@ -42,6 +43,12 @@ std::uint64_t read_adder(const std::vector<char>& values, const Circuit& c,
 // ------------------------------------------------------------- adders ----
 
 enum class AdderKind { kRipple, kLookahead, kSelect };
+
+// Names the adder in test names (gtest would print the enum's bytes).
+void PrintTo(AdderKind kind, std::ostream* os) {
+  constexpr const char* kNames[] = {"ripple", "lookahead", "select"};
+  *os << kNames[static_cast<int>(kind)];
+}
 
 class AdderTest
     : public ::testing::TestWithParam<std::tuple<AdderKind, int>> {};

@@ -2,7 +2,7 @@
 // headline guarantee — an interrupted run (deadline expiry, or any crash
 // point simulated by truncating the journal at a committed-record boundary)
 // resumes to the bit-identical trajectory and final implementation, across
-// candidate block sizes and thread counts — plus the structured rejection of
+// thread counts — plus the structured rejection of
 // mismatched and corrupt journals, and the no-op verification replay of a
 // completed journal.
 
@@ -16,6 +16,8 @@
 #include <vector>
 
 #include "gen/arithmetic.hpp"
+#include "mc/checkpoint.hpp"
+#include "mc/monte_carlo.hpp"
 #include "obs/registry.hpp"
 #include "opt/checkpoint.hpp"
 #include "opt/statistical.hpp"
@@ -136,14 +138,36 @@ TEST_F(OptCheckpointTest, HashCoversTrajectoryInputsAndExcludesEngineKnobs) {
   EXPECT_NE(opt_checkpoint_hash(other, lib_, var_, base_), ref);
 
   // ...while the trajectory-invariant performance/stop knobs are excluded,
-  // so a journal hops freely between block sizes, thread counts and
-  // deadlines.
+  // so a journal hops freely between thread counts and deadlines.
   OptConfig knobs = base_;
   knobs.num_threads = 8;
-  knobs.candidate_block = 3;
   knobs.deadline_ms = 1234;
   knobs.checkpoint_every = 7;
   EXPECT_EQ(opt_checkpoint_hash(c, lib_, var_, knobs), ref);
+}
+
+// Both fingerprints mix the node's physical constants and the variation
+// model's sigmas through one helper each (tech/process.hpp,
+// tech/variation.hpp). Their values are pinned for a fixed circuit and
+// config, with Pelgrom scaling off and on: a journal or checkpoint written
+// by an earlier build must keep validating.
+TEST(CheckpointFingerprintTest, ValuesArePinned) {
+  const Circuit c = make_ripple_carry_adder(8);
+  const CellLibrary lib(generic_100nm());
+  VariationModel var = VariationModel::typical_100nm();
+  OptConfig opt;
+  opt.t_max_ps = 400.0;
+  McConfig mc;
+  mc.seed = 11;
+  mc.num_samples = 1000;
+  const std::vector<double> widths = mc_device_widths(c, lib);
+  EXPECT_EQ(opt_checkpoint_hash(c, lib, var, opt), 0x51ea0dca89d37e1bu);
+  EXPECT_EQ(mc_checkpoint_hash(c, var, mc, widths, lib.node()),
+            0x5807b2b997559b68u);
+  var.pelgrom_vth_scaling = true;
+  EXPECT_EQ(opt_checkpoint_hash(c, lib, var, opt), 0x1d6aeb44cef0ee30u);
+  EXPECT_EQ(mc_checkpoint_hash(c, var, mc, widths, lib.node()),
+            0xb5a89bdbaaa27accu);
 }
 
 TEST_F(OptCheckpointTest, JournalingLeavesTheTrajectoryUntouched) {
@@ -219,27 +243,23 @@ TEST_F(OptCheckpointTest, TruncatedJournalResumesBitIdentically) {
       contents.records[contents.records.size() / 2].offset,
       contents.records[contents.records.size() - 1].offset,
   };
-  const int blocks[] = {1, 0};  // 0 = auto
   const int threads[] = {1, 2, 8};
   for (const std::uint64_t cut : cuts) {
-    for (const int block : blocks) {
-      for (const int t : threads) {
-        SCOPED_TRACE("cut " + std::to_string(cut) + " block " +
-                     std::to_string(block) + " threads " + std::to_string(t));
-        write_bytes(f.path(), cut_at(good, cut));
-        OptConfig resume_cfg = cfg;
-        resume_cfg.candidate_block = block;
-        resume_cfg.num_threads = t;
-        resume_cfg.checkpoint_every = 13;  // cadence may differ on resume
-        Circuit c = fresh_circuit();
-        const OptResult res = run(resume_cfg, c);
-        EXPECT_TRUE(res.completed);
-        EXPECT_GT(res.replayed_moves, 0);
-        expect_same_outcome(ref, res);
-        const Implementation impl = snapshot(c);
-        EXPECT_EQ(impl.sizes, ref_impl.sizes);
-        EXPECT_TRUE(impl.vths == ref_impl.vths);
-      }
+    for (const int t : threads) {
+      SCOPED_TRACE("cut " + std::to_string(cut) + " threads " +
+                   std::to_string(t));
+      write_bytes(f.path(), cut_at(good, cut));
+      OptConfig resume_cfg = cfg;
+      resume_cfg.num_threads = t;
+      resume_cfg.checkpoint_every = 13;  // cadence may differ on resume
+      Circuit c = fresh_circuit();
+      const OptResult res = run(resume_cfg, c);
+      EXPECT_TRUE(res.completed);
+      EXPECT_GT(res.replayed_moves, 0);
+      expect_same_outcome(ref, res);
+      const Implementation impl = snapshot(c);
+      EXPECT_EQ(impl.sizes, ref_impl.sizes);
+      EXPECT_TRUE(impl.vths == ref_impl.vths);
     }
   }
 }

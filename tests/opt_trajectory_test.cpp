@@ -1,20 +1,20 @@
 // Golden-trajectory regression tests: the statistical optimizer's full move
 // trajectory on the c432p/c880p proxies and on a generated random DAG is
 // pinned — iteration count, every commit/reject counter, feasibility and the
-// final objective. The greedy search is deterministic (thread count,
-// candidate block size and observation provably do not change it), so any
-// drift in these numbers means a real behavioral change, which must be
-// reviewed and re-pinned deliberately.
+// final objective. The greedy search is deterministic (thread count and
+// observation provably do not change it), so any drift in these numbers
+// means a real behavioral change, which must be reviewed and re-pinned
+// deliberately.
 //
-// Every tested thread count x candidate block size combination must walk the
-// identical trajectory, down to the exact final implementation (bitwise
-// sizes and Vth classes).
+// Every tested thread count must walk the identical trajectory, down to the
+// exact final implementation (bitwise sizes and Vth classes).
 //
 // Counters are read back through the obs trace streams, which also pins the
 // one-trace-event-per-iteration invariant end to end.
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -30,9 +30,6 @@ namespace statleak {
 namespace {
 
 struct Golden {
-  // Held inline, not as a pointer: gtest prints the parameter's bytes into
-  // the test names, and a pointer would print its address, which differs
-  // from run to run.
   char circuit[8];  ///< ISCAS85 proxy name, or "rdag23"
   int iterations;
   int sizing_commits;
@@ -50,6 +47,9 @@ constexpr Golden kGoldens[] = {
     {"c880p", 1029, 105, 378, 43, 493, 2371.4626754129431},
     {"rdag23", 661, 74, 300, 30, 247, 1076.4973825426448},
 };
+
+// Names the row in test names (gtest would print the struct's bytes).
+void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.circuit; }
 
 bool is_random_dag(const Golden& golden) {
   return std::string(golden.circuit) == "rdag23";
@@ -150,11 +150,10 @@ TEST_P(TrajectoryTest, MatchesGoldenFlat) {
   EXPECT_GT(reg.counter_value("opt.candidate_blocks"), 0.0);
 }
 
-// Every engine thread count x candidate block size combination must
-// reproduce the single-thread, auto-block reference run exactly — same result
-// counters, same final objective to the last bit, and the same final
-// implementation point (bitwise sizes and Vth classes).
-TEST_P(TrajectoryTest, EngineThreadsAndBlockSizeAreBitInvariant) {
+// Every engine thread count must reproduce the single-thread reference run
+// exactly — same result counters, same final objective to the last bit, and
+// the same final implementation point (bitwise sizes and Vth classes).
+TEST_P(TrajectoryTest, EngineThreadsAreBitInvariant) {
   const Golden& golden = GetParam();
   const CellLibrary lib(generic_100nm());
   const VariationModel var = VariationModel::typical_100nm();
@@ -162,38 +161,30 @@ TEST_P(TrajectoryTest, EngineThreadsAndBlockSizeAreBitInvariant) {
   OptConfig ref_cfg;
   ref_cfg.t_max_ps = golden_t_max(golden, lib);
   ref_cfg.num_threads = 1;
-  ref_cfg.candidate_block = 0;  // auto
 
   Circuit ref_circuit = golden_circuit(golden);
   const OptResult ref =
       StatisticalOptimizer(lib, var, ref_cfg).run(ref_circuit);
   const Implementation ref_impl = snapshot(ref_circuit);
 
-  const int thread_counts[] = {1, 2, 8};
-  const int block_sizes[] = {1, 8, 0};  // 0 = auto
-  for (int threads : thread_counts) {
-    for (int block : block_sizes) {
-      if (threads == 1 && block == 0) continue;  // the reference itself
-      OptConfig cfg = ref_cfg;
-      cfg.num_threads = threads;
-      cfg.candidate_block = block;
+  for (int threads : {2, 8}) {
+    OptConfig cfg = ref_cfg;
+    cfg.num_threads = threads;
 
-      Circuit c = golden_circuit(golden);
-      const OptResult result = StatisticalOptimizer(lib, var, cfg).run(c);
-      SCOPED_TRACE(std::string(golden.circuit) + " threads=" +
-                   std::to_string(threads) + " block=" +
-                   std::to_string(block));
-      EXPECT_EQ(result.iterations, ref.iterations);
-      EXPECT_EQ(result.sizing_commits, ref.sizing_commits);
-      EXPECT_EQ(result.hvt_commits, ref.hvt_commits);
-      EXPECT_EQ(result.downsize_commits, ref.downsize_commits);
-      EXPECT_EQ(result.rejected_moves, ref.rejected_moves);
-      EXPECT_EQ(result.feasible, ref.feasible);
-      EXPECT_EQ(result.final_objective, ref.final_objective);  // bitwise
-      const Implementation impl = snapshot(c);
-      EXPECT_EQ(impl.sizes, ref_impl.sizes);
-      EXPECT_TRUE(impl.vths == ref_impl.vths);
-    }
+    Circuit c = golden_circuit(golden);
+    const OptResult result = StatisticalOptimizer(lib, var, cfg).run(c);
+    SCOPED_TRACE(std::string(golden.circuit) +
+                 " threads=" + std::to_string(threads));
+    EXPECT_EQ(result.iterations, ref.iterations);
+    EXPECT_EQ(result.sizing_commits, ref.sizing_commits);
+    EXPECT_EQ(result.hvt_commits, ref.hvt_commits);
+    EXPECT_EQ(result.downsize_commits, ref.downsize_commits);
+    EXPECT_EQ(result.rejected_moves, ref.rejected_moves);
+    EXPECT_EQ(result.feasible, ref.feasible);
+    EXPECT_EQ(result.final_objective, ref.final_objective);  // bitwise
+    const Implementation impl = snapshot(c);
+    EXPECT_EQ(impl.sizes, ref_impl.sizes);
+    EXPECT_TRUE(impl.vths == ref_impl.vths);
   }
 }
 

@@ -243,8 +243,6 @@ std::vector<CommandSpec> command_specs() {
         {"--eta", true, "y", "timing-yield target (default 0.99)"},
         {"--corner", true, "k",
          "deterministic guard-band in sigmas (default 3)"},
-        {"--candidate-block", true, "k",
-         "statistical move-pricing block size, 0 = auto (default)"},
         node,
         exec_flag("--seed"),
         exec_flag("--threads"),
@@ -281,8 +279,6 @@ std::vector<CommandSpec> command_specs() {
          "Monte-Carlo cross-check dies, 0 = skip (default 0)"},
         {"--batch", true, "b",
          "MC samples per kernel block, 0 = auto (default; results identical)"},
-        {"--candidate-block", true, "k",
-         "statistical move-pricing block size, 0 = auto (default)"},
         exec_flag("--seed"),
         exec_flag("--threads"),
         exec_flag("--deadline"),
@@ -720,26 +716,6 @@ int cmd_analyze(const Args& args, ObsSession& session) {
   return 0;
 }
 
-/// Shared --candidate-block decoding (optimize and flow). A performance
-/// knob of the statistical optimizer: every block size walks the same
-/// trajectory, bit for bit (pinned by tests/opt_trajectory_test.cpp), so
-/// selecting one never changes results — only wall time.
-int parse_candidate_block(const Args& args) {
-  const long block = args.get_long("--candidate-block", 0);
-  if (block < 0) {
-    throw UsageError("--candidate-block must be >= 0 (0 = auto)");
-  }
-  return static_cast<int>(block);
-}
-
-/// The one-line echo printed by optimize and flow so logs record which
-/// pricing block size produced the (identical) result, and how fast.
-std::string candidate_block_echo(int candidate_block) {
-  return "candidate block " + (candidate_block > 0
-                                   ? std::to_string(candidate_block)
-                                   : std::string("auto"));
-}
-
 /// Shared --checkpoint-every decoding for mc, optimize and flow: the
 /// cadence is a positive count (samples for mc, committed moves for the
 /// optimizer). Validated at the flag boundary, before any file I/O, so a
@@ -775,7 +751,6 @@ int cmd_optimize(const Args& args, ObsSession& session) {
   cfg.opt.deadline_ms = args.get_long("--deadline", 0);
   cfg.opt.checkpoint_path = args.get("--checkpoint").value_or("");
   cfg.opt.checkpoint_every = parse_checkpoint_every(args, 256);
-  cfg.opt.candidate_block = parse_candidate_block(args);
 
   const api::OptimizeCommandResult r =
       api::run_optimize_command(cfg, session.reg());
@@ -788,9 +763,6 @@ int cmd_optimize(const Args& args, ObsSession& session) {
   if (!r.result.completed && !cfg.opt.checkpoint_path.empty()) {
     std::cout << "progress saved to " << cfg.opt.checkpoint_path
               << "; rerun the same command to resume\n";
-  }
-  if (cfg.flow == api::OptimizeFlow::kStat) {
-    std::cout << candidate_block_echo(cfg.opt.candidate_block) << "\n";
   }
   std::cout << "\n";
   print_metrics(r.metrics, r.t_max_ps);
@@ -1015,7 +987,6 @@ int cmd_flow(const Args& args, ObsSession& session) {
   cfg.flow.deadline_ms = args.get_long("--deadline", 0);
   cfg.flow.opt_checkpoint_path = args.get("--checkpoint").value_or("");
   cfg.flow.opt_checkpoint_every = parse_checkpoint_every(args, 256);
-  cfg.flow.opt_candidate_block = parse_candidate_block(args);
 
   const api::FlowCommandResult r = api::run_flow_command(cfg, session.reg());
   report_impl(args, r.impl_entries);
@@ -1053,8 +1024,7 @@ int cmd_flow(const Args& args, ObsSession& session) {
   std::cout << out.circuit_name << ": D_min "
             << format_fixed(out.d_min_ps, 1) << " ps, T "
             << format_fixed(out.t_max_ps, 1) << " ps, det corner "
-            << format_fixed(out.det_corner_k, 1) << " sigma\n"
-            << candidate_block_echo(cfg.flow.opt_candidate_block) << "\n\n";
+            << format_fixed(out.det_corner_k, 1) << " sigma\n\n";
   t.print(std::cout);
   std::cout << "\np99 leakage saving "
             << format_fixed(100.0 * out.p99_saving(), 1)
