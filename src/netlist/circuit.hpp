@@ -115,8 +115,10 @@ class Circuit {
     return {name_of(id), kind_[id], vth_[id], size_[id],
             {fanins.data(), fanins.size()}};
   }
-  /// Every gate's kind, by GateId.
+  /// Every gate's kind, Vth and size, by GateId.
   std::span<const CellKind> kinds() const { return kind_; }
+  std::span<const Vth> vths() const { return vth_; }
+  std::span<const double> sizes() const { return size_; }
   std::span<const GateId> inputs() const { return inputs_; }
   std::span<const GateId> outputs() const { return outputs_; }
   bool is_output(GateId id) const {

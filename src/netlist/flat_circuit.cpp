@@ -17,16 +17,12 @@ FlatCircuit FlatCircuit::build(const Circuit& circuit) {
   flat.topo = circuit.topo_order();
   flat.outputs = circuit.outputs();
 
-  flat.is_input.assign(n, 0);
-  flat.kind.resize(n);
-  flat.vth.resize(n);
-  flat.size.resize(n);
+  flat.kind.assign(circuit.kinds().begin(), circuit.kinds().end());
+  flat.vth.assign(circuit.vths().begin(), circuit.vths().end());
+  flat.size.assign(circuit.sizes().begin(), circuit.sizes().end());
+  flat.is_input.resize(n);
   for (GateId g = 0; g < n; ++g) {
-    const Gate gate = circuit.gate(g);
-    flat.is_input[g] = gate.kind == CellKind::kInput ? 1 : 0;
-    flat.kind[g] = gate.kind;
-    flat.vth[g] = gate.vth;
-    flat.size[g] = gate.size;
+    flat.is_input[g] = flat.kind[g] == CellKind::kInput ? 1 : 0;
   }
   return flat;
 }

@@ -37,6 +37,8 @@ BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
       leak_(leak),
       circuit_(circuit),
       kind_(circuit.kinds()),
+      vth_(circuit.vths()),
+      size_(circuit.sizes()),
       loads_(loads.loads()),
       pool_(pool),
       steps_(lib.size_steps()) {
@@ -59,15 +61,8 @@ BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
   }
 
   const std::size_t n = kind_.size();
-  vth_.resize(n);
-  size_.resize(n);
   step_.resize(n);
-  for (GateId g = 0; g < n; ++g) {
-    const Gate gate = circuit_.gate(g);
-    vth_[g] = gate.vth;
-    size_[g] = gate.size;
-    step_[g] = lib_.nearest_step(size_[g]);
-  }
+  for (GateId g = 0; g < n; ++g) step_[g] = lib_.nearest_step(size_[g]);
 
   // Persistent assign-slot lanes start fully dirty; the first assign scan
   // builds them (the leakage analyzer's committed moments are only
@@ -75,14 +70,8 @@ BatchScorer::BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
   const std::size_t slots = 2 * n;
   sl_alive_.assign(slots, 0);
   sl_dd_.resize(slots);
-  sl_nmean_.resize(slots);
-  sl_nvar_.resize(slots);
-  sl_om_.resize(slots);
-  sl_ov_.resize(slots);
   sl_dm_.resize(slots);
   sl_dv_.resize(slots);
-  sl_vexb_.resize(slots);
-  sl_tgt_.resize(slots);
   dirty_flag_.assign(n, 1);
   dirty_.resize(n);
   for (GateId g = 0; g < n; ++g) dirty_[g] = g;
@@ -189,22 +178,17 @@ double BatchScorer::key_drift(const AssignBound& bound) const {
   return std::max(rp, rq);
 }
 
-void BatchScorer::set_impl(GateId id, Vth vth, double size) {
-  const bool vth_changed = vth_[id] != vth;
-  const bool size_changed = size_[id] != size;
-  if (!vth_changed && !size_changed) return;
-  vth_[id] = vth;
-  size_[id] = size;
-  step_[id] = lib_.nearest_step(size);
+void BatchScorer::on_resize(GateId id) {
+  step_[id] = lib_.nearest_step(size_[id]);
   mark_dirty(id);
-  if (size_changed) {
-    // A resize changes this gate's input-pin capacitance and therefore the
-    // output loads of its fanin drivers — their persisted delay deltas are
-    // stale (sta/loads.hpp: loads depend on receiver sizes only, so a pure
-    // Vth swap leaves every load untouched).
-    for (GateId d : circuit_.fanin_csr().row(id)) mark_dirty(d);
-  }
+  // The resize changed this gate's input-pin capacitance and therefore the
+  // output loads of its fanin drivers: their delay deltas are stale
+  // (sta/loads.hpp: loads depend on receiver sizes only, so a Vth swap
+  // leaves every load untouched).
+  for (GateId d : circuit_.fanin_csr().row(id)) mark_dirty(d);
 }
+
+void BatchScorer::on_vth_change(GateId id) { mark_dirty(id); }
 
 void BatchScorer::mark_dirty(GateId id) {
   if (dirty_flag_[id] != 0) return;
@@ -236,41 +220,46 @@ GateLeakMoments BatchScorer::moved_moments(GateId id, Vth vth,
                          std::max(0.0, nominal * nominal * var_factor_)};
 }
 
+BatchScorer::SlotMove BatchScorer::slot_move(std::size_t s) const {
+  const auto id = static_cast<GateId>(s >> 1);
+  if ((s & 1u) == 0) return {Vth::kHigh, size_[id]};
+  return {vth_[id], steps_[step_[id] - 1]};
+}
+
+GateLeakMoments BatchScorer::slot_moments(std::size_t s) const {
+  const SlotMove move = slot_move(s);
+  return moved_moments(static_cast<GateId>(s >> 1), move.vth, move.size);
+}
+
+double BatchScorer::slot_vexb(std::size_t s) const {
+  const double om = leak_.cached_moments(static_cast<GateId>(s >> 1)).mean_na;
+  const double dm = sl_dm_[s];
+  return dm * dm + (om + slot_moments(s).mean_na) * dm;
+}
+
 void BatchScorer::rebuild_gate_slots(GateId id) {
-  const std::size_t s_hvt = 2 * static_cast<std::size_t>(id);
-  const std::size_t s_down = s_hvt + 1;
-  sl_alive_[s_hvt] = 0;
-  sl_alive_[s_down] = 0;
-  if (kind_[id] == CellKind::kInput) return;
-  const Vth vth = vth_[id];
-  const double size = size_[id];
+  const std::size_t s0 = 2 * static_cast<std::size_t>(id);
+  const bool cell = kind_[id] != CellKind::kInput;
+  sl_alive_[s0] = cell && vth_[id] == Vth::kLow ? 1 : 0;
+  sl_alive_[s0 + 1] = cell && step_[id] > 0 ? 1 : 0;
+  if (!cell) return;
   const GateLeakMoments& m = leak_.cached_moments(id);
-  // Evaluated at rebuild time: the inputs are frozen until the next
-  // set_impl/load change, which re-dirties this gate.
-  const double d_now = own_delay(id, vth, size);
-  const auto fill = [&](std::size_t slot, Vth tvth, double tgt) {
-    const GateLeakMoments nm = moved_moments(id, tvth, tgt);
+  const double d_now = own_delay(id, vth_[id], size_[id]);
+  for (std::size_t s = s0; s < s0 + 2; ++s) {
+    if (sl_alive_[s] == 0) continue;
+    const SlotMove move = slot_move(s);
+    const GateLeakMoments nm = moved_moments(id, move.vth, move.size);
     const double dm = m.mean_na - nm.mean_na;
     const double dv = m.var_na2 - nm.var_na2;
-    sl_alive_[slot] = 1;
-    sl_dd_[slot] = own_delay(id, tvth, tgt) - d_now;
-    sl_nmean_[slot] = nm.mean_na;
-    sl_nvar_[slot] = nm.var_na2;
-    sl_om_[slot] = m.mean_na;
-    sl_ov_[slot] = m.var_na2;
-    sl_dm_[slot] = dm;
-    sl_dv_[slot] = dv;
-    sl_vexb_[slot] = dm * dm + (m.mean_na + nm.mean_na) * dm;
-    sl_tgt_[slot] = tgt;
+    sl_dd_[s] = own_delay(id, move.vth, move.size) - d_now;
+    sl_dm_[s] = dm;
+    sl_dv_[s] = dv;
     if (dm >= 0.0 && dv >= 0.0) {
       dm_hi_ = std::max(dm_hi_, dm);
       dv_hi_ = std::max(dv_hi_, dv);
-      vexb_hi_ = std::max(vexb_hi_, sl_vexb_[slot]);
+      vexb_hi_ = std::max(vexb_hi_, slot_vexb(s));
     }
-  };
-  if (vth == Vth::kLow) fill(s_hvt, Vth::kHigh, size);
-  const std::size_t step = step_[id];
-  if (step > 0) fill(s_down, vth, steps_[step - 1]);
+  }
 }
 
 MoveCandidate BatchScorer::best_sizing(std::span<const double> criticality,
@@ -314,10 +303,12 @@ MoveCandidate BatchScorer::best_sizing(std::span<const double> criticality,
       });
 
   MoveCandidate best;
+  std::int64_t legal = 0;
   for (const Shard& shard : shards_) {
-    blocks_ += count_blocks(shard.legal);
+    legal += shard.legal;
     if (shard.best.score > best.score) best = shard.best;
   }
+  blocks_ += count_blocks(legal);
   return best;
 }
 
@@ -439,7 +430,7 @@ void BatchScorer::recompute_maxima() {
     if (sl_alive_[s] != 0 && sl_dm_[s] >= 0.0 && sl_dv_[s] >= 0.0) {
       dm_hi_ = std::max(dm_hi_, sl_dm_[s]);
       dv_hi_ = std::max(dv_hi_, sl_dv_[s]);
-      vexb_hi_ = std::max(vexb_hi_, sl_vexb_[s]);
+      vexb_hi_ = std::max(vexb_hi_, slot_vexb(s));
     }
   }
 }
@@ -472,11 +463,11 @@ void BatchScorer::rekey_all(const AssignBound& bound,
       key_[s] = key;
       m = std::max(m, key);
       live += static_cast<std::int64_t>(key != -kInf);
-      const bool eligible =
-          sl_alive_[s] != 0 && sl_dm_[s] >= 0.0 && sl_dv_[s] >= 0.0;
-      dm_hi = std::max(dm_hi, eligible ? sl_dm_[s] : 0.0);
-      dv_hi = std::max(dv_hi, eligible ? sl_dv_[s] : 0.0);
-      vexb_hi = std::max(vexb_hi, eligible ? sl_vexb_[s] : 0.0);
+      if (sl_alive_[s] != 0 && sl_dm_[s] >= 0.0 && sl_dv_[s] >= 0.0) {
+        dm_hi = std::max(dm_hi, sl_dm_[s]);
+        dv_hi = std::max(dv_hi, sl_dv_[s]);
+        vexb_hi = std::max(vexb_hi, slot_vexb(s));
+      }
     }
     bmax_[b] = m;
   }
@@ -555,9 +546,9 @@ MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
   std::int64_t exact = 0;
   const auto exact_benefit = [&](std::size_t s) {
     ++exact;
-    const GateLeakMoments old_m{sl_om_[s], sl_ov_[s]};
-    const GateLeakMoments now_m{sl_nmean_[s], sl_nvar_[s]};
-    return q_now - pricer.quantile_na(old_m, now_m);
+    return q_now - pricer.quantile_na(
+                       leak_.cached_moments(static_cast<GateId>(s >> 1)),
+                       slot_moments(s));
   };
   const auto denom_of = [&](std::size_t s) {
     const double crit = std::max(criticality[s >> 1], crit_floor);
@@ -603,7 +594,7 @@ MoveCandidate BatchScorer::best_assign(std::span<const double> criticality,
         if (score > best.score) {
           const bool hvt = (s & 1u) == 0;
           best = MoveCandidate{score, static_cast<GateId>(s >> 1), 0, hvt,
-                               hvt ? 0.0 : sl_tgt_[s]};
+                               hvt ? 0.0 : slot_move(s).size};
           thresh = std::max(thresh, score);
         }
       }

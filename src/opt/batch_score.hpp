@@ -2,11 +2,12 @@
 /// \brief The statistical optimizer's move-pricing scans.
 ///
 /// The statistical optimizer's scoring scans price every legal move against
-/// the same committed state (scoring is read-only; commits are serial). The
-/// scorer reads the Circuit's per-gate kind array and the load cache, and
-/// keeps its own implementation mirrors (vth/size/step per gate, maintained
-/// by the optimizer through set_impl()), so a scan touches flat arrays
-/// instead of the one-gate-at-a-time reference walk of
+/// the same committed state (scoring is read-only; commits are serial). They
+/// read the circuit's kind, Vth and size arrays, the load cache and the
+/// leakage analyzer's committed moments in place; the optimizer reports
+/// each implementation change, a rollback's restore included, through
+/// on_resize() and on_vth_change(), the pair FlatSstaEngine takes. A scan
+/// touches flat arrays instead of the one-gate-at-a-time reference walk of
 /// tests/batch_score_test.cpp (a Gate view, a binary size-step search and
 /// several library calls per gate).
 ///
@@ -20,34 +21,36 @@
 /// reproduces the serial winner exactly for every thread count.
 ///
 /// The phase-2 (assignment) scan is lazy instead (CELF-style, Leskovec et
-/// al. 2007). A gate's two possible
-/// moves (HVT swap, one-step downsize) depend only on its own
-/// implementation, its output load and its committed leak moments, all of
-/// which change for O(1) gates per commit. The scorer keeps each move's
-/// invariant prefix — move delay delta, hypothetical moments, moment
-/// deltas — in PERSISTENT dense slot lanes (slot 2g = HVT swap of gate g,
-/// slot 2g+1 = downsize), rebuilt for the gates set_impl() dirtied (a
-/// resize also dirties the resized gate's fanin drivers, whose loads
-/// changed). On top of the lanes it keeps a per-slot KEY, a proven upper
-/// bound on the slot's score up to one per-scan factor r (see best_assign),
-/// and the maximum key of every 64-slot block. A scan re-keys only the
-/// slots whose inputs moved: rebuilt lanes and changed lock bytes, found
-/// by a byte diff against copies the scorer keeps, and changed criticality,
-/// read from the SSTA engine's change feed (ssta/flat_incremental.hpp).
-/// Keys see criticality only through max(crit, crit_floor), so only a
-/// change of that clamped value re-keys a slot. The scan then seeds a
-/// threshold with the exact score of the max-key slot, and walks blocks and
-/// slots in slot order, exact-scoring only those whose r * key can reach
-/// the threshold. Every slot that could attain the maximum score is
-/// visited, so the expression DAG per candidate and the serial
-/// first-attainer rule are untouched and every score stays bit-identical
-/// to the reference scan; the scan is serial, so thread count cannot
-/// change it.
+/// al. 2007). A gate's two moves (HVT swap, one-step downsize) depend only
+/// on its implementation, its output load and its committed leak moments,
+/// which change for O(1) gates per commit. So four PERSISTENT dense slot
+/// lanes (slot 2g = HVT swap of gate g, 2g+1 = downsize) hold what every
+/// re-key reads: legality, own-delay increase, and the leak mean and
+/// variance deltas. A notification queues the gate (a resize also its fanin
+/// drivers, whose loads changed) and the next assign scan rebuilds its
+/// lanes; the rest of a move (committed and hypothetical moments, downsize
+/// target) is read or recomputed where it is used. On top of the lanes the
+/// scorer keeps a per-slot KEY, a proven upper bound on the slot's score up
+/// to one per-scan factor r (see best_assign), and the maximum key of every
+/// 64-slot block. A scan re-keys only the slots whose inputs moved: rebuilt
+/// lanes and changed lock bytes, found by a byte diff against copies the
+/// scorer keeps, and changed criticality, read from the SSTA engine's
+/// change feed (ssta/flat_incremental.hpp). Keys see criticality only
+/// through max(crit, crit_floor), so only a change of that clamped value
+/// re-keys a slot. The scan then seeds a threshold with the exact score of
+/// the max-key slot, and walks blocks and slots in slot order, exact-
+/// scoring only those whose r * key can reach the threshold. Every slot
+/// that could attain the maximum score is visited, so the expression DAG
+/// per candidate and the serial first-attainer rule are untouched and
+/// every score stays bit-identical to the reference scan; the scan is
+/// serial, so thread count cannot change it.
 ///
 /// Bit contract: both scans price a move through the same two helpers
-/// (own_delay(), moved_moments()), whose terms are the exact subexpressions
-/// of the reference scan (CellLibrary::delay_terms(), leak_unit_na(),
-/// LeakageModel factors, LeakDeltaPricer) in the same association order, so
+/// (own_delay(), moved_moments()) and LeakDeltaPricer::quantile_na() on
+/// LeakageAnalyzer::cached_moments(), the expression sequence of
+/// LeakageAnalyzer::quantile_if_na(). Their terms are the exact
+/// subexpressions of the reference scan (CellLibrary::delay_terms(),
+/// leak_unit_na(), LeakageModel factors) in the same association order, so
 /// the candidate chosen — gate, move and score bits — is the reference
 /// scan's (pinned scan by scan by tests/batch_score_test.cpp, and end to
 /// end by the trajectory goldens of tests/opt_trajectory_test.cpp across
@@ -81,17 +84,19 @@ struct MoveCandidate {
 
 class BatchScorer {
  public:
-  /// The circuit and load cache must outlive the scorer; the mirrors are
-  /// seeded from the circuit's implementation point at construction (the
-  /// optimizer's reset point).
+  /// The circuit, the leakage analyzer and the load cache must outlive the
+  /// scorer, which reads them in place.
   BatchScorer(const CellLibrary& lib, const LeakageAnalyzer& leak,
               const Circuit& circuit, const LoadCache& loads,
               ThreadPool& pool);
 
-  /// Reports one gate's implementation change into the mirror arrays.
-  /// Every mutation of the circuit during the run must be reported (the
-  /// optimizer routes all of them through here).
-  void set_impl(GateId id, Vth vth, double size);
+  /// Call after gate `id` changed size (a rollback's restore included):
+  /// refreshes its size step and queues its slots and its fanin drivers'
+  /// (whose loads changed) for rebuild.
+  void on_resize(GateId id);
+  /// Call after gate `id` changed threshold class: queues its slots for
+  /// rebuild.
+  void on_vth_change(GateId id);
 
   /// Phase-1 scan: best criticality-weighted upsizing move.
   /// Candidate filter and score are the reference scan's, bit for bit.
@@ -111,7 +116,8 @@ class BatchScorer {
 
   /// Scoring-scan counters since construction: one "pass" per best_* call;
   /// blocks() counts candidates priced in groups of up to 64 — the sizing
-  /// scan's legal candidates per shard, the assign scan's live slots.
+  /// scan's legal candidates, the assign scan's live slots — once per scan,
+  /// so it does not depend on the thread count.
   std::int64_t passes() const { return passes_; }
   std::int64_t blocks() const { return blocks_; }
   /// Live assign-phase candidates discharged by the key bound without
@@ -162,9 +168,21 @@ class BatchScorer {
   /// reference scan's expressions.
   GateLeakMoments moved_moments(GateId id, Vth vth, double size) const;
 
+  /// The gate's Vth and size after slot `s`'s move (only for a live slot).
+  struct SlotMove {
+    Vth vth;
+    double size;
+  };
+  SlotMove slot_move(std::size_t s) const;
+  /// Hypothetical leak moments of slot `s`'s move.
+  GateLeakMoments slot_moments(std::size_t s) const;
+  /// dm^2 + (om + nmean) * dm of slot `s` (cf-free excess of its pairwise
+  /// variance term; see assign_bound()).
+  double slot_vexb(std::size_t s) const;
+
   /// Recomputes the persistent per-slot lanes of one gate's two assign
-  /// moves from the current mirrors, loads and committed leak moments, and
-  /// grows the key rectangle's maxima to cover them.
+  /// moves from the circuit, loads and committed leak moments, and grows
+  /// the key rectangle's maxima to cover them.
   void rebuild_gate_slots(GateId id);
   /// Drains the dirty-gate queue through rebuild_gate_slots (serial; called
   /// at the top of every assign scan). The gates stay flagged until their
@@ -200,7 +218,10 @@ class BatchScorer {
   const CellLibrary& lib_;
   const LeakageAnalyzer& leak_;
   const Circuit& circuit_;
-  std::span<const CellKind> kind_;  ///< by GateId
+  // The circuit's implementation, by GateId.
+  std::span<const CellKind> kind_;
+  std::span<const Vth> vth_;
+  std::span<const double> size_;
   std::span<const double> loads_;
   ThreadPool& pool_;
   std::span<const double> steps_;
@@ -212,21 +233,16 @@ class BatchScorer {
   std::vector<CellLibrary::DelayTerms> terms_;
   std::vector<double> leak_unit_;  ///< same indexing
 
-  // Mutable implementation mirrors (index by GateId).
-  std::vector<Vth> vth_;
-  std::vector<double> size_;
-  std::vector<std::size_t> step_;
+  std::vector<std::size_t> step_;  ///< size step of size_[g]
 
   // Persistent assign-move slot lanes (index by slot = 2 * gate + kind,
-  // kind 0 = HVT swap, 1 = one-step downsize — the serial candidate order).
-  // Rebuilt per gate on set_impl() dirtying; read-only during scans.
+  // kind 0 = HVT swap, 1 = one-step downsize — the serial candidate order):
+  // what a re-key reads. Rebuilt per gate after on_resize()/on_vth_change()
+  // queued it; read-only during scans.
   std::vector<std::uint8_t> sl_alive_;  ///< structurally legal move
   std::vector<double> sl_dd_;           ///< own-delay increase of the move
-  std::vector<double> sl_nmean_, sl_nvar_;  ///< hypothetical leak moments
-  std::vector<double> sl_om_, sl_ov_;       ///< committed leak moments
-  std::vector<double> sl_dm_, sl_dv_;       ///< om - nmean, ov - nvar
-  std::vector<double> sl_vexb_;  ///< dm^2 + (om + nmean) * dm (cf-free)
-  std::vector<double> sl_tgt_;   ///< downsize target size
+  /// Committed minus hypothetical leak mean and variance.
+  std::vector<double> sl_dm_, sl_dv_;
   std::vector<GateId> dirty_;             ///< gates queued for rebuild
   /// Rebuilt or queued, not re-keyed (patch_keys also flags the listed
   /// gates whose clamped criticality moved).

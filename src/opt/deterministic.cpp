@@ -91,14 +91,12 @@ OptResult DeterministicOptimizer::run(Circuit& circuit,
     double objective = 0.0;
   };
   const auto take_snapshot = [&]() {
-    Snapshot s;
+    Snapshot s{{}, {circuit.vths().begin(), circuit.vths().end()},
+               total_leak()};
     s.steps.reserve(circuit.num_gates());
-    s.vths.reserve(circuit.num_gates());
     for (GateId id = 0; id < circuit.num_gates(); ++id) {
       s.steps.push_back(sta.step(id));
-      s.vths.push_back(circuit.gate(id).vth);
     }
-    s.objective = total_leak();
     return s;
   };
   const auto restore_snapshot = [&](const Snapshot& s) {

@@ -119,28 +119,20 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
   ThreadPool pool(config_.num_threads);
   BatchScorer scorer(lib_, leak, circuit, ssta.loads(), pool);
 
-  // Keeps the scorer's implementation mirrors in lockstep with the circuit.
-  // Every set_size/set_vth in this function is followed by a sync(id);
-  // missing one would desynchronize batched candidate filtering (caught by
-  // tests/batch_score_test.cpp and the trajectory goldens).
-  const auto sync = [&](GateId id) {
-    const Gate& g = circuit.gate(id);
-    scorer.set_impl(id, g.vth, g.size);
-  };
-
-  // Every implementation mutation goes through these two, so the circuit and
-  // the SSTA caches can never disagree. Leakage is priced hypothetically
-  // during scoring (quantile_if_na) and repriced only on commit, so it is
-  // updated at the commit sites, not here.
+  // Every implementation mutation goes through these two, so the circuit,
+  // the SSTA caches and the scorer can never disagree (a rollback restores
+  // the engine's caches itself, so it notifies only the scorer). Leakage is
+  // priced hypothetically during scoring (quantile_if_na) and repriced only
+  // on commit, so it is updated at the commit sites, not here.
   const auto apply_size = [&](GateId id, double size) {
     circuit.set_size(id, size);
     ssta.on_resize(id);
-    sync(id);
+    scorer.on_resize(id);
   };
   const auto apply_vth = [&](GateId id, Vth vth) {
     circuit.set_vth(id, vth);
     ssta.on_vth_change(id);
-    sync(id);
+    scorer.on_vth_change(id);
   };
 
   // ------------------------------------------------ snapshot machinery ----
@@ -150,15 +142,9 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
     double objective = 0.0;
   };
   const auto take_snapshot = [&]() {
-    Snapshot s;
-    s.sizes.reserve(circuit.num_gates());
-    s.vths.reserve(circuit.num_gates());
-    for (GateId id = 0; id < circuit.num_gates(); ++id) {
-      s.sizes.push_back(circuit.gate(id).size);
-      s.vths.push_back(circuit.gate(id).vth);
-    }
-    s.objective = leak.quantile_na(pct);
-    return s;
+    return Snapshot{{circuit.sizes().begin(), circuit.sizes().end()},
+                    {circuit.vths().begin(), circuit.vths().end()},
+                    leak.quantile_na(pct)};
   };
   const auto restore_snapshot = [&](const Snapshot& s) {
     // Per-gate diff through the engine-aware setters: only the gates that
@@ -226,7 +212,7 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
         // Fanin load coupling ate the gain: roll back and lock this step.
         ssta.rollback_trial();
         circuit.set_size(best.gate, steps[best.step - 1]);
-        sync(best.gate);
+        scorer.on_resize(best.gate);
         locked[best.gate] |= std::uint64_t{1} << best.step;
         ++result.rejected_moves;
       } else {
@@ -312,9 +298,13 @@ OptResult StatisticalOptimizer::run(Circuit& circuit,
           // O(touched) cache restore; the circuit's own fields go back
           // through the setters, never by poking Gate members directly.
           ssta.rollback_trial();
-          circuit.set_vth(best.gate, saved.vth);
-          circuit.set_size(best.gate, saved.size);
-          sync(best.gate);
+          if (best.to_hvt) {
+            circuit.set_vth(best.gate, saved.vth);
+            scorer.on_vth_change(best.gate);
+          } else {
+            circuit.set_size(best.gate, saved.size);
+            scorer.on_resize(best.gate);
+          }
           locked[best.gate] |=
               static_cast<unsigned char>(best.to_hvt ? 1 : 2);
           ++result.rejected_moves;

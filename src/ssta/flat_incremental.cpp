@@ -610,7 +610,9 @@ std::size_t FlatSstaEngine::walk_criticality() const {
     if (!crit_changed_all_) crit_changed_.push_back(topo_[r]);
     for (std::uint32_t f : fanins(r)) dirty_.insert(f);
   });
-  if (crit_changed_.size() > dense_seeds_) {
+  // One walk may list up to the cutover; a longer list (several walks since
+  // the last clear) is no longer short, so the consumer diffs every gate.
+  if (static_cast<double>(crit_changed_.size()) > walk_cutover_) {
     crit_changed_all_ = true;
     crit_changed_.clear();
   }

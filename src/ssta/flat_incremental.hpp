@@ -129,7 +129,8 @@
 /// criticality a walk rewrote (a walk writes only entries whose bits
 /// changed), so a consumer that mirrors the published array can catch up
 /// in O(what moved) instead of diffing every gate. A scatter, or a list
-/// grown past n/8 entries, turns the feed into "all". The consumer clears
+/// grown past the walk cutover (n/3.5 entries, the most one walk is meant
+/// to recompute), turns the feed into "all". The consumer clears
 /// it once it has caught up. Rollbacks need no entry of their own: a
 /// rollback never writes the published array, and one that follows an
 /// in-trial refresh leaves criticality unprimed, so the next refresh

@@ -1,18 +1,21 @@
 // Differential oracle for the statistical optimizer's move pricing
 // (opt/batch_score.hpp).
 //
-// BatchScorer prices moves from the Circuit's kind array, the load cache and
-// its own implementation mirrors: its sizing scan prices each legal move in
-// place, and its assign scan reads persistent per-slot lanes that are
-// rebuilt lazily for the gates set_impl() dirtied, and skips most exact
-// Wilkinson quantiles behind a Lipschitz upper bound. The reference below is the plain per-gate
+// BatchScorer prices moves from the Circuit's kind, Vth and size arrays, the
+// load cache and the leakage analyzer's committed moments: its sizing scan
+// prices each legal move in place, and its assign scan reads persistent
+// per-slot lanes that are rebuilt lazily for the gates its on_resize() and
+// on_vth_change() notifications queued, and skips most exact Wilkinson
+// quantiles behind a Lipschitz upper bound. The reference below is the plain per-gate
 // scan: every candidate priced from the live circuit through
 // CellLibrary::delay_ps() and LeakageAnalyzer::quantile_if_na(), with no
 // caching and no prune. After every step of a random walk of committed
 // size/Vth moves — plus tentative moves inside an SSTA trial that are
-// rejected and reverted, as the optimizer's are — under fresh random lock
-// masks, both scans must return the same gate and move with the same score
-// bits, for every thread count and with Pelgrom width scaling on or off.
+// rejected and reverted (and re-notified), as the optimizer's are — under
+// fresh random lock masks, both scans must return the same gate and move
+// with the same score bits, for every thread count and with Pelgrom width
+// scaling on or off; the scorer's counters must not depend on the thread
+// count either.
 // After every assign scan the scorer's key
 // bound itself is checked slot by slot, and further walks reach every path
 // of the lazy scan: sparse key patches, drift re-keys, the unbounded scan,
@@ -239,6 +242,8 @@ struct WalkConfig {
   const char* circuit;
   int threads;
   bool pelgrom = false;
+  /// Seed of the walk's moves and locks; 0 derives it from `threads`.
+  std::uint64_t seed = 0;
 };
 
 // Names the walk in test names (gtest would print the struct's bytes,
@@ -250,6 +255,8 @@ void PrintTo(const WalkConfig& wc, std::ostream* os) {
 
 struct WalkResult {
   int scans = 0;
+  std::int64_t passes = 0;
+  std::int64_t blocks = 0;
   std::int64_t pruned = 0;
   BatchScorer::AssignStats assign;
   std::size_t num_gates = 0;
@@ -288,23 +295,25 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
   LeakageAnalyzer leak(c, lib, var);
   ThreadPool pool(wc.threads);
   BatchScorer scorer(lib, leak, c, ssta.loads(), pool);
-  Rng rng(0xB5C0u + static_cast<std::uint64_t>(wc.threads));
+  Rng rng(wc.seed != 0 ? wc.seed
+                       : 0xB5C0u + static_cast<std::uint64_t>(wc.threads));
 
   std::vector<std::uint64_t> size_locks(c.num_gates(), 0);
   std::vector<unsigned char> assign_locks(c.num_gates(), 0);
 
-  // Every implementation change goes to the engine and the scorer's
-  // mirrors, exactly as the optimizer routes it.
+  // Every implementation change goes to the engine and the scorer, exactly
+  // as the optimizer routes it.
   const auto apply = [&](GateId id, double size, Vth vth) {
     if (c.gate(id).size != size) {
       c.set_size(id, size);
       ssta.on_resize(id);
+      scorer.on_resize(id);
     }
     if (c.gate(id).vth != vth) {
       c.set_vth(id, vth);
       ssta.on_vth_change(id);
+      scorer.on_vth_change(id);
     }
-    scorer.set_impl(id, c.gate(id).vth, c.gate(id).size);
   };
   const auto random_target = [&](GateId id, double& size, Vth& vth) {
     size = c.gate(id).size;
@@ -316,6 +325,8 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
     }
   };
   const auto finish = [&] {
+    result.passes = scorer.passes();
+    result.blocks = scorer.blocks();
     result.pruned = scorer.pruned();
     result.assign = scorer.assign_stats();
     result.num_gates = c.num_gates();
@@ -403,9 +414,14 @@ WalkResult run_walk(const WalkConfig& wc, int steps, double pct,
       apply(id, size, vth);
       query();
       ssta.rollback_trial();
-      c.set_size(id, saved.size);
-      c.set_vth(id, saved.vth);
-      scorer.set_impl(id, saved.vth, saved.size);
+      if (c.gate(id).size != saved.size) {
+        c.set_size(id, saved.size);
+        scorer.on_resize(id);
+      }
+      if (c.gate(id).vth != saved.vth) {
+        c.set_vth(id, saved.vth);
+        scorer.on_vth_change(id);
+      }
     } else {
       // Tentative move, accepted.
       ssta.begin_trial();
@@ -445,6 +461,36 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.threads) +
              (info.param.pelgrom ? "_pelgrom" : "");
     });
+
+// One walk scored on pools of 1, 2 and 4 threads: every scan matches the
+// reference, and every counter the scorer reports (scans, candidate
+// blocks, pruned candidates, assign bookkeeping) is the same for every
+// thread count, as the optimizer's run report promises.
+TEST(BatchScoreLazyTest, CountersDoNotDependOnTheThreadCount) {
+  std::vector<WalkResult> runs;
+  for (int threads : {1, 2, 4}) {
+    WalkConfig wc{"c880p", threads};
+    wc.seed = 0xB5C7u;
+    runs.push_back(run_walk(wc, 60, kPct, WalkMode::kMixed, true));
+    if (HasFailure()) return;
+  }
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    const WalkResult& a = runs[0];
+    const WalkResult& b = runs[i];
+    EXPECT_EQ(a.scans, b.scans) << i;
+    EXPECT_EQ(a.passes, b.passes) << i;
+    EXPECT_EQ(a.blocks, b.blocks) << i;
+    EXPECT_EQ(a.pruned, b.pruned) << i;
+    EXPECT_EQ(a.assign.rekeys, b.assign.rekeys) << i;
+    EXPECT_EQ(a.assign.full_rekeys, b.assign.full_rekeys) << i;
+    EXPECT_EQ(a.assign.full_diffs, b.assign.full_diffs) << i;
+    EXPECT_EQ(a.assign.drift_rekeys, b.assign.drift_rekeys) << i;
+    EXPECT_EQ(a.assign.exact, b.assign.exact) << i;
+    EXPECT_EQ(a.assign.unbounded, b.assign.unbounded) << i;
+  }
+  EXPECT_EQ(runs[0].passes, 120);
+  EXPECT_GT(runs[0].blocks, runs[0].passes);
+}
 
 // At the median z = 0, where the quantile is not increasing in the
 // variance, the bound is off: every scan exact-scores every live slot in
